@@ -12,41 +12,15 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from aspectgate.corpus import Instance, TaskSpaces
+from aspectgate.corpus import TaskSpaces
 from aspectgate.model import ModelConfig
+from aspectgate.synth import synthetic_instances, write_embedding_file
 from aspectgate.trainer import TrainConfig, run_experiment
-
-POS = ("great", "tasty", "lovely", "fresh")
-NEG = ("awful", "bland", "rude", "stale")
-ASPECTS = ("food", "service")
-
-
-def make_corpus(n_sentences: int, seed: int) -> list[Instance]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n_sentences):
-        good = POS[rng.integers(len(POS))]
-        bad = NEG[rng.integers(len(NEG))]
-        a_good, a_bad = ASPECTS if rng.random() < 0.5 else ASPECTS[::-1]
-        tokens = ("the", a_good, "was", good, "but", a_bad, "was", bad)
-        out.append(Instance(f"s{i}g", tokens, "category", a_good, (a_good,), "positive"))
-        out.append(Instance(f"s{i}b", tokens, "category", a_bad, (a_bad,), "negative"))
-    return out
-
-
-def write_vectors(path: Path, dim: int = 12) -> Path:
-    rng = np.random.default_rng(7)
-    words = POS + NEG + ASPECTS + ("the", "was", "but")
-    lines = [w + " " + " ".join(f"{x:.6f}" for x in rng.normal(scale=0.4, size=dim)) for w in words]
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def main() -> int:
-    train_inst = make_corpus(40, seed=1)
-    test_inst = make_corpus(10, seed=2)
+    train_inst = synthetic_instances(40, seed=1)
+    test_inst = synthetic_instances(10, seed=2)
     spaces = TaskSpaces.build("category", train_inst)
     full = ModelConfig(
         hidden_size=16,
@@ -61,7 +35,7 @@ def main() -> int:
     blind = replace(full, encoder="gru", aspect_concat=False, reconstruct=False)
     tc = TrainConfig(epochs=60, lr=0.02)
     with tempfile.TemporaryDirectory() as tmp:
-        vectors = write_vectors(Path(tmp) / "vectors.txt")
+        vectors = write_embedding_file(Path(tmp) / "vectors.txt", dim=12, seed=7)
         for name, cfg in (("aspect-gated", full), ("aspect-blind", blind)):
             report, _ = run_experiment(
                 train_inst, {"test": test_inst}, vectors, cfg, tc, spaces, seeds=(1, 2)

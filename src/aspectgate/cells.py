@@ -10,13 +10,13 @@ aspect conditioning. A conventional stacked GRU is provided as the
 baseline encoder.
 
 All step functions take column-major batches: inputs are (d, B) with one
-column per sequence. Per-instance wrappers reshape vectors through the
-B = 1 path so there is a single implementation of the math.
+column per sequence. A single sequence is a batch of one column, so the
+batched encoders are the only implementation of the math.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +25,8 @@ from .tensor import (
     TRAIN_DTYPE,
     ShapeError,
     Tensor,
-    concat,
     matmul,
     relu,
-    reshape,
     sigmoid,
     tanh,
 )
@@ -61,179 +59,81 @@ def _check_cols(name: str, t: Tensor, rows: int) -> None:
 
 # -- parameter containers -----------------------------------------------------
 
+# Per cell kind: (weight name, fan-in operand) in glorot draw order, then the
+# optional column biases. Every weight has d_h rows; its fan-in is the token
+# width "x", the state width "h" or the aspect width "a". The names and the
+# draw order are the checkpoint format.
+CELL_KINDS: dict[str, tuple[tuple[tuple[str, str], ...], tuple[str, ...]]] = {
+    # aspect-gated input cell: candidate, reset, update and linear gates read
+    # x and h, the relu aspect gate reads w_a @ aspect and h, and two linear
+    # maps of x enter through the linear gate and the aspect gate
+    "aspect": (
+        (("w_xh", "x"), ("w_xr", "x"), ("w_xz", "x"), ("w_xl", "x"),
+         ("w_hh", "h"), ("w_hr", "h"), ("w_hz", "h"), ("w_hl", "h"), ("w_hg", "h"),
+         ("w_a", "a"), ("w_lin1", "x"), ("w_lin2", "x")),
+        ("b_r", "b_z", "b_l", "b_g", "b_h"),
+    ),
+    # aspect-free input cell: gated linear bypass, no aspect
+    "dt": (
+        (("w_xh", "x"), ("w_xr", "x"), ("w_xz", "x"), ("w_xl", "x"),
+         ("w_hh", "h"), ("w_hr", "h"), ("w_hz", "h"), ("w_hl", "h"),
+         ("w_lin1", "x")),
+        ("b_r", "b_z", "b_l", "b_h"),
+    ),
+    # transition cell: state in, state out, no token input
+    "transition": (
+        (("w_h", "h"), ("w_r", "h"), ("w_z", "h")),
+        ("b_r", "b_z"),
+    ),
+    # conventional GRU cell, for the stacked baseline
+    "gru": (
+        (("w_xh", "x"), ("w_xr", "x"), ("w_xz", "x"),
+         ("w_hh", "h"), ("w_hr", "h"), ("w_hz", "h")),
+        ("b_r", "b_z", "b_h"),
+    ),
+}
 
-@dataclass
-class AspectGruParams:
-    """Weights of the aspect-gated input cell.
 
-    Twelve matrices: four input-to-hidden (candidate, reset, update,
-    linear gates), five hidden-to-hidden (same four plus the aspect
-    gate's recurrent term), the aspect projection, and two linear
-    transformations of the token embedding, one added through the linear
-    gate and one through the aspect gate. Optional column biases cover
-    the four sigmoid/relu gates and the candidate.
+class CellParams:
+    """Weights of one cell of a ``CELL_KINDS`` kind, one attribute per name.
+
+    Bias attributes are None when the cell was built without biases.
     """
 
-    w_xh: Tensor
-    w_xr: Tensor
-    w_xz: Tensor
-    w_xl: Tensor
-    w_hh: Tensor
-    w_hr: Tensor
-    w_hz: Tensor
-    w_hl: Tensor
-    w_hg: Tensor
-    w_a: Tensor
-    w_lin1: Tensor
-    w_lin2: Tensor
-    b_r: Tensor | None = None
-    b_z: Tensor | None = None
-    b_l: Tensor | None = None
-    b_g: Tensor | None = None
-    b_h: Tensor | None = None
+    def __init__(self, kind: str, tensors: dict[str, Tensor | None]):
+        self.kind = kind
+        self._names = tuple(tensors)
+        self.__dict__.update(tensors)
 
     @classmethod
-    def init(cls, d_h: int, d_x: int, d_a: int, rng, dtype=TRAIN_DTYPE, bias=False):
-        hx = lambda: glorot(rng, d_h, d_x, dtype)
-        hh = lambda: glorot(rng, d_h, d_h, dtype)
-        p = cls(
-            w_xh=hx(), w_xr=hx(), w_xz=hx(), w_xl=hx(),
-            w_hh=hh(), w_hr=hh(), w_hz=hh(), w_hl=hh(), w_hg=hh(),
-            w_a=glorot(rng, d_h, d_a, dtype),
-            w_lin1=hx(), w_lin2=hx(),
-        )
-        if bias:
-            p.b_r, p.b_z, p.b_l, p.b_g, p.b_h = (
-                _zeros_bias(d_h, dtype) for _ in range(5)
-            )
-        return p
+    def init(cls, kind: str, d_h: int, rng, d_x: int | None = None,
+             d_a: int | None = None, dtype=TRAIN_DTYPE, bias=False) -> "CellParams":
+        weights, biases = CELL_KINDS[kind]
+        fan_in = {"h": d_h, "x": d_x, "a": d_a}
+        tensors: dict[str, Tensor | None] = {}
+        for name, operand in weights:
+            tensors[name] = glorot(rng, d_h, fan_in[operand], dtype)
+        for name in biases:
+            tensors[name] = _zeros_bias(d_h, dtype) if bias else None
+        return cls(kind, tensors)
 
     @property
     def d_h(self) -> int:
-        return self.w_hh.shape[0]
+        return getattr(self, self._names[0]).shape[0]
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for name in ("w_xh", "w_xr", "w_xz", "w_xl", "w_hh", "w_hr", "w_hz",
-                     "w_hl", "w_hg", "w_a", "w_lin1", "w_lin2",
-                     "b_r", "b_z", "b_l", "b_g", "b_h"):
-            t = getattr(self, name)
-            if t is not None:
-                out[f"{prefix}{name}"] = t
-        return out
-
-
-@dataclass
-class DtGruParams:
-    """Weights of the aspect-free input cell (gated linear bypass, no aspect)."""
-
-    w_xh: Tensor
-    w_xr: Tensor
-    w_xz: Tensor
-    w_xl: Tensor
-    w_hh: Tensor
-    w_hr: Tensor
-    w_hz: Tensor
-    w_hl: Tensor
-    w_lin1: Tensor
-    b_r: Tensor | None = None
-    b_z: Tensor | None = None
-    b_l: Tensor | None = None
-    b_h: Tensor | None = None
-
-    @classmethod
-    def init(cls, d_h: int, d_x: int, rng, dtype=TRAIN_DTYPE, bias=False):
-        hx = lambda: glorot(rng, d_h, d_x, dtype)
-        hh = lambda: glorot(rng, d_h, d_h, dtype)
-        p = cls(
-            w_xh=hx(), w_xr=hx(), w_xz=hx(), w_xl=hx(),
-            w_hh=hh(), w_hr=hh(), w_hz=hh(), w_hl=hh(),
-            w_lin1=hx(),
-        )
-        if bias:
-            p.b_r, p.b_z, p.b_l, p.b_h = (_zeros_bias(d_h, dtype) for _ in range(4))
-        return p
-
-    @property
-    def d_h(self) -> int:
-        return self.w_hh.shape[0]
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for name in ("w_xh", "w_xr", "w_xz", "w_xl", "w_hh", "w_hr", "w_hz",
-                     "w_hl", "w_lin1", "b_r", "b_z", "b_l", "b_h"):
-            t = getattr(self, name)
-            if t is not None:
-                out[f"{prefix}{name}"] = t
-        return out
-
-
-@dataclass
-class TransitionGruParams:
-    """Weights of one transition cell: state in, state out, no token input."""
-
-    w_h: Tensor
-    w_r: Tensor
-    w_z: Tensor
-    b_r: Tensor | None = None
-    b_z: Tensor | None = None
-
-    @classmethod
-    def init(cls, d_h: int, rng, dtype=TRAIN_DTYPE, bias=False):
-        p = cls(
-            w_h=glorot(rng, d_h, d_h, dtype),
-            w_r=glorot(rng, d_h, d_h, dtype),
-            w_z=glorot(rng, d_h, d_h, dtype),
-        )
-        if bias:
-            p.b_r, p.b_z = _zeros_bias(d_h, dtype), _zeros_bias(d_h, dtype)
-        return p
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}w_h": self.w_h, f"{prefix}w_r": self.w_r, f"{prefix}w_z": self.w_z}
-        if self.b_r is not None:
-            out[f"{prefix}b_r"] = self.b_r
-            out[f"{prefix}b_z"] = self.b_z
-        return out
-
-
-@dataclass
-class GruParams:
-    """Weights of a conventional GRU cell, for the stacked baseline."""
-
-    w_xh: Tensor
-    w_xr: Tensor
-    w_xz: Tensor
-    w_hh: Tensor
-    w_hr: Tensor
-    w_hz: Tensor
-    b_r: Tensor | None = None
-    b_z: Tensor | None = None
-    b_h: Tensor | None = None
-
-    @classmethod
-    def init(cls, d_h: int, d_x: int, rng, dtype=TRAIN_DTYPE, bias=False):
-        hx = lambda: glorot(rng, d_h, d_x, dtype)
-        hh = lambda: glorot(rng, d_h, d_h, dtype)
-        p = cls(w_xh=hx(), w_xr=hx(), w_xz=hx(), w_hh=hh(), w_hr=hh(), w_hz=hh())
-        if bias:
-            p.b_r, p.b_z, p.b_h = (_zeros_bias(d_h, dtype) for _ in range(3))
-        return p
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for name in ("w_xh", "w_xr", "w_xz", "w_hh", "w_hr", "w_hz", "b_r", "b_z", "b_h"):
-            t = getattr(self, name)
-            if t is not None:
-                out[f"{prefix}{name}"] = t
-        return out
+        return {
+            f"{prefix}{name}": t
+            for name in self._names
+            if (t := getattr(self, name)) is not None
+        }
 
 
 # -- step functions -----------------------------------------------------------
 
 
 def aspect_gru_step(
-    p: AspectGruParams,
+    p: CellParams,
     x: Tensor,
     aspect: Tensor,
     h_prev: Tensor,
@@ -263,7 +163,7 @@ def aspect_gru_step(
     return h, g
 
 
-def dt_gru_step(p: DtGruParams, x: Tensor, h_prev: Tensor) -> Tensor:
+def dt_gru_step(p: CellParams, x: Tensor, h_prev: Tensor) -> Tensor:
     """Aspect-free input cell: ungated nonlinear path plus gated bypass."""
     _check_cols("dt_gru_step: h_prev", h_prev, p.d_h)
     r = sigmoid(affine(p.w_xr, x, None) + affine(p.w_hr, h_prev, p.b_r))
@@ -274,7 +174,7 @@ def dt_gru_step(p: DtGruParams, x: Tensor, h_prev: Tensor) -> Tensor:
     return (1.0 - z) * h_prev + z * cand
 
 
-def transition_gru_step(p: TransitionGruParams, h_prev: Tensor) -> Tensor:
+def transition_gru_step(p: CellParams, h_prev: Tensor) -> Tensor:
     """One transition refinement; candidate is tanh(r * (w_h @ h))."""
     z = sigmoid(affine(p.w_z, h_prev, p.b_z))
     r = sigmoid(affine(p.w_r, h_prev, p.b_r))
@@ -282,7 +182,7 @@ def transition_gru_step(p: TransitionGruParams, h_prev: Tensor) -> Tensor:
     return (1.0 - z) * h_prev + z * cand
 
 
-def gru_step(p: GruParams, x: Tensor, h_prev: Tensor) -> Tensor:
+def gru_step(p: CellParams, x: Tensor, h_prev: Tensor) -> Tensor:
     """Conventional GRU step for the stacked baseline."""
     r = sigmoid(affine(p.w_xr, x, None) + affine(p.w_hr, h_prev, p.b_r))
     z = sigmoid(affine(p.w_xz, x, None) + affine(p.w_hz, h_prev, p.b_z))
@@ -297,19 +197,19 @@ def gru_step(p: GruParams, x: Tensor, h_prev: Tensor) -> Tensor:
 class DeepTransitionBlock:
     """One input cell plus transition cells, applied once per time step."""
 
-    first: AspectGruParams | DtGruParams
-    transitions: tuple[TransitionGruParams, ...]
+    first: CellParams  # kind "aspect" or "dt"
+    transitions: tuple[CellParams, ...]  # kind "transition"
 
     @classmethod
     def init(cls, d_h, d_x, d_a, depth, rng, dtype=TRAIN_DTYPE, aspect_gated=True, bias=False):
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
-        if aspect_gated:
-            first = AspectGruParams.init(d_h, d_x, d_a, rng, dtype, bias)
-        else:
-            first = DtGruParams.init(d_h, d_x, rng, dtype, bias)
+        first = CellParams.init(
+            "aspect" if aspect_gated else "dt", d_h, rng, d_x, d_a, dtype, bias
+        )
         trans = tuple(
-            TransitionGruParams.init(d_h, rng, dtype, bias) for _ in range(depth - 1)
+            CellParams.init("transition", d_h, rng, dtype=dtype, bias=bias)
+            for _ in range(depth - 1)
         )
         return cls(first=first, transitions=trans)
 
@@ -319,7 +219,7 @@ class DeepTransitionBlock:
 
     @property
     def aspect_gated(self) -> bool:
-        return isinstance(self.first, AspectGruParams)
+        return self.first.kind == "aspect"
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         out = self.first.tensors(f"{prefix}c0/")
@@ -348,16 +248,6 @@ def block_step(
 
 
 # -- sequence encoders -----------------------------------------------------------
-
-
-@dataclass
-class GateTrace:
-    """Aspect-gate activations per time step; None where masked out."""
-
-    steps: list[np.ndarray | None] = field(default_factory=list)
-
-    def mean_per_step(self) -> list[float | None]:
-        return [None if g is None else float(g.mean()) for g in self.steps]
 
 
 def mask_tensor(col: np.ndarray, d_h: int, dtype) -> Tensor:
@@ -428,7 +318,7 @@ def run_block_batch(
 
 
 def run_gru_batch(
-    layers: Sequence[GruParams],
+    layers: Sequence[CellParams],
     steps: Sequence[Tensor],
     mask: np.ndarray,
     h0: Tensor | None = None,
@@ -443,7 +333,7 @@ def run_gru_batch(
     dtype = steps[0].dtype
     current = list(steps)
     for layer in layers:
-        d_h = layer.w_hh.shape[0]
+        d_h = layer.d_h
         h = h0 if h0 is not None else Tensor(np.zeros((d_h, B), dtype=dtype))
         outputs: list[Tensor] = []
         for t, x in enumerate(current):
@@ -457,67 +347,3 @@ def run_gru_batch(
             outputs.append(h)
         current = outputs
     return current
-
-
-# -- per-instance wrappers (single sequence, B = 1) -------------------------------
-
-
-def _as_column_steps(embedded, dtype) -> list[Tensor]:
-    arr = embedded.data if isinstance(embedded, Tensor) else np.asarray(embedded, dtype=dtype)
-    if arr.ndim != 2:
-        raise ShapeError(f"embedded sequence must be (T, d_x), got {arr.shape}")
-    return [Tensor(np.ascontiguousarray(arr[t : t + 1].T)) for t in range(arr.shape[0])]
-
-
-def encode_sequence(
-    block: DeepTransitionBlock,
-    embedded,
-    aspect,
-    mask=None,
-    h0=None,
-) -> tuple[list[Tensor], GateTrace]:
-    """Encode one sequence; returns per-step (d_h,) states and a gate trace.
-
-    ``embedded`` is (T, d_x) with one row per token, ``aspect`` a (d_a,)
-    vector, ``mask`` an optional (T,) 0/1 array (default all real).
-    """
-    d_h = block.first.d_h
-    steps = _as_column_steps(embedded, TRAIN_DTYPE)
-    T = len(steps)
-    dtype = steps[0].dtype if steps else TRAIN_DTYPE
-    if mask is None:
-        mask = np.ones(T)
-    mask = np.asarray(mask).reshape(1, -1)
-    a_col = None
-    if block.aspect_gated:
-        a_arr = aspect.data if isinstance(aspect, Tensor) else np.asarray(aspect, dtype=dtype)
-        a_col = Tensor(np.ascontiguousarray(a_arr.reshape(-1, 1)))
-    h0_col = None
-    if h0 is not None:
-        h0_arr = h0.data if isinstance(h0, Tensor) else np.asarray(h0, dtype=dtype)
-        h0_col = Tensor(h0_arr.reshape(-1, 1))
-    states, gates = run_block_batch(block, steps, a_col, mask, h0_col)
-    flat = [reshape(s, (d_h,)) for s in states]
-    trace = GateTrace(
-        steps=[
-            None if g is None or mask[0, t] == 0 else np.asarray(g.data[:, 0])
-            for t, g in enumerate(gates)
-        ]
-    )
-    return flat, trace
-
-
-def gru_encode(layers: Sequence[GruParams], embedded, mask=None, h0=None) -> list[Tensor]:
-    """Encode one sequence through stacked GRUs; returns per-step states."""
-    steps = _as_column_steps(embedded, TRAIN_DTYPE)
-    T = len(steps)
-    if mask is None:
-        mask = np.ones(T)
-    mask = np.asarray(mask).reshape(1, -1)
-    h0_col = None
-    if h0 is not None:
-        h0_arr = h0.data if isinstance(h0, Tensor) else np.asarray(h0)
-        h0_col = Tensor(h0_arr.reshape(-1, 1))
-    states = run_gru_batch(layers, steps, mask, h0_col)
-    d_h = layers[-1].w_hh.shape[0]
-    return [reshape(s, (d_h,)) for s in states]

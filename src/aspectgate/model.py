@@ -13,14 +13,14 @@ the tape, so no gradient can touch it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cells import (
+    CellParams,
     DeepTransitionBlock,
-    GruParams,
     affine,
     glorot,
     mask_tensor,
@@ -33,9 +33,7 @@ from .tensor import (
     Tensor,
     concat,
     dropout,
-    matmul,
     maximum,
-    reshape,
     sigmoid_xent_logits,
     softmax_xent_logits,
     transpose,
@@ -175,10 +173,12 @@ def _pool_columns(states, mask: np.ndarray, mode: str, dropfn=_identity) -> Tens
         raise ValueError("pool: empty sequence")
     if mode not in POOLING_MODES:
         raise ValueError(f"pool: unknown mode {mode!r}")
+    d, B = states[0].shape
+    if mask.shape != (B, len(states)):
+        raise ShapeError(f"pool: mask shape {mask.shape} does not match ({B}, {len(states)})")
     lengths = mask.sum(axis=1)
     if np.any(lengths == 0):
         raise ValueError("pool: a sequence in the batch has no real tokens")
-    d = states[0].shape[0]
     dtype = states[0].dtype
     if mode == "last":
         # per-column select of the state at each sequence's last real step;
@@ -220,27 +220,6 @@ def _pool_columns(states, mask: np.ndarray, mode: str, dropfn=_identity) -> Tens
     return acc * Tensor(recip)
 
 
-def pool(states, mask=None, mode: str = "last") -> Tensor:
-    """Pool one sequence's per-step states into a single vector.
-
-    ``states`` is a list of (d,) tensors or a (T, d) array; ``mask`` an
-    optional (T,) 0/1 array with real tokens as a prefix.
-    """
-    if isinstance(states, (list, tuple)):
-        cols = [reshape(s, (s.shape[0], 1)) for s in states]
-    else:
-        arr = states.data if isinstance(states, Tensor) else np.asarray(states)
-        if arr.ndim != 2:
-            raise ShapeError(f"pool: states must be (T, d), got {arr.shape}")
-        cols = [Tensor(np.ascontiguousarray(arr[t : t + 1].T)) for t in range(arr.shape[0])]
-    T = len(cols)
-    mask = np.ones(T) if mask is None else np.asarray(mask)
-    if mask.shape != (T,):
-        raise ShapeError(f"pool: mask shape {mask.shape} does not match T={T}")
-    out = _pool_columns(cols, mask.reshape(1, -1), mode)
-    return reshape(out, (out.shape[0],))
-
-
 # -- the model ----------------------------------------------------------------------
 
 
@@ -268,8 +247,8 @@ class SentimentModel:
         self.embedding.setflags(write=False)
         d_h, d_x = config.hidden_size, config.embed_size
         bias = config.use_bias
-        self.gru_layers: list[GruParams] | None = None
-        self.gru_layers_rev: list[GruParams] | None = None
+        self.gru_layers: list[CellParams] | None = None
+        self.gru_layers_rev: list[CellParams] | None = None
         self.block: DeepTransitionBlock | None = None
         self.block_rev: DeepTransitionBlock | None = None
         if config.encoder == "gru":
@@ -300,15 +279,16 @@ class SentimentModel:
                 np.zeros((config.num_labels, 1), dtype=self.dtype), requires_grad=True
             )
 
-    def _make_gru_stack(self, rng, bias) -> list[GruParams]:
+    def _make_gru_stack(self, rng, bias) -> list[CellParams]:
         c = self.config
         return [
-            GruParams.init(
+            CellParams.init(
+                "gru",
                 c.hidden_size,
-                c.embed_size if i == 0 else c.hidden_size,
                 rng,
-                self.dtype,
-                bias,
+                d_x=c.embed_size if i == 0 else c.hidden_size,
+                dtype=self.dtype,
+                bias=bias,
             )
             for i in range(c.depth)
         ]
@@ -439,47 +419,6 @@ def _onehot_rows(ids: np.ndarray, width: int, dtype) -> np.ndarray:
     out = np.zeros((ids.shape[0], width), dtype=dtype)
     out[np.arange(ids.shape[0]), ids] = 1
     return out
-
-
-def loss_category_reconstruction(recon_logits: Tensor, gold_index: int) -> Tensor:
-    """Softmax cross-entropy against the single gold category."""
-    if recon_logits.ndim != 1:
-        raise ShapeError(f"expected (C,) logits, got {recon_logits.shape}")
-    onehot = np.zeros(recon_logits.shape[0], dtype=recon_logits.dtype)
-    if not 0 <= gold_index < recon_logits.shape[0]:
-        raise ValueError(f"gold category {gold_index} out of range")
-    onehot[gold_index] = 1
-    return softmax_xent_logits(recon_logits, Tensor(onehot))
-
-
-def loss_term_reconstruction(recon_logits: Tensor, gold_ids: Iterable[int]) -> Tensor:
-    """Multi-label sigmoid cross-entropy, summed over the term vocabulary."""
-    if recon_logits.ndim != 1:
-        raise ShapeError(f"expected (C,) logits, got {recon_logits.shape}")
-    multi = np.zeros(recon_logits.shape[0], dtype=recon_logits.dtype)
-    for i in gold_ids:
-        if not 0 <= i < recon_logits.shape[0]:
-            raise ValueError(f"gold term id {i} out of range")
-        multi[i] = 1
-    return sigmoid_xent_logits(recon_logits, Tensor(multi))
-
-
-def joint_loss(
-    sent_logits: Tensor, gold_label: int, recon_loss: Tensor | None, config: ModelConfig
-) -> Tensor:
-    """Per-instance objective: classification plus weighted reconstruction."""
-    if sent_logits.ndim != 1:
-        raise ShapeError(f"expected (C,) logits, got {sent_logits.shape}")
-    onehot = np.zeros(sent_logits.shape[0], dtype=sent_logits.dtype)
-    if not 0 <= gold_label < sent_logits.shape[0]:
-        raise ValueError(f"gold label {gold_label} out of range")
-    onehot[gold_label] = 1
-    ce = softmax_xent_logits(sent_logits, Tensor(onehot))
-    if not config.reconstruct:
-        return ce
-    if recon_loss is None:
-        raise ValueError("joint_loss: reconstruction enabled but no recon loss given")
-    return ce + config.lam * recon_loss
 
 
 def batch_joint_loss(

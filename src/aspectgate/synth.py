@@ -1,4 +1,4 @@
-"""Synthetic corpus and embedding fixtures shared across test modules.
+"""Toy synthetic corpus and word vectors for tests and the smoke script.
 
 Each sentence praises one aspect and pans another, and is expanded into
 two instances with opposite labels. A model that ignores the queried
@@ -6,9 +6,11 @@ aspect cannot beat chance on this data; an aspect-aware one can solve it
 exactly, which makes the corpus a good learnability probe.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
-from aspectgate.corpus import Instance, TaskSpaces
+from .corpus import Instance
 
 POS_WORDS = ("great", "tasty", "lovely", "fresh")
 NEG_WORDS = ("awful", "bland", "rude", "stale")
@@ -21,6 +23,7 @@ EMBED_DIM = 6
 
 
 def synthetic_instances(n_pairs: int, seed: int = 0, task: str = "category") -> list[Instance]:
+    """``2 * n_pairs`` instances: one positive and one negative per sentence."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n_pairs):
@@ -35,6 +38,7 @@ def synthetic_instances(n_pairs: int, seed: int = 0, task: str = "category") -> 
 
 
 def write_embedding_file(path, dim: int = EMBED_DIM, seed: int = 99, words=ALL_WORDS):
+    """Write a GloVe-style text file of normal(0, 0.5) vectors; returns ``path``."""
     rng = np.random.default_rng(seed)
     lines = []
     for w in words:
@@ -42,7 +46,3 @@ def write_embedding_file(path, dim: int = EMBED_DIM, seed: int = 99, words=ALL_W
         lines.append(w + " " + " ".join(f"{x:.6f}" for x in vec))
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def synthetic_spaces(instances, task: str = "category") -> TaskSpaces:
-    return TaskSpaces.build(task, instances)

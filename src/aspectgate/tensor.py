@@ -221,7 +221,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        # a constant operand (an input column, h0, the aspect) gets no gradient
+        ga = g @ b.data.T if a.requires_grad else None
+        gb = a.data.T @ g if b.requires_grad else None
+        return ga, gb
 
     return _node(out, (a, b), bwd, "matmul")
 
@@ -405,17 +408,6 @@ def reduce_max(t: Tensor, axis=None) -> Tensor:
             return (full,)
 
     return _node(out, (t,), bwd, "max")
-
-
-_REDUCERS = {"sum": reduce_sum, "mean": reduce_mean, "max": reduce_max}
-
-
-def reduce(kind: str, t: Tensor, axis=None) -> Tensor:
-    try:
-        fn = _REDUCERS[kind]
-    except KeyError:
-        raise ValueError(f"reduce: unknown kind {kind!r}; expected sum, mean or max")
-    return fn(t, axis)
 
 
 # -- fused losses -----------------------------------------------------------

@@ -31,7 +31,7 @@ from .tensor import backward
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the objective turns non-finite mid-run."""
+    """Raised when the objective or its gradient norm turns non-finite mid-run."""
 
 
 @dataclass
@@ -103,13 +103,14 @@ class AdamState:
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint norm is <= max_norm.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm. A non-finite norm leaves the gradients
+    untouched; the caller decides what to do with them.
     """
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
+    if np.isfinite(norm) and norm > max_norm and norm > 0:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale
@@ -167,7 +168,8 @@ def train_batch(
     params = model.parameters()
     gmap = backward(loss, list(params.values()))
     grads = {n: gmap[t] for n, t in params.items()}
-    clip_global_norm(grads, tc.clip_norm)
+    if not np.isfinite(clip_global_norm(grads, tc.clip_norm)):
+        raise TrainingDiverged("non-finite gradient norm")
     adam_step(params, grads, state, tc)
     return loss.item(), ce, recon
 

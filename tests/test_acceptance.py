@@ -14,14 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import FD_EPS_CHECK, KINK_RADIUS, TOL_CHECK
-from synthdata import ASPECTS, NEG_WORDS, POS_WORDS, write_embedding_file
 
 from aspectgate.cells import (
-    AspectGruParams,
+    CellParams,
     DeepTransitionBlock,
-    TransitionGruParams,
     aspect_gru_step,
-    encode_sequence,
     run_block_batch,
     transition_gru_step,
 )
@@ -42,6 +39,7 @@ from aspectgate.model import (
     batch_joint_loss,
     embed_aspect,
 )
+from aspectgate.synth import ASPECTS, NEG_WORDS, POS_WORDS, write_embedding_file
 from aspectgate.tensor import (
     CHECK_DTYPE,
     Tensor,
@@ -251,14 +249,14 @@ def _op_cases(rng):
 
 
 def _cell_cases(rng):
-    p = AspectGruParams.init(3, 2, 2, rng=rng, dtype=CHECK_DTYPE)
+    p = CellParams.init("aspect", 3, rng, d_x=2, d_a=2, dtype=CHECK_DTYPE)
     x, asp, h0 = _pt(rng, 2, 1), _pt(rng, 2, 1), _pt(rng, 3, 1)
 
     def agru():
         h, g = aspect_gru_step(p, x, asp, h0)
         return (h * h).sum() + g.sum()
 
-    t = TransitionGruParams.init(3, rng=rng, dtype=CHECK_DTYPE)
+    t = CellParams.init("transition", 3, rng, dtype=CHECK_DTYPE)
     th = _pt(rng, 3, 1)
 
     def tgru():
@@ -266,11 +264,13 @@ def _cell_cases(rng):
         return (out * out).sum()
 
     block = DeepTransitionBlock.init(3, 2, 2, depth=2, rng=rng, dtype=CHECK_DTYPE)
-    emb = Tensor((rng.random((3, 2)) - 0.5).astype(CHECK_DTYPE))
-    basp = Tensor((rng.random(2) - 0.5).astype(CHECK_DTYPE))
+    # one 3-token sequence as a batch of one: (d_x, 1) columns per step
+    emb = (rng.random((3, 2)) - 0.5).astype(CHECK_DTYPE)
+    steps = [Tensor(np.ascontiguousarray(emb[t : t + 1].T)) for t in range(3)]
+    basp = Tensor((rng.random((2, 1)) - 0.5).astype(CHECK_DTYPE))
 
     def blk():
-        states, _ = encode_sequence(block, emb, basp)
+        states, _ = run_block_batch(block, steps, basp, np.ones((1, 3)))
         return (states[-1] * states[-1]).sum() + states[0].sum()
 
     return [
@@ -351,14 +351,14 @@ def test_criterion_01_gradient_fidelity():
 def test_criterion_02_zero_fixed_points():
     rng = np.random.default_rng(0)
     problems = []
-    p = AspectGruParams.init(4, 3, 3, rng)
+    p = CellParams.init("aspect", 4, rng, d_x=3, d_a=3)
     for t in p.tensors("").values():
         t.data[...] = 0.0
     x, asp = Tensor(rng.random((3, 1))), Tensor(rng.random((3, 1)))
     h, g = aspect_gru_step(p, x, asp, Tensor(np.zeros((4, 1))))
     if not (np.all(h.data == 0) and np.all(g.data == 0)):
         problems.append("a-gru non-zero")
-    tp = TransitionGruParams.init(4, rng)
+    tp = CellParams.init("transition", 4, rng)
     for t in tp.tensors("").values():
         t.data[...] = 0.0
     if not np.all(transition_gru_step(tp, Tensor(np.zeros((4, 1)))).data == 0):

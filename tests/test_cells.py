@@ -6,17 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectgate.cells import (
-    AspectGruParams,
+    CellParams,
     DeepTransitionBlock,
-    DtGruParams,
-    GruParams,
-    TransitionGruParams,
     aspect_gru_step,
     block_step,
     dt_gru_step,
-    encode_sequence,
-    glorot,
-    gru_encode,
     gru_step,
     run_block_batch,
     run_gru_batch,
@@ -35,11 +29,16 @@ def _col(rng, d, B=1, dtype=np.float64):
     return Tensor((rng.random((d, B)) - 0.5).astype(dtype))
 
 
+def _steps(emb: np.ndarray) -> list[Tensor]:
+    """(T, d) token rows as T (d, 1) columns: one sequence as a batch of one."""
+    return [Tensor(np.ascontiguousarray(emb[t : t + 1].T)) for t in range(emb.shape[0])]
+
+
 # -- frozen step behavior ------------------------------------------------------
 
 
 def test_aspect_gru_all_zero_weights_fixed_point(rng):
-    p = AspectGruParams.init(4, 3, 3, rng)
+    p = CellParams.init("aspect", 4, rng, d_x=3, d_a=3)
     _zero_params(p)
     x = _col(rng, 3)
     a = _col(rng, 3)
@@ -51,7 +50,7 @@ def test_aspect_gru_all_zero_weights_fixed_point(rng):
 
 def test_aspect_gru_dead_gate_reduces_to_ungated_paths(rng):
     """With w_a and w_hg zero the relu gate is 0, killing both of its paths."""
-    p = AspectGruParams.init(4, 3, 3, rng)
+    p = CellParams.init("aspect", 4, rng, d_x=3, d_a=3)
     p.w_a.data[...] = 0.0
     p.w_hg.data[...] = 0.0
     x = _col(rng, 3)
@@ -72,7 +71,7 @@ def test_aspect_gru_dead_gate_reduces_to_ungated_paths(rng):
 
 
 def test_aspect_gru_ignores_aspect_when_projection_is_zero(rng):
-    p = AspectGruParams.init(4, 3, 3, rng)
+    p = CellParams.init("aspect", 4, rng, d_x=3, d_a=3)
     p.w_a.data[...] = 0.0
     x = _col(rng, 3)
     h_prev = _col(rng, 4)
@@ -82,7 +81,7 @@ def test_aspect_gru_ignores_aspect_when_projection_is_zero(rng):
 
 
 def test_transition_gru_zero_weights_halves_state(rng):
-    p = TransitionGruParams.init(4, rng)
+    p = CellParams.init("transition", 4, rng)
     _zero_params(p)
     h = _col(rng, 4)
     out = transition_gru_step(p, h)
@@ -117,7 +116,7 @@ def test_block_depth_validation(rng):
 
 def test_dt_cell_has_no_aspect_surface(rng):
     block = DeepTransitionBlock.init(4, 3, 3, depth=2, rng=rng, aspect_gated=False)
-    assert isinstance(block.first, DtGruParams)
+    assert block.first.kind == "dt" and not hasattr(block.first, "w_a")
     x, h = _col(rng, 3), _col(rng, 4)
     out, g = block_step(block, x, None, h)
     assert g is None
@@ -125,7 +124,7 @@ def test_dt_cell_has_no_aspect_surface(rng):
 
 
 def test_gate_ranges(rng):
-    p = AspectGruParams.init(6, 4, 4, rng)
+    p = CellParams.init("aspect", 6, rng, d_x=4, d_a=4)
     h, g = aspect_gru_step(p, _col(rng, 4), _col(rng, 4), _col(rng, 6))
     assert np.all(g.data >= 0)
     assert np.all(np.isfinite(h.data))
@@ -134,12 +133,12 @@ def test_gate_ranges(rng):
 # -- gradient checks -----------------------------------------------------------
 
 
-def _wide_params(cls, *args, rng):
-    return cls.init(*args, rng=rng, dtype=CHECK_DTYPE)
+def _wide_params(kind, d_h, rng, **dims):
+    return CellParams.init(kind, d_h, rng, dtype=CHECK_DTYPE, **dims)
 
 
 def test_grad_aspect_gru_step(rng):
-    p = _wide_params(AspectGruParams, 3, 2, 2, rng=rng)
+    p = _wide_params("aspect", 3, rng, d_x=2, d_a=2)
     x = _col(rng, 2, dtype=CHECK_DTYPE)
     a = _col(rng, 2, dtype=CHECK_DTYPE)
     h0 = _col(rng, 3, dtype=CHECK_DTYPE)
@@ -153,7 +152,7 @@ def test_grad_aspect_gru_step(rng):
 
 
 def test_grad_transition_gru_step(rng):
-    p = _wide_params(TransitionGruParams, 3, rng=rng)
+    p = _wide_params("transition", 3, rng)
     h0 = Tensor(_col(rng, 3).data.astype(CHECK_DTYPE), requires_grad=True)
 
     def f():
@@ -164,7 +163,7 @@ def test_grad_transition_gru_step(rng):
 
 
 def test_grad_dt_cell_step(rng):
-    p = _wide_params(DtGruParams, 3, 2, rng=rng)
+    p = _wide_params("dt", 3, rng, d_x=2)
     x = _col(rng, 2, dtype=CHECK_DTYPE)
     h0 = _col(rng, 3, dtype=CHECK_DTYPE)
 
@@ -176,7 +175,7 @@ def test_grad_dt_cell_step(rng):
 
 
 def test_grad_gru_step(rng):
-    p = _wide_params(GruParams, 3, 2, rng=rng)
+    p = _wide_params("gru", 3, rng, d_x=2)
     x = _col(rng, 2, dtype=CHECK_DTYPE)
     h0 = _col(rng, 3, dtype=CHECK_DTYPE)
 
@@ -189,19 +188,19 @@ def test_grad_gru_step(rng):
 
 def test_grad_depth2_block_over_three_steps(rng):
     block = DeepTransitionBlock.init(3, 2, 2, depth=2, rng=rng, dtype=CHECK_DTYPE)
-    emb = Tensor((rng.random((3, 2)) - 0.5).astype(CHECK_DTYPE))
-    aspect = Tensor((rng.random(2) - 0.5).astype(CHECK_DTYPE))
+    emb = (rng.random((3, 2)) - 0.5).astype(CHECK_DTYPE)
+    aspect = Tensor((rng.random((2, 1)) - 0.5).astype(CHECK_DTYPE))
     tensors = list(block.tensors("").values())
 
     def f():
-        states, _ = encode_sequence(block, emb, aspect)
+        states, _ = run_block_batch(block, _steps(emb), aspect, np.ones((1, 3)))
         return (states[-1] * states[-1]).sum() + states[0].sum()
 
     assert grad_check(f, tensors, FD_EPS_CHECK) <= TOL_CHECK
 
 
 def test_grad_bias_terms_flow(rng):
-    p = AspectGruParams.init(3, 2, 2, rng, dtype=CHECK_DTYPE, bias=True)
+    p = CellParams.init("aspect", 3, rng, d_x=2, d_a=2, dtype=CHECK_DTYPE, bias=True)
     # move biases off zero so the check probes a generic point
     for name in ("b_r", "b_z", "b_l", "b_g", "b_h"):
         getattr(p, name).data[...] = (rng.random((3, 1)) - 0.5).astype(CHECK_DTYPE)
@@ -218,9 +217,9 @@ def test_grad_bias_terms_flow(rng):
 
 
 def test_bias_off_by_default(rng):
-    p = AspectGruParams.init(3, 2, 2, rng)
+    p = CellParams.init("aspect", 3, rng, d_x=2, d_a=2)
     assert not any(k.startswith("b_") for k in p.tensors(""))
-    q = AspectGruParams.init(3, 2, 2, rng, bias=True)
+    q = CellParams.init("aspect", 3, rng, d_x=2, d_a=2, bias=True)
     assert {"b_r", "b_z", "b_l", "b_g", "b_h"} <= set(q.tensors(""))
 
 
@@ -230,36 +229,28 @@ def test_bias_off_by_default(rng):
 def test_masked_suffix_carries_state_bit_identically(rng):
     block = DeepTransitionBlock.init(5, 3, 3, depth=2, rng=rng)
     emb = rng.standard_normal((4, 3))
-    aspect = rng.standard_normal(3)
-    short, _ = encode_sequence(block, emb[:2], aspect)
+    aspect = Tensor(rng.standard_normal((3, 1)))
+    short, _ = run_block_batch(block, _steps(emb[:2]), aspect, np.ones((1, 2)))
     padded = np.vstack([emb[:2], np.zeros((2, 3))])
-    long, _ = encode_sequence(block, padded, aspect, mask=[1, 1, 0, 0])
+    long, _ = run_block_batch(block, _steps(padded), aspect, np.array([[1, 1, 0, 0]]))
     assert np.array_equal(short[-1].data, long[-1].data)
     assert np.array_equal(long[2].data, long[1].data)  # carried through
     assert np.array_equal(long[3].data, long[1].data)
-
-
-def test_gate_trace_flags_masked_positions(rng):
-    block = DeepTransitionBlock.init(4, 3, 3, depth=2, rng=rng)
-    emb = rng.standard_normal((3, 3))
-    _, trace = encode_sequence(block, emb, rng.standard_normal(3), mask=[1, 1, 0])
-    assert trace.steps[0] is not None and trace.steps[1] is not None
-    assert trace.steps[2] is None
-    means = trace.mean_per_step()
-    assert means[2] is None and means[0] is not None
 
 
 def test_nonmonotone_mask_rejected(rng):
     block = DeepTransitionBlock.init(4, 3, 3, depth=1, rng=rng)
     emb = rng.standard_normal((3, 3))
     with pytest.raises(ValueError, match="monotone"):
-        encode_sequence(block, emb, rng.standard_normal(3), mask=[1, 0, 1])
+        run_block_batch(
+            block, _steps(emb), Tensor(rng.standard_normal((3, 1))), np.array([[1, 0, 1]])
+        )
 
 
 def test_empty_sequence_encodes_to_nothing(rng):
     block = DeepTransitionBlock.init(4, 3, 3, depth=2, rng=rng)
-    states, trace = encode_sequence(block, np.zeros((0, 3)), np.zeros(3))
-    assert states == [] and trace.steps == []
+    states, gates = run_block_batch(block, [], Tensor(np.zeros((3, 1))), np.zeros((1, 0)))
+    assert states == [] and gates == []
 
 
 def test_batch_matches_single_sequences(rng):
@@ -281,17 +272,17 @@ def test_batch_matches_single_sequences(rng):
     a_cols = Tensor(np.stack(aspects, axis=1))
     states, _ = run_block_batch(block, steps, a_cols, mask)
     for i, (seq, asp, n) in enumerate(zip(seqs, aspects, lens)):
-        solo, _ = encode_sequence(block, seq, asp)
-        assert np.allclose(states[-1].data[:, i], solo[-1].data, rtol=1e-10, atol=1e-12)
+        solo, _ = run_block_batch(block, _steps(seq), Tensor(asp[:, None]), np.ones((1, n)))
+        assert np.allclose(states[-1].data[:, i], solo[-1].data[:, 0], rtol=1e-10, atol=1e-12)
 
 
 def test_stacked_gru_encode_shapes_and_masking(rng):
-    layers = [GruParams.init(4, 3, rng), GruParams.init(4, 4, rng)]
+    layers = [CellParams.init("gru", 4, rng, d_x=3), CellParams.init("gru", 4, rng, d_x=4)]
     emb = rng.standard_normal((5, 3))
-    states = gru_encode(layers, emb)
-    assert len(states) == 5 and states[0].shape == (4,)
-    short = gru_encode(layers, emb[:3])
-    padded = gru_encode(layers, emb, mask=[1, 1, 1, 0, 0])
+    states = run_gru_batch(layers, _steps(emb), np.ones((1, 5)))
+    assert len(states) == 5 and states[0].shape == (4, 1)
+    short = run_gru_batch(layers, _steps(emb[:3]), np.ones((1, 3)))
+    padded = run_gru_batch(layers, _steps(emb), np.array([[1, 1, 1, 0, 0]]))
     assert np.array_equal(short[-1].data, padded[-1].data)
 
 
@@ -308,7 +299,7 @@ def test_gru_batch_needs_layers(rng):
 def test_transition_step_is_a_contraction_toward_unit_box(seed):
     """Each coordinate of the output is a convex mix of h and tanh(...)."""
     r = np.random.default_rng(seed)
-    p = TransitionGruParams.init(6, r)
+    p = CellParams.init("transition", 6, r)
     h = Tensor(r.standard_normal((6, 1)) * 3)
     out = transition_gru_step(p, h)
     bound = np.maximum(np.abs(h.data), 1.0)
@@ -324,6 +315,7 @@ def test_block_state_bounded_without_linear_bypass(seed, depth):
     block.first.w_lin1.data[...] = 0.0
     block.first.w_lin2.data[...] = 0.0
     emb = r.standard_normal((6, 3))
-    states, _ = encode_sequence(block, emb, r.standard_normal(3))
+    aspect = Tensor(r.standard_normal((3, 1)))
+    states, _ = run_block_batch(block, _steps(emb), aspect, np.ones((1, 6)))
     for s in states:
         assert np.all(np.abs(s.data) <= 1.0 + 1e-12)

@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from synthdata import ALL_WORDS, EMBED_DIM, write_embedding_file
 
 from aspectgate.cli import (
     DATASETS,
@@ -15,6 +14,7 @@ from aspectgate.cli import (
     resolve_config,
 )
 from aspectgate.corpus import Instance, RawSentence, to_jsonl
+from aspectgate.synth import ALL_WORDS, EMBED_DIM, write_embedding_file
 
 XML = """
 <sentences>

@@ -1,5 +1,6 @@
 """Model assembly: config, pooling, forward invariances, joint objective."""
 
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -7,17 +8,15 @@ import numpy as np
 import pytest
 
 from aspectgate.model import (
+    ENCODERS,
     CapabilityError,
     ForwardResult,
     ModelConfig,
     SentimentModel,
+    _pool_columns,
     aspect_matrix,
     batch_joint_loss,
     embed_aspect,
-    joint_loss,
-    loss_category_reconstruction,
-    loss_term_reconstruction,
-    pool,
     predict,
     reconstruct_aspect,
 )
@@ -28,6 +27,7 @@ from aspectgate.tensor import (
     backward,
     grad_check,
     relu_kink_margin,
+    softmax_xent_logits,
 )
 from conftest import FD_EPS_CHECK, KINK_RADIUS, TOL_CHECK
 
@@ -79,6 +79,80 @@ def test_config_roundtrip_and_rep_size():
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+# -- parameter manifest -------------------------------------------------------------
+
+# encoder tensors of one direction with biases on, at hidden 3, embed 2, depth 2
+_ENC_MANIFEST = {
+    "aspect-dt": (
+        "c0/w_xh:3x2 c0/w_xr:3x2 c0/w_xz:3x2 c0/w_xl:3x2 c0/w_hh:3x3 c0/w_hr:3x3 "
+        "c0/w_hz:3x3 c0/w_hl:3x3 c0/w_hg:3x3 c0/w_a:3x2 c0/w_lin1:3x2 c0/w_lin2:3x2 "
+        "c0/b_r:3x1 c0/b_z:3x1 c0/b_l:3x1 c0/b_g:3x1 c0/b_h:3x1 "
+        "c1/w_h:3x3 c1/w_r:3x3 c1/w_z:3x3 c1/b_r:3x1 c1/b_z:3x1"
+    ),
+    "plain-dt": (
+        "c0/w_xh:3x2 c0/w_xr:3x2 c0/w_xz:3x2 c0/w_xl:3x2 c0/w_hh:3x3 c0/w_hr:3x3 "
+        "c0/w_hz:3x3 c0/w_hl:3x3 c0/w_lin1:3x2 c0/b_r:3x1 c0/b_z:3x1 c0/b_l:3x1 c0/b_h:3x1 "
+        "c1/w_h:3x3 c1/w_r:3x3 c1/w_z:3x3 c1/b_r:3x1 c1/b_z:3x1"
+    ),
+    "gru": (
+        "l0/w_xh:3x2 l0/w_xr:3x2 l0/w_xz:3x2 l0/w_hh:3x3 l0/w_hr:3x3 l0/w_hz:3x3 "
+        "l0/b_r:3x1 l0/b_z:3x1 l0/b_h:3x1 "
+        "l1/w_xh:3x3 l1/w_xr:3x3 l1/w_xz:3x3 l1/w_hh:3x3 l1/w_hr:3x3 l1/w_hz:3x3 "
+        "l1/b_r:3x1 l1/b_z:3x1 l1/b_h:3x1"
+    ),
+}
+
+# sha256 over the float64 bytes of a fresh default_rng(0) init, sorted-name order
+_INIT_SHA256 = {
+    ("aspect-dt", False, False): "9052bcb4b69a5f0fc1d48f804148fa6c63d00c6013717ac455c3fb4ee3186530",
+    ("aspect-dt", False, True): "64ce1da523796764051c34a32c3460ae616137a9e50b9a9bde697eeca93a8b28",
+    ("aspect-dt", True, False): "1049e71ad90fced970c16795047e4d7226b12aaeeaa627f07ba25ee4440b288e",
+    ("aspect-dt", True, True): "c4ec6b486da44ff77f8e43b52149bedddec7ed7eb750cf3d3fed6bb103e1f3fd",
+    ("plain-dt", False, False): "1615da75b2966bfbe3d654ba9be12278a35b99d7ed14055571faedf56f08f2b9",
+    ("plain-dt", False, True): "747d37dedca2e72a9897e04680355f9121f6d39b95a9957deaef6ec8abb53526",
+    ("plain-dt", True, False): "0fcd174c9d08348766a805003e00fcb4a6b40ec04f5a5ac30e99a05420fe5059",
+    ("plain-dt", True, True): "bf6e4ed93fd4e987d8db4169b3b51de5dfc6fb8fdf63682266569093bfcda398",
+    ("gru", False, False): "ceaf2223a7942400710d9ba1ed99d3b03a649768165af25491c8a8db36ccecac",
+    ("gru", False, True): "5b142de30f723c6356b5717d34436f3d5d0f6a34cf23e8e388cfd8ba4bda72c1",
+    ("gru", True, False): "2fb8bbbc91578905ed22a12f5d715f8f6e1f5ae754f669cac15ed2b25bba7ca8",
+    ("gru", True, True): "49e84871010422d229b61e6797afd0c38633bc981d611cc9cd598a70d8fd29f3",
+}
+
+
+def _expected_manifest(encoder, use_bias, bidirectional):
+    rows = []
+    for item in _ENC_MANIFEST[encoder].split():
+        name, shape = item.split(":")
+        if "/b_" in name and not use_bias:
+            continue
+        dims = tuple(int(d) for d in shape.split("x"))
+        for prefix in ("enc/", "enc_rev/") if bidirectional else ("enc/",):
+            rows.append((prefix + name, dims))
+    rep = 6 if bidirectional else 3
+    rows += [("head/recon", (2, rep)), ("head/cls", (3, rep + 2))]
+    if use_bias:
+        rows += [("head/recon_b", (2, 1)), ("head/cls_b", (3, 1))]
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_parameter_manifest_and_init_are_pinned(encoder, use_bias, bidirectional):
+    """Names, shapes and init draws are the checkpoint format; they must not move."""
+    cfg = tiny_config(encoder=encoder, use_bias=use_bias, bidirectional=bidirectional)
+    model = SentimentModel(cfg, np.zeros((5, 2)), np.random.default_rng(0))
+    params = model.parameters()
+    names = sorted(params)
+    assert [(n, params[n].shape) for n in names] == _expected_manifest(
+        encoder, use_bias, bidirectional
+    )
+    h = hashlib.sha256()
+    for n in names:
+        h.update(np.ascontiguousarray(params[n].data, dtype="<f8").tobytes())
+    assert h.hexdigest() == _INIT_SHA256[encoder, use_bias, bidirectional]
+
+
 # -- aspect embedding --------------------------------------------------------------
 
 
@@ -98,29 +172,34 @@ def test_embed_aspect_averages_rows():
 # -- pooling ------------------------------------------------------------------------
 
 
+def _cols(rows: np.ndarray) -> list[Tensor]:
+    """(T, d) per-step rows as T (d, 1) state columns: a batch of one."""
+    return [Tensor(np.ascontiguousarray(rows[t : t + 1].T)) for t in range(rows.shape[0])]
+
+
 def test_pool_modes_frozen_values():
-    states = np.array([[1.0, 2.0], [5.0, 0.0], [3.0, 9.0]])
-    mask = np.array([1, 1, 0])
-    assert np.array_equal(pool(states, mask, "last").data, [5.0, 0.0])
-    assert np.array_equal(pool(states, mask, "max").data, [5.0, 2.0])
-    assert np.array_equal(pool(states, mask, "mean").data, [3.0, 1.0])
-    # no mask means every row is real
-    assert np.array_equal(pool(states, mode="max").data, [5.0, 9.0])
+    states = _cols(np.array([[1.0, 2.0], [5.0, 0.0], [3.0, 9.0]]))
+    mask = np.array([[1, 1, 0]])
+    assert np.array_equal(_pool_columns(states, mask, "last").data[:, 0], [5.0, 0.0])
+    assert np.array_equal(_pool_columns(states, mask, "max").data[:, 0], [5.0, 2.0])
+    assert np.array_equal(_pool_columns(states, mask, "mean").data[:, 0], [3.0, 1.0])
+    # an all-ones mask means every row is real
+    assert np.array_equal(_pool_columns(states, np.ones((1, 3)), "max").data[:, 0], [5.0, 9.0])
 
 
 def test_pool_validation():
-    states = np.ones((2, 3))
+    states = _cols(np.ones((2, 3)))
     with pytest.raises(ValueError, match="no real tokens"):
-        pool(states, np.array([0, 0]), "mean")
+        _pool_columns(states, np.array([[0, 0]]), "mean")
     with pytest.raises(ValueError, match="unknown mode"):
-        pool(states, None, "avg")
+        _pool_columns(states, np.ones((1, 2)), "avg")
     with pytest.raises(ShapeError):
-        pool(states, np.array([1, 1, 1]), "last")
+        _pool_columns(states, np.array([[1, 1, 1]]), "last")
 
 
 def test_pool_list_of_state_tensors_stays_on_tape(rng):
-    states = [Tensor(rng.standard_normal(4), requires_grad=True) for _ in range(3)]
-    out = pool(states, mode="mean")
+    states = [Tensor(rng.standard_normal((4, 1)), requires_grad=True) for _ in range(3)]
+    out = _pool_columns(states, np.ones((1, 3)), "mean")
     g = backward(out.sum(), params=states)
     assert all(np.allclose(g[s], 1.0 / 3.0) for s in states)
 
@@ -231,36 +310,43 @@ def test_forward_validates_inputs(rng):
 # -- losses ---------------------------------------------------------------------------
 
 
+def _logit_rows(sent, recon) -> ForwardResult:
+    """A batch-of-one forward result that holds only the two logit rows."""
+    return ForwardResult(Tensor([sent]), Tensor([recon]), pooled=None, gates=None, mask=None)
+
+
 def test_category_loss_matches_direct_formula():
-    logits = Tensor([0.2, -1.0, 0.8])
-    loss = loss_category_reconstruction(logits, 2)
+    cfg = tiny_config(num_recon_targets=3)
+    out = _logit_rows([0.0, 0.0, 0.0], [0.2, -1.0, 0.8])
+    _, _, loss = batch_joint_loss(out, [0], [2], cfg)
     z = np.array([0.2, -1.0, 0.8])
     expected = math.log(np.exp(z).sum()) - 0.8
-    assert abs(loss.item() - expected) < 1e-12
+    assert abs(loss - expected) < 1e-12
     with pytest.raises(ValueError):
-        loss_category_reconstruction(logits, 3)
+        batch_joint_loss(out, [0], [3], cfg)
 
 
 def test_term_loss_matches_direct_formula():
-    logits = Tensor([1.0, -2.0, 0.5])
-    loss = loss_term_reconstruction(logits, {0, 2})
+    cfg = tiny_config(task="term", num_recon_targets=3)
+    out = _logit_rows([0.0, 0.0, 0.0], [1.0, -2.0, 0.5])
+    _, _, loss = batch_joint_loss(out, [0], [{0, 2}], cfg)
 
     def softplus(v):
         return math.log1p(math.exp(-abs(v))) + max(v, 0.0)
 
     expected = (softplus(1.0) - 1.0) + softplus(-2.0) + (softplus(0.5) - 0.5)
-    assert abs(loss.item() - expected) < 1e-12
+    assert abs(loss - expected) < 1e-12
 
 
 def test_joint_loss_combines_terms():
     cfg = tiny_config(lam=0.4)
-    sent = Tensor([0.1, 0.2, 0.3])
-    recon = loss_category_reconstruction(Tensor([0.5, -0.5]), 0)
-    j = joint_loss(sent, 1, recon, cfg)
-    ce = loss_category_reconstruction(sent, 1)  # same softmax formula
+    out = _logit_rows([0.1, 0.2, 0.3], [0.5, -0.5])
+    j, _, _ = batch_joint_loss(out, [1], [0], cfg)
+    recon = softmax_xent_logits(Tensor([0.5, -0.5]), Tensor([1.0, 0.0]))
+    ce = softmax_xent_logits(Tensor([0.1, 0.2, 0.3]), Tensor([0.0, 1.0, 0.0]))
     assert abs(j.item() - (ce.item() + 0.4 * recon.item())) < 1e-12
     off = tiny_config(reconstruct=False)
-    assert abs(joint_loss(sent, 1, None, off).item() - ce.item()) < 1e-15
+    assert abs(batch_joint_loss(out, [1], None, off)[0].item() - ce.item()) < 1e-15
 
 
 def test_batch_joint_loss_means_rows(rng):
@@ -271,11 +357,16 @@ def test_batch_joint_loss_means_rows(rng):
     labels = np.array([0, 2, 1])
     cats = np.array([1, 0, 1])
     total, ce_part, recon_part = batch_joint_loss(out, labels, cats, cfg)
-    per = []
-    for i in range(3):
-        zi = Tensor(out.sent_logits.data[i])
-        ri = Tensor(out.recon_logits.data[i])
-        per.append(joint_loss(zi, labels[i], loss_category_reconstruction(ri, cats[i]), cfg).item())
+
+    def xent(z, gold):  # log-sum-exp minus the gold logit
+        m = z.max()
+        return m + math.log(np.exp(z - m).sum()) - z[gold]
+
+    per = [
+        xent(out.sent_logits.data[i], labels[i])
+        + cfg.lam * xent(out.recon_logits.data[i], cats[i])
+        for i in range(3)
+    ]
     assert abs(total.item() - np.mean(per)) < 1e-12
     assert abs(total.item() - (ce_part + cfg.lam * recon_part)) < 1e-12
 

@@ -22,7 +22,6 @@ from aspectgate.tensor import (
     grad_check,
     matmul,
     maximum,
-    reduce,
     reduce_max,
     reduce_mean,
     reduce_sum,
@@ -162,13 +161,13 @@ def test_transpose_reshape_roundtrip(rng):
 
 def test_reduce_dispatch_and_values():
     t = Tensor([[1.0, 5.0], [2.0, 2.0]])
-    assert reduce("sum", t).item() == 10.0
-    assert reduce("mean", t).item() == 2.5
-    assert reduce("max", t).item() == 5.0
-    assert np.array_equal(reduce("sum", t, axis=0).data, [3.0, 7.0])
-    assert np.array_equal(reduce("max", t, axis=1).data, [5.0, 2.0])
-    with pytest.raises(ValueError):
-        reduce("median", t)
+    assert t.sum().item() == 10.0
+    assert t.mean().item() == 2.5
+    assert t.max().item() == 5.0
+    assert np.array_equal(t.sum(axis=0).data, [3.0, 7.0])
+    assert np.array_equal(t.max(axis=1).data, [5.0, 2.0])
+    with pytest.raises(ShapeError):
+        t.sum(axis=2)
 
 
 def test_reduce_max_tie_routes_to_first():
@@ -416,6 +415,19 @@ def test_matmul_grads_match_oracle_property(seed, n, m):
     b = Tensor((r.random((m, n)) - 0.5).astype(CHECK_DTYPE), requires_grad=True)
     err = grad_check(lambda: (matmul(a, b) * matmul(a, b)).sum(), [a, b], FD_EPS_CHECK)
     assert err <= TOL_CHECK
+    # a constant operand gets no gradient, and the other operand's is unchanged
+    const_a, const_b = Tensor(a.data.copy()), Tensor(b.data.copy())
+
+    def split():
+        return matmul(a, const_b).sum() + matmul(const_a, b).sum()
+
+    assert grad_check(split, [a, b], FD_EPS_CHECK) <= TOL_CHECK
+    both = backward(matmul(a, b).sum())
+    apart = backward(split())
+    assert const_a not in apart and const_b not in apart
+    assert np.array_equal(both[a], apart[a]) and np.array_equal(both[b], apart[b])
+    node = matmul(a, const_b)
+    assert node._bwd(np.ones_like(node.data))[1] is None  # its GEMM is skipped
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,15 +2,11 @@
 
 import numpy as np
 import pytest
-from synthdata import (
-    EMBED_DIM,
-    synthetic_instances,
-    synthetic_spaces,
-    write_embedding_file,
-)
 
-from aspectgate.corpus import build_vocab
+import aspectgate.trainer as trainer_mod
+from aspectgate.corpus import TaskSpaces, build_vocab
 from aspectgate.model import CapabilityError, ModelConfig, SentimentModel
+from aspectgate.synth import EMBED_DIM, synthetic_instances, write_embedding_file
 from aspectgate.tensor import Tensor
 from aspectgate.trainer import (
     AdamState,
@@ -51,7 +47,7 @@ def small_config(**kw):
 
 def build_setup(emb_path, n_pairs=8, seed=5, task="category", **cfg_kw):
     inst = synthetic_instances(n_pairs, seed=seed, task=task)
-    spaces = synthetic_spaces(inst, task)
+    spaces = TaskSpaces.build(task, inst)
     vocab = build_vocab(inst, emb_path, seed=seed)
     cfg = small_config(
         task=task,
@@ -130,6 +126,38 @@ def test_divergence_names_epoch_and_batch(emb_path):
         train(model, inst, vocab, spaces, tc, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_gradient_norm_stops_before_the_update(emb_path, monkeypatch, bad):
+    """A bad gradient on batch 2 is refused there, before Adam touches anything."""
+    inst, spaces, vocab, model = build_setup(emb_path)
+    real_backward = trainer_mod.backward
+    calls, before, states = [], {}, []
+
+    def poisoned_backward(loss, params):
+        grads = real_backward(loss, params)
+        calls.append(len(calls) + 1)
+        if len(calls) == 2:
+            before.update({n: t.data.copy() for n, t in model.parameters().items()})
+            grads[params[0]][...] = bad
+        return grads
+
+    real_adam = trainer_mod.adam_step
+
+    def recording_adam(params, grads, state, tc):
+        states.append(state)
+        real_adam(params, grads, state, tc)
+
+    monkeypatch.setattr(trainer_mod, "backward", poisoned_backward)
+    monkeypatch.setattr(trainer_mod, "adam_step", recording_adam)
+    tc = TrainConfig(epochs=1, token_budget=40)
+    with pytest.raises(TrainingDiverged, match=r"non-finite gradient norm at epoch 1, batch 2"):
+        train(model, inst, vocab, spaces, tc, np.random.default_rng(0))
+    assert calls == [1, 2]
+    assert states and states[0].step == 1
+    for n, t in model.parameters().items():
+        assert np.array_equal(t.data, before[n]), n
+
+
 def test_early_stopping_restores_best(emb_path):
     inst, spaces, vocab, model = build_setup(emb_path)
     dev = inst[:4]
@@ -166,7 +194,7 @@ def test_zero_model_reconstruction_baselines(emb_path):
         t.data[...] = 0.0
     assert evaluate_reconstruction(model_t, inst_t, vocab_t, spaces_t) == 1.0
     # an aspect word outside the term vocabulary counts as wrong
-    from aspectgate.corpus import Instance, TaskSpaces
+    from aspectgate.corpus import Instance
 
     oov = Instance("x", ("the", "food", "was", "great"), "term", "sushi", ("sushi",), "positive")
     known = synthetic_instances(2, seed=1, task="term")
@@ -208,7 +236,7 @@ def test_metrics_report_aggregation():
 
 def test_run_experiment_two_seeds(emb_path):
     inst = synthetic_instances(6, seed=3)
-    spaces = synthetic_spaces(inst)
+    spaces = TaskSpaces.build("category", inst)
     test_set = synthetic_instances(3, seed=30)
     cfg = small_config(num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
     tc = TrainConfig(epochs=4)
@@ -227,7 +255,7 @@ def test_run_experiment_two_seeds(emb_path):
 
 def test_run_experiment_is_reproducible(emb_path):
     inst = synthetic_instances(4, seed=9)
-    spaces = synthetic_spaces(inst)
+    spaces = TaskSpaces.build("category", inst)
     cfg = small_config(num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
     tc = TrainConfig(epochs=2)
     r1, _ = run_experiment(inst, {"train": inst}, emb_path, cfg, tc, spaces, seeds=(7,))
@@ -237,7 +265,7 @@ def test_run_experiment_is_reproducible(emb_path):
 
 def test_run_experiment_validation(emb_path):
     inst = synthetic_instances(2)
-    spaces = synthetic_spaces(inst)
+    spaces = TaskSpaces.build("category", inst)
     cfg = small_config(num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
     tc = TrainConfig(epochs=1)
     with pytest.raises(ValueError, match="seed"):
@@ -267,7 +295,7 @@ def test_split_dev_partition():
 
 def test_sweep_picks_best_value(emb_path):
     inst = synthetic_instances(8, seed=2)
-    spaces = synthetic_spaces(inst)
+    spaces = TaskSpaces.build("category", inst)
     cfg = small_config(num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
     tc = TrainConfig(epochs=2)
     out = sweep(
