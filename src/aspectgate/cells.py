@@ -6,8 +6,9 @@ cells that refine the state without seeing the token. The first cell
 comes in two flavors: an aspect-gated one, whose candidate state is
 modulated by a relu gate computed from the aspect vector and the previous
 state, and an aspect-free one that keeps the gated linear bypass but no
-aspect conditioning. A conventional stacked GRU is provided as the
-baseline encoder.
+aspect conditioning. The stacked-GRU baseline is a sequence of
+one-cell blocks whose only cell is a conventional GRU, so every encoder
+runs through the same per-step recurrence and padding carry.
 
 All step functions take column-major batches: inputs are (d, B) with one
 column per sequence. A single sequence is a batch of one column, so the
@@ -28,6 +29,7 @@ from .tensor import (
     matmul,
     relu,
     sigmoid,
+    select_columns,
     tanh,
 )
 
@@ -197,7 +199,7 @@ def gru_step(p: CellParams, x: Tensor, h_prev: Tensor) -> Tensor:
 class DeepTransitionBlock:
     """One input cell plus transition cells, applied once per time step."""
 
-    first: CellParams  # kind "aspect" or "dt"
+    first: CellParams  # kind "aspect", "dt" or "gru"
     transitions: tuple[CellParams, ...]  # kind "transition"
 
     @classmethod
@@ -236,26 +238,21 @@ def block_step(
     a_proj: Tensor | None = None,
 ) -> tuple[Tensor, Tensor | None]:
     """Run one time step through all cells; returns (state, gate or None)."""
-    if block.aspect_gated:
+    kind = block.first.kind
+    if kind == "aspect":
         if aspect is None and a_proj is None:
             raise ValueError("block_step: aspect-gated block needs an aspect")
         h, g = aspect_gru_step(block.first, x, aspect, h_prev, a_proj)
-    else:
+    elif kind == "dt":
         h, g = dt_gru_step(block.first, x, h_prev), None
+    else:
+        h, g = gru_step(block.first, x, h_prev), None
     for cell in block.transitions:
         h = transition_gru_step(cell, h)
     return h, g
 
 
 # -- sequence encoders -----------------------------------------------------------
-
-
-def mask_tensor(col: np.ndarray, d_h: int, dtype) -> Tensor:
-    # tile a (B,) 0/1 step mask to the full (d_h, B) state shape
-    tiled = np.ascontiguousarray(
-        np.broadcast_to(col.astype(dtype), (d_h, col.shape[0]))
-    )
-    return Tensor(tiled)
 
 
 def _validate_mask(mask: np.ndarray, B: int, T: int) -> np.ndarray:
@@ -277,7 +274,6 @@ def run_block_batch(
     steps: Sequence[Tensor],
     aspect: Tensor | None,
     mask: np.ndarray,
-    h0: Tensor | None = None,
 ) -> tuple[list[Tensor], list[Tensor | None]]:
     """Encode a column batch through a deep-transition block.
 
@@ -285,18 +281,14 @@ def run_block_batch(
     real tokens as a prefix. Masked positions carry the previous state
     through unchanged, so the final state of every column is its state at
     its own last real token. Returns per-step states and gate tensors.
+    The state starts at zero.
     """
     d_h = block.first.d_h
     if not steps:
         return [], []
     B = steps[0].shape[1]
     mask = _validate_mask(mask, B, len(steps))
-    dtype = steps[0].dtype
-    if h0 is None:
-        h = Tensor(np.zeros((d_h, B), dtype=dtype))
-    else:
-        _check_cols("run_block_batch: h0", h0, d_h)
-        h = h0
+    h = Tensor(np.zeros((d_h, B), dtype=steps[0].dtype))
     a_proj = None
     if block.aspect_gated:
         if aspect is None:
@@ -307,43 +299,8 @@ def run_block_batch(
     for t, x in enumerate(steps):
         h_new, g = block_step(block, x, aspect, h, a_proj)
         col = mask[:, t]
-        if col.all():
-            h = h_new
-        else:
-            m = mask_tensor(col, d_h, dtype)
-            h = m * h_new + (1.0 - m) * h
+        h = h_new if col.all() else select_columns(col, h_new, h)
         states.append(h)
         gates.append(g)
     return states, gates
 
-
-def run_gru_batch(
-    layers: Sequence[CellParams],
-    steps: Sequence[Tensor],
-    mask: np.ndarray,
-    h0: Tensor | None = None,
-) -> list[Tensor]:
-    """Encode a column batch through stacked GRU layers; returns top states."""
-    if not layers:
-        raise ValueError("run_gru_batch: needs at least one layer")
-    if not steps:
-        return []
-    B = steps[0].shape[1]
-    mask = _validate_mask(mask, B, len(steps))
-    dtype = steps[0].dtype
-    current = list(steps)
-    for layer in layers:
-        d_h = layer.d_h
-        h = h0 if h0 is not None else Tensor(np.zeros((d_h, B), dtype=dtype))
-        outputs: list[Tensor] = []
-        for t, x in enumerate(current):
-            h_new = gru_step(layer, x, h)
-            col = mask[:, t]
-            if col.all():
-                h = h_new
-            else:
-                m = mask_tensor(col, d_h, dtype)
-                h = m * h_new + (1.0 - m) * h
-            outputs.append(h)
-        current = outputs
-    return current

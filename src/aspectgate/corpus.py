@@ -131,33 +131,6 @@ class Instance:
     label: str
 
 
-@dataclass
-class DatasetBundle:
-    """All instance views of one dataset, train and test."""
-
-    name: str
-    task: str
-    hds_rule: str
-    ds_train: list[Instance]
-    ds_test: list[Instance]
-    hds_train: list[Instance]
-    hds_test: list[Instance]
-    nc_train: list[Instance]
-    nc_test: list[Instance]
-
-    def stats(self) -> dict:
-        def side(ds, hds, nc):
-            return {"ds": count_stats(ds), "hds": count_stats(hds), "nc": count_stats(nc)}
-
-        return {
-            "dataset": self.name,
-            "task": self.task,
-            "hds_rule": self.hds_rule,
-            "train": side(self.ds_train, self.hds_train, self.nc_train),
-            "test": side(self.ds_test, self.hds_test, self.nc_test),
-        }
-
-
 def aspect_tokens_of(sentence: RawSentence, ann: AspectAnnotation) -> tuple[str, ...]:
     if ann.kind == "term":
         lo, hi = ann.span
@@ -390,11 +363,6 @@ def extract_hds(sentences: Iterable[RawSentence], rule: str = HDS_RULES[0]) -> l
     return expand(s for s in sentences if hds_qualifies(s, rule))
 
 
-def build_nc(instances: Iterable[Instance]) -> list[Instance]:
-    """Drop instances labeled conflict."""
-    return [i for i in instances if i.label != "conflict"]
-
-
 def strip_conflict_sentences(sentences: Iterable[RawSentence]) -> list[RawSentence]:
     """Sentence-level no-conflict view; aspect-less sentences drop out."""
     out = []
@@ -410,27 +378,6 @@ def count_stats(instances: Sequence[Instance]) -> dict:
     for i in instances:
         by[i.label] += 1
     return {"total": len(instances), "by_label": by}
-
-
-def build_bundle(
-    train: Sequence[RawSentence],
-    test: Sequence[RawSentence],
-    name: str,
-    task: str,
-    hds_rule: str = HDS_RULES[0],
-) -> DatasetBundle:
-    ds_train, ds_test = expand(train), expand(test)
-    return DatasetBundle(
-        name=name,
-        task=task,
-        hds_rule=hds_rule,
-        ds_train=ds_train,
-        ds_test=ds_test,
-        hds_train=extract_hds(train, hds_rule),
-        hds_test=extract_hds(test, hds_rule),
-        nc_train=build_nc(ds_train),
-        nc_test=build_nc(ds_test),
-    )
 
 
 # -- vocabulary and embeddings ----------------------------------------------------------

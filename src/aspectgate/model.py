@@ -23,9 +23,7 @@ from .cells import (
     DeepTransitionBlock,
     affine,
     glorot,
-    mask_tensor,
     run_block_batch,
-    run_gru_batch,
 )
 from .tensor import (
     TRAIN_DTYPE,
@@ -34,6 +32,7 @@ from .tensor import (
     concat,
     dropout,
     maximum,
+    select_columns,
     sigmoid_xent_logits,
     softmax_xent_logits,
     transpose,
@@ -189,8 +188,7 @@ def _pool_columns(states, mask: np.ndarray, mode: str, dropfn=_identity) -> Tens
             if col.all():
                 acc = states[t]
             elif col.any():
-                m = mask_tensor(col, d, dtype)
-                acc = m * states[t] + (1.0 - m) * acc
+                acc = select_columns(col, states[t], acc)
         return dropfn(acc)
     if mode == "max":
         acc = dropfn(states[0])  # step 0 is all-real under a monotone mask
@@ -200,11 +198,11 @@ def _pool_columns(states, mask: np.ndarray, mode: str, dropfn=_identity) -> Tens
                 continue
             cand = dropfn(states[t])
             if not col.all():
-                m = mask_tensor(col, d, dtype)
-                cand = m * cand + (1.0 - m) * acc
+                cand = select_columns(col, cand, acc)
             acc = maximum(acc, cand)
         return acc
     # mean: masked sum scaled by one over true length
+    zero = Tensor(np.zeros((d, B), dtype=dtype))
     acc = None
     for t in range(len(states)):
         col = mask[:, t]
@@ -212,7 +210,7 @@ def _pool_columns(states, mask: np.ndarray, mode: str, dropfn=_identity) -> Tens
             continue
         term = dropfn(states[t])
         if not col.all():
-            term = mask_tensor(col, d, dtype) * term
+            term = select_columns(col, term, zero)
         acc = term if acc is None else acc + term
     recip = np.ascontiguousarray(
         np.broadcast_to((1.0 / lengths).astype(dtype), (d, mask.shape[0]))
@@ -245,25 +243,10 @@ class SentimentModel:
         self.dtype = embedding.dtype if embedding.dtype in (np.dtype(np.float64), np.dtype(np.longdouble)) else TRAIN_DTYPE
         self.embedding = embedding.astype(self.dtype, copy=True)
         self.embedding.setflags(write=False)
-        d_h, d_x = config.hidden_size, config.embed_size
-        bias = config.use_bias
-        self.gru_layers: list[CellParams] | None = None
-        self.gru_layers_rev: list[CellParams] | None = None
-        self.block: DeepTransitionBlock | None = None
-        self.block_rev: DeepTransitionBlock | None = None
-        if config.encoder == "gru":
-            self.gru_layers = self._make_gru_stack(rng, bias)
-            if config.bidirectional:
-                self.gru_layers_rev = self._make_gru_stack(rng, bias)
-        else:
-            gated = config.encoder == "aspect-dt"
-            self.block = DeepTransitionBlock.init(
-                d_h, d_x, d_x, config.depth, rng, self.dtype, aspect_gated=gated, bias=bias
-            )
-            if config.bidirectional:
-                self.block_rev = DeepTransitionBlock.init(
-                    d_h, d_x, d_x, config.depth, rng, self.dtype, aspect_gated=gated, bias=bias
-                )
+        d_x = config.embed_size
+        # one tuple of blocks per direction, run one after another
+        self.blocks = self._make_blocks(rng)
+        self.blocks_rev = self._make_blocks(rng) if config.bidirectional else None
         rep = config.rep_size
         self.w_recon = glorot(rng, config.num_recon_targets, rep, self.dtype)
         self.w_cls = glorot(
@@ -271,7 +254,7 @@ class SentimentModel:
         )
         self.b_recon = None
         self.b_cls = None
-        if bias:
+        if config.use_bias:
             self.b_recon = Tensor(
                 np.zeros((config.num_recon_targets, 1), dtype=self.dtype), requires_grad=True
             )
@@ -279,34 +262,42 @@ class SentimentModel:
                 np.zeros((config.num_labels, 1), dtype=self.dtype), requires_grad=True
             )
 
-    def _make_gru_stack(self, rng, bias) -> list[CellParams]:
+    def _make_blocks(self, rng) -> tuple[DeepTransitionBlock, ...]:
+        """The deep-transition block, or ``depth`` one-cell GRU blocks."""
         c = self.config
-        return [
-            CellParams.init(
-                "gru",
-                c.hidden_size,
-                rng,
-                d_x=c.embed_size if i == 0 else c.hidden_size,
-                dtype=self.dtype,
-                bias=bias,
+        d_h, d_x, bias = c.hidden_size, c.embed_size, c.use_bias
+        if c.encoder != "gru":
+            gated = c.encoder == "aspect-dt"
+            return (
+                DeepTransitionBlock.init(
+                    d_h, d_x, d_x, c.depth, rng, self.dtype, aspect_gated=gated, bias=bias
+                ),
+            )
+        return tuple(
+            DeepTransitionBlock(
+                CellParams.init(
+                    "gru", d_h, rng, d_x=d_x if i == 0 else d_h, dtype=self.dtype, bias=bias
+                ),
+                (),
             )
             for i in range(c.depth)
-        ]
+        )
 
     # -- parameters ------------------------------------------------------------
 
-    def parameters(self) -> dict[str, Tensor]:
+    def _block_tensors(self, blocks, prefix: str) -> dict[str, Tensor]:
+        # checkpoint names: {prefix}l{i}/ per GRU layer, {prefix}c{j}/ per cell
+        if self.config.encoder != "gru":
+            return blocks[0].tensors(prefix)
         out: dict[str, Tensor] = {}
-        if self.gru_layers is not None:
-            for i, layer in enumerate(self.gru_layers):
-                out.update(layer.tensors(f"enc/l{i}/"))
-            if self.gru_layers_rev is not None:
-                for i, layer in enumerate(self.gru_layers_rev):
-                    out.update(layer.tensors(f"enc_rev/l{i}/"))
-        else:
-            out.update(self.block.tensors("enc/"))
-            if self.block_rev is not None:
-                out.update(self.block_rev.tensors("enc_rev/"))
+        for i, block in enumerate(blocks):
+            out.update(block.first.tensors(f"{prefix}l{i}/"))
+        return out
+
+    def parameters(self) -> dict[str, Tensor]:
+        out = self._block_tensors(self.blocks, "enc/")
+        if self.blocks_rev is not None:
+            out.update(self._block_tensors(self.blocks_rev, "enc_rev/"))
         out["head/recon"] = self.w_recon
         out["head/cls"] = self.w_cls
         if self.b_recon is not None:
@@ -333,14 +324,10 @@ class SentimentModel:
         ]
         if training and c.dropout_input > 0:
             steps = [dropout(s, c.dropout_input, True, rng) for s in steps]
-        if self.gru_layers is not None:
-            layers = self.gru_layers_rev if reverse else self.gru_layers
-            states = run_gru_batch(layers, steps, mask)
-            gates = None
-        else:
-            block = self.block_rev if reverse else self.block
-            aspect = aspects_t if block.aspect_gated else None
-            states, gates = run_block_batch(block, steps, aspect, mask)
+        aspect = aspects_t if c.encoder == "aspect-dt" else None
+        states = steps
+        for block in self.blocks_rev if reverse else self.blocks:
+            states, gates = run_block_batch(block, states, aspect, mask)
         return states, gates
 
     def forward(

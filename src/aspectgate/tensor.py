@@ -303,33 +303,30 @@ def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
     return _node(out, (a, b), bwd, "concat")
 
 
-def select_rows(t: Tensor, indices) -> Tensor:
-    """Gather rows of a 2-d tensor; backward scatter-adds into the source."""
-    if t.ndim != 2:
-        raise ShapeError(f"select_rows: needs a 2-d tensor, got {t.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"select_rows: indices must be 1-d, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
-        raise IndexError(f"select_rows: index out of range for {t.shape[0]} rows")
-    out = t.data[idx]
+def select_columns(keep, a: Tensor, b: Tensor) -> Tensor:
+    """Column j of ``a`` where ``keep[j]``, else column j of ``b``.
+
+    ``keep`` is a (B,) 0/1 array over the columns of two (d, B) operands.
+    Each column is copied, not blended, so values and gradients are exact;
+    backward routes each gradient column to the operand it came from.
+    """
+    if a.dtype != b.dtype:
+        raise ValueError(f"select_columns: mixed dtypes {a.dtype} and {b.dtype}")
+    keep = np.asarray(keep).astype(bool)
+    if a.ndim != 2 or a.shape != b.shape or keep.shape != (a.shape[1],):
+        raise ShapeError(
+            f"select_columns: keep {keep.shape} does not fit operands {a.shape} and {b.shape}"
+        )
+    out = np.where(keep, a.data, b.data)
 
     def bwd(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, idx, g)
-        return (full,)
+        # a constant operand (the zero column of mean pooling) gets no gradient
+        zero = g.dtype.type(0.0)
+        ga = np.where(keep, g, zero) if a.requires_grad else None
+        gb = np.where(keep, zero, g) if b.requires_grad else None
+        return ga, gb
 
-    return _node(out, (t,), bwd, "select_rows")
-
-
-def reshape(t: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    out = t.data.reshape(shape)
-
-    def bwd(g):
-        return (g.reshape(t.data.shape),)
-
-    return _node(out, (t,), bwd, "reshape")
+    return _node(out, (a, b), bwd, "select")
 
 
 def transpose(t: Tensor) -> Tensor:

@@ -387,9 +387,12 @@ def run_experiment(
         model = SentimentModel(config, vocab.embedding, init_rng)
         if log is not None:
             log(f"seed {seed}: {len(train_instances)} train instances, vocab {len(vocab)}")
-        tr = train(
-            model, train_instances, vocab, spaces, tc, train_rng, dev_instances, log=log
-        )
+        try:
+            tr = train(
+                model, train_instances, vocab, spaces, tc, train_rng, dev_instances, log=log
+            )
+        except TrainingDiverged as e:
+            raise TrainingDiverged(f"seed {seed}: {e}") from None
         row: dict[str, float] = {"train_loss": tr.epoch_losses[-1]}
         for name, insts in eval_sets.items():
             row[f"acc_{name}"] = evaluate_accuracy(

@@ -13,7 +13,6 @@ from aspectgate.cells import (
     dt_gru_step,
     gru_step,
     run_block_batch,
-    run_gru_batch,
     transition_gru_step,
 )
 from aspectgate.tensor import CHECK_DTYPE, ShapeError, Tensor, grad_check
@@ -276,19 +275,31 @@ def test_batch_matches_single_sequences(rng):
         assert np.allclose(states[-1].data[:, i], solo[-1].data[:, 0], rtol=1e-10, atol=1e-12)
 
 
+def _run_stack(blocks, steps, mask):
+    for block in blocks:
+        steps, gates = run_block_batch(block, steps, None, mask)
+    return steps, gates
+
+
 def test_stacked_gru_encode_shapes_and_masking(rng):
-    layers = [CellParams.init("gru", 4, rng, d_x=3), CellParams.init("gru", 4, rng, d_x=4)]
+    """The GRU baseline is one-cell blocks run one after another."""
+    layers = [
+        DeepTransitionBlock(CellParams.init("gru", 4, rng, d_x=3), ()),
+        DeepTransitionBlock(CellParams.init("gru", 4, rng, d_x=4), ()),
+    ]
     emb = rng.standard_normal((5, 3))
-    states = run_gru_batch(layers, _steps(emb), np.ones((1, 5)))
+    states, gates = _run_stack(layers, _steps(emb), np.ones((1, 5)))
     assert len(states) == 5 and states[0].shape == (4, 1)
-    short = run_gru_batch(layers, _steps(emb[:3]), np.ones((1, 3)))
-    padded = run_gru_batch(layers, _steps(emb), np.array([[1, 1, 1, 0, 0]]))
+    assert gates == [None] * 5
+    short, _ = _run_stack(layers, _steps(emb[:3]), np.ones((1, 3)))
+    padded, _ = _run_stack(layers, _steps(emb), np.array([[1, 1, 1, 0, 0]]))
     assert np.array_equal(short[-1].data, padded[-1].data)
-
-
-def test_gru_batch_needs_layers(rng):
-    with pytest.raises(ValueError):
-        run_gru_batch([], [Tensor(np.zeros((3, 1)))], np.ones((1, 1)))
+    # one layer is one gru_step per token from a zero state
+    h = Tensor(np.zeros((4, 1)))
+    for x in _steps(emb[:2]):
+        h = gru_step(layers[0].first, x, h)
+    first, _ = run_block_batch(layers[0], _steps(emb[:2]), None, np.ones((1, 2)))
+    assert np.array_equal(first[-1].data, h.data)
 
 
 # -- properties -------------------------------------------------------------------

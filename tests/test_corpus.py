@@ -16,8 +16,6 @@ from aspectgate.corpus import (
     Instance,
     RawSentence,
     TaskSpaces,
-    build_bundle,
-    build_nc,
     build_vocab,
     category_vocab,
     count_stats,
@@ -246,17 +244,22 @@ def test_hds_rules():
 
 def test_nc_views():
     sents = parse_semeval_xml(_category_xml(), task="category")
-    inst = expand(sents)
-    nc = build_nc(inst)
-    assert len(nc) == 7 and all(i.label != "conflict" for i in nc)
     stripped = strip_conflict_sentences(sents)
     assert sum(len(s.aspects) for s in stripped) == 7
+    nc = expand(stripped)
+    assert len(nc) == 7 and all(i.label != "conflict" for i in nc)
 
 
 def test_bundle_stats():
+    """Counts of the views as ``prepare`` builds them from sentences."""
     sents = parse_semeval_xml(_category_xml(), task="category")
-    bundle = build_bundle(sents, sents[:1], name="toy", task="category")
-    st_ = bundle.stats()
+    st_ = {
+        split: {
+            "ds": count_stats(expand(raw)),
+            "nc": count_stats(expand(strip_conflict_sentences(raw))),
+        }
+        for split, raw in (("train", sents), ("test", sents[:1]))
+    }
     assert st_["train"]["ds"]["total"] == 8
     assert st_["train"]["nc"]["total"] == 7
     assert st_["test"]["ds"]["total"] == 2

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import aspectgate.cells as cells_mod
+import aspectgate.model as model_mod
 from aspectgate.model import (
     ENCODERS,
     CapabilityError,
@@ -228,6 +230,39 @@ def test_forward_shapes(rng):
     assert out.gates is not None and len(out.gates) == 4
 
 
+@pytest.mark.parametrize(
+    "encoder, depth, expected",
+    [
+        ("aspect-dt", 3, {"aspect_gru_step": 4, "transition_gru_step": 8, "gru_step": 0,
+                          "run_block_batch": 1}),
+        ("gru", 2, {"aspect_gru_step": 0, "transition_gru_step": 0, "gru_step": 8,
+                    "run_block_batch": 2}),
+    ],
+)
+def test_step_functions_are_looked_up_by_module_name(rng, monkeypatch, encoder, depth, expected):
+    """Profilers wrap these module attributes; every forward must call through them."""
+    counts = dict.fromkeys(expected, 0)
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("aspect_gru_step", "transition_gru_step", "gru_step"):
+        counting(cells_mod, name)
+    counting(model_mod, "run_block_batch")
+    model, _ = tiny_model(rng, encoder=encoder, depth=depth)
+    ids, mask = _batch(rng)  # T = 4 steps
+    out = model.forward(ids, mask, rng.standard_normal((3, 2)))
+    assert counts == expected
+    if encoder == "gru":
+        assert out.gates == [None] * 4
+
+
 def test_zero_weight_model_is_uniform(rng):
     model, cfg = tiny_model(rng)
     for t in model.parameters().values():
@@ -278,7 +313,7 @@ def test_ablated_model_ignores_aspect_bitwise(rng):
 
 def test_zeroed_aspect_projection_makes_encoder_aspect_blind(rng):
     model, _ = tiny_model(rng, aspect_concat=False)
-    model.block.first.w_a.data[...] = 0.0
+    model.blocks[0].first.w_a.data[...] = 0.0
     ids, mask = _batch(rng)
     a1 = model.forward(ids, mask, rng.standard_normal((3, 2)))
     a2 = model.forward(ids, mask, rng.standard_normal((3, 2)))

@@ -27,8 +27,7 @@ from aspectgate.tensor import (
     reduce_sum,
     relu,
     relu_kink_margin,
-    reshape,
-    select_rows,
+    select_columns,
     sigmoid,
     sigmoid_xent_logits,
     softmax_xent_logits,
@@ -138,25 +137,39 @@ def test_concat_and_backward_split(rng):
         concat(a, Tensor(rng.standard_normal((4, 2))), axis=0)
 
 
-def test_select_rows_gather_and_scatter():
-    table = Tensor(np.arange(15.0).reshape(3, 5), requires_grad=True)
-    out = select_rows(table, [2, 0, 2])
-    assert np.array_equal(out.data[0], table.data[2])
-    loss = out.sum()
-    g = backward(loss, params=[table])[table]
-    # row 2 picked twice accumulates twice
-    assert np.array_equal(g[2], np.full(5, 2.0))
-    assert np.array_equal(g[0], np.full(5, 1.0))
-    assert np.array_equal(g[1], np.zeros(5))
-    with pytest.raises(IndexError):
-        select_rows(table, [3])
+def _blend_oracle(keep, a: Tensor, b: Tensor) -> Tensor:
+    """The padding blend select_columns replaces: m * a + (1 - m) * b."""
+    m = Tensor(np.ascontiguousarray(np.broadcast_to(keep.astype(a.dtype), a.shape)))
+    return m * a + (1.0 - m) * b
 
 
-def test_transpose_reshape_roundtrip(rng):
-    a = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-    out = reshape(transpose(a), (10,))
-    g = backward((out * out).sum(), params=[a])[a]
-    assert np.allclose(g, 2 * a.data)
+@pytest.mark.parametrize("keep", [[1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0]])
+def test_select_columns_matches_the_blend_bitwise(rng, keep):
+    keep = np.asarray(keep)
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = rng.standard_normal((3, 4))
+    out = select_columns(keep, a, b)
+    ref = _blend_oracle(keep, a, b)
+    assert out.op == "select"
+    assert np.array_equal(out.data, ref.data)
+    # a downstream use of both operands, as in the carry, accumulates into each
+    g = backward((out * Tensor(w)).sum() + (a * b).sum(), params=[a, b])
+    g_ref = backward((ref * Tensor(w)).sum() + (a * b).sum(), params=[a, b])
+    assert np.array_equal(g[a], g_ref[a]) and np.array_equal(g[b], g_ref[b])
+    routed = backward((out * Tensor(w)).sum(), params=[a, b])
+    assert np.array_equal(routed[a], np.where(keep, w, 0.0))
+    assert np.array_equal(routed[b], np.where(keep, 0.0, w))
+
+
+def test_select_columns_validation(rng):
+    a = Tensor(rng.standard_normal((3, 4)))
+    with pytest.raises(ShapeError, match="keep"):
+        select_columns(np.ones(3), a, a)
+    with pytest.raises(ShapeError):
+        select_columns(np.ones(4), a, Tensor(rng.standard_normal((2, 4))))
+    with pytest.raises(ValueError, match="dtype"):
+        select_columns(np.ones(4), a, Tensor(a.data.astype(CHECK_DTYPE)))
 
 
 def test_reduce_dispatch_and_values():
@@ -310,9 +323,10 @@ def test_grad_structural(rng):
     b = wide(rng, 2, 3)
     _check(lambda: (concat(a, b, axis=1) * concat(b, a, axis=1)).sum(), [a, b])
     t = wide(rng, 4, 3)
-    _check(lambda: (select_rows(t, [1, 1, 3]) * select_rows(t, [0, 2, 2])).sum(), [t])
     _check(lambda: (transpose(t) * transpose(t)).sum(), [t])
-    _check(lambda: (reshape(t, (3, 4)) * reshape(t, (3, 4))).sum(), [t])
+    keep = np.array([1, 0, 1])
+    _check(lambda: (select_columns(keep, t, t * t) * select_columns(keep, t * t, t)).sum(), [t])
+    _check(lambda: (select_columns(keep, a, b) * b).sum(), [a, b])
 
 
 def test_grad_softmax_xent(rng):

@@ -263,6 +263,29 @@ def test_run_experiment_is_reproducible(emb_path):
     assert r1.per_seed == r2.per_seed
 
 
+def test_run_experiment_divergence_names_the_seed(emb_path, monkeypatch):
+    inst = synthetic_instances(6, seed=3)
+    spaces = TaskSpaces.build("category", inst)
+    cfg = small_config(num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
+    real_backward = trainer_mod.backward
+    logged: list[str] = []
+    poisoned: list[str] = []
+
+    def poisoned_backward(loss, params):
+        grads = real_backward(loss, params)
+        if logged[-1].startswith("seed 2:") and not poisoned:
+            poisoned.append(logged[-1])
+            grads[params[0]][...] = np.inf
+        return grads
+
+    monkeypatch.setattr(trainer_mod, "backward", poisoned_backward)
+    tc = TrainConfig(epochs=1, token_budget=40)
+    with pytest.raises(TrainingDiverged, match=r"^seed 2: .* at epoch 1, batch 1$"):
+        run_experiment(inst, {"train": inst}, emb_path, cfg, tc, spaces, seeds=(1, 2),
+                       log=logged.append)
+    assert len(poisoned) == 1
+
+
 def test_run_experiment_validation(emb_path):
     inst = synthetic_instances(2)
     spaces = TaskSpaces.build("category", inst)
