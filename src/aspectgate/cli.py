@@ -5,11 +5,16 @@ key=value config file, and CLI flags (flags win), validates everything
 up front, and only then touches the filesystem. Outputs are written
 atomically. Exit codes: 0 success, 1 validation error, 2 runtime
 failure.
+
+Each setting is one ``RunConfig`` field: its config-file key is the
+field name, its flag is the name with dashes (``lam`` is ``--lambda``),
+and both parse their text through ``parse_value``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass, fields
@@ -96,7 +101,6 @@ class RunConfig:
     token_budget: int = 4096
     dropout_input: float = 0.5
     dropout_hidden: float = 0.3
-    patience: int | None = None
     dev_fraction: float = 0.1
     threshold: float = 0.5
     axis: str = "depth"
@@ -122,9 +126,7 @@ def config_digest(rc: RunConfig) -> str:
     d = {f.name: getattr(rc, f.name) for f in fields(rc) if f.name not in _PATH_FIELDS}
     d["lam"] = rc.resolved_lam()
     d["encoder"] = rc.effective_encoder()
-    d["seeds"] = list(rc.seeds)
     d["ablate"] = sorted(rc.ablate)
-    d["values"] = list(rc.values)
     return hashlib.sha256(canonical_json(d).encode("utf-8")).hexdigest()[:16]
 
 
@@ -157,38 +159,43 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-def _parse_seeds(raw: str) -> tuple:
-    return tuple(int(x) for x in raw.replace(" ", "").split(",") if x)
-
-
-def _parse_values(raw: str) -> tuple:
-    vals = []
-    for x in raw.replace(" ", "").split(","):
-        if not x:
-            continue
-        vals.append(int(x) if x.lstrip("+-").isdigit() else float(x))
-    return tuple(vals)
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-_FILE_PARSERS = {
-    "seeds": _parse_seeds,
-    "values": _parse_values,
-    "ablate": lambda raw: tuple(x for x in raw.replace(" ", "").split(",") if x),
-    "nc": _parse_bool,
-    "bidirectional": _parse_bool,
-    "use_bias": _parse_bool,
-    "lam": lambda raw: None if raw.lower() == "none" else float(raw),
-    "patience": lambda raw: None if raw.lower() == "none" else int(raw),
+def _split(text: str) -> list[str]:
+    return [x for x in text.replace(" ", "").split(",") if x]
+
+
+# fields whose text is not spelled like their default's type
+_TEXT_PARSERS = {
+    "seeds": lambda text: tuple(int(x) for x in _split(text)),
+    "values": lambda text: tuple(
+        int(x) if x.lstrip("+-").isdigit() else float(x) for x in _split(text)
+    ),
+    "ablate": lambda text: tuple(_split(text)),
+    "lam": lambda text: None if text.lower() == "none" else float(text),
 }
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def parse_value(name: str, text: str):
+    """A setting's value from its text, as a config file or a flag spells it.
+
+    Raises ValueError on text the field cannot take.
+    """
+    if name in _TEXT_PARSERS:
+        return _TEXT_PARSERS[name](text)
+    default = _DEFAULTS[name]
+    if isinstance(default, bool):
+        return _parse_bool(text)
+    return type(default)(text)
 
 
 def resolve_config(args: argparse.Namespace, problems: list[str]) -> RunConfig:
@@ -199,43 +206,17 @@ def resolve_config(args: argparse.Namespace, problems: list[str]) -> RunConfig:
         if not path.is_file():
             problems.append(f"config file not found: {path}")
             return rc
-        known = {f.name: f.type for f in fields(rc)}
-        for key, raw in parse_config_file(path).items():
-            if key not in known:
+        for key, text in parse_config_file(path).items():
+            if key not in _DEFAULTS:
                 problems.append(f"{path}: unknown config key {key!r}")
                 continue
-            parser = _FILE_PARSERS.get(key)
             try:
-                if parser is not None:
-                    value = parser(raw)
-                elif isinstance(getattr(rc, key), bool):
-                    value = _parse_bool(raw)
-                elif isinstance(getattr(rc, key), int):
-                    value = int(raw)
-                elif isinstance(getattr(rc, key), float):
-                    value = float(raw)
-                else:
-                    value = raw
+                setattr(rc, key, parse_value(key, text))
             except ValueError as e:
                 problems.append(f"{path}: bad value for {key}: {e}")
-                continue
+    for key, value in vars(args).items():
+        if key in _DEFAULTS:
             setattr(rc, key, value)
-    for f in fields(rc):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            setattr(rc, f.name, flag_value)
-    if isinstance(rc.seeds, str):
-        try:
-            rc.seeds = _parse_seeds(rc.seeds)
-        except ValueError:
-            problems.append(f"bad seeds value: {rc.seeds!r} (want e.g. 1,2,3)")
-            rc.seeds = ()
-    if isinstance(rc.values, str):
-        try:
-            rc.values = _parse_values(rc.values)
-        except ValueError:
-            problems.append(f"bad values list: {rc.values!r} (want e.g. 1,2,3)")
-            rc.values = ()
     rc.ablate = tuple(dict.fromkeys(rc.ablate))
     return rc
 
@@ -308,7 +289,6 @@ def _train_config(rc: RunConfig, problems: list[str]) -> TrainConfig | None:
             lr=rc.lr,
             clip_norm=rc.clip,
             token_budget=rc.token_budget,
-            patience=rc.patience,
         )
     except ValueError as e:
         problems.append(str(e))
@@ -324,6 +304,17 @@ def _view_file(data_dir, split: str, view: str) -> Path:
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _require_file(path, flag: str, problems: list[str]) -> bool:
+    """True when the file a flag names exists; else a problem says why not."""
+    if not path:
+        problems.append(f"--{flag} is required")
+    elif not Path(path).is_file():
+        problems.append(f"--{flag} file not found: {path}")
+    else:
+        return True
+    return False
 
 
 # -- prepare -----------------------------------------------------------------------
@@ -343,11 +334,7 @@ def cmd_prepare(rc: RunConfig, args) -> int:
     validate_common(rc, problems)
     raw = {"train": getattr(args, "train", None), "test": getattr(args, "test", None)}
     for split, p in raw.items():
-        if not p:
-            problems.append(f"--{split} file is required")
-        elif not Path(p).is_file():
-            problems.append(f"--{split} file not found: {p}")
-        elif Path(p).suffix not in (".xml", ".jsonl"):
+        if _require_file(p, split, problems) and Path(p).suffix not in (".xml", ".jsonl"):
             problems.append(f"--{split} must be .xml or .jsonl, got {p}")
     if problems:
         return _report(problems)
@@ -384,36 +371,39 @@ def cmd_prepare(rc: RunConfig, args) -> int:
 # -- train -------------------------------------------------------------------------
 
 
-def _train_inputs(rc: RunConfig, problems: list[str]):
-    """Resolve and check every file a training run will read."""
+def _training_inputs(rc: RunConfig, test_views, problems: list[str]):
+    """Check every file a training run reads, then load the train view.
+
+    Returns (train file, test files, train instances, spaces, model
+    config). It stops at the first stage that adds to ``problems``, or
+    at once if the caller's checks did, so read it only when
+    ``problems`` is empty.
+    """
     train_file = _view_file(rc.data_dir, "train", rc.view)
-    eval_views = ("ds", "hds") if rc.view == "ds" else (rc.view,)
-    test_files = [_view_file(rc.data_dir, "test", v) for v in eval_views]
+    test_files = [_view_file(rc.data_dir, "test", v) for v in test_views]
     for p in [train_file, *test_files]:
         if not p.is_file():
             problems.append(f"prepared file not found: {p} (run prepare first)")
-    if not rc.embeddings:
-        problems.append("--embeddings file is required")
-    elif not Path(rc.embeddings).is_file():
-        problems.append(f"embeddings file not found: {rc.embeddings}")
-    return train_file, eval_views, test_files
+    _require_file(rc.embeddings, "embeddings", problems)
+    if problems:
+        return None
+    train_inst = expand(load_jsonl(train_file.read_text()))
+    if not train_inst:
+        problems.append(f"{train_file}: no instances")
+        return None
+    spaces = TaskSpaces.build(DATASETS[rc.dataset].task, train_inst, rc.view != "nc")
+    return train_file, test_files, train_inst, spaces, _model_config(rc, spaces, problems)
 
 
 def cmd_train(rc: RunConfig, args) -> int:
     problems: list[str] = []
     validate_common(rc, problems)
     tc = _train_config(rc, problems)
-    train_file, eval_views, test_files = _train_inputs(rc, problems)
+    eval_views = ("ds", "hds") if rc.view == "ds" else (rc.view,)
+    inputs = _training_inputs(rc, eval_views, problems)
     if problems:
         return _report(problems)
-    train_inst = expand(load_jsonl(train_file.read_text()))
-    if not train_inst:
-        return _report([f"{train_file}: no instances"])
-    include_conflict = rc.view != "nc"
-    spaces = TaskSpaces.build(DATASETS[rc.dataset].task, train_inst, include_conflict)
-    cfg = _model_config(rc, spaces, problems)
-    if problems:
-        return _report(problems)
+    train_file, test_files, train_inst, spaces, cfg = inputs
     eval_sets = {
         v: expand(load_jsonl(f.read_text())) for v, f in zip(eval_views, test_files)
     }
@@ -421,7 +411,7 @@ def cmd_train(rc: RunConfig, args) -> int:
     files = [train_file, *test_files]
     ddigest = data_digest(files)
     report, runs = run_experiment(
-        train_inst, eval_sets, rc.embeddings, cfg, tc, spaces, rc.seeds, log=_log
+        train_inst, eval_sets, rc.embeddings, cfg, tc, spaces, rc.seeds, rc.threshold, log=_log
     )
     out = Path(rc.out)
     ckpt_names = []
@@ -466,11 +456,7 @@ def cmd_train(rc: RunConfig, args) -> int:
 
 def cmd_eval(rc: RunConfig, args) -> int:
     problems: list[str] = []
-    if not rc.checkpoint:
-        problems.append("--checkpoint is required")
-    elif not Path(rc.checkpoint).is_file():
-        problems.append(f"checkpoint not found: {rc.checkpoint}")
-    if problems:
+    if not _require_file(rc.checkpoint, "checkpoint", problems):
         return _report(problems)
     model, vocab, meta = load_checkpoint(rc.checkpoint)
     view = args.view if getattr(args, "view", None) else meta.get("view", "ds")
@@ -531,20 +517,10 @@ def cmd_sweep(rc: RunConfig, args) -> int:
     )
     if rc.axis == "depth" and not all(isinstance(v, int) for v in values):
         problems.append(f"depth values must be integers, got {list(values)}")
-    train_file = _view_file(rc.data_dir, "train", rc.view)
-    if not train_file.is_file():
-        problems.append(f"prepared file not found: {train_file} (run prepare first)")
-    if not rc.embeddings:
-        problems.append("--embeddings file is required")
-    elif not Path(rc.embeddings).is_file():
-        problems.append(f"embeddings file not found: {rc.embeddings}")
+    inputs = _training_inputs(rc, (), problems)
     if problems:
         return _report(problems)
-    train_inst = expand(load_jsonl(train_file.read_text()))
-    spaces = TaskSpaces.build(DATASETS[rc.dataset].task, train_inst, rc.view != "nc")
-    cfg = _model_config(rc, spaces, problems)
-    if problems:
-        return _report(problems)
+    _, _, train_inst, spaces, cfg = inputs
     out = run_sweep(
         SWEEP_AXIS_FLAGS[rc.axis],
         values,
@@ -555,6 +531,7 @@ def cmd_sweep(rc: RunConfig, args) -> int:
         spaces,
         rc.seeds,
         dev_fraction=rc.dev_fraction,
+        threshold=rc.threshold,
         log=_log,
     )
     rows = []
@@ -591,10 +568,7 @@ def cmd_sweep(rc: RunConfig, args) -> int:
 
 def cmd_inspect(rc: RunConfig, args) -> int:
     problems: list[str] = []
-    if not rc.checkpoint:
-        problems.append("--checkpoint is required")
-    elif not Path(rc.checkpoint).is_file():
-        problems.append(f"checkpoint not found: {rc.checkpoint}")
+    _require_file(rc.checkpoint, "checkpoint", problems)
     sentence = getattr(args, "sentence", None)
     aspect = getattr(args, "aspect", None)
     if not sentence:
@@ -634,45 +608,37 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+_FLAG_OPTIONS = {
+    "dataset": dict(choices=sorted(DATASETS)),
+    "view": dict(choices=VIEWS),
+    "hds_rule": dict(choices=HDS_RULES),
+    "encoder": dict(choices=ENCODERS),
+    "ablate": dict(action="append", choices=ABLATIONS, type=str),  # one name per flag
+    "pool": dict(choices=POOLING_MODES),
+    "axis": dict(choices=sorted(SWEEP_AXIS_FLAGS)),
+    "lam": dict(metavar="LAMBDA"),
+}
+
+
+def _flag_type(name: str):
+    parse = functools.partial(parse_value, name)
+    parse.__name__ = name  # argparse names it in "invalid <name> value"
+    return parse
+
+
 def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "dataset": dict(choices=sorted(DATASETS)),
-        "data_dir": dict(metavar="DIR"),
-        "embeddings": dict(metavar="FILE"),
-        "out": dict(metavar="DIR"),
-        "checkpoint": dict(metavar="FILE"),
-        "view": dict(choices=VIEWS),
-        "hds_rule": dict(choices=HDS_RULES),
-        "nc": dict(action="store_true", default=None),
-        "seeds": dict(metavar="N,N,..."),
-        "hidden": dict(type=int),
-        "embed_dim": dict(type=int),
-        "depth": dict(type=int),
-        "lam": dict(type=float, metavar="LAMBDA"),
-        "encoder": dict(choices=ENCODERS),
-        "ablate": dict(action="append", choices=ABLATIONS),
-        "pool": dict(choices=POOLING_MODES),
-        "bidirectional": dict(action="store_true", default=None),
-        "use_bias": dict(action="store_true", default=None),
-        "epochs": dict(type=int),
-        "lr": dict(type=float),
-        "clip": dict(type=float),
-        "token_budget": dict(type=int),
-        "dropout_input": dict(type=float),
-        "dropout_hidden": dict(type=float),
-        "patience": dict(type=int),
-        "dev_fraction": dict(type=float),
-        "threshold": dict(type=float),
-        "axis": dict(choices=sorted(SWEEP_AXIS_FLAGS)),
-        "values": dict(metavar="V,V,..."),
-    }
+    """``--config`` plus one flag per named RunConfig field.
+
+    A flag left off the command line stays out of the namespace.
+    """
+    p.add_argument("--config", metavar="FILE")
     for name in names:
-        kw = dict(flags[name])
-        flag = "--" + name.replace("_", "-")
-        aliases = [flag]
-        if name == "lam":
-            aliases = ["--lambda", "--lam"]
-        p.add_argument(*aliases, dest=name, default=kw.pop("default", None), **kw)
+        aliases = ["--lambda", "--lam"] if name == "lam" else ["--" + name.replace("_", "-")]
+        if isinstance(_DEFAULTS[name], bool):
+            kw = dict(action="store_true")
+        else:
+            kw = {"type": _flag_type(name), **_FLAG_OPTIONS.get(name, {})}
+        p.add_argument(*aliases, dest=name, default=argparse.SUPPRESS, **kw)
 
 
 _MODEL_TRAIN_FLAGS = (
@@ -697,7 +663,6 @@ _MODEL_TRAIN_FLAGS = (
     "token_budget",
     "dropout_input",
     "dropout_hidden",
-    "patience",
     "threshold",
 )
 
@@ -708,29 +673,24 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="parse raw data into canonical JSONL views")
-    p.add_argument("--config", metavar="FILE")
     p.add_argument("--train", metavar="FILE", help="raw train split (.xml or .jsonl)")
     p.add_argument("--test", metavar="FILE", help="raw test split (.xml or .jsonl)")
     _add_config_flags(p, "dataset", "out", "hds_rule", "nc")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train one model per seed and report metrics")
-    p.add_argument("--config", metavar="FILE")
     _add_config_flags(p, *_MODEL_TRAIN_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="measure a checkpoint on a prepared test view")
-    p.add_argument("--config", metavar="FILE")
     _add_config_flags(p, "checkpoint", "data_dir", "out", "view", "token_budget", "threshold")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid-search depth or lambda against a dev split")
-    p.add_argument("--config", metavar="FILE")
     _add_config_flags(p, *_MODEL_TRAIN_FLAGS, "axis", "values", "dev_fraction")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("inspect", help="emit per-token aspect-gate records for a sentence")
-    p.add_argument("--config", metavar="FILE")
     p.add_argument("--sentence", metavar="TEXT")
     p.add_argument("--aspect", metavar="TEXT")
     _add_config_flags(p, "checkpoint", "out")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -69,16 +69,7 @@ class TrainConfig:
             raise ValueError("bad training config: " + "; ".join(problems))
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "clip_norm": self.clip_norm,
-            "token_budget": self.token_budget,
-            "patience": self.patience,
-        }
+        return asdict(self)
 
 
 # -- optimizer --------------------------------------------------------------------
@@ -355,7 +346,7 @@ def run_experiment(
     tc: TrainConfig,
     spaces: TaskSpaces,
     seeds: Sequence[int],
-    dev_instances: Sequence[Instance] | None = None,
+    threshold: float = 0.5,
     log: Callable[[str], None] | None = None,
 ) -> tuple[MetricsReport, list[SeedRun]]:
     """Train one model per seed and measure it on every eval set.
@@ -363,14 +354,13 @@ def run_experiment(
     The embedding file is scanned once; each seed assembles its own
     vocabulary (fresh rows for uncovered tokens), model init, and batch
     order from that seed alone, so runs are reproducible one by one.
+    ``threshold`` scores term reconstruction (see evaluate_reconstruction).
     """
     if not seeds:
         raise ValueError("run_experiment: need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"run_experiment: duplicate seeds in {list(seeds)}")
     all_eval = [i for insts in eval_sets.values() for i in insts]
-    if dev_instances:
-        all_eval += list(dev_instances)
     train_tokens, test_tokens = vocab_token_lists(train_instances, all_eval)
     found, dim = scan_embedding_file(embedding_path, set(train_tokens) | set(test_tokens))
     if dim != config.embed_size:
@@ -388,9 +378,7 @@ def run_experiment(
         if log is not None:
             log(f"seed {seed}: {len(train_instances)} train instances, vocab {len(vocab)}")
         try:
-            tr = train(
-                model, train_instances, vocab, spaces, tc, train_rng, dev_instances, log=log
-            )
+            tr = train(model, train_instances, vocab, spaces, tc, train_rng, log=log)
         except TrainingDiverged as e:
             raise TrainingDiverged(f"seed {seed}: {e}") from None
         row: dict[str, float] = {"train_loss": tr.epoch_losses[-1]}
@@ -400,7 +388,7 @@ def run_experiment(
             )
             if config.reconstruct:
                 row[f"recon_{name}"] = evaluate_reconstruction(
-                    model, insts, vocab, spaces, tc.token_budget
+                    model, insts, vocab, spaces, tc.token_budget, threshold
                 )
         per_seed[seed] = row
         runs.append(SeedRun(seed, model, vocab, tr, row))
@@ -443,6 +431,7 @@ def sweep(
     seeds: Sequence[int],
     dev_fraction: float = 0.1,
     split_seed: int = 0,
+    threshold: float = 0.5,
     log: Callable[[str], None] | None = None,
 ) -> dict:
     """Grid search one config axis against a held-out dev split.
@@ -475,6 +464,7 @@ def sweep(
             tc,
             spaces,
             seeds,
+            threshold,
             log=log,
         )
         acc = report.mean("acc_dev")

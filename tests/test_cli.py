@@ -1,6 +1,8 @@
 """End-to-end CLI workflow on a small synthetic corpus."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from aspectgate.cli import (
     DATASETS,
     RunConfig,
+    build_parser,
     config_digest,
     main,
     parse_config_file,
@@ -117,7 +120,6 @@ def test_config_file_and_flag_precedence(tmp_path):
         "seeds = 4,5\n"
         "ablate = ac,ar\n"
         "nc = true\n"
-        "patience = none\n"
     )
     assert parse_config_file(cfg)["depth"] == "3"
     ns = build_args(["train", "--config", str(cfg), "--depth", "5"])
@@ -126,13 +128,67 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert not problems
     assert rc.depth == 5  # flag beats file
     assert rc.lam == 0.7 and rc.seeds == (4, 5)
-    assert rc.ablate == ("ac", "ar") and rc.nc is True and rc.patience is None
+    assert rc.ablate == ("ac", "ar") and rc.nc is True
 
 
 def build_args(argv):
-    from aspectgate.cli import build_parser
-
     return build_parser().parse_args(argv)
+
+
+SETTING_TEXTS = [
+    ("seeds", "4,5", (4, 5)),
+    ("values", "1,2.5", (1, 2.5)),
+    ("lam", "none", None),
+    ("lam", "0.3", 0.3),
+    ("depth", "3", 3),
+    ("dropout_input", "0.2", 0.2),
+    ("pool", "max", "max"),
+    ("use_bias", "true", True),
+    ("ablate", "ac,ar", ("ac", "ar")),
+]
+
+
+def _as_flags(name, text):
+    if name == "use_bias":
+        return ["--use-bias"]
+    if name == "ablate":
+        return [x for a in text.split(",") for x in ("--ablate", a)]
+    return ["--lambda" if name == "lam" else "--" + name.replace("_", "-"), text]
+
+
+@pytest.mark.parametrize("name, text, value", SETTING_TEXTS)
+def test_config_file_and_flags_give_the_same_settings(tmp_path, name, text, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {text}\n")
+    problems = []
+    from_file = resolve_config(build_args(["sweep", "--config", str(cfg)]), problems)
+    from_flags = resolve_config(build_args(["sweep", *_as_flags(name, text)]), problems)
+    assert not problems
+    assert getattr(from_file, name) == value
+    assert from_file == from_flags
+
+
+def test_lambda_none_flag_overrides_the_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lam = 0.3\n")
+    problems = []
+    rc = resolve_config(build_args(["train", "--config", str(cfg), "--lambda", "none"]), problems)
+    assert not problems and rc.lam is None
+
+
+def test_every_flag_is_a_run_setting():
+    settings = {f.name for f in fields(RunConfig)}
+    inputs = {"config", "train", "test", "sentence", "aspect"}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in settings | inputs, (command, action.dest)
+
+
+def test_bad_flag_value_names_the_flag(capsys):
+    assert run(["train", "--seeds", "1,x"]) == 1
+    assert "--seeds" in capsys.readouterr().err
 
 
 def test_config_file_errors_are_validation_problems(tmp_path):
@@ -347,6 +403,32 @@ def test_eval_matches_training_metrics(workspace, capsys):
     assert result["view"] == "ds" and result["seed"] == 1
 
 
+def test_train_scores_reconstruction_at_the_eval_threshold(workspace, capsys):
+    tmp_path, raw, emb = workspace
+    term_xml = (
+        XML.replace('<aspectCategory category="ambience" polarity="conflict"/>', "")
+        .replace("aspectCategories", "aspectTerms")
+        .replace("aspectCategory category=", "aspectTerm term=")
+    )
+    (raw / "terms.xml").write_text(term_xml)
+    data = tmp_path / "prepared"
+    dataset = ["--dataset", "laptop-term"]
+    terms = str(raw / "terms.xml")
+    assert run(["prepare", *dataset, "--train", terms, "--test", terms, "--out", str(data)]) == 0
+    recorded = []
+    for threshold in ("0.001", "0.999"):
+        out = train(tmp_path, data, emb, extra=(*dataset, "--threshold", threshold))
+        metrics = json.loads((out / "metrics.json").read_text())
+        capsys.readouterr()
+        ckpt = str(out / "model-seed1.ckpt")
+        eval_flags = ["--data-dir", str(data), "--threshold", threshold]
+        assert run(["eval", "--checkpoint", ckpt, *eval_flags]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert metrics["metrics"]["seeds"]["1"]["recon_ds"] == result["reconstruction"]
+        recorded.append(result["reconstruction"])
+    assert recorded[0] != recorded[1]  # the threshold decides the score here
+
+
 def test_eval_refuses_mismatched_data(workspace, capsys):
     tmp_path, raw, emb = workspace
     data = prepare(tmp_path, raw)
@@ -401,6 +483,15 @@ def test_sweep_lambda_writes_table(workspace, capsys):
     for r in table["rows"]:
         assert 0.0 <= r["acc_dev_mean"] <= 1.0
     assert "best lambda=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_empty_train_view_has_no_instances(workspace, capsys, command):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    (data / "train.ds.jsonl").write_text("")
+    assert run([command, "--data-dir", str(data), "--embeddings", str(emb)]) == 1
+    assert "no instances" in capsys.readouterr().err
 
 
 def test_sweep_depth_default_values_are_1_to_6():

@@ -6,11 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aspectgate.cells as cells_mod
 import aspectgate.model as model_mod
+from aspectgate.corpus import LABELS, Instance, TaskSpaces, assemble_vocab, make_batches
 from aspectgate.model import (
     ENCODERS,
+    POOLING_MODES,
     CapabilityError,
     ForwardResult,
     ModelConfig,
@@ -22,6 +26,7 @@ from aspectgate.model import (
     predict,
     reconstruct_aspect,
 )
+from aspectgate.synth import ALL_WORDS, ASPECTS
 from aspectgate.tensor import (
     CHECK_DTYPE,
     ShapeError,
@@ -299,6 +304,60 @@ def test_bidirectional_padding_invariance_and_shapes(rng):
     pad = np.zeros((3, 3), dtype=np.int64)
     out = model.forward(np.hstack([ids, pad]), np.hstack([mask, pad]), aspects)
     assert np.array_equal(base.sent_logits.data, out.sent_logits.data)
+
+
+# the batch-composition contract (README, Determinism)
+BATCH_COMPOSITION_ATOL = 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from((1, 7, 40, 100, 400, 4096)) | st.integers(1, 120),
+    lengths=st.lists(st.integers(1, 15), min_size=1, max_size=16),
+    encoder=st.sampled_from(("aspect-dt", "gru")),
+    pooling=st.sampled_from(POOLING_MODES),
+    bidirectional=st.booleans(),
+    hidden=st.sampled_from((3, 8)),
+)
+def test_batch_composition_leaves_each_sentence_logits_alone(
+    seed, budget, lengths, encoder, pooling, bidirectional, hidden
+):
+    """A sentence scores the same in any make_batches batch as alone."""
+    r = np.random.default_rng(seed)
+    inst = []
+    for i, n in enumerate(lengths):
+        tokens = tuple(ALL_WORDS[k] for k in r.integers(0, len(ALL_WORDS), size=n))
+        aspect = ASPECTS[r.integers(0, len(ASPECTS))]
+        inst.append(Instance(f"s{i}", tokens, "category", aspect, (aspect,), LABELS[i % 3]))
+    spaces = TaskSpaces.build("category", inst)
+    dim = 4
+    vocab = assemble_vocab(list(ALL_WORDS), [], {}, dim, seed=seed)
+    cfg = ModelConfig(
+        hidden_size=hidden,
+        embed_size=dim,
+        depth=2,
+        num_labels=spaces.num_labels,
+        num_recon_targets=spaces.num_recon_targets,
+        task="category",
+        lam=0.5,
+        encoder=encoder,
+        pooling=pooling,
+        bidirectional=bidirectional,
+    )
+    model = SentimentModel(cfg, vocab.embedding, r)
+    for batch in make_batches(inst, vocab, spaces, budget, shuffle=False):
+        out = model.forward(batch.token_ids, batch.mask, aspect_matrix(batch.aspect_tokens, vocab))
+        for row, one in enumerate(batch.instances):
+            alone = model.forward_one(
+                vocab.ids(one.tokens), embed_aspect(one.aspect_tokens, vocab)
+            )
+            for got, want in (
+                (out.sent_logits.data[row], alone.sent_logits.data[0]),
+                (out.recon_logits.data[row], alone.recon_logits.data[0]),
+            ):
+                np.testing.assert_allclose(got, want, rtol=0, atol=BATCH_COMPOSITION_ATOL)
+                assert np.argmax(got) == np.argmax(want)
 
 
 def test_ablated_model_ignores_aspect_bitwise(rng):
