@@ -43,8 +43,7 @@ from .model import ENCODERS, POOLING_MODES, CapabilityError, ModelConfig
 from .trainer import (
     TrainConfig,
     TrainingDiverged,
-    evaluate_accuracy,
-    evaluate_reconstruction,
+    evaluate,
     inspect_gates,
     run_experiment,
 )
@@ -199,24 +198,28 @@ def parse_value(name: str, text: str):
 
 
 def resolve_config(args: argparse.Namespace, problems: list[str]) -> RunConfig:
-    """defaults < config file < CLI flags."""
-    rc = RunConfig()
+    """defaults < config file < CLI flags.
+
+    The file's settings join ``args`` beneath its flags, so a setting is
+    in ``vars(args)`` exactly when the file or a flag gives it.
+    """
+    given = vars(args)
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
             problems.append(f"config file not found: {path}")
-            return rc
+            return RunConfig()
         for key, text in parse_config_file(path).items():
             if key not in _DEFAULTS:
                 problems.append(f"{path}: unknown config key {key!r}")
                 continue
             try:
-                setattr(rc, key, parse_value(key, text))
+                value = parse_value(key, text)
             except ValueError as e:
                 problems.append(f"{path}: bad value for {key}: {e}")
-    for key, value in vars(args).items():
-        if key in _DEFAULTS:
-            setattr(rc, key, value)
+                continue
+            given.setdefault(key, value)
+    rc = RunConfig(**{k: v for k, v in given.items() if k in _DEFAULTS})
     rc.ablate = tuple(dict.fromkeys(rc.ablate))
     return rc
 
@@ -456,12 +459,14 @@ def cmd_train(rc: RunConfig, args) -> int:
 
 def cmd_eval(rc: RunConfig, args) -> int:
     problems: list[str] = []
-    if not _require_file(rc.checkpoint, "checkpoint", problems):
+    validate_common(rc, problems)
+    _require_file(rc.checkpoint, "checkpoint", problems)
+    if problems:
         return _report(problems)
     model, vocab, meta = load_checkpoint(rc.checkpoint)
-    view = args.view if getattr(args, "view", None) else meta.get("view", "ds")
+    view = rc.view if "view" in vars(args) else meta.get("view", "ds")
     if view not in VIEWS:
-        return _report([f"view must be one of {VIEWS}, got {view!r}"])
+        return _report([f"checkpoint view must be one of {VIEWS}, got {view!r}"])
     stored = meta.get("data_digest", "")
     names = meta.get("data_files", [])
     paths = [Path(rc.data_dir) / n for n in names]
@@ -488,14 +493,10 @@ def cmd_eval(rc: RunConfig, args) -> int:
         "view": view,
         "config_digest": meta.get("config_digest"),
         "count": len(instances),
-        "accuracy": evaluate_accuracy(model, instances, vocab, spaces, rc.token_budget),
+        **evaluate(model, instances, vocab, spaces, rc.token_budget, rc.threshold),
     }
-    if model.config.reconstruct:
-        result["reconstruction"] = evaluate_reconstruction(
-            model, instances, vocab, spaces, rc.token_budget, rc.threshold
-        )
     print(canonical_json(result, indent=2))
-    if getattr(args, "out", None):
+    if "out" in vars(args):
         write_atomic_json(Path(rc.out) / "eval.json", result)
     return 0
 
@@ -591,7 +592,7 @@ def cmd_inspect(rc: RunConfig, args) -> int:
         rec = {"aspect": aspect, **rec}
         lines.append(canonical_json(rec))
         print(lines[-1])
-    if getattr(args, "out", None):
+    if "out" in vars(args):
         write_atomic_text(Path(rc.out) / "gates.jsonl", "\n".join(lines) + "\n")
     return 0
 

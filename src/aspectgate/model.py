@@ -128,7 +128,6 @@ class ForwardResult:
     recon_logits: Tensor
     pooled: Tensor
     gates: list | None
-    mask: np.ndarray
 
 
 # -- aspect embedding -----------------------------------------------------------
@@ -384,7 +383,6 @@ class SentimentModel:
             recon_logits=recon_logits,
             pooled=pooled,
             gates=gates,
-            mask=mask,
         )
 
     def forward_one(

@@ -44,7 +44,7 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     clip_norm: float = 5.0
-    token_budget: int = 4096
+    token_budget: int = 4096  # make_batches refuses a budget below 1
     patience: int | None = None  # early stop on dev accuracy; None trains all epochs
 
     def __post_init__(self):
@@ -61,8 +61,6 @@ class TrainConfig:
             problems.append(f"eps must be positive, got {self.eps}")
         if not self.clip_norm > 0:
             problems.append(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.token_budget < 1:
-            problems.append(f"token_budget must be >= 1, got {self.token_budget}")
         if self.patience is not None and self.patience < 1:
             problems.append(f"patience must be >= 1 or None, got {self.patience}")
         if problems:
@@ -209,7 +207,7 @@ def train(
             seen += batch.size
         result.epoch_losses.append(total / max(seen, 1))
         if dev_instances is not None:
-            acc = evaluate_accuracy(model, dev_instances, vocab, spaces, tc.token_budget)
+            acc = evaluate(model, dev_instances, vocab, spaces, tc.token_budget)["accuracy"]
             result.dev_accuracy.append(acc)
             if acc > best_acc:
                 best_acc = acc
@@ -234,55 +232,58 @@ def train(
 # -- evaluation ----------------------------------------------------------------------
 
 
-def evaluate_accuracy(
-    model: SentimentModel,
-    instances: Sequence[Instance],
-    vocab: Vocab,
-    spaces: TaskSpaces,
-    token_budget: int = 4096,
-) -> float:
-    """Fraction of instances whose sentiment label is predicted exactly."""
-    if not instances:
-        raise ValueError("evaluate_accuracy: no instances")
-    correct = 0
-    for batch in make_batches(instances, vocab, spaces, token_budget, shuffle=False):
-        aspects = aspect_matrix(batch.aspect_tokens, vocab)
-        result = model.forward(batch.token_ids, batch.mask, aspects)
-        correct += int(np.sum(predict(result.sent_logits) == batch.label_ids))
-    return correct / len(instances)
-
-
-def evaluate_reconstruction(
+def evaluate(
     model: SentimentModel,
     instances: Sequence[Instance],
     vocab: Vocab,
     spaces: TaskSpaces,
     token_budget: int = 4096,
     threshold: float = 0.5,
-) -> float:
-    """Fraction of instances whose aspect the model reconstructs.
+) -> dict[str, float]:
+    """Sentiment accuracy and aspect reconstruction from one forward per batch.
 
-    Category task: the argmax category must match. Term task: every gold
-    word id must clear the threshold, and an aspect containing words
-    outside the term vocabulary counts as wrong outright.
+    Returns ``{"accuracy": ...}``, plus ``"reconstruction"`` when the
+    model is trained to reconstruct; each is a fraction of instances.
+    Reconstruction, category task: the argmax category must match. Term
+    task: every gold word id must clear the threshold, and an aspect
+    containing words outside the term vocabulary counts as wrong outright.
     """
     if not instances:
-        raise ValueError("evaluate_reconstruction: no instances")
-    correct = 0
+        raise ValueError("evaluate: no instances")
+    correct = recon = 0
     for batch in make_batches(instances, vocab, spaces, token_budget, shuffle=False):
-        aspects = aspect_matrix(batch.aspect_tokens, vocab)
-        result = model.forward(batch.token_ids, batch.mask, aspects)
-        logits = result.recon_logits.data
+        sent_logits, recon_logits = _eval_logits(model, batch, vocab)
+        correct += int(np.sum(predict(sent_logits) == batch.label_ids))
         if model.config.task == "category":
-            correct += int(np.sum(np.argmax(logits, axis=1) == batch.recon_category))
+            recon += int(np.sum(predict(recon_logits) == batch.recon_category))
         else:
-            for r in range(batch.size):
-                if batch.term_oov[r]:
-                    continue
-                decoded = reconstruct_aspect(logits[r], "term", threshold)
-                if set(batch.recon_terms[r]) <= decoded:
-                    correct += 1
-    return correct / len(instances)
+            for r, gold in enumerate(batch.recon_terms):
+                decoded = reconstruct_aspect(recon_logits[r], "term", threshold)
+                if not batch.term_oov[r] and set(gold) <= decoded:
+                    recon += 1
+    scores = {"accuracy": correct / len(instances)}
+    if model.config.reconstruct:
+        scores["reconstruction"] = recon / len(instances)
+    return scores
+
+
+def _eval_logits(model: SentimentModel, batch, vocab: Vocab) -> tuple[np.ndarray, np.ndarray]:
+    """One batch's logits as plain arrays.
+
+    The forward's tape dies when this returns, before the next batch
+    builds its own.
+    """
+    result = model.forward(batch.token_ids, batch.mask, aspect_matrix(batch.aspect_tokens, vocab))
+    return result.sent_logits.data, result.recon_logits.data
+
+
+# The benchmark imports these two names; they stay until it calls evaluate.
+def evaluate_accuracy(model, instances, vocab, spaces, token_budget=4096) -> float:
+    return evaluate(model, instances, vocab, spaces, token_budget)["accuracy"]
+
+
+def evaluate_reconstruction(model, instances, vocab, spaces, token_budget=4096, threshold=0.5):
+    return evaluate(model, instances, vocab, spaces, token_budget, threshold)["reconstruction"]
 
 
 # -- multi-seed experiments ------------------------------------------------------------
@@ -338,6 +339,9 @@ class SeedRun:
     metrics: dict[str, float]
 
 
+_ROW_PREFIX = {"accuracy": "acc", "reconstruction": "recon"}
+
+
 def run_experiment(
     train_instances: Sequence[Instance],
     eval_sets: Mapping[str, Sequence[Instance]],
@@ -354,7 +358,7 @@ def run_experiment(
     The embedding file is scanned once; each seed assembles its own
     vocabulary (fresh rows for uncovered tokens), model init, and batch
     order from that seed alone, so runs are reproducible one by one.
-    ``threshold`` scores term reconstruction (see evaluate_reconstruction).
+    ``threshold`` scores term reconstruction (see ``evaluate``).
     """
     if not seeds:
         raise ValueError("run_experiment: need at least one seed")
@@ -383,13 +387,8 @@ def run_experiment(
             raise TrainingDiverged(f"seed {seed}: {e}") from None
         row: dict[str, float] = {"train_loss": tr.epoch_losses[-1]}
         for name, insts in eval_sets.items():
-            row[f"acc_{name}"] = evaluate_accuracy(
-                model, insts, vocab, spaces, tc.token_budget
-            )
-            if config.reconstruct:
-                row[f"recon_{name}"] = evaluate_reconstruction(
-                    model, insts, vocab, spaces, tc.token_budget, threshold
-                )
+            scores = evaluate(model, insts, vocab, spaces, tc.token_budget, threshold)
+            row.update({f"{_ROW_PREFIX[k]}_{name}": v for k, v in scores.items()})
         per_seed[seed] = row
         runs.append(SeedRun(seed, model, vocab, tr, row))
         if log is not None:

@@ -64,8 +64,7 @@ from aspectgate.tensor import (
 )
 from aspectgate.trainer import (
     TrainConfig,
-    evaluate_accuracy,
-    evaluate_reconstruction,
+    evaluate,
     run_experiment,
     train,
 )
@@ -592,7 +591,7 @@ def test_criterion_07_overfit_sanity():
         train(
             model, inst, vocab, spaces, tc, np.random.default_rng(12), dev_instances=inst
         )
-        acc = evaluate_accuracy(model, inst, vocab, spaces)
+        acc = evaluate(model, inst, vocab, spaces)["accuracy"]
         if acc < 0.99:
             failures.append(f"ac={ac},ag={ag},ar={ar}: {acc:.3f}")
     conclude(
@@ -658,7 +657,7 @@ def test_criterion_08_reconstruction_metric(restaurant_xml):
         gold = [spaces.term_words.get(t) for t in inst.aspect_tokens]
         if None not in gold and set(gold) <= decoded:
             hand += 1
-    metric = evaluate_reconstruction(model, sample, vocab, spaces)
+    metric = evaluate(model, sample, vocab, spaces)["reconstruction"]
     rule_ok = metric == hand / 20
     detail = f"term rule agrees with hand scoring on 20/20 ({hand} correct)"
     if not rule_ok:

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -16,7 +17,17 @@ from aspectgate.cli import (
     parse_config_file,
     resolve_config,
 )
-from aspectgate.corpus import Instance, RawSentence, to_jsonl
+from aspectgate.checkpoint import load_checkpoint
+from aspectgate.corpus import (
+    Instance,
+    RawSentence,
+    TaskSpaces,
+    expand,
+    load_jsonl,
+    make_batches,
+    to_jsonl,
+)
+from aspectgate.model import SentimentModel
 from aspectgate.synth import ALL_WORDS, EMBED_DIM, write_embedding_file
 
 XML = """
@@ -262,6 +273,28 @@ def test_contradictory_ablation(tmp_path, capsys):
     assert "contradicts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags, setting",
+    [
+        ("eval", ["--token-budget", "0"], r"token.budget"),
+        ("eval", ["--threshold", "1.5"], r"threshold"),
+        ("train", ["--token-budget", "0"], r"token.budget"),
+    ],
+)
+def test_bad_setting_is_one_validation_error(workspace, capsys, command, flags, setting):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    if command == "eval":
+        ckpt = train(tmp_path, data, emb) / "model-seed1.ckpt"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data-dir", str(data)]
+    else:
+        argv = ["train", "--data-dir", str(data), "--embeddings", str(emb)]
+    capsys.readouterr()
+    assert run([*argv, *flags]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len([e for e in errors if re.search(setting, e)]) == 1, errors
+
+
 # -- prepare ---------------------------------------------------------------------------
 
 
@@ -450,6 +483,47 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_eval_takes_view_and_out_from_a_config_file(workspace, capsys):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    ckpt = str(train(tmp_path, data, emb, extra=("--view", "hds")) / "model-seed1.ckpt")
+    base = ["eval", "--checkpoint", ckpt, "--data-dir", str(data)]
+    capsys.readouterr()
+    assert run(base) == 0
+    assert json.loads(capsys.readouterr().out)["view"] == "hds"  # the checkpoint's view
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"view = ds\nout = {tmp_path / 'from-file'}\n")
+    assert run([*base, "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["view"] == "ds"
+    assert run([*base, "--view", "ds", "--out", str(tmp_path / "from-flags")]) == 0
+    from_file = (tmp_path / "from-file" / "eval.json").read_bytes()
+    assert from_file == (tmp_path / "from-flags" / "eval.json").read_bytes()
+
+
+def test_eval_makes_one_forward_per_batch(workspace, capsys, monkeypatch):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    ckpt = train(tmp_path, data, emb) / "model-seed1.ckpt"
+    real_forward = SentimentModel.forward
+    calls = []
+
+    def counting_forward(self, *args, **kwargs):
+        calls.append(1)
+        return real_forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(SentimentModel, "forward", counting_forward)
+    argv = ["eval", "--checkpoint", str(ckpt), "--data-dir", str(data), "--token-budget", "20"]
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert "reconstruction" in json.loads(capsys.readouterr().out)
+    _, vocab, meta = load_checkpoint(ckpt)
+    instances = expand(load_jsonl((data / "test.ds.jsonl").read_text()))
+    spaces = TaskSpaces.from_dict(meta["spaces"])
+    batches = make_batches(instances, vocab, spaces, 20, shuffle=False)
+    assert len(batches) >= 2
+    assert len(calls) == len(batches)
+
+
 # -- sweep -----------------------------------------------------------------------------
 
 
@@ -542,6 +616,19 @@ def test_inspect_emits_one_record_per_token(workspace, capsys):
     for r in records:
         assert r["aspect"] == "service"
         assert r["gate_min"] >= 0.0
+
+
+def test_inspect_takes_out_from_a_config_file(workspace, capsys):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    ckpt = str(train(tmp_path, data, emb) / "model-seed1.ckpt")
+    argv = ["inspect", "--checkpoint", ckpt, "--sentence", "the food was great", "--aspect", "food"]
+    cfg = tmp_path / "inspect.cfg"
+    cfg.write_text(f"out = {tmp_path / 'from-file'}\n")
+    assert run([*argv, "--config", str(cfg)]) == 0
+    assert run([*argv, "--out", str(tmp_path / "from-flags")]) == 0
+    from_file = (tmp_path / "from-file" / "gates.jsonl").read_bytes()
+    assert from_file == (tmp_path / "from-flags" / "gates.jsonl").read_bytes()
 
 
 def test_inspect_rejects_gateless_encoder(workspace, capsys):

@@ -406,7 +406,7 @@ def test_forward_validates_inputs(rng):
 
 def _logit_rows(sent, recon) -> ForwardResult:
     """A batch-of-one forward result that holds only the two logit rows."""
-    return ForwardResult(Tensor([sent]), Tensor([recon]), pooled=None, gates=None, mask=None)
+    return ForwardResult(Tensor([sent]), Tensor([recon]), pooled=None, gates=None)
 
 
 def test_category_loss_matches_direct_formula():

@@ -1,10 +1,13 @@
 """Optimizer math, training loop behavior, metrics, and experiment drivers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import aspectgate.trainer as trainer_mod
-from aspectgate.corpus import TaskSpaces, build_vocab
+from aspectgate.corpus import TaskSpaces, build_vocab, make_batches
 from aspectgate.model import CapabilityError, ModelConfig, SentimentModel
 from aspectgate.synth import EMBED_DIM, synthetic_instances, write_embedding_file
 from aspectgate.tensor import Tensor
@@ -15,6 +18,7 @@ from aspectgate.trainer import (
     TrainingDiverged,
     adam_step,
     clip_global_norm,
+    evaluate,
     evaluate_accuracy,
     evaluate_reconstruction,
     inspect_gates,
@@ -101,7 +105,7 @@ def test_training_reduces_loss_and_overfits(emb_path):
     tc = TrainConfig(epochs=60, lr=0.01)
     result = train(model, inst, vocab, spaces, tc, np.random.default_rng(0))
     assert result.epoch_losses[-1] < result.epoch_losses[0]
-    assert evaluate_accuracy(model, inst, vocab, spaces) == 1.0
+    assert evaluate(model, inst, vocab, spaces)["accuracy"] == 1.0
 
 
 def test_training_is_seed_deterministic(emb_path):
@@ -165,7 +169,7 @@ def test_early_stopping_restores_best(emb_path):
     result = train(model, inst, vocab, spaces, tc, np.random.default_rng(1), dev_instances=dev)
     assert result.stopped_early
     assert len(result.epoch_losses) < tc.epochs
-    restored = evaluate_accuracy(model, dev, vocab, spaces)
+    restored = evaluate(model, dev, vocab, spaces)["accuracy"]
     assert restored == max(result.dev_accuracy)
     assert result.dev_accuracy[result.best_epoch] == restored
 
@@ -176,7 +180,7 @@ def test_early_stopping_restores_best(emb_path):
 def test_evaluate_accuracy_rejects_empty(emb_path):
     inst, spaces, vocab, model = build_setup(emb_path)
     with pytest.raises(ValueError):
-        evaluate_accuracy(model, [], vocab, spaces)
+        evaluate(model, [], vocab, spaces)
 
 
 def test_zero_model_reconstruction_baselines(emb_path):
@@ -186,13 +190,13 @@ def test_zero_model_reconstruction_baselines(emb_path):
     for t in model.parameters().values():
         t.data[...] = 0.0
     gold0 = sum(1 for i in inst if i.aspect_name == spaces.categories[0])
-    acc = evaluate_reconstruction(model, inst, vocab, spaces)
+    acc = evaluate(model, inst, vocab, spaces)["reconstruction"]
     assert acc == gold0 / len(inst)
 
     inst_t, spaces_t, vocab_t, model_t = build_setup(emb_path, task="term")
     for t in model_t.parameters().values():
         t.data[...] = 0.0
-    assert evaluate_reconstruction(model_t, inst_t, vocab_t, spaces_t) == 1.0
+    assert evaluate(model_t, inst_t, vocab_t, spaces_t)["reconstruction"] == 1.0
     # an aspect word outside the term vocabulary counts as wrong
     from aspectgate.corpus import Instance
 
@@ -206,14 +210,56 @@ def test_zero_model_reconstruction_baselines(emb_path):
     zm = SentimentModel(cfg, vocab_m.embedding, np.random.default_rng(0))
     for t in zm.parameters().values():
         t.data[...] = 0.0
-    assert evaluate_reconstruction(zm, mixed, vocab_m, spaces_small) == len(known) / len(mixed)
+    assert evaluate(zm, mixed, vocab_m, spaces_small)["reconstruction"] == len(known) / len(mixed)
 
 
 def test_trained_model_reconstructs_categories(emb_path):
     inst, spaces, vocab, model = build_setup(emb_path, lam=1.0)
     tc = TrainConfig(epochs=80, lr=0.01)
     train(model, inst, vocab, spaces, tc, np.random.default_rng(0))
-    assert evaluate_reconstruction(model, inst, vocab, spaces) == 1.0
+    assert evaluate(model, inst, vocab, spaces)["reconstruction"] == 1.0
+
+
+@pytest.mark.parametrize("task", ["category", "term"])
+@pytest.mark.parametrize("reconstruct", [True, False])
+def test_wrappers_return_the_fields_of_evaluate(emb_path, task, reconstruct):
+    inst, spaces, vocab, model = build_setup(emb_path, task=task, reconstruct=reconstruct)
+    scores = evaluate(model, inst, vocab, spaces, 40, 0.3)
+    assert list(scores) == ["accuracy", "reconstruction"][: 1 + reconstruct]
+    assert evaluate_accuracy(model, inst, vocab, spaces, 40) == scores["accuracy"]
+    if reconstruct:
+        recon = evaluate_reconstruction(model, inst, vocab, spaces, 40, 0.3)
+        assert recon == scores["reconstruction"]
+    else:
+        with pytest.raises(KeyError, match="reconstruction"):
+            evaluate_reconstruction(model, inst, vocab, spaces, 40, 0.3)
+
+
+@pytest.mark.parametrize("task", ["category", "term"])
+def test_evaluate_frees_each_forward_before_the_next(emb_path, monkeypatch, task):
+    """No earlier batch's result or tape is alive when a forward starts.
+
+    The garbage collector is off, so reference counting alone must free
+    them; the pooled states' array stands in for the tape.
+    """
+    inst, spaces, vocab, model = build_setup(emb_path, task=task)
+    real_forward = SentimentModel.forward
+    refs, alive_at_start = [], []
+
+    def tracking_forward(self, *args, **kwargs):
+        alive_at_start.append(sum(r() is not None for r in refs))
+        result = real_forward(self, *args, **kwargs)
+        refs.extend([weakref.ref(result), weakref.ref(result.pooled.data)])
+        return result
+
+    monkeypatch.setattr(SentimentModel, "forward", tracking_forward)
+    gc.disable()
+    try:
+        evaluate(model, inst, vocab, spaces, token_budget=40)
+    finally:
+        gc.enable()
+    assert len(alive_at_start) >= 3
+    assert alive_at_start == [0] * len(alive_at_start)
 
 
 # -- metrics report -----------------------------------------------------------------------
@@ -284,6 +330,30 @@ def test_run_experiment_divergence_names_the_seed(emb_path, monkeypatch):
         run_experiment(inst, {"train": inst}, emb_path, cfg, tc, spaces, seeds=(1, 2),
                        log=logged.append)
     assert len(poisoned) == 1
+
+
+def test_run_experiment_makes_one_forward_per_eval_batch(emb_path, monkeypatch):
+    inst = synthetic_instances(6, seed=3)
+    spaces = TaskSpaces.build("category", inst)
+    cfg = small_config(num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
+    eval_sets = {"train": inst, "test": synthetic_instances(5, seed=30)}
+    real_forward = SentimentModel.forward
+    eval_forwards = []
+
+    def counting_forward(self, *args, **kwargs):
+        if not kwargs.get("training"):  # train_batch passes training=True
+            eval_forwards.append(1)
+        return real_forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(SentimentModel, "forward", counting_forward)
+    tc = TrainConfig(epochs=1, token_budget=40)
+    _, runs = run_experiment(inst, eval_sets, emb_path, cfg, tc, spaces, seeds=(1,))
+    batches = sum(
+        len(make_batches(insts, runs[0].vocab, spaces, tc.token_budget, shuffle=False))
+        for insts in eval_sets.values()
+    )
+    assert batches >= 4
+    assert len(eval_forwards) == batches
 
 
 def test_run_experiment_validation(emb_path):
