@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -171,14 +172,21 @@ def _split(text: str) -> list[str]:
     return [x for x in text.replace(" ", "").split(",") if x]
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 # fields whose text is not spelled like their default's type
 _TEXT_PARSERS = {
     "seeds": lambda text: tuple(int(x) for x in _split(text)),
     "values": lambda text: tuple(
-        int(x) if x.lstrip("+-").isdigit() else float(x) for x in _split(text)
+        int(x) if x.lstrip("+-").isdigit() else _float(x) for x in _split(text)
     ),
     "ablate": lambda text: tuple(_split(text)),
-    "lam": lambda text: None if text.lower() == "none" else float(text),
+    "lam": lambda text: None if text.lower() == "none" else _float(text),
 }
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
@@ -187,13 +195,15 @@ _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 def parse_value(name: str, text: str):
     """A setting's value from its text, as a config file or a flag spells it.
 
-    Raises ValueError on text the field cannot take.
+    Raises ValueError on text the field cannot take, nan and inf included.
     """
     if name in _TEXT_PARSERS:
         return _TEXT_PARSERS[name](text)
     default = _DEFAULTS[name]
     if isinstance(default, bool):
         return _parse_bool(text)
+    if isinstance(default, float):
+        return _float(text)
     return type(default)(text)
 
 

@@ -314,9 +314,16 @@ def load_jsonl(text: str) -> list[RawSentence]:
             )
         except (KeyError, TypeError) as e:
             raise CorpusError(f"line {ln}: missing field: {e}") from e
+        n = len(sent.tokens)
         for a in sent.aspects:
-            if a.kind == "term" and a.span[1] > len(sent.tokens):
-                raise CorpusError(f"line {ln}: term span {a.span} exceeds sentence")
+            if a.kind != "term":
+                continue
+            ints = len(a.span) == 2 and all(type(x) is int for x in a.span)
+            if not (ints and 0 <= a.span[0] < a.span[1] <= n):
+                raise CorpusError(
+                    f"line {ln}: term span {list(a.span)} must be two integers "
+                    f"0 <= start < end <= {n}, the sentence's token count"
+                )
         out.append(sent)
     return out
 
@@ -620,20 +627,19 @@ class TaskSpaces:
 class Batch:
     """A token-budgeted batch in padded (B, T) layout.
 
-    ``recon_category`` holds gold category ids for the category task;
-    ``recon_terms`` holds per-instance id tuples for the term task, with
-    ``term_oov`` flagging instances whose aspect has words outside the
-    term vocabulary (their known words still supervise training, but
-    exact-match evaluation counts them as wrong).
+    ``recon_target`` is the (B, C) 0/1 reconstruction target over the
+    task's target space: one-hot category rows, or multi-hot rows over
+    the known term words. ``recon_known`` is False for a term aspect
+    with words outside the term vocabulary (its known words still
+    supervise training, but exact-match evaluation counts it as wrong).
     """
 
     token_ids: np.ndarray
     mask: np.ndarray
     aspect_tokens: list[tuple[str, ...]]
     label_ids: np.ndarray
-    recon_category: np.ndarray | None
-    recon_terms: list[tuple[int, ...]] | None
-    term_oov: list[bool] | None
+    recon_target: np.ndarray
+    recon_known: np.ndarray
     instances: list[Instance]
 
     @property
@@ -696,35 +702,25 @@ def _build_batch(group: list[Instance], vocab: Vocab, spaces: TaskSpaces) -> Bat
         ids[r, : len(inst.tokens)] = vocab.ids(inst.tokens)
         mask[r, : len(inst.tokens)] = 1
     label_ids = np.asarray([spaces.label_id(i.label) for i in group], dtype=np.int64)
-    recon_category = None
-    recon_terms = None
-    term_oov = None
-    if spaces.categories:
-        cat_index = {c: k for k, c in enumerate(spaces.categories)}
-        vals = []
-        for inst in group:
-            if inst.aspect_name not in cat_index:
+    target = np.zeros((B, spaces.num_recon_targets), dtype=bool)
+    known = np.ones(B, dtype=bool)
+    for r, inst in enumerate(group):
+        if spaces.categories:
+            if inst.aspect_name not in spaces.categories:
                 raise CorpusError(
                     f"category {inst.aspect_name!r} missing from the training category set"
                 )
-            vals.append(cat_index[inst.aspect_name])
-        recon_category = np.asarray(vals, dtype=np.int64)
-    else:
-        recon_terms = []
-        term_oov = []
-        for inst in group:
-            known = tuple(
-                spaces.term_words[t] for t in inst.aspect_tokens if t in spaces.term_words
-            )
-            recon_terms.append(known)
-            term_oov.append(len(known) < len(inst.aspect_tokens))
+            target[r, spaces.categories.index(inst.aspect_name)] = True
+        else:
+            words = [spaces.term_words[t] for t in inst.aspect_tokens if t in spaces.term_words]
+            target[r, words] = True
+            known[r] = len(words) == len(inst.aspect_tokens)
     return Batch(
         token_ids=ids,
         mask=mask,
         aspect_tokens=[tuple(i.aspect_tokens) for i in group],
         label_ids=label_ids,
-        recon_category=recon_category,
-        recon_terms=recon_terms,
-        term_oov=term_oov,
+        recon_target=target,
+        recon_known=known,
         instances=group,
     )

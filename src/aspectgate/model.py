@@ -409,35 +409,25 @@ def _onehot_rows(ids: np.ndarray, width: int, dtype) -> np.ndarray:
 def batch_joint_loss(
     result: ForwardResult,
     label_ids: np.ndarray,
-    recon_targets,
+    recon_target: np.ndarray,
     config: ModelConfig,
 ) -> tuple[Tensor, float, float]:
     """Mean objective over a batch; returns (loss, ce part, recon part).
 
-    ``recon_targets`` is a (B,) array of category ids for the category
-    task, or a sequence of id collections for the term task. The parts
+    ``recon_target`` is the batch's (B, C) 0/1 reconstruction target:
+    one-hot rows for the category task (softmax cross-entropy), multi-hot
+    rows for the term task (sigmoid cross-entropy). The fused losses
+    refuse a wrong shape and rows that do not fit their task. The parts
     are float diagnostics of the already-reduced means.
     """
     z = result.sent_logits
-    B = z.shape[0]
     onehot = Tensor(_onehot_rows(label_ids, z.shape[1], z.dtype))
     ce = softmax_xent_logits(z, onehot).mean()
     if not config.reconstruct:
         return ce, ce.item(), 0.0
     rz = result.recon_logits
-    if config.task == "category":
-        targets = Tensor(_onehot_rows(recon_targets, rz.shape[1], rz.dtype))
-        recon = softmax_xent_logits(rz, targets).mean()
-    else:
-        multi = np.zeros(rz.shape, dtype=rz.dtype)
-        if len(recon_targets) != B:
-            raise ValueError("term targets do not match batch size")
-        for row, ids in enumerate(recon_targets):
-            for i in ids:
-                if not 0 <= i < rz.shape[1]:
-                    raise ValueError(f"gold term id {i} out of range")
-                multi[row, i] = 1
-        recon = sigmoid_xent_logits(rz, Tensor(multi)).mean()
+    xent = softmax_xent_logits if config.task == "category" else sigmoid_xent_logits
+    recon = xent(rz, Tensor(np.asarray(recon_target, dtype=rz.dtype))).mean()
     total = ce + config.lam * recon
     return total, ce.item(), recon.item()
 
@@ -455,16 +445,19 @@ def predict(logits) -> int | np.ndarray:
     raise ShapeError(f"predict: logits must be 1-d or 2-d, got {arr.shape}")
 
 
-def reconstruct_aspect(recon_logits, task: str, threshold: float = 0.5):
-    """Decode the reconstruction head: category index or set of term ids."""
+def reconstruct_aspect(recon_logits, config: ModelConfig, threshold: float = 0.5) -> np.ndarray:
+    """Decode (B, C) reconstruction logits into a (B, C) bool prediction.
+
+    Category task: the argmax of each row, ties to the lowest index.
+    Term task: every word whose probability reaches ``threshold``.
+    """
     arr = recon_logits.data if isinstance(recon_logits, Tensor) else np.asarray(recon_logits)
-    if arr.ndim != 1:
-        raise ShapeError(f"reconstruct_aspect: expected (C,), got {arr.shape}")
-    if task == "category":
-        return int(np.argmax(arr))
-    if task == "term":
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-        cut = np.log(threshold / (1.0 - threshold))
-        return {int(i) for i in np.nonzero(arr >= cut)[0]}
-    raise ValueError(f"unknown task {task!r}")
+    if arr.ndim != 2:
+        raise ShapeError(f"reconstruct_aspect: expected (B, C), got {arr.shape}")
+    if config.task == "category":
+        decoded = np.zeros(arr.shape, dtype=bool)
+        decoded[np.arange(arr.shape[0]), predict(arr)] = True
+        return decoded
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    return arr >= np.log(threshold / (1.0 - threshold))

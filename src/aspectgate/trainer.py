@@ -131,10 +131,6 @@ def adam_step(
 # -- training loop -----------------------------------------------------------------
 
 
-def _recon_targets(batch, task: str):
-    return batch.recon_category if task == "category" else batch.recon_terms
-
-
 def train_batch(
     model: SentimentModel,
     batch,
@@ -149,9 +145,7 @@ def train_batch(
     """
     aspects = aspect_matrix(batch.aspect_tokens, vocab)
     result = model.forward(batch.token_ids, batch.mask, aspects, training=True, rng=rng)
-    loss, ce, recon = batch_joint_loss(
-        result, batch.label_ids, _recon_targets(batch, model.config.task), model.config
-    )
+    loss, ce, recon = batch_joint_loss(result, batch.label_ids, batch.recon_target, model.config)
     if not np.isfinite(loss.item()):
         raise TrainingDiverged("non-finite loss")
     params = model.parameters()
@@ -244,9 +238,9 @@ def evaluate(
 
     Returns ``{"accuracy": ...}``, plus ``"reconstruction"`` when the
     model is trained to reconstruct; each is a fraction of instances.
-    Reconstruction, category task: the argmax category must match. Term
-    task: every gold word id must clear the threshold, and an aspect
-    containing words outside the term vocabulary counts as wrong outright.
+    An aspect is reconstructed when its decoding (``reconstruct_aspect``)
+    covers every target word or category; an aspect with words outside
+    the term vocabulary counts as wrong outright.
     """
     if not instances:
         raise ValueError("evaluate: no instances")
@@ -254,13 +248,8 @@ def evaluate(
     for batch in make_batches(instances, vocab, spaces, token_budget, shuffle=False):
         sent_logits, recon_logits = _eval_logits(model, batch, vocab)
         correct += int(np.sum(predict(sent_logits) == batch.label_ids))
-        if model.config.task == "category":
-            recon += int(np.sum(predict(recon_logits) == batch.recon_category))
-        else:
-            for r, gold in enumerate(batch.recon_terms):
-                decoded = reconstruct_aspect(recon_logits[r], "term", threshold)
-                if not batch.term_oov[r] and set(gold) <= decoded:
-                    recon += 1
+        decoded = reconstruct_aspect(recon_logits, model.config, threshold)
+        recon += int(np.sum(batch.recon_known & np.all(decoded >= batch.recon_target, axis=1)))
     scores = {"accuracy": correct / len(instances)}
     if model.config.reconstruct:
         scores["reconstruction"] = recon / len(instances)

@@ -297,7 +297,7 @@ def _e2e_case(rng, task):
         mask = np.ones((1, 2), dtype=np.int64)
         aspects = (rng.random((1, 2)) - 0.5).astype(CHECK_DTYPE)
         labels = np.array([1])
-        targets = np.array([1]) if task == "category" else [(0, 2)]
+        targets = np.array([[False, True]] if task == "category" else [[True, False, True]])
 
         def f():
             out = model.forward(ids, mask, aspects)

@@ -202,6 +202,42 @@ def test_bad_flag_value_names_the_flag(capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags, file_text, named",
+    [
+        ("train", ["--lambda", "nan"], None, "--lambda"),
+        ("train", ["--lambda", "inf"], None, "--lambda"),
+        ("train", ["--lr", "inf"], None, "--lr"),
+        ("train", ["--clip", "inf"], None, "--clip"),
+        ("train", [], "lam = nan\n", "bad value for lam"),
+        ("sweep", ["--axis", "lambda", "--values", "0.1,nan"], None, "--values"),
+    ],
+    ids=["lambda-nan", "lambda-inf", "lr-inf", "clip-inf", "file-lam-nan", "sweep-values-nan"],
+)
+def test_non_finite_numbers_are_refused(workspace, capsys, command, flags, file_text, named):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    argv = [
+        command,
+        "--data-dir", str(data),
+        "--embeddings", str(emb),
+        "--out", str(tmp_path / "run"),
+        "--seeds", "1",
+        "--epochs", "2",
+        "--hidden", "6",
+        "--embed-dim", str(EMBED_DIM),
+        "--depth", "1",
+        *flags,
+    ]
+    if file_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(file_text)
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_config_file_errors_are_validation_problems(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\ndepth = x\n")

@@ -1,5 +1,7 @@
 """Corpus pipeline: tokenizer, parsers, views, vocab, batching."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,17 @@ def test_jsonl_roundtrip():
         load_jsonl("{not json\n")
 
 
+@pytest.mark.parametrize("span", [[2, 2], [-1, 2], [3, 1], [1, 5], [1], [1, 2, 3], ["a", 2], [0.5, 2]])
+def test_jsonl_refuses_bad_term_spans(span):
+    aspect = {"kind": "term", "name": "food", "label": "positive", "span": span}
+    lines = [
+        {"id": "a", "text": "good food", "aspects": []},
+        {"id": "b", "text": "the food was good", "aspects": [aspect]},
+    ]
+    with pytest.raises(CorpusError, match="line 2: term span"):
+        load_jsonl("\n".join(json.dumps(obj) for obj in lines))
+
+
 # -- views ---------------------------------------------------------------------------
 
 
@@ -384,7 +397,8 @@ def test_batch_contents_category(emb_path):
     assert np.all((b.token_ids == PAD) == (b.mask == 0))
     for r, i in enumerate(b.instances):
         assert b.label_ids[r] == sp.label_id(i.label)
-        assert sp.categories[b.recon_category[r]] == i.aspect_name
+        assert b.recon_target[r].tolist() == [c == i.aspect_name for c in sp.categories]
+    assert b.recon_target.dtype == bool and b.recon_known.all()
 
 
 def test_batch_contents_term(emb_path):
@@ -392,11 +406,12 @@ def test_batch_contents_term(emb_path):
     v = build_vocab(inst, emb_path, seed=0)
     sp = TaskSpaces.build("term", inst[:2])  # only appetizers/service known
     batches = make_batches(inst, v, sp, token_budget=64, shuffle=False)
-    flat = [(i, b.recon_terms[r], b.term_oov[r]) for b in batches for r, i in enumerate(b.instances)]
-    for inst_i, ids, oov in flat:
+    flat = [(i, b.recon_target[r], b.recon_known[r]) for b in batches for r, i in enumerate(b.instances)]
+    for inst_i, row, known in flat:
         missing = [t for t in inst_i.aspect_tokens if t not in sp.term_words]
-        assert oov == bool(missing)
-        assert len(ids) == len(inst_i.aspect_tokens) - len(missing)
+        assert known == (not missing)
+        assert row.dtype == bool and row.shape == (len(sp.term_words),)
+        assert set(np.flatnonzero(row)) == {sp.term_words[t] for t in inst_i.aspect_tokens if t in sp.term_words}
 
 
 def test_unseen_category_is_an_error(emb_path):

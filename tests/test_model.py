@@ -412,18 +412,20 @@ def _logit_rows(sent, recon) -> ForwardResult:
 def test_category_loss_matches_direct_formula():
     cfg = tiny_config(num_recon_targets=3)
     out = _logit_rows([0.0, 0.0, 0.0], [0.2, -1.0, 0.8])
-    _, _, loss = batch_joint_loss(out, [0], [2], cfg)
+    _, _, loss = batch_joint_loss(out, [0], [[False, False, True]], cfg)
     z = np.array([0.2, -1.0, 0.8])
     expected = math.log(np.exp(z).sum()) - 0.8
     assert abs(loss - expected) < 1e-12
-    with pytest.raises(ValueError):
-        batch_joint_loss(out, [0], [3], cfg)
+    with pytest.raises(ValueError, match="one-hot"):
+        batch_joint_loss(out, [0], [[True, False, True]], cfg)
+    with pytest.raises(ShapeError):
+        batch_joint_loss(out, [0], [[False, False, False, True]], cfg)
 
 
 def test_term_loss_matches_direct_formula():
     cfg = tiny_config(task="term", num_recon_targets=3)
     out = _logit_rows([0.0, 0.0, 0.0], [1.0, -2.0, 0.5])
-    _, _, loss = batch_joint_loss(out, [0], [{0, 2}], cfg)
+    _, _, loss = batch_joint_loss(out, [0], [[True, False, True]], cfg)
 
     def softplus(v):
         return math.log1p(math.exp(-abs(v))) + max(v, 0.0)
@@ -435,7 +437,7 @@ def test_term_loss_matches_direct_formula():
 def test_joint_loss_combines_terms():
     cfg = tiny_config(lam=0.4)
     out = _logit_rows([0.1, 0.2, 0.3], [0.5, -0.5])
-    j, _, _ = batch_joint_loss(out, [1], [0], cfg)
+    j, _, _ = batch_joint_loss(out, [1], [[True, False]], cfg)
     recon = softmax_xent_logits(Tensor([0.5, -0.5]), Tensor([1.0, 0.0]))
     ce = softmax_xent_logits(Tensor([0.1, 0.2, 0.3]), Tensor([0.0, 1.0, 0.0]))
     assert abs(j.item() - (ce.item() + 0.4 * recon.item())) < 1e-12
@@ -450,7 +452,7 @@ def test_batch_joint_loss_means_rows(rng):
     out = model.forward(ids, mask, aspects)
     labels = np.array([0, 2, 1])
     cats = np.array([1, 0, 1])
-    total, ce_part, recon_part = batch_joint_loss(out, labels, cats, cfg)
+    total, ce_part, recon_part = batch_joint_loss(out, labels, np.eye(2, dtype=bool)[cats], cfg)
 
     def xent(z, gold):  # log-sum-exp minus the gold logit
         m = z.max()
@@ -469,7 +471,7 @@ def test_lambda_zero_equals_reconstruction_off(rng):
     ids, mask = _batch(rng)
     aspects = rng.standard_normal((3, 2))
     labels = np.array([0, 2, 1])
-    cats = np.array([1, 0, 1])
+    cats = np.eye(2, dtype=bool)[[1, 0, 1]]
     r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
     m_zero, c_zero = tiny_model(r1, lam=0.0)
     m_off, c_off = tiny_model(r2, reconstruct=False)
@@ -512,7 +514,7 @@ def _sample_checkable_model(rng, cfg, make_targets):
 def test_end_to_end_gradients_category(rng):
     cfg = tiny_config()
     model, f = _sample_checkable_model(
-        rng, cfg, lambda: (np.array([0, 2]), np.array([1, 0]))
+        rng, cfg, lambda: (np.array([0, 2]), np.array([[False, True], [True, False]]))
     )
     params = list(model.parameters().values())
     assert grad_check(f, params, FD_EPS_CHECK) <= TOL_CHECK
@@ -521,7 +523,10 @@ def test_end_to_end_gradients_category(rng):
 def test_end_to_end_gradients_term(rng):
     cfg = tiny_config(task="term", num_recon_targets=4)
     model, f = _sample_checkable_model(
-        rng, cfg, lambda: (np.array([1, 0]), [(0, 2), (3,)])
+        rng, cfg, lambda: (
+            np.array([1, 0]),
+            np.array([[True, False, True, False], [False, False, False, True]]),
+        )
     )
     params = list(model.parameters().values())
     assert grad_check(f, params, FD_EPS_CHECK) <= TOL_CHECK
@@ -538,10 +543,14 @@ def test_predict_ties_take_lowest_index():
 
 
 def test_reconstruct_aspect_decoding():
-    assert reconstruct_aspect(Tensor([0.1, 0.9, -2.0]), "category") == 1
-    got = reconstruct_aspect(Tensor([0.2, -0.1, 0.0]), "term", threshold=0.5)
-    assert got == {0, 2}  # logit >= 0 means probability >= one half
+    category, term = tiny_config(), tiny_config(task="term")
+    got = reconstruct_aspect(Tensor([[0.1, 0.9, -2.0]]), category)
+    assert np.array_equal(got, [[False, True, False]])
+    got = reconstruct_aspect(Tensor([[0.2, -0.1, 0.0]]), term, threshold=0.5)
+    assert np.array_equal(got, [[True, False, True]])  # logit >= 0 means probability >= one half
     with pytest.raises(ValueError):
-        reconstruct_aspect(Tensor([0.0]), "term", threshold=1.5)
+        reconstruct_aspect(Tensor([[0.0]]), term, threshold=1.5)
     with pytest.raises(ValueError):
-        reconstruct_aspect(Tensor([0.0]), "span")
+        reconstruct_aspect(Tensor([[0.0]]), tiny_config(task="span"))
+    with pytest.raises(ShapeError):
+        reconstruct_aspect(Tensor([0.1, 0.9, -2.0]), category)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import aspectgate.trainer as trainer_mod
-from aspectgate.corpus import TaskSpaces, build_vocab, make_batches
+from aspectgate.corpus import LABELS, Instance, TaskSpaces, build_vocab, make_batches
 from aspectgate.model import CapabilityError, ModelConfig, SentimentModel
 from aspectgate.synth import EMBED_DIM, synthetic_instances, write_embedding_file
 from aspectgate.tensor import Tensor
@@ -198,8 +198,6 @@ def test_zero_model_reconstruction_baselines(emb_path):
         t.data[...] = 0.0
     assert evaluate(model_t, inst_t, vocab_t, spaces_t)["reconstruction"] == 1.0
     # an aspect word outside the term vocabulary counts as wrong
-    from aspectgate.corpus import Instance
-
     oov = Instance("x", ("the", "food", "was", "great"), "term", "sushi", ("sushi",), "positive")
     known = synthetic_instances(2, seed=1, task="term")
     spaces_small = TaskSpaces.build("term", known)
@@ -218,6 +216,53 @@ def test_trained_model_reconstructs_categories(emb_path):
     tc = TrainConfig(epochs=80, lr=0.01)
     train(model, inst, vocab, spaces, tc, np.random.default_rng(0))
     assert evaluate(model, inst, vocab, spaces)["reconstruction"] == 1.0
+
+
+def _scored_by_hand(inst, row, spaces, threshold):
+    """Reconstruction as scored from category ids and term-id sets."""
+    if spaces.categories:
+        return int(np.argmax(row)) == spaces.categories.index(inst.aspect_name)
+    gold = [spaces.term_words[t] for t in inst.aspect_tokens if t in spaces.term_words]
+    oov = len(gold) < len(inst.aspect_tokens)
+    cut = np.log(threshold / (1.0 - threshold))
+    return not oov and set(gold) <= {j for j in range(len(row)) if row[j] >= cut}
+
+
+@pytest.mark.parametrize(
+    "task, threshold", [("category", 0.5), ("term", 0.3), ("term", 0.5), ("term", 0.9)]
+)
+def test_evaluate_reconstruction_matches_the_id_scoring(emb_path, monkeypatch, task, threshold):
+    """Chosen logits with category ties, term logits at the cut, and OOV words."""
+    rng = np.random.default_rng(11)
+    words = ("food", "service", "staff", "wine")  # "wine" is outside the term vocabulary
+    insts = []
+    for i in range(40):
+        tokens = tuple(rng.choice(words, size=rng.integers(1, 4)))
+        name = " ".join(tokens) if task == "term" else words[i % 3]
+        aspect = tokens if task == "term" else (name,)
+        insts.append(Instance(f"s{i}", ("the", *tokens, "was", "great"), task, name, aspect, "positive"))
+    if task == "category":
+        spaces = TaskSpaces.build("category", insts)
+        rows = rng.integers(-1, 2, size=(len(insts), 3)).astype(float)  # many ties
+    else:
+        spaces = TaskSpaces(labels=LABELS, term_words={"food": 0, "service": 1, "staff": 2})
+        cut = np.log(threshold / (1.0 - threshold))
+        near = [cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf), cut - 1.0, cut + 1.0]
+        rows = rng.choice(near, size=(len(insts), 3))
+    vocab = build_vocab(insts, emb_path, seed=0)
+    cfg = small_config(task=task, num_labels=spaces.num_labels, num_recon_targets=3)
+    model = SentimentModel(cfg, vocab.embedding, np.random.default_rng(0))
+    chosen = {id(inst): row for inst, row in zip(insts, rows)}
+
+    def stub(model, batch, vocab):
+        recon = np.array([chosen[id(inst)] for inst in batch.instances])
+        return np.zeros((batch.size, spaces.num_labels)), recon
+
+    monkeypatch.setattr(trainer_mod, "_eval_logits", stub)
+    hits = [_scored_by_hand(i, r, spaces, threshold) for i, r in zip(insts, rows)]
+    assert 0 < sum(hits) < len(insts)
+    got = evaluate(model, insts, vocab, spaces, token_budget=16, threshold=threshold)
+    assert got["reconstruction"] == sum(hits) / len(insts)
 
 
 @pytest.mark.parametrize("task", ["category", "term"])
