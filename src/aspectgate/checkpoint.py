@@ -61,6 +61,8 @@ def _read_header(raw: bytes, path) -> tuple[dict, int]:
         header = json.loads(raw[start : start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
     if header.get("format") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format {header.get('format')!r}, expected {FORMAT_VERSION}"
@@ -75,17 +77,34 @@ def read_checkpoint_meta(path) -> dict:
 
 
 def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
-    """Rebuild (model, vocab, meta) and verify the embedding digest."""
+    """Rebuild (model, vocab, meta) and verify the embedding digest.
+
+    Every malformed file, header included, raises ``CheckpointError``
+    naming the path.
+    """
     raw = Path(path).read_bytes()
     header, offset = _read_header(raw, path)
+    try:
+        table = [(str(e["name"]), tuple(int(s) for s in e["shape"])) for e in header["tensors"]]
+        tokens = tuple(header["vocab_tokens"])
+        stored = header["vocab_digest"]
+        meta = dict(header["meta"])
+        config = ModelConfig.from_dict(header["config"])
+    except KeyError as e:
+        raise CheckpointError(f"{path}: malformed header: missing entry {e}") from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed header: {e}") from e
+    if not all(isinstance(t, str) for t in tokens):
+        raise CheckpointError(f"{path}: malformed header: vocab_tokens are not all strings")
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(int(s) for s in entry["shape"])
+    for name, shape in table:
+        if any(s < 0 for s in shape):
+            raise CheckpointError(f"{path}: tensor {name!r} has negative shape {shape}")
         count = math.prod(shape)
         need = count * 8
         if offset + need > len(raw):
-            raise CheckpointError(f"{path}: truncated tensor {entry['name']!r}")
-        arrays[entry["name"]] = (
+            raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        arrays[name] = (
             np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
             .reshape(shape)
             .astype(np.float64)
@@ -96,16 +115,16 @@ def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
     if "embedding" not in arrays:
         raise CheckpointError(f"{path}: no embedding tensor")
     embedding = arrays.pop("embedding")
-    tokens = tuple(header["vocab_tokens"])
     digest = vocab_digest(tokens, embedding)
-    if digest != header["vocab_digest"]:
+    if digest != stored:
         raise CheckpointError(
-            f"{path}: vocabulary digest mismatch: stored {header['vocab_digest']}, "
-            f"recomputed {digest}"
+            f"{path}: vocabulary digest mismatch: stored {stored}, recomputed {digest}"
         )
     vocab = Vocab(tokens, embedding, digest)
-    config = ModelConfig.from_dict(header["config"])
-    model = SentimentModel(config, vocab.embedding, np.random.default_rng(0))
+    try:
+        model = SentimentModel(config, vocab.embedding, np.random.default_rng(0))
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: config does not build a model: {e}") from e
     params = model.parameters()
     if set(params) != set(arrays):
         missing = sorted(set(params) - set(arrays))
@@ -118,4 +137,4 @@ def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
                 f"model expects {tensor.data.shape}"
             )
         tensor.data[...] = arrays[name]
-    return model, vocab, dict(header["meta"])
+    return model, vocab, meta

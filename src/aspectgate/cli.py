@@ -333,13 +333,20 @@ def _require_file(path, flag: str, problems: list[str]) -> bool:
 # -- prepare -----------------------------------------------------------------------
 
 
-def _read_raw(path: Path, info: DatasetInfo) -> list[RawSentence]:
+def _read_raw(path: Path, info: DatasetInfo | None = None) -> list[RawSentence]:
+    """Parse one corpus file: JSONL, or SemEval XML in ``info``'s schema.
+
+    A ``CorpusError`` from the parser is re-raised naming the file.
+    """
     text = path.read_text()
-    if path.suffix == ".jsonl":
-        return load_jsonl(text)
-    if info.schema == "opinions":
-        return parse_semeval_opinions_xml(text)
-    return parse_semeval_xml(text, info.task)
+    try:
+        if path.suffix == ".jsonl":
+            return load_jsonl(text)
+        if info.schema == "opinions":
+            return parse_semeval_opinions_xml(text)
+        return parse_semeval_xml(text, info.task)
+    except CorpusError as e:
+        raise CorpusError(f"{path}: {e}") from e
 
 
 def cmd_prepare(rc: RunConfig, args) -> int:
@@ -400,7 +407,7 @@ def _training_inputs(rc: RunConfig, test_views, problems: list[str]):
     _require_file(rc.embeddings, "embeddings", problems)
     if problems:
         return None
-    train_inst = expand(load_jsonl(train_file.read_text()))
+    train_inst = expand(_read_raw(train_file))
     if not train_inst:
         problems.append(f"{train_file}: no instances")
         return None
@@ -418,7 +425,7 @@ def cmd_train(rc: RunConfig, args) -> int:
         return _report(problems)
     train_file, test_files, train_inst, spaces, cfg = inputs
     eval_sets = {
-        v: expand(load_jsonl(f.read_text())) for v, f in zip(eval_views, test_files)
+        v: expand(_read_raw(f)) for v, f in zip(eval_views, test_files)
     }
     digest = config_digest(rc)
     files = [train_file, *test_files]
@@ -494,7 +501,7 @@ def cmd_eval(rc: RunConfig, args) -> int:
     test_file = _view_file(rc.data_dir, "test", view)
     if not test_file.is_file():
         return _report([f"prepared file not found: {test_file}"])
-    instances = expand(load_jsonl(test_file.read_text()))
+    instances = expand(_read_raw(test_file))
     spaces = TaskSpaces.from_dict(meta["spaces"])
     result = {
         "checkpoint": Path(rc.checkpoint).name,

@@ -11,12 +11,15 @@ Every operation records its inputs and a backward closure on the output
 node, forming an implicit tape (a DAG, since nodes can be reused).
 ``backward`` replays the tape once in reverse topological order with
 deterministic accumulation, so repeated passes over the same tape are
-bit-identical.
+bit-identical. Inside ``no_grad()`` nothing is recorded: each output is
+a parentless constant, so intermediates are freed as soon as nothing
+else holds them, and the values are the same bits as on the tape.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -131,8 +134,28 @@ def _as_tensor(value, dtype: np.dtype) -> Tensor:
     return Tensor(arr)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no tape inside this block: op outputs get no parents or closure.
+
+    Contexts nest; leaving one, by return or by exception, restores the
+    recording state it found. The state is process-wide, not per thread;
+    nothing in this package runs ops on more than one thread.
+    """
+    global _recording
+    outer = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = outer
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
+    needs = _recording and any(p.requires_grad for p in parents)
     return Tensor(
         data,
         requires_grad=needs,
@@ -536,8 +559,12 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMa
     Returns a map from tensor to gradient array. With ``params`` given,
     the map holds exactly those tensors, with zero arrays for any that
     the loss does not reach. Without it, the map holds every
-    grad-requiring node the backward pass visited.
+    grad-requiring node the backward pass visited. Calling it inside
+    ``no_grad()`` is an error: no tape is recorded there, so every
+    gradient would silently be zero.
     """
+    if not _recording:
+        raise RuntimeError("backward called inside no_grad(): no tape was recorded")
     if loss.ndim != 0:
         raise ShapeError(f"backward: root must be scalar, got shape {loss.shape}")
     grads: GradientMap = {}

@@ -27,7 +27,7 @@ from .model import (
     predict,
     reconstruct_aspect,
 )
-from .tensor import backward
+from .tensor import backward, no_grad
 
 
 class TrainingDiverged(RuntimeError):
@@ -257,12 +257,15 @@ def evaluate(
 
 
 def _eval_logits(model: SentimentModel, batch, vocab: Vocab) -> tuple[np.ndarray, np.ndarray]:
-    """One batch's logits as plain arrays.
+    """One batch's logits as plain arrays, from a grad-free forward.
 
-    The forward's tape dies when this returns, before the next batch
-    builds its own.
+    No tape is built, so each step's intermediates are freed as the
+    recurrence moves on, and the result is freed when this returns.
     """
-    result = model.forward(batch.token_ids, batch.mask, aspect_matrix(batch.aspect_tokens, vocab))
+    with no_grad():
+        result = model.forward(
+            batch.token_ids, batch.mask, aspect_matrix(batch.aspect_tokens, vocab)
+        )
     return result.sent_logits.data, result.recon_logits.data
 
 
@@ -478,6 +481,7 @@ def inspect_gates(
     Only the aspect-gated encoder exposes gates; for bidirectional
     models the records cover the forward direction. Each record carries
     the token, its position, and summary statistics of the gate vector.
+    The forward runs grad-free.
     """
     if model.config.encoder != "aspect-dt":
         raise CapabilityError(
@@ -487,7 +491,8 @@ def inspect_gates(
         raise ValueError("inspect_gates: empty sentence")
     ids = vocab.ids(tokens)
     aspect = embed_aspect(aspect_tokens, vocab)
-    result = model.forward_one(ids, aspect)
+    with no_grad():
+        result = model.forward_one(ids, aspect)
     records = []
     for t, tok in enumerate(tokens):
         g = result.gates[t].data[:, 0]

@@ -1,5 +1,8 @@
 """Checkpoint serialization: round trips, integrity, corruption errors."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from aspectgate.checkpoint import (
     read_checkpoint_meta,
     save_checkpoint,
 )
+from aspectgate.cli import main
 from aspectgate.corpus import Vocab, vocab_digest
 from aspectgate.model import ModelConfig, SentimentModel
 
@@ -112,3 +116,57 @@ def test_rejects_future_format(tmp_path):
     bad.write_bytes(raw)
     with pytest.raises(CheckpointError, match="unsupported format"):
         load_checkpoint(bad)
+
+
+def _with_header(src, dst, edit):
+    """Copy a checkpoint, replacing its JSON header by ``edit(header)``."""
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 4)
+    header = json.loads(raw[12 : 12 + hlen])
+    head = json.dumps(edit(header)).encode("utf-8")
+    dst.write_bytes(raw[:4] + struct.pack("<Q", len(head)) + head + raw[12 + hlen :])
+    return dst
+
+
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _set(key, **changes):
+    return lambda h: {**h, key: {**h[key], **changes}}
+
+
+def _negative_first_shape(h):
+    return {**h, "tensors": [{**h["tensors"][0], "shape": [-1, -2]}, *h["tensors"][1:]]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop("tensors"), "missing entry 'tensors'"),
+        (_drop("vocab_tokens"), "missing entry 'vocab_tokens'"),
+        (_drop("config"), "missing entry 'config'"),
+        (_set("config", colour="red"), "colour"),
+        (lambda h: [h], "not an object"),
+        (_set("config", depth=0), "depth must be >= 1"),
+        (_set("config", embed_size=5), "does not build a model"),
+        (lambda h: {**h, "vocab_tokens": [0, *h["vocab_tokens"][1:]]}, "not all strings"),
+        (_negative_first_shape, "negative shape"),
+    ],
+    ids=[
+        "no-tensors", "no-vocab-tokens", "no-config", "unknown-config-key", "not-an-object",
+        "bad-config-value", "config-unfit-for-embedding", "non-string-token", "negative-shape",
+    ],
+)
+def test_malformed_header_is_a_checkpoint_error_naming_the_file(tmp_path, capsys, edit, message):
+    model, vocab = _fixture()
+    good = tmp_path / "m.ckpt"
+    save_checkpoint(good, model, vocab)
+    bad = _with_header(good, tmp_path / "bad.ckpt", edit)
+    with pytest.raises(CheckpointError, match=message) as e:
+        load_checkpoint(bad)
+    assert str(bad) in str(e.value)
+    argv = ["inspect", "--checkpoint", str(bad), "--sentence", "good food", "--aspect", "food"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err

@@ -384,6 +384,22 @@ def test_prepare_surfaces_parse_errors(workspace, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_prepare_names_the_bad_jsonl_file(workspace, capsys):
+    tmp_path, raw, emb = workspace
+    good = prepare(tmp_path, raw) / "train.ds.jsonl"
+    lines = good.read_text().splitlines()
+    bad_obj = json.loads(lines[1])
+    bad_obj["aspects"] = [{"kind": "term", "name": "food", "label": "positive", "span": [2, 2]}]
+    bad = tmp_path / "test.jsonl"
+    bad.write_text("\n".join([lines[0], json.dumps(bad_obj), *lines[2:]]) + "\n")
+    capsys.readouterr()
+    code = run(["prepare", "--train", str(good), "--test", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: term span [2, 2]")
+    assert str(good) not in err
+
+
 # -- train -----------------------------------------------------------------------------
 
 

@@ -33,6 +33,8 @@ from aspectgate.tensor import (
     Tensor,
     backward,
     grad_check,
+    iter_nodes,
+    no_grad,
     relu_kink_margin,
     softmax_xent_logits,
 )
@@ -293,6 +295,34 @@ def test_padding_never_changes_logits(rng, pooling, encoder):
     )
     assert np.array_equal(base.sent_logits.data, out.sent_logits.data)
     assert np.array_equal(base.recon_logits.data, out.recon_logits.data)
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("pooling", POOLING_MODES)
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_grad_free_forward_is_the_taped_forward_bitwise(
+    rng, encoder, pooling, bidirectional, use_bias
+):
+    """no_grad changes what is recorded, never a value, on a padded batch."""
+    model, cfg = tiny_model(
+        rng, encoder=encoder, pooling=pooling, bidirectional=bidirectional, use_bias=use_bias
+    )
+    ids, mask = _batch(rng)
+    aspects = rng.standard_normal((3, 2))
+    taped = model.forward(ids, mask, aspects)
+    with no_grad():
+        free = model.forward(ids, mask, aspects)
+    for name in ("sent_logits", "recon_logits", "pooled"):
+        t, f = getattr(taped, name), getattr(free, name)
+        assert np.array_equal(t.data, f.data), name
+        assert len(list(iter_nodes(t))) > 1
+        assert list(iter_nodes(f)) == [f], name
+    assert len(free.gates) == len(taped.gates) == ids.shape[1]
+    for t, f in zip(taped.gates, free.gates):
+        assert (t is None) == (f is None) == (encoder != "aspect-dt")
+        if t is not None:
+            assert np.array_equal(t.data, f.data)
 
 
 def test_bidirectional_padding_invariance_and_shapes(rng):

@@ -20,8 +20,10 @@ from aspectgate.tensor import (
     dropout,
     finite_diff_check,
     grad_check,
+    iter_nodes,
     matmul,
     maximum,
+    no_grad,
     reduce_max,
     reduce_mean,
     reduce_sum,
@@ -252,6 +254,60 @@ def test_constant_subgraphs_stay_off_the_tape(rng):
     out = const * 2.0 + const
     assert not out.requires_grad
     assert out._parents == ()
+
+
+# -- grad-free mode ------------------------------------------------------------
+
+
+def _recorded(a: Tensor) -> bool:
+    """Whether an op on the grad-requiring ``a`` lands on the tape now."""
+    out = tanh(a) * a
+    return out.requires_grad and len(list(iter_nodes(out))) > 1
+
+
+def test_no_grad_builds_no_tape_and_keeps_the_values(rng):
+    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+
+    def f():
+        return reduce_max(relu(sigmoid(matmul(a, b)) - 0.5) + tanh(matmul(a, b)), axis=0)
+
+    taped = f()
+    with no_grad():
+        free = f()
+    assert np.array_equal(free.data, taped.data)
+    assert not free.requires_grad and free._parents == () and free._bwd is None
+    assert list(iter_nodes(free)) == [free]
+    assert a.requires_grad and b.requires_grad  # leaves keep their flag
+
+
+def test_no_grad_nests_and_restores_the_outer_state(rng):
+    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    assert _recorded(a)
+    with no_grad():
+        assert not _recorded(a)
+        with no_grad():
+            assert not _recorded(a)
+        assert not _recorded(a)  # leaving the inner block keeps the outer one off
+    assert _recorded(a)
+
+
+def test_no_grad_restores_recording_after_an_exception(rng):
+    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    with pytest.raises(ShapeError):
+        with no_grad():
+            with no_grad():
+                a + Tensor(np.zeros(4))
+    assert _recorded(a)
+
+
+def test_backward_refuses_to_run_inside_no_grad(rng):
+    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    loss = (a * a).sum()
+    with no_grad():
+        with pytest.raises(RuntimeError, match="no_grad"):
+            backward(loss, params=[a])
+    assert np.array_equal(backward(loss, params=[a])[a], 2 * a.data)
 
 
 # -- gradient checks against the oracle --------------------------------------

@@ -1,5 +1,6 @@
 """Optimizer math, training loop behavior, metrics, and experiment drivers."""
 
+import contextlib
 import gc
 import weakref
 
@@ -10,7 +11,7 @@ import aspectgate.trainer as trainer_mod
 from aspectgate.corpus import LABELS, Instance, TaskSpaces, build_vocab, make_batches
 from aspectgate.model import CapabilityError, ModelConfig, SentimentModel
 from aspectgate.synth import EMBED_DIM, synthetic_instances, write_embedding_file
-from aspectgate.tensor import Tensor
+from aspectgate.tensor import Tensor, iter_nodes
 from aspectgate.trainer import (
     AdamState,
     MetricsReport,
@@ -305,6 +306,45 @@ def test_evaluate_frees_each_forward_before_the_next(emb_path, monkeypatch, task
         gc.enable()
     assert len(alive_at_start) >= 3
     assert alive_at_start == [0] * len(alive_at_start)
+
+
+@pytest.mark.parametrize("task", ["category", "term"])
+def test_evaluate_and_inspect_gates_run_their_forward_grad_free(emb_path, monkeypatch, task):
+    """Each inference forward builds no tape, and recording is back on afterwards."""
+    inst, spaces, vocab, model = build_setup(emb_path, task=task)
+    real_forward = SentimentModel.forward
+    tape_sizes = []
+
+    def tracking_forward(self, *args, **kwargs):
+        result = real_forward(self, *args, **kwargs)
+        tape_sizes.append(len(list(iter_nodes(result.sent_logits))))
+        return result
+
+    monkeypatch.setattr(SentimentModel, "forward", tracking_forward)
+    evaluate(model, inst, vocab, spaces, token_budget=40)
+    inspect_gates(model, vocab, list(inst[0].tokens), list(inst[0].aspect_tokens))
+    assert len(tape_sizes) >= 3
+    assert tape_sizes == [1] * len(tape_sizes)
+    taped = model.forward_one(vocab.ids(inst[0].tokens), vocab.embedding[2])
+    assert taped.sent_logits.requires_grad and tape_sizes[-1] > 1
+
+
+@pytest.mark.parametrize("task", ["category", "term"])
+def test_grad_free_scores_and_gate_records_equal_the_taped_ones(emb_path, monkeypatch, task):
+    """Grad-free evaluate and inspect_gates return what the taped forward gave."""
+    inst, spaces, vocab, model = build_setup(emb_path, task=task)
+    train(model, inst, vocab, spaces, TrainConfig(epochs=3), np.random.default_rng(2))
+
+    def outputs():
+        scores = evaluate(model, inst, vocab, spaces, token_budget=40, threshold=0.3)
+        gates = [
+            inspect_gates(model, vocab, list(i.tokens), list(i.aspect_tokens)) for i in inst[:4]
+        ]
+        return scores, gates
+
+    free = outputs()
+    monkeypatch.setattr(trainer_mod, "no_grad", contextlib.nullcontext)
+    assert outputs() == free
 
 
 # -- metrics report -----------------------------------------------------------------------
