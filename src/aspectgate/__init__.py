@@ -6,7 +6,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     backward,
-    finite_diff_check,
     grad_check,
 )
 
@@ -16,7 +15,6 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "backward",
-    "finite_diff_check",
     "grad_check",
 ]
 

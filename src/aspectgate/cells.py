@@ -54,11 +54,6 @@ def affine(w: Tensor, x: Tensor, b: Tensor | None) -> Tensor:
     return out + matmul(b, ones)
 
 
-def _check_cols(name: str, t: Tensor, rows: int) -> None:
-    if t.ndim != 2 or t.shape[0] != rows:
-        raise ShapeError(f"{name}: expected ({rows}, B), got {t.shape}")
-
-
 # -- parameter containers -----------------------------------------------------
 
 # Per cell kind: (weight name, fan-in operand) in glorot draw order, then the
@@ -147,12 +142,6 @@ def aspect_gru_step(
     caller hoist w_a @ aspect out of the time loop; the aspect is
     constant across a sequence, so the projection is too.
     """
-    d_h = p.d_h
-    _check_cols("aspect_gru_step: h_prev", h_prev, d_h)
-    if x.shape[1] != h_prev.shape[1]:
-        raise ShapeError(
-            f"aspect_gru_step: batch width differs, x {x.shape} vs h {h_prev.shape}"
-        )
     if a_proj is None:
         a_proj = matmul(p.w_a, aspect)
     r = sigmoid(affine(p.w_xr, x, None) + affine(p.w_hr, h_prev, p.b_r))
@@ -167,7 +156,6 @@ def aspect_gru_step(
 
 def dt_gru_step(p: CellParams, x: Tensor, h_prev: Tensor) -> Tensor:
     """Aspect-free input cell: ungated nonlinear path plus gated bypass."""
-    _check_cols("dt_gru_step: h_prev", h_prev, p.d_h)
     r = sigmoid(affine(p.w_xr, x, None) + affine(p.w_hr, h_prev, p.b_r))
     z = sigmoid(affine(p.w_xz, x, None) + affine(p.w_hz, h_prev, p.b_z))
     l = sigmoid(affine(p.w_xl, x, None) + affine(p.w_hl, h_prev, p.b_l))

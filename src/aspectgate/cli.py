@@ -18,7 +18,7 @@ import functools
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -481,12 +481,16 @@ def cmd_eval(rc: RunConfig, args) -> int:
     if problems:
         return _report(problems)
     model, vocab, meta = load_checkpoint(rc.checkpoint)
+    lacking = [k for k in ("data_digest", "data_files", "spaces") if k not in meta]
+    if lacking:
+        return _report(
+            [f"{rc.checkpoint}: no training-run record, meta lacks {', '.join(lacking)}"]
+        )
     view = rc.view if "view" in vars(args) else meta.get("view", "ds")
     if view not in VIEWS:
         return _report([f"checkpoint view must be one of {VIEWS}, got {view!r}"])
-    stored = meta.get("data_digest", "")
-    names = meta.get("data_files", [])
-    paths = [Path(rc.data_dir) / n for n in names]
+    stored = meta["data_digest"]
+    paths = [Path(rc.data_dir) / n for n in meta["data_files"]]
     missing = [str(p) for p in paths if not p.is_file()]
     if missing:
         return _report([f"cannot verify data digest, missing: {m}" for m in missing])
@@ -535,10 +539,19 @@ def cmd_sweep(rc: RunConfig, args) -> int:
     )
     if rc.axis == "depth" and not all(isinstance(v, int) for v in values):
         problems.append(f"depth values must be integers, got {list(values)}")
+    if len(set(values)) != len(values):
+        problems.append(f"duplicate values in {list(values)}")
     inputs = _training_inputs(rc, (), problems)
     if problems:
         return _report(problems)
     _, _, train_inst, spaces, cfg = inputs
+    for value in values:
+        try:
+            replace(cfg, **{SWEEP_AXIS_FLAGS[rc.axis]: value})
+        except ValueError as e:
+            problems.append(f"{rc.axis}={value}: {e}")
+    if problems:
+        return _report(problems)
     out = run_sweep(
         SWEEP_AXIS_FLAGS[rc.axis],
         values,

@@ -374,9 +374,9 @@ class SentimentModel:
             emb_rev = self._embed_steps(token_ids, reverse_lengths=lengths)
             states_r, _ = self._encode(emb_rev, aspects_t, mask, training, rng, reverse=True)
             pooled_r = _pool_columns(states_r, mask, c.pooling, dropfn)
-            pooled = concat(pooled, pooled_r, axis=0)
+            pooled = concat(pooled, pooled_r)
         recon_logits = transpose(affine(self.w_recon, pooled, self.b_recon))
-        cls_in = concat(pooled, aspects_t, axis=0) if c.aspect_concat else pooled
+        cls_in = concat(pooled, aspects_t) if c.aspect_concat else pooled
         sent_logits = transpose(affine(self.w_cls, cls_in, self.b_cls))
         return ForwardResult(
             sent_logits=sent_logits,
@@ -435,14 +435,12 @@ def batch_joint_loss(
 # -- prediction -----------------------------------------------------------------
 
 
-def predict(logits) -> int | np.ndarray:
-    """Argmax over the last axis; ties resolve to the lowest index."""
+def predict(logits) -> np.ndarray:
+    """Argmax of each row of (B, C) logits; ties resolve to the lowest index."""
     arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    if arr.ndim == 1:
-        return int(np.argmax(arr))
-    if arr.ndim == 2:
-        return np.argmax(arr, axis=1).astype(np.int64)
-    raise ShapeError(f"predict: logits must be 1-d or 2-d, got {arr.shape}")
+    if arr.ndim != 2:
+        raise ShapeError(f"predict: expected (B, C), got {arr.shape}")
+    return np.argmax(arr, axis=1).astype(np.int64)
 
 
 def reconstruct_aspect(recon_logits, config: ModelConfig, threshold: float = 0.5) -> np.ndarray:

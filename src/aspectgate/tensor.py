@@ -19,7 +19,7 @@ else holds them, and the values are the same bits as on the tape.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,13 +30,6 @@ _ALLOWED_DTYPES = (TRAIN_DTYPE, CHECK_DTYPE)
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-def _check_dtype(dtype: np.dtype) -> np.dtype:
-    dtype = np.dtype(dtype)
-    if dtype not in _ALLOWED_DTYPES:
-        raise ValueError(f"unsupported dtype {dtype}; use float64 or longdouble")
-    return dtype
 
 
 class Tensor:
@@ -53,18 +46,14 @@ class Tensor:
         self,
         data,
         requires_grad: bool = False,
-        dtype=None,
         *,
         op: str = "leaf",
         _parents: tuple["Tensor", ...] = (),
         _bwd: Callable[[np.ndarray], tuple] | None = None,
     ):
-        if dtype is not None:
-            arr = np.asarray(data, dtype=_check_dtype(dtype))
-        else:
-            arr = np.asarray(data)
-            if arr.dtype not in _ALLOWED_DTYPES:
-                arr = arr.astype(TRAIN_DTYPE)
+        arr = np.asarray(data)
+        if arr.dtype not in _ALLOWED_DTYPES:
+            arr = arr.astype(TRAIN_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.op = op
@@ -109,20 +98,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
+    def sum(self):
+        return reduce_sum(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return reduce_sum(self, axis)
-
-    def mean(self, axis=None):
-        return reduce_mean(self, axis)
-
-    def max(self, axis=None):
-        return reduce_max(self, axis)
+    def mean(self):
+        return reduce_mean(self)
 
 
 def _as_tensor(value, dtype: np.dtype) -> Tensor:
@@ -227,13 +207,6 @@ def mul(a, b) -> Tensor:
     return _node(out, (a, b), bwd, "mul")
 
 
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        return (-g,)
-
-    return _node(-a.data, (a,), bwd, "neg")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: needs 2-d operands, got {a.shape} and {b.shape}")
@@ -255,10 +228,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- elementwise nonlinearities -------------------------------------------
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     # tanh form never overflows, at any supported width
-    half = a.data.dtype.type(0.5)
-    out = half * (np.tanh(half * a.data) + a.data.dtype.type(1.0))
+    half = z.dtype.type(0.5)
+    return half * (np.tanh(half * z) + z.dtype.type(1.0))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
 
     def bwd(g):
         return (g * out * (a.data.dtype.type(1.0) - out),)
@@ -287,17 +264,17 @@ def relu(a: Tensor) -> Tensor:
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; on ties the gradient goes to the first operand."""
-    _binary_shapes(a, b, "maximum")
+    """Elementwise max of two same-shape tensors; ties send the gradient to ``a``."""
+    if a.dtype != b.dtype:
+        raise ValueError(f"maximum: mixed dtypes {a.dtype} and {b.dtype}")
+    if a.shape != b.shape:
+        raise ShapeError(f"maximum: shapes {a.shape} and {b.shape} do not match")
     take_a = a.data >= b.data
     out = np.where(take_a, a.data, b.data)
 
     def bwd(g):
         zero = g.dtype.type(0.0)
-        return (
-            _fit(np.where(take_a, g, zero), a.data),
-            _fit(np.where(take_a, zero, g), b.data),
-        )
+        return np.where(take_a, g, zero), np.where(take_a, zero, g)
 
     return _node(out, (a, b), bwd, "maximum")
 
@@ -305,23 +282,17 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 # -- structural ops --------------------------------------------------------
 
 
-def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
-    if a.ndim != b.ndim:
-        raise ShapeError(f"concat: ranks differ, {a.shape} and {b.shape}")
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"concat: axis {axis} out of range for shape {a.shape}")
-    axis = axis % a.ndim
-    for d in range(a.ndim):
-        if d != axis and a.shape[d] != b.shape[d]:
-            raise ShapeError(f"concat: shapes {a.shape} and {b.shape} differ off axis {axis}")
+def concat(a: Tensor, b: Tensor) -> Tensor:
+    """Stack two (rows, B) tensors by rows: ``a`` on top of ``b``."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"concat: cannot stack {a.shape} on {b.shape} by rows")
     if a.dtype != b.dtype:
         raise ValueError(f"concat: mixed dtypes {a.dtype} and {b.dtype}")
-    out = np.concatenate([a.data, b.data], axis=axis)
-    split = a.shape[axis]
+    out = np.concatenate([a.data, b.data])
+    split = a.shape[0]
 
     def bwd(g):
-        ga, gb = np.split(g, [split], axis=axis)
-        return ga, gb
+        return g[:split], g[split:]
 
     return _node(out, (a, b), bwd, "concat")
 
@@ -365,69 +336,27 @@ def transpose(t: Tensor) -> Tensor:
 # -- reductions -------------------------------------------------------------
 
 
-def _check_axis(t: Tensor, axis) -> int | None:
-    if axis is None:
-        return None
-    axis = int(axis)
-    if not -t.ndim <= axis < t.ndim:
-        raise ShapeError(f"reduce: axis {axis} out of range for shape {t.shape}")
-    return axis % t.ndim
-
-
-def reduce_sum(t: Tensor, axis=None) -> Tensor:
-    axis = _check_axis(t, axis)
-    out = t.data.sum(axis=axis)
+def reduce_sum(t: Tensor) -> Tensor:
+    """Sum of every entry, a scalar."""
+    out = t.data.sum()
 
     def bwd(g):
-        if axis is None:
-            return (np.full_like(t.data, 1.0) * g,)
-        return (np.broadcast_to(np.expand_dims(g, axis), t.data.shape).copy(),)
+        return (np.full_like(t.data, 1.0) * g,)
 
     return _node(out, (t,), bwd, "sum")
 
 
-def reduce_mean(t: Tensor, axis=None) -> Tensor:
-    axis = _check_axis(t, axis)
-    n = t.data.size if axis is None else t.data.shape[axis]
-    if n == 0:
-        raise ShapeError("reduce: mean over an empty extent")
-    out = t.data.mean(axis=axis)
-    inv = t.data.dtype.type(1.0 / n)
+def reduce_mean(t: Tensor) -> Tensor:
+    """Mean of every entry, a scalar."""
+    if t.data.size == 0:
+        raise ShapeError("reduce: mean of an empty tensor")
+    out = t.data.mean()
+    inv = t.data.dtype.type(1.0 / t.data.size)
 
     def bwd(g):
-        if axis is None:
-            return (np.full_like(t.data, inv) * g,)
-        return (np.broadcast_to(np.expand_dims(g * inv, axis), t.data.shape).copy(),)
+        return (np.full_like(t.data, inv) * g,)
 
     return _node(out, (t,), bwd, "mean")
-
-
-def reduce_max(t: Tensor, axis=None) -> Tensor:
-    """Max reduction; gradient routes to the first occurrence of the max."""
-    axis = _check_axis(t, axis)
-    if t.data.size == 0:
-        raise ShapeError("reduce: max over an empty tensor")
-    out = t.data.max(axis=axis)
-
-    if axis is None:
-        flat_idx = int(np.argmax(t.data))
-
-        def bwd(g):
-            full = np.zeros_like(t.data)
-            full.flat[flat_idx] = g
-            return (full,)
-
-    else:
-        arg = np.argmax(t.data, axis=axis)
-
-        def bwd(g):
-            full = np.zeros_like(t.data)
-            np.put_along_axis(
-                full, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis
-            )
-            return (full,)
-
-    return _node(out, (t,), bwd, "max")
 
 
 # -- fused losses -----------------------------------------------------------
@@ -436,49 +365,43 @@ def reduce_max(t: Tensor, axis=None) -> Tensor:
 def _check_logit_pair(logits: Tensor, targets: Tensor, op: str) -> None:
     if logits.shape != targets.shape:
         raise ShapeError(f"{op}: shapes {logits.shape} and {targets.shape} differ")
-    if logits.ndim not in (1, 2):
-        raise ShapeError(f"{op}: needs a 1-d or 2-d tensor, got {logits.shape}")
-    if logits.shape[-1] == 0:
+    if logits.ndim != 2:
+        raise ShapeError(f"{op}: needs (B, C) rows, got {logits.shape}")
+    if logits.shape[1] == 0:
         raise ShapeError(f"{op}: zero classes in shape {logits.shape}")
 
 
 def softmax_xent_logits(logits: Tensor, onehot: Tensor) -> Tensor:
-    """Cross-entropy of a softmax over the last axis, fused for stability.
+    """Per-row cross-entropy of a softmax over (B, C) logits, fused for stability.
 
     ``onehot`` must contain exactly one 1 per row and 0 elsewhere. The
     log-sum-exp is shifted by the row max, so the value is finite for any
-    finite logits. 1-d input yields a scalar, 2-d a per-row vector.
+    finite logits. The result is a (B,) vector.
     """
     _check_logit_pair(logits, onehot, "softmax_xent_logits")
     y = onehot.data
-    if not np.all((y == 0) | (y == 1)) or not np.all(y.sum(axis=-1) == 1):
+    if not np.all((y == 0) | (y == 1)) or not np.all(y.sum(axis=1) == 1):
         raise ValueError("softmax_xent_logits: targets are not one-hot rows")
     z = logits.data
-    m = z.max(axis=-1, keepdims=True)
+    m = z.max(axis=1, keepdims=True)
     shifted = z - m
-    lse = np.log(np.exp(shifted).sum(axis=-1)) + np.squeeze(m, axis=-1)
-    out = lse - (z * y).sum(axis=-1)
+    lse = np.log(np.exp(shifted).sum(axis=1)) + m[:, 0]
+    out = lse - (z * y).sum(axis=1)
 
     def bwd(g):
         p = np.exp(shifted)
-        p /= p.sum(axis=-1, keepdims=True)
-        gz = p - y
-        if z.ndim == 2:
-            gz = gz * g[:, None]
-        else:
-            gz = gz * g
+        p /= p.sum(axis=1, keepdims=True)
         # targets are constants in every use; still return their slot
-        return gz, None
+        return (p - y) * g[:, None], None
 
     return _node(out, (logits, onehot), bwd, "softmax_xent")
 
 
 def sigmoid_xent_logits(logits: Tensor, targets: Tensor) -> Tensor:
-    """Multi-label sigmoid cross-entropy summed over the last axis.
+    """Multi-label sigmoid cross-entropy of (B, C) logits, summed per row.
 
     Uses the softplus form max(z, 0) - z*y + log1p(exp(-|z|)), finite for
-    any finite logits. Targets must be 0/1. 1-d input yields a scalar,
-    2-d a per-row vector.
+    any finite logits. Targets must be 0/1. The result is a (B,) vector.
     """
     _check_logit_pair(logits, targets, "sigmoid_xent_logits")
     y = targets.data
@@ -486,17 +409,10 @@ def sigmoid_xent_logits(logits: Tensor, targets: Tensor) -> Tensor:
         raise ValueError("sigmoid_xent_logits: targets must be 0 or 1")
     z = logits.data
     per = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    out = per.sum(axis=-1)
+    out = per.sum(axis=1)
 
     def bwd(g):
-        half = z.dtype.type(0.5)
-        s = half * (np.tanh(half * z) + z.dtype.type(1.0))
-        gz = s - y
-        if z.ndim == 2:
-            gz = gz * g[:, None]
-        else:
-            gz = gz * g
-        return gz, None
+        return (_sigmoid(z) - y) * g[:, None], None
 
     return _node(out, (logits, targets), bwd, "sigmoid_xent")
 
@@ -665,11 +581,3 @@ def grad_check(
             worst = max(worst, abs(float(numeric - ana)) / denom)
     return worst
 
-
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor],
-    point: Tensor,
-    epsilon: float | None = None,
-) -> float:
-    """One-tensor form of ``grad_check``: max relative error at ``point``."""
-    return grad_check(lambda: f(point), [point], epsilon)

@@ -6,8 +6,10 @@ the desk-scale half of 8, and 9) look under $AG_DATA_DIR (default
 Everything else runs on built-in or synthetic data.
 """
 
+import inspect
 import itertools
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from conftest import FD_EPS_CHECK, KINK_RADIUS, TOL_CHECK
 
+from aspectgate import tensor as tensor_mod
 from aspectgate.cells import (
     CellParams,
     DeepTransitionBlock,
@@ -34,6 +37,8 @@ from aspectgate.corpus import (
     strip_conflict_sentences,
 )
 from aspectgate.model import (
+    ENCODERS,
+    POOLING_MODES,
     ModelConfig,
     SentimentModel,
     batch_joint_loss,
@@ -47,10 +52,9 @@ from aspectgate.tensor import (
     concat,
     dropout,
     grad_check,
+    iter_nodes,
     matmul,
     maximum,
-    neg,
-    reduce_max,
     reduce_mean,
     reduce_sum,
     relu,
@@ -201,22 +205,16 @@ def _op_cases(rng):
     b = _pt(rng, 3, 4)
     m1 = _pt(rng, 3, 4)
     m2 = _pt(rng, 4, 2)
-    v = _pt(rng, 5)
+    v = _pt(rng, 1, 5)
     kinked = _away_from_zero(rng, 3, 4)
-    gap = Tensor(
-        (np.arange(12, dtype=np.longdouble).reshape(3, 4) * 0.1 + rng.random((3, 4)) * 0.04).astype(
-            CHECK_DTYPE
-        ),
-        requires_grad=True,
-    )
     gap_sign = np.where(rng.random((3, 4)) < 0.5, -1.0, 1.0)
     b_gapped = Tensor(
         (a.data + gap_sign * (0.1 + rng.random((3, 4)) * 0.3)).astype(CHECK_DTYPE),
         requires_grad=True,
     )
-    onehot = np.zeros(5, dtype=CHECK_DTYPE)
-    onehot[2] = 1
-    multi = (rng.random(5) < 0.5).astype(CHECK_DTYPE)
+    onehot = np.zeros((1, 5), dtype=CHECK_DTYPE)
+    onehot[0, 2] = 1
+    multi = (rng.random((1, 5)) < 0.5).astype(CHECK_DTYPE)
     keep = np.array([0, 1, 1, 0])
 
     def drop_case():
@@ -227,20 +225,18 @@ def _op_cases(rng):
         ("add", lambda: (a + b).sum(), [a, b]),
         ("sub", lambda: (a - b).sum(), [a, b]),
         ("mul", lambda: (a * b).sum(), [a, b]),
-        ("neg", lambda: neg(a).sum(), [a]),
         ("matmul", lambda: matmul(m1, m2).sum(), [m1, m2]),
         ("sigmoid", lambda: sigmoid(a).sum(), [a]),
         ("tanh", lambda: tanh(a).sum(), [a]),
         ("relu", lambda: relu(kinked).sum(), [kinked]),
         ("maximum", lambda: maximum(a, b_gapped).sum(), [a, b_gapped]),
-        ("concat", lambda: concat(a, b, axis=1).sum(), [a, b]),
+        ("concat", lambda: (concat(a, b) * concat(b, a)).sum(), [a, b]),
         ("select", lambda: (select_columns(keep, a, b) * a).sum(), [a, b]),
         ("transpose", lambda: matmul(transpose(m1), m1).sum(), [m1]),
-        ("reduce_sum", lambda: (reduce_sum(a, axis=1) * reduce_sum(b, axis=1)).sum(), [a, b]),
-        ("reduce_mean", lambda: (reduce_mean(a, axis=0) * reduce_mean(b, axis=0)).sum(), [a, b]),
-        ("reduce_max", lambda: reduce_max(gap, axis=1).sum(), [gap]),
-        ("softmax_xent", lambda: softmax_xent_logits(v, Tensor(onehot)), [v]),
-        ("sigmoid_xent", lambda: sigmoid_xent_logits(v, Tensor(multi)), [v]),
+        ("sum", lambda: reduce_sum(a) * reduce_sum(b), [a, b]),
+        ("mean", lambda: reduce_mean(a) * reduce_mean(b), [a, b]),
+        ("softmax_xent", lambda: softmax_xent_logits(v, Tensor(onehot)).sum(), [v]),
+        ("sigmoid_xent", lambda: sigmoid_xent_logits(v, Tensor(multi)).sum(), [v]),
         ("dropout", drop_case, [a]),
     ]
 
@@ -340,6 +336,46 @@ def test_criterion_01_gradient_fidelity():
         worst <= TOL_CHECK,
         f"max rel err {worst:.3g} ({worst_name}) over {N_POINTS} points, tol {TOL_CHECK}",
     )
+
+
+def _model_tape_ops(task, encoder, pooling, bidirectional, use_bias) -> set[str]:
+    """Op tags on the tape of one training-mode joint loss over a padded batch."""
+    rng = np.random.default_rng(7)
+    cfg = ModelConfig(
+        hidden_size=3, embed_size=2, depth=2, num_labels=3, num_recon_targets=3,
+        task=task, encoder=encoder, pooling=pooling, bidirectional=bidirectional,
+        use_bias=use_bias, dropout_input=0.5, dropout_hidden=0.3,
+    )
+    emb = rng.random((6, 2)) - 0.5
+    emb[0] = 0.0
+    model = SentimentModel(cfg, emb, rng)
+    mask = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
+    ids = rng.integers(1, 6, size=mask.shape) * mask
+    out = model.forward(ids, mask, rng.random((3, 2)) - 0.5, training=True, rng=rng)
+    targets = np.eye(3, dtype=bool)[[0, 2, 1]]
+    if task == "term":
+        targets[0, 1] = True
+    loss = batch_joint_loss(out, np.array([0, 1, 2]), targets, cfg)[0]
+    return {node.op for node in iter_nodes(loss)}
+
+
+def test_op_set_is_what_the_model_runs():
+    """Every op the model puts on a tape is grad-checked, and every op tensor.py defines is used.
+
+    Checking support is exempt from the second half: ``leaf`` is no op,
+    and the full ``sum`` builds grad-check losses.
+    """
+    checked = {name for name, _, _ in _op_cases(np.random.default_rng(0))}
+    on_tape: set[str] = set()
+    for combo in itertools.product(
+        ("category", "term"), ENCODERS, POOLING_MODES, (False, True), (False, True)
+    ):
+        ops = _model_tape_ops(*combo) - {"leaf"}
+        assert ops <= checked, f"{combo}: ops not grad-checked by criterion 1: {ops - checked}"
+        on_tape |= ops
+    defined = set(re.findall(r'_node\(.*, "(\w+)"\)', inspect.getsource(tensor_mod)))
+    assert defined >= checked
+    assert defined - {"sum"} == on_tape, f"unused: {defined - on_tape}, undeclared: {on_tape - defined}"
 
 
 # -- criterion 2: zero fixed points ------------------------------------------------------

@@ -17,7 +17,7 @@ from aspectgate.cli import (
     parse_config_file,
     resolve_config,
 )
-from aspectgate.checkpoint import load_checkpoint
+from aspectgate.checkpoint import load_checkpoint, save_checkpoint
 from aspectgate.corpus import (
     Instance,
     RawSentence,
@@ -530,6 +530,22 @@ def test_eval_refuses_mismatched_data(workspace, capsys):
     assert "stored digest" in err and "recomputed" in err
 
 
+@pytest.mark.parametrize(
+    "keep, lacking",
+    [((), "data_digest, data_files, spaces"), (("data_digest", "data_files"), "spaces")],
+    ids=["no-meta", "no-spaces"],
+)
+def test_eval_refuses_a_checkpoint_without_a_run_record(workspace, capsys, keep, lacking):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    model, vocab, meta = load_checkpoint(train(tmp_path, data, emb) / "model-seed1.ckpt")
+    ckpt = save_checkpoint(tmp_path / "bare.ckpt", model, vocab, {k: meta[k] for k in keep})
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and f"meta lacks {lacking}" in err
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     assert run(["eval", "--checkpoint", str(tmp_path / "no.ckpt")]) == 1
     assert "not found" in capsys.readouterr().err
@@ -624,6 +640,33 @@ def test_sweep_depth_default_values_are_1_to_6():
     from aspectgate.cli import DEFAULT_DEPTH_VALUES
 
     assert DEFAULT_DEPTH_VALUES == (1, 2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize(
+    "axis, values, named",
+    [
+        ("depth", "1,0", "depth=0: invalid model config: depth must be >= 1, got 0"),
+        ("lambda", "0.2,-1", "lambda=-1: invalid model config: lam must be >= 0"),
+        ("depth", "2,2", "duplicate values in [2, 2]"),
+    ],
+    ids=["depth-0", "lambda-negative", "duplicate"],
+)
+def test_sweep_checks_every_value_before_training(workspace, capsys, axis, values, named):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    out = tmp_path / "sweepout"
+    capsys.readouterr()
+    code = run(
+        [
+            "sweep", "--axis", axis, "--values", values,
+            "--data-dir", str(data), "--embeddings", str(emb), "--out", str(out),
+            "--seeds", "1,2", "--epochs", "1", "--hidden", "4", "--embed-dim", str(EMBED_DIM),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert named in err and "train instances" not in err
+    assert not list(out.glob("sweep-*.json"))
 
 
 def test_sweep_rejects_float_depth(workspace, capsys):

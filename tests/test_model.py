@@ -468,11 +468,11 @@ def test_joint_loss_combines_terms():
     cfg = tiny_config(lam=0.4)
     out = _logit_rows([0.1, 0.2, 0.3], [0.5, -0.5])
     j, _, _ = batch_joint_loss(out, [1], [[True, False]], cfg)
-    recon = softmax_xent_logits(Tensor([0.5, -0.5]), Tensor([1.0, 0.0]))
-    ce = softmax_xent_logits(Tensor([0.1, 0.2, 0.3]), Tensor([0.0, 1.0, 0.0]))
-    assert abs(j.item() - (ce.item() + 0.4 * recon.item())) < 1e-12
+    recon = softmax_xent_logits(Tensor([[0.5, -0.5]]), Tensor([[1.0, 0.0]])).data[0]
+    ce = softmax_xent_logits(Tensor([[0.1, 0.2, 0.3]]), Tensor([[0.0, 1.0, 0.0]])).data[0]
+    assert abs(j.item() - (ce + 0.4 * recon)) < 1e-12
     off = tiny_config(reconstruct=False)
-    assert abs(batch_joint_loss(out, [1], None, off)[0].item() - ce.item()) < 1e-15
+    assert abs(batch_joint_loss(out, [1], None, off)[0].item() - ce) < 1e-15
 
 
 def test_batch_joint_loss_means_rows(rng):
@@ -566,10 +566,12 @@ def test_end_to_end_gradients_term(rng):
 
 
 def test_predict_ties_take_lowest_index():
-    assert predict(Tensor([1.0, 3.0, 3.0])) == 1
+    assert np.array_equal(predict(Tensor([[1.0, 3.0, 3.0]])), [1])
     assert np.array_equal(
         predict(np.array([[0.0, 0.0], [1.0, 2.0]])), np.array([0, 1])
     )
+    with pytest.raises(ShapeError):
+        predict(Tensor([1.0, 3.0, 3.0]))
 
 
 def test_reconstruct_aspect_decoding():
