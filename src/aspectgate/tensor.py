@@ -37,10 +37,12 @@ class Tensor:
 
     ``requires_grad`` marks trainable leaves; interior nodes inherit it
     from their parents. Constant inputs (embeddings, masks) stay off the
-    tape entirely, so backward never visits them.
+    tape entirely, so backward never visits them. ``kinks`` holds the
+    pre-activations of the relu kinks inside a recorded op, for
+    ``relu_kink_margin``, and is None everywhere else.
     """
 
-    __slots__ = ("data", "requires_grad", "op", "_parents", "_bwd")
+    __slots__ = ("data", "requires_grad", "op", "kinks", "_parents", "_bwd")
 
     def __init__(
         self,
@@ -57,6 +59,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.op = op
+        self.kinks = None
         self._parents = _parents
         self._bwd = _bwd
 
@@ -86,12 +89,6 @@ class Tensor:
         return add(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -134,15 +131,18 @@ def no_grad() -> Iterator[None]:
         _recording = outer
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str) -> Tensor:
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str, kinks=None) -> Tensor:
     needs = _recording and any(p.requires_grad for p in parents)
-    return Tensor(
+    out = Tensor(
         data,
         requires_grad=needs,
         op=op,
         _parents=parents if needs else (),
         _bwd=bwd if needs else None,
     )
+    if needs:
+        out.kinks = kinks
+    return out
 
 
 def _fit(grad: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -175,21 +175,6 @@ def add(a, b) -> Tensor:
         return _fit(g, a.data), _fit(g, b.data)
 
     return _node(out, (a, b), bwd, "add")
-
-
-def sub(a, b) -> Tensor:
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        raise TypeError("sub needs at least one Tensor operand")
-    ref = a if isinstance(a, Tensor) else b
-    a = _as_tensor(a, ref.dtype)
-    b = _as_tensor(b, ref.dtype)
-    _binary_shapes(a, b, "sub")
-    out = a.data - b.data
-
-    def bwd(g):
-        return _fit(g, a.data), _fit(-g, b.data)
-
-    return _node(out, (a, b), bwd, "sub")
 
 
 def mul(a, b) -> Tensor:
@@ -228,39 +213,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- elementwise nonlinearities -------------------------------------------
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic sigmoid, into ``out`` when given (it may be ``z`` itself)."""
     # tanh form never overflows, at any supported width
     half = z.dtype.type(0.5)
-    return half * (np.tanh(half * z) + z.dtype.type(1.0))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
-
-    def bwd(g):
-        return (g * out * (a.data.dtype.type(1.0) - out),)
-
-    return _node(out, (a,), bwd, "sigmoid")
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (a.data.dtype.type(1.0) - out * out),)
-
-    return _node(out, (a,), bwd, "tanh")
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is taken as 0."""
-    keep = a.data > 0
-    out = np.where(keep, a.data, a.data.dtype.type(0.0))
-
-    def bwd(g):
-        return (np.where(keep, g, g.dtype.type(0.0)),)
-
-    return _node(out, (a,), bwd, "relu")
+    out = np.multiply(z, half, out=out)
+    np.tanh(out, out=out)
+    out += z.dtype.type(1.0)
+    out *= half
+    return out
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -484,11 +445,15 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMa
     if loss.ndim != 0:
         raise ShapeError(f"backward: root must be scalar, got shape {loss.shape}")
     grads: GradientMap = {}
+    # ids of the sums this pass allocated: nothing else holds them, so later
+    # contributions add into them in place
+    owned: set[int] = set()
     if loss.requires_grad:
         order = _toposort(loss)
         grads[loss] = np.ones((), dtype=loss.data.dtype)
         for node in reversed(order):
             g = grads.pop(node)
+            owned.discard(id(g))
             if node._bwd is None:  # leaf
                 grads[node] = g
                 continue
@@ -496,10 +461,15 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMa
             for parent, pg in zip(node._parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
-                if parent in grads:
-                    grads[parent] = grads[parent] + pg
-                else:
+                acc = grads.get(parent)
+                if acc is None:
                     grads[parent] = pg
+                elif id(acc) in owned:
+                    acc += pg
+                else:
+                    acc = grads[parent] = acc + pg
+                    if isinstance(acc, np.ndarray):  # a 0-d sum is an immutable scalar
+                        owned.add(id(acc))
     if params is not None:
         return {p: grads.get(p, np.zeros_like(p.data)) for p in params}
     return grads
@@ -522,18 +492,17 @@ def iter_nodes(root: Tensor):
 
 
 def relu_kink_margin(root: Tensor) -> float:
-    """Smallest |preactivation| over all relu nodes under ``root``.
+    """Smallest |pre-activation| over the relu kinks of every op under ``root``.
 
     Finite-difference checks are only meaningful away from the relu kink;
-    callers resample inputs until this margin clears their radius.
-    Returns +inf when the graph has no relu.
+    callers resample inputs until this margin clears their radius. An op
+    with a relu inside records its pre-activations as ``kinks`` when it is
+    taped. Returns +inf when the graph has no relu.
     """
     margin = np.inf
     for node in iter_nodes(root):
-        if node.op == "relu":
-            pre = node._parents[0].data if node._parents else None
-            if pre is not None and pre.size:
-                margin = min(margin, float(np.abs(pre).min()))
+        if node.kinks is not None and node.kinks.size:
+            margin = min(margin, float(np.abs(node.kinks).min()))
     return margin
 
 

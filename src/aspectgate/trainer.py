@@ -438,13 +438,14 @@ def sweep(
         raise ValueError("sweep: no values given")
     if len(set(values)) != len(values):
         raise ValueError(f"sweep: duplicate values in {list(values)}")
+    # every value's config is built, and so checked, before any seed trains
+    configs = [replace(config, **{axis: value}) for value in values]
     sub_train, dev = split_dev(
         train_instances, dev_fraction, np.random.default_rng(split_seed)
     )
     results: dict = {"axis": axis, "dev_size": len(dev), "values": {}}
     best_value, best_acc = None, -1.0
-    for value in values:
-        cfg = replace(config, **{axis: value})
+    for value, cfg in zip(values, configs):
         if log is not None:
             log(f"sweep {axis}={value}")
         report, _ = run_experiment(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectgate.cells import (
+    CELL_KINDS,
     CellParams,
     DeepTransitionBlock,
     aspect_gru_step,
@@ -15,7 +16,15 @@ from aspectgate.cells import (
     run_block_batch,
     transition_gru_step,
 )
-from aspectgate.tensor import CHECK_DTYPE, ShapeError, Tensor, grad_check
+from aspectgate.tensor import (
+    CHECK_DTYPE,
+    ShapeError,
+    Tensor,
+    backward,
+    grad_check,
+    no_grad,
+    relu_kink_margin,
+)
 from conftest import FD_EPS_CHECK, TOL_CHECK
 
 
@@ -129,6 +138,158 @@ def test_gate_ranges(rng):
     assert np.all(np.isfinite(h.data))
 
 
+# -- fused steps against a per-gate reference ---------------------------------
+
+
+def _reference_step(p, x, h, a):
+    """One step of any cell kind in plain numpy, gate by gate; returns (h, g or None)."""
+    w = {n: t.data for n, t in p.tensors("").items()}
+
+    def b(name):
+        return w.get(name, 0.0)
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    if p.kind == "transition":
+        z = sig(w["w_z"] @ h + b("b_z"))
+        r = sig(w["w_r"] @ h + b("b_r"))
+        return (1 - z) * h + z * np.tanh(r * (w["w_h"] @ h)), None
+    r = sig(w["w_xr"] @ x + w["w_hr"] @ h + b("b_r"))
+    z = sig(w["w_xz"] @ x + w["w_hz"] @ h + b("b_z"))
+    hh = w["w_hh"] @ h + b("b_h")
+    g = None
+    if p.kind == "gru":
+        cand = np.tanh(w["w_xh"] @ x + r * hh)
+    else:
+        l = sig(w["w_xl"] @ x + w["w_hl"] @ h + b("b_l"))
+        xh = w["w_xh"] @ x
+        if p.kind == "aspect":
+            g = np.maximum(w["w_a"] @ a + w["w_hg"] @ h + b("b_g"), 0.0)
+            xh = g * xh
+        cand = np.tanh(xh + r * hh) + l * (w["w_lin1"] @ x)
+        if g is not None:
+            cand = cand + g * (w["w_lin2"] @ x)
+    return (1 - z) * h + z * cand, g
+
+
+# each kind's step op as (h, g or None) from (params, x, aspect, h_prev)
+_STEPS = {
+    "aspect": lambda p, x, a, h: aspect_gru_step(p, x, a, h),
+    "dt": lambda p, x, a, h: (dt_gru_step(p, x, h), None),
+    "gru": lambda p, x, a, h: (gru_step(p, x, h), None),
+    "transition": lambda p, x, a, h: (transition_gru_step(p, h), None),
+}
+_TAGS = {"aspect": "aspect_step", "dt": "dt_step", "gru": "gru_step",
+         "transition": "transition_step"}
+
+
+def _rel(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def _step_inputs(rng, kind, bias, B):
+    p = CellParams.init(kind, 5, rng, d_x=4, d_a=4, bias=bias)
+    if bias:
+        p.bias[...] = rng.standard_normal(p.bias.shape)
+    x, a, h = (Tensor(rng.standard_normal((n, B)), requires_grad=True) for n in (4, 4, 5))
+    return p, x, a, h
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+def test_fused_step_matches_the_per_gate_reference(rng, kind, bias, B):
+    p, x, a, h = _step_inputs(rng, kind, bias, B)
+    want_h, want_g = _reference_step(p, x.data, h.data, a.data)
+    got_h, got_g = _STEPS[kind](p, x, a, h)
+    assert _rel(got_h.data, want_h) <= 1e-13
+    assert (got_g is None) == (want_g is None)
+    if want_g is not None:
+        assert _rel(got_g.data, want_g) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+def test_fused_step_is_one_tape_node(rng, kind):
+    """Every parent is an operand or a gate leaf, and no_grad gives the same bits."""
+    p, x, a, h = _step_inputs(rng, kind, True, 3)
+    out, g = _STEPS[kind](p, x, a, h)
+    assert out.op == _TAGS[kind]
+    gates = set(map(id, p.tensors("").values()))
+    assert all(q.op == "leaf" and (id(q) in gates or q in (x, h)) or q.op == "matmul"
+               for q in out._parents)
+    if g is not None:  # the relu gate is a constant: no loss reads it
+        assert not g.requires_grad and g._parents == ()
+    with no_grad():
+        free, free_g = _STEPS[kind](p, x, a, h)
+    assert np.array_equal(free.data, out.data) and free._parents == ()
+    if g is not None:
+        assert np.array_equal(free_g.data, g.data)
+
+
+def test_aspect_gate_subgradient_at_zero_is_zero(rng):
+    """The relu gate passes no gradient at or below its kink."""
+    p = CellParams.init("aspect", 3, rng, d_x=2, d_a=2)
+    p.w_hg.data[...] = 0.0  # the pre-activation is exactly the aspect projection
+    x = _col(rng, 2)
+    a_proj = Tensor(np.array([[-1.0], [0.0], [2.0]]), requires_grad=True)
+    h, g = aspect_gru_step(p, x, None, _col(rng, 3), a_proj)
+    assert np.array_equal(g.data[:, 0], [0.0, 0.0, 2.0])
+    grad = backward(h.sum(), params=[a_proj])[a_proj]
+    assert np.array_equal(grad[:2, 0], [0.0, 0.0]) and grad[2, 0] != 0.0
+
+
+def test_relu_kink_margin_reads_the_aspect_gate_preactivation(rng):
+    p = CellParams.init("aspect", 3, rng, d_x=2, d_a=2)
+    p.w_hg.data[...] = 0.0
+    a_proj = Tensor(np.array([[0.5, -2.0], [1e-9, 3.0], [-1.5, 0.7]]), requires_grad=True)
+    h, _ = aspect_gru_step(p, _col(rng, 2, B=2), None, _col(rng, 3, B=2), a_proj)
+    assert relu_kink_margin((h * h).sum()) <= 1e-9
+    a_proj.data[1, 0] = 0.25
+    h, _ = aspect_gru_step(p, _col(rng, 2, B=2), None, _col(rng, 3, B=2), a_proj)
+    assert relu_kink_margin((h * h).sum()) == 0.25
+    t = transition_gru_step(CellParams.init("transition", 3, rng), h)
+    assert relu_kink_margin(t.sum()) == 0.25  # found through a smooth op above it
+
+
+# -- stacked storage -------------------------------------------------------------
+
+
+def test_gates_are_row_blocks_of_their_stacks(rng):
+    for kind, (draw, rows, biases) in CELL_KINDS.items():
+        p = CellParams.init(kind, 3, rng, d_x=2, d_a=4, bias=True)
+        for op, names in rows.items():
+            stack = p.stacks[op]
+            assert stack.shape[0] == 3 * len(names)
+            for i, name in enumerate(names):
+                assert np.shares_memory(getattr(p, name).data, stack)
+                assert np.array_equal(getattr(p, name).data, stack[3 * i : 3 * i + 3])
+        for i, name in enumerate(biases):
+            assert np.shares_memory(getattr(p, name).data, p.bias)
+        assert tuple(p.tensors("")) == draw + biases
+
+
+@pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+def test_step_refuses_a_gate_rebound_out_of_its_stack(rng, kind):
+    p, x, a, h = _step_inputs(rng, kind, False, 2)
+    name = CELL_KINDS[kind][1]["h"][0]
+    getattr(p, name).data = getattr(p, name).data.copy()
+    with pytest.raises(ValueError, match=f"{name} no longer views its stacked weights"):
+        _STEPS[kind](p, x, a, h)
+
+
+@pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+def test_gate_gradients_of_one_cell_never_overlap(rng, kind):
+    """clip_global_norm scales each gradient in place, so none may alias another."""
+    p, x, a, h = _step_inputs(rng, kind, True, 3)
+    params = list(p.tensors("").values())
+    out, _ = _STEPS[kind](p, x, a, h)
+    grads = list(backward((out * out).sum(), params).values())
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1 :]:
+            assert not np.shares_memory(gi, gj)
+
+
 # -- gradient checks -----------------------------------------------------------
 
 
@@ -144,8 +305,8 @@ def test_grad_aspect_gru_step(rng):
     tensors = list(p.tensors("").values())
 
     def f():
-        h, g = aspect_gru_step(p, x, a, h0)
-        return (h * h).sum() + g.sum()
+        h, _ = aspect_gru_step(p, x, a, h0)
+        return (h * h).sum()
 
     assert grad_check(f, tensors, FD_EPS_CHECK) <= TOL_CHECK
 
@@ -208,8 +369,8 @@ def test_grad_bias_terms_flow(rng):
     h0 = _col(rng, 3, dtype=CHECK_DTYPE)
 
     def f():
-        h, g = aspect_gru_step(p, x, a, h0)
-        return (h * h).sum() + g.sum()
+        h, _ = aspect_gru_step(p, x, a, h0)
+        return (h * h).sum()
 
     biases = [p.b_r, p.b_z, p.b_l, p.b_g, p.b_h]
     assert grad_check(f, biases, FD_EPS_CHECK) <= TOL_CHECK

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import aspectgate.trainer as trainer_mod
+from aspectgate.cells import CELL_KINDS
+from aspectgate.checkpoint import load_checkpoint, save_checkpoint
 from aspectgate.corpus import LABELS, Instance, TaskSpaces, build_vocab, make_batches
 from aspectgate.model import CapabilityError, ModelConfig, SentimentModel
 from aspectgate.synth import EMBED_DIM, synthetic_instances, write_embedding_file
@@ -173,6 +175,60 @@ def test_early_stopping_restores_best(emb_path):
     restored = evaluate(model, dev, vocab, spaces)["accuracy"]
     assert restored == max(result.dev_accuracy)
     assert result.dev_accuracy[result.best_epoch] == restored
+
+
+# -- stacked gate weights stay views ---------------------------------------------------
+
+
+def assert_gates_view_their_stacks(model):
+    """Every gate of every cell still writes into its cell's stacked arrays."""
+    blocks = model.blocks + (model.blocks_rev or ())
+    for cell in (c for b in blocks for c in (b.first, *b.transitions)):
+        _, rows, biases = CELL_KINDS[cell.kind]
+        for op, names in rows.items():
+            for name in names:
+                assert np.shares_memory(getattr(cell, name).data, cell.stacks[op]), name
+        for name in biases:
+            if cell.bias is not None:
+                assert np.shares_memory(getattr(cell, name).data, cell.bias), name
+        cell.step_tensors()  # the steps' own check agrees
+
+
+@pytest.mark.parametrize("encoder", ["aspect-dt", "plain-dt", "gru"])
+def test_gates_view_their_stacks_after_init_adam_and_load(emb_path, tmp_path, encoder):
+    inst, spaces, vocab, model = build_setup(
+        emb_path, encoder=encoder, use_bias=True, bidirectional=True
+    )
+    assert_gates_view_their_stacks(model)
+    tc = TrainConfig(epochs=1)
+    state = AdamState.for_params(model.parameters())
+    batch = make_batches(inst, vocab, spaces, tc.token_budget, shuffle=False)[0]
+    before = {n: t.data.copy() for n, t in model.parameters().items()}
+    trainer_mod.train_batch(model, batch, vocab, state, tc, np.random.default_rng(0))
+    assert_gates_view_their_stacks(model)
+    assert any(not np.array_equal(t.data, before[n]) for n, t in model.parameters().items())
+    save_checkpoint(tmp_path / "m.ckpt", model, vocab)
+    loaded, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+    assert_gates_view_their_stacks(loaded)
+    for n, t in loaded.parameters().items():
+        assert np.array_equal(t.data, model.parameters()[n].data), n
+
+
+def test_gates_view_their_stacks_after_the_best_epoch_restore(emb_path, monkeypatch):
+    inst, spaces, vocab, model = build_setup(emb_path)
+    restored = []
+    real_evaluate = trainer_mod.evaluate
+
+    def dev_peaks_first(*args, **kwargs):  # epoch 1 is the best, so train restores it
+        scores = real_evaluate(*args, **kwargs)
+        restored.append(None)
+        return {**scores, "accuracy": 1.0 if len(restored) == 1 else 0.0}
+
+    monkeypatch.setattr(trainer_mod, "evaluate", dev_peaks_first)
+    tc = TrainConfig(epochs=3, lr=0.05, patience=1)
+    result = train(model, inst, vocab, spaces, tc, np.random.default_rng(1), dev_instances=inst)
+    assert result.stopped_early and result.best_epoch == 0
+    assert_gates_view_their_stacks(model)
 
 
 # -- evaluation -------------------------------------------------------------------------
@@ -487,6 +543,17 @@ def test_sweep_picks_best_value(emb_path):
         sweep("lr", (0.1,), inst, emb_path, cfg, tc, spaces, seeds=(1,))
     with pytest.raises(ValueError, match="duplicate"):
         sweep("depth", (2, 2), inst, emb_path, cfg, tc, spaces, seeds=(1,))
+
+
+def test_library_sweep_checks_every_value_before_training(emb_path):
+    inst = synthetic_instances(8, seed=2)
+    spaces = TaskSpaces.build("category", inst)
+    cfg = small_config(num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
+    lines = []
+    with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+        sweep("depth", (1, 0), inst, emb_path, cfg, TrainConfig(epochs=1), spaces,
+              seeds=(1, 2), log=lines.append)
+    assert lines == []  # no value started, so no seed trained
 
 
 # -- gate inspection ------------------------------------------------------------------------
