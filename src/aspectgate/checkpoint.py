@@ -98,6 +98,8 @@ def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
         raise CheckpointError(f"{path}: malformed header: vocab_tokens are not all strings")
     arrays: dict[str, np.ndarray] = {}
     for name, shape in table:
+        if name in arrays:
+            raise CheckpointError(f"{path}: tensor {name!r} is listed twice")
         if any(s < 0 for s in shape):
             raise CheckpointError(f"{path}: tensor {name!r} has negative shape {shape}")
         count = math.prod(shape)

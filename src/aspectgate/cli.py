@@ -459,7 +459,7 @@ def cmd_train(rc: RunConfig, args) -> int:
         "train_config": tc.to_dict(),
         "seeds": list(rc.seeds),
         "metrics": report.to_dict(),
-        "epoch_losses": {str(r.seed): r.train_result.epoch_losses for r in runs},
+        "epoch_losses": {str(r.seed): r.epoch_losses for r in runs},
         "checkpoints": ckpt_names,
     }
     write_atomic_json(out / "metrics.json", metrics)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -34,18 +33,22 @@ class TrainingDiverged(RuntimeError):
     """Raised when the objective or its gradient norm turns non-finite mid-run."""
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
-    """Optimization settings; defaults are the library-wide training recipe."""
+    """Optimization settings; defaults are the library-wide training recipe.
+
+    A run trains every epoch; Adam uses ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+    """
 
     epochs: int = 20
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 5.0
     token_budget: int = 4096  # make_batches refuses a budget below 1
-    patience: int | None = None  # early stop on dev accuracy; None trains all epochs
 
     def __post_init__(self):
         problems = []
@@ -53,16 +56,8 @@ class TrainConfig:
             problems.append(f"epochs must be >= 1, got {self.epochs}")
         if not self.lr > 0:
             problems.append(f"lr must be positive, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                problems.append(f"{name} must be in [0, 1), got {v}")
-        if not self.eps > 0:
-            problems.append(f"eps must be positive, got {self.eps}")
         if not self.clip_norm > 0:
             problems.append(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.patience is not None and self.patience < 1:
-            problems.append(f"patience must be >= 1 or None, got {self.patience}")
         if problems:
             raise ValueError("bad training config: " + "; ".join(problems))
 
@@ -115,17 +110,17 @@ def adam_step(
     """One bias-corrected Adam update, applied to params in place."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - tc.beta1**t
-    c2 = 1.0 - tc.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for name, tensor in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= tc.beta1
-        m += (1.0 - tc.beta1) * g
-        v *= tc.beta2
-        v += (1.0 - tc.beta2) * (g * g)
-        tensor.data -= tc.lr * (m / c1) / (np.sqrt(v / c2) + tc.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        tensor.data -= tc.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # -- training loop -----------------------------------------------------------------
@@ -157,17 +152,6 @@ def train_batch(
     return loss.item(), ce, recon
 
 
-@dataclass
-class TrainResult:
-    """Per-epoch traces from one training run."""
-
-    epoch_losses: list[float] = field(default_factory=list)
-    dev_accuracy: list[float] = field(default_factory=list)
-    best_epoch: int | None = None
-    stopped_early: bool = False
-    wall_seconds: float = 0.0
-
-
 def train(
     model: SentimentModel,
     instances: Sequence[Instance],
@@ -175,52 +159,29 @@ def train(
     spaces: TaskSpaces,
     tc: TrainConfig,
     rng: np.random.Generator,
-    dev_instances: Sequence[Instance] | None = None,
     log: Callable[[str], None] | None = None,
-) -> TrainResult:
-    """Run the full optimization; batches are re-shuffled each epoch.
+) -> list[float]:
+    """Run every epoch of the optimization; batches are re-shuffled each epoch.
 
-    With dev_instances and a patience setting, training stops once dev
-    accuracy has not improved for that many epochs and the best-epoch
-    weights are restored.
+    Returns the per-epoch mean losses, the joint loss averaged over instances.
     """
+    if not instances:
+        raise ValueError("train: no instances")
     state = AdamState.for_params(model.parameters())
-    result = TrainResult()
-    best_snapshot = None
-    best_acc = -1.0
-    t0 = time.perf_counter()
+    epoch_losses: list[float] = []
     for epoch in range(tc.epochs):
         batches = make_batches(instances, vocab, spaces, tc.token_budget, rng, shuffle=True)
-        total, seen = 0.0, 0
+        total = 0.0
         for b_idx, batch in enumerate(batches):
             try:
                 loss, _, _ = train_batch(model, batch, vocab, state, tc, rng)
             except TrainingDiverged as e:
                 raise TrainingDiverged(f"{e} at epoch {epoch + 1}, batch {b_idx + 1}") from None
             total += loss * batch.size
-            seen += batch.size
-        result.epoch_losses.append(total / max(seen, 1))
-        if dev_instances is not None:
-            acc = evaluate(model, dev_instances, vocab, spaces, tc.token_budget)["accuracy"]
-            result.dev_accuracy.append(acc)
-            if acc > best_acc:
-                best_acc = acc
-                result.best_epoch = epoch
-                if tc.patience is not None:
-                    best_snapshot = {
-                        n: t.data.copy() for n, t in model.parameters().items()
-                    }
-            elif tc.patience is not None and epoch - result.best_epoch >= tc.patience:
-                result.stopped_early = True
-                break
+        epoch_losses.append(total / len(instances))
         if log is not None:
-            dev = f" dev={result.dev_accuracy[-1]:.4f}" if dev_instances is not None else ""
-            log(f"epoch {epoch + 1}/{tc.epochs} loss={result.epoch_losses[-1]:.6f}{dev}")
-    if best_snapshot is not None:
-        for n, t in model.parameters().items():
-            t.data[...] = best_snapshot[n]
-    result.wall_seconds = time.perf_counter() - t0
-    return result
+            log(f"epoch {epoch + 1}/{tc.epochs} loss={epoch_losses[-1]:.6f}")
+    return epoch_losses
 
 
 # -- evaluation ----------------------------------------------------------------------
@@ -327,8 +288,7 @@ class SeedRun:
     seed: int
     model: SentimentModel
     vocab: Vocab
-    train_result: TrainResult
-    metrics: dict[str, float]
+    epoch_losses: list[float]
 
 
 _ROW_PREFIX = {"accuracy": "acc", "reconstruction": "recon"}
@@ -374,15 +334,15 @@ def run_experiment(
         if log is not None:
             log(f"seed {seed}: {len(train_instances)} train instances, vocab {len(vocab)}")
         try:
-            tr = train(model, train_instances, vocab, spaces, tc, train_rng, log=log)
+            losses = train(model, train_instances, vocab, spaces, tc, train_rng, log=log)
         except TrainingDiverged as e:
             raise TrainingDiverged(f"seed {seed}: {e}") from None
-        row: dict[str, float] = {"train_loss": tr.epoch_losses[-1]}
+        row: dict[str, float] = {"train_loss": losses[-1]}
         for name, insts in eval_sets.items():
             scores = evaluate(model, insts, vocab, spaces, tc.token_budget, threshold)
             row.update({f"{_ROW_PREFIX[k]}_{name}": v for k, v in scores.items()})
         per_seed[seed] = row
-        runs.append(SeedRun(seed, model, vocab, tr, row))
+        runs.append(SeedRun(seed, model, vocab, losses))
         if log is not None:
             shown = ", ".join(f"{k}={v:.4f}" for k, v in row.items())
             log(f"seed {seed}: {shown}")
@@ -421,13 +381,12 @@ def sweep(
     spaces: TaskSpaces,
     seeds: Sequence[int],
     dev_fraction: float = 0.1,
-    split_seed: int = 0,
     threshold: float = 0.5,
     log: Callable[[str], None] | None = None,
 ) -> dict:
     """Grid search one config axis against a held-out dev split.
 
-    The split is carved once (from split_seed) and shared by every
+    The split is carved once (from seed 0) and shared by every
     value, so the comparison is apples to apples. Returns the per-value
     reports plus the value with the best mean dev accuracy; ties go to
     the earlier value in the list.
@@ -440,9 +399,7 @@ def sweep(
         raise ValueError(f"sweep: duplicate values in {list(values)}")
     # every value's config is built, and so checked, before any seed trains
     configs = [replace(config, **{axis: value}) for value in values]
-    sub_train, dev = split_dev(
-        train_instances, dev_fraction, np.random.default_rng(split_seed)
-    )
+    sub_train, dev = split_dev(train_instances, dev_fraction, np.random.default_rng(0))
     results: dict = {"axis": axis, "dev_size": len(dev), "values": {}}
     best_value, best_acc = None, -1.0
     for value, cfg in zip(values, configs):

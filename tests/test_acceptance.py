@@ -624,10 +624,8 @@ def test_criterion_07_overfit_sanity():
             dropout_hidden=0.0,
         )
         model = SentimentModel(cfg, vocab.embedding, np.random.default_rng(11))
-        tc = TrainConfig(epochs=200, lr=0.05, patience=40)
-        train(
-            model, inst, vocab, spaces, tc, np.random.default_rng(12), dev_instances=inst
-        )
+        tc = TrainConfig(epochs=200, lr=0.05)
+        train(model, inst, vocab, spaces, tc, np.random.default_rng(12))
         acc = evaluate(model, inst, vocab, spaces)["accuracy"]
         if acc < 0.99:
             failures.append(f"ac={ac},ag={ag},ar={ar}: {acc:.3f}")

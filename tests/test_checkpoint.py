@@ -128,6 +128,26 @@ def _with_header(src, dst, edit):
     return dst
 
 
+def test_rejects_a_tensor_listed_twice(tmp_path):
+    model, vocab = _fixture()
+    good = tmp_path / "m.ckpt"
+    save_checkpoint(good, model, vocab)
+    raw = good.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 4)
+    header = json.loads(raw[12 : 12 + hlen])
+    table = header["tensors"]
+    i = next(k for k, e in enumerate(table) if e["name"] == "head/cls")
+    body = raw[12 + hlen :]
+    start = 8 * sum(int(np.prod(e["shape"])) for e in table[:i])
+    end = start + 8 * int(np.prod(table[i]["shape"]))
+    head = json.dumps({**header, "tensors": [*table[: i + 1], *table[i:]]}).encode("utf-8")
+    bad = tmp_path / "twice.ckpt"  # both copies' bytes present, so only the table is wrong
+    bad.write_bytes(raw[:4] + struct.pack("<Q", len(head)) + head + body[:end] + body[start:])
+    with pytest.raises(CheckpointError, match="'head/cls' is listed twice") as e:
+        load_checkpoint(bad)
+    assert str(bad) in str(e.value)
+
+
 def _drop(key):
     return lambda h: {k: v for k, v in h.items() if k != key}
 

@@ -415,7 +415,8 @@ def test_train_writes_checkpoint_and_metrics(workspace):
     assert "acc_ds" in metrics["metrics"]["mean"]
     assert "acc_hds" in metrics["metrics"]["mean"]
     assert "recon_ds" in metrics["metrics"]["mean"]
-    assert metrics["epoch_losses"]["1"]
+    assert len(metrics["epoch_losses"]["1"]) == 2  # every one of --epochs 2
+    assert set(metrics["train_config"]) == {"epochs", "lr", "clip_norm", "token_budget"}
     assert metrics["model_config"]["lam"] == 0.4  # dataset default
 
 

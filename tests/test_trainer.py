@@ -71,9 +71,9 @@ def build_setup(emb_path, n_pairs=8, seed=5, task="category", **cfg_kw):
 
 def test_train_config_collects_problems():
     with pytest.raises(ValueError) as e:
-        TrainConfig(epochs=0, lr=-1, beta1=1.5, clip_norm=0)
+        TrainConfig(epochs=0, lr=-1, clip_norm=0)
     msg = str(e.value)
-    for frag in ("epochs", "lr", "beta1", "clip_norm"):
+    for frag in ("epochs", "lr", "clip_norm"):
         assert frag in msg
 
 
@@ -106,8 +106,9 @@ def test_clip_global_norm():
 def test_training_reduces_loss_and_overfits(emb_path):
     inst, spaces, vocab, model = build_setup(emb_path)
     tc = TrainConfig(epochs=60, lr=0.01)
-    result = train(model, inst, vocab, spaces, tc, np.random.default_rng(0))
-    assert result.epoch_losses[-1] < result.epoch_losses[0]
+    losses = train(model, inst, vocab, spaces, tc, np.random.default_rng(0))
+    assert len(losses) == tc.epochs
+    assert losses[-1] < losses[0]
     assert evaluate(model, inst, vocab, spaces)["accuracy"] == 1.0
 
 
@@ -117,12 +118,17 @@ def test_training_is_seed_deterministic(emb_path):
     for _ in range(2):
         inst, spaces, vocab, model = build_setup(emb_path, dropout_input=0.2)
         tc = TrainConfig(epochs=3)
-        r = train(model, inst, vocab, spaces, tc, np.random.default_rng(77))
-        losses.append(r.epoch_losses)
+        losses.append(train(model, inst, vocab, spaces, tc, np.random.default_rng(77)))
         finals.append({n: t.data.copy() for n, t in model.parameters().items()})
     assert losses[0] == losses[1]
     for n in finals[0]:
         assert np.array_equal(finals[0][n], finals[1][n]), n
+
+
+def test_train_refuses_no_instances(emb_path):
+    _, spaces, vocab, model = build_setup(emb_path)
+    with pytest.raises(ValueError, match="train: no instances"):
+        train(model, [], vocab, spaces, TrainConfig(epochs=3), np.random.default_rng(0))
 
 
 def test_divergence_names_epoch_and_batch(emb_path):
@@ -165,18 +171,6 @@ def test_nonfinite_gradient_norm_stops_before_the_update(emb_path, monkeypatch, 
         assert np.array_equal(t.data, before[n]), n
 
 
-def test_early_stopping_restores_best(emb_path):
-    inst, spaces, vocab, model = build_setup(emb_path)
-    dev = inst[:4]
-    tc = TrainConfig(epochs=100, lr=0.02, patience=3)
-    result = train(model, inst, vocab, spaces, tc, np.random.default_rng(1), dev_instances=dev)
-    assert result.stopped_early
-    assert len(result.epoch_losses) < tc.epochs
-    restored = evaluate(model, dev, vocab, spaces)["accuracy"]
-    assert restored == max(result.dev_accuracy)
-    assert result.dev_accuracy[result.best_epoch] == restored
-
-
 # -- stacked gate weights stay views ---------------------------------------------------
 
 
@@ -212,23 +206,6 @@ def test_gates_view_their_stacks_after_init_adam_and_load(emb_path, tmp_path, en
     assert_gates_view_their_stacks(loaded)
     for n, t in loaded.parameters().items():
         assert np.array_equal(t.data, model.parameters()[n].data), n
-
-
-def test_gates_view_their_stacks_after_the_best_epoch_restore(emb_path, monkeypatch):
-    inst, spaces, vocab, model = build_setup(emb_path)
-    restored = []
-    real_evaluate = trainer_mod.evaluate
-
-    def dev_peaks_first(*args, **kwargs):  # epoch 1 is the best, so train restores it
-        scores = real_evaluate(*args, **kwargs)
-        restored.append(None)
-        return {**scores, "accuracy": 1.0 if len(restored) == 1 else 0.0}
-
-    monkeypatch.setattr(trainer_mod, "evaluate", dev_peaks_first)
-    tc = TrainConfig(epochs=3, lr=0.05, patience=1)
-    result = train(model, inst, vocab, spaces, tc, np.random.default_rng(1), dev_instances=inst)
-    assert result.stopped_early and result.best_epoch == 0
-    assert_gates_view_their_stacks(model)
 
 
 # -- evaluation -------------------------------------------------------------------------
