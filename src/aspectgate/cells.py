@@ -8,29 +8,23 @@ modulated by a relu gate computed from the aspect vector and the previous
 state, and an aspect-free one that keeps the gated linear bypass but no
 aspect conditioning. The stacked-GRU baseline is a sequence of
 one-cell blocks whose only cell is a conventional GRU, so every encoder
-runs through the same per-step recurrence and padding carry.
+runs through the same recurrence and padding carry.
 
-All step functions take column-major batches: inputs are (d, B) with one
-column per sequence. A single sequence is a batch of one column, so the
-batched encoders are the only implementation of the math.
+A block over a whole batch of sequences is one tape op,
+``run_block_batch``: its input and states are step-major (T, d, B)
+arrays, and it runs the numpy step functions once per cell per step.
+Steps take column-major batches, (d, B) with one column per sequence. A
+single sequence is a batch of one column, so the batched encoder is the
+only implementation of the math.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .tensor import (
-    TRAIN_DTYPE,
-    ShapeError,
-    Tensor,
-    _node,
-    _sigmoid,
-    matmul,
-    select_columns,
-)
+from .tensor import TRAIN_DTYPE, ShapeError, Tensor, _node, _records, _sigmoid, matmul
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int, dtype=TRAIN_DTYPE) -> Tensor:
@@ -56,7 +50,7 @@ def affine(w: Tensor, x: Tensor, b: Tensor | None) -> Tensor:
 # rows; its fan-in is the width of its operand: the token "x", the state "h"
 # or the aspect "a". The names and the draw order are the checkpoint format.
 #
-# The row order is what the fused step reads: the "h" stack holds the
+# The row order is what a step reads: the "h" stack holds the
 # sigmoid gates (r, z, then l when the cell has a linear bypass), the relu
 # aspect gate g when it has one, then the candidate's state term. The "x"
 # stack holds the token-only terms (the candidate's token term, then the
@@ -109,8 +103,8 @@ class CellParams:
     without biases). Each named gate (``w_xh``, ``b_z``, ...) is an
     attribute holding a trainable Tensor whose data is a row-block view
     into its stack, so an in-place write to a gate (Adam, a checkpoint
-    load) is what the fused steps read. Rebinding a gate's data breaks
-    that link; the steps refuse to run on such a cell. A stack is stored
+    load) is what the steps read. Rebinding a gate's data breaks that
+    link; the block refuses to run on such a cell. A stack is stored
     Fortran-ordered, its transpose contiguous, so the steps' GEMMs run
     with the batch as the leading dimension, the faster orientation for
     this BLAS at these shapes.
@@ -130,7 +124,12 @@ class CellParams:
         if bias is not None:
             self._views.update(zip(biases, _blocks(bias, d)))
         self._names = draw + biases
-        # the tensors a fused step takes gradients for, in stacked row order
+        # the relu aspect gate g, the sigmoid gates (r, z, then l for a
+        # linear bypass), and the token-only rows ahead of them in "x"
+        self.gated = "a" in stacks
+        self.ns = stacks["h"].shape[0] // d - 1 - self.gated
+        self.lead = stacks["x"].shape[0] // d - self.ns if "x" in stacks else 0
+        # the tensors a block takes gradients for, in stacked row order
         self._step_names = (*rows.get("x", ()), *rows["h"], *(biases if bias is not None else ()))
         for name in self._names:
             view = self._views.get(name)
@@ -163,7 +162,7 @@ class CellParams:
         }
 
     def step_tensors(self) -> tuple[Tensor, ...]:
-        """The gates a fused step reads, checked to still view their stacks."""
+        """The gates a step reads, checked to still view their stacks."""
         out = []
         for name in self._step_names:
             t = getattr(self, name)
@@ -176,61 +175,51 @@ class CellParams:
         return tuple(out)
 
 
-# -- fused step ops -----------------------------------------------------------
+# -- cell steps ------------------------------------------------------------------
 
 
-def _cell_step(p: CellParams, x: Tensor | None, h_prev: Tensor, a_proj: Tensor | None):
-    """One step of any cell kind as numpy math plus a hand-written backward.
+def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
+              a_proj: np.ndarray | None = None, H: np.ndarray | None = None):
+    """One step of any cell kind in numpy; returns ``(h, g, saved)``.
 
-    Returns ``(h, parents, bwd, pre_g, g)`` for one tape node: the new
-    state, the node's parents (the operands, then the gates in stacked
-    order), its backward closure, and the relu gate's pre-activation and
-    value (None without an aspect). The forward runs one GEMM per operand
-    on the stacked weights. The backward writes every pre-activation
-    gradient into one array ``D`` laid out as [token-only rows, sigmoid
-    gates, (g), candidate state term], so the token and state stacks'
-    gradients are its two overlapping row slices: one GEMM per stacked
-    weight gradient and one per operand gradient.
+    ``X`` is the step's (rows, B) slice of the token projection
+    ``stacks["x"] @ x``, which the block computes for every step in one
+    GEMM (None for a transition cell); the sigmoid gates are written over
+    its gate rows. ``a_proj`` is w_a @ aspect, hoisted out of the time
+    loop too: the aspect is constant across a sequence. The state
+    projection ``stacks["h"] @ h_prev`` plus bias is written into ``H``
+    (a new array when None), the relu gate's pre-activation in its gate
+    rows. ``g`` is the relu aspect gate (None without an aspect) and
+    ``saved`` is what ``_step_backward`` needs besides X and H.
     """
-    gates = p.step_tensors()
-    Wh, Wx, b = p.stacks["h"], p.stacks.get("x"), p.bias
-    d, B = Wh.shape[1], h_prev.shape[1]
-    for name, t, width in (("h_prev", h_prev, d), ("x", x, None if Wx is None else Wx.shape[1]),
-                           ("a_proj", a_proj, d)):
-        if t is not None and (t.shape != (width, B) or t.dtype != Wh.dtype):
-            raise ShapeError(
-                f"{p.kind} step: {name} is {t.shape} {t.dtype}, expected {(width, B)} {Wh.dtype}"
-            )
-    gated = "a" in p.stacks  # relu aspect gate g: scales the token term and lin2
-    ns = Wh.shape[0] // d - 1 - gated  # sigmoid gates r, z (, l: scales lin1)
-    lead = 0 if Wx is None else Wx.shape[0] // d - ns  # token-only rows
-    hd = h_prev.data
-    # batch-major GEMMs: X.T = x.T @ Wx.T, with Wx.T the contiguous storage
-    H = (hd.T @ Wh.T).T
+    Wh, b, d, ns, hd = p.stacks["h"], p.bias, p.d_h, p.ns, h_prev
+    if H is None:
+        H = np.empty((hd.shape[1], Wh.shape[0]), hd.dtype).T
+    # batch-major GEMM: H.T = hd.T @ Wh.T, with Wh.T the contiguous storage
+    np.matmul(hd.T, Wh.T, out=H.T)
     if b is not None:
         H[: b.shape[0]] += b
-    if x is None:
+    if X is None:
         S = _sigmoid(H[: ns * d], out=H[: ns * d])
     else:
-        X = (x.data.T @ Wx.T).T
-        S = X[lead * d :]
+        S = X[p.lead * d :]
         S += H[: ns * d]
         _sigmoid(S, out=S)
     r, z = S[:d], S[d : 2 * d]
     u = r * H[-d:]
-    pre_g = g = None
-    if gated:
+    g = None
+    if p.gated:  # relu aspect gate g: scales the token term and lin2
         pre_g = H[ns * d : (ns + 1) * d]
-        pre_g += a_proj.data
+        pre_g += a_proj
         g = np.maximum(pre_g, 0.0)
         u += g * X[:d]
-    elif x is not None:
+    elif X is not None:
         u += X[:d]
     tn = np.tanh(u, out=u)
-    if ns == 3:
+    if ns == 3:  # gated linear bypass l * lin1
         diff = S[2 * d :] * X[d : 2 * d]
         diff += tn
-        if gated:
+        if g is not None:
             diff += g * X[2 * d : 3 * d]
         diff -= hd
     else:
@@ -238,92 +227,65 @@ def _cell_step(p: CellParams, x: Tensor | None, h_prev: Tensor, a_proj: Tensor |
     # h = (1 - z) * h_prev + z * cand, as h_prev + z * (cand - h_prev)
     h = z * diff
     h += hd
-
-    def bwd(dh):
-        D = np.empty((B, (lead + ns + gated + 1) * d), dh.dtype).T
-        blk = _blocks(D, d)
-        dcand = dh * z
-        du = np.multiply(tn, tn, out=blk[0] if x is not None and not gated else None)
-        np.subtract(1.0, du, out=du)
-        du *= dcand
-        np.multiply(du, H[-d:], out=blk[lead])
-        np.multiply(diff, dh, out=blk[lead + 1])
-        np.multiply(du, r, out=blk[-1])
-        if gated:
-            dg = blk[lead + ns]
-            np.multiply(du, X[:d], out=dg)
-            np.multiply(dcand, X[2 * d : 3 * d], out=blk[0])
-            dg += blk[0]
-            np.putmask(dg, g == 0, 0)  # the relu subgradient is 0 at the kink
-            np.multiply(du, g, out=blk[0])
-            np.multiply(dcand, g, out=blk[2])
-        if ns == 3:
-            np.multiply(dcand, X[d : 2 * d], out=blk[lead + 2])
-            np.multiply(dcand, S[2 * d :], out=blk[1])
-        dS = D[lead * d : (lead + ns) * d]
-        dS *= S
-        dS *= 1.0 - S
-        DhT = D.T[:, lead * d :]
-        grads = []
-        if x is not None:
-            DxT = D.T[:, : (lead + ns) * d]
-            grads.append((DxT @ Wx).T if x.requires_grad else None)
-        if h_prev.requires_grad:
-            dh_prev = (DhT @ Wh).T
-            dh_prev += dh
-            dh_prev -= dcand
-            grads.append(dh_prev)
-        else:
-            grads.append(None)
-        if gated:
-            grads.append(dg)
-        if x is not None:
-            grads += _blocks((x.data @ DxT).T, d)
-        grads += _blocks((hd @ DhT).T, d)
-        if b is not None:
-            grads += _blocks(DhT[:, : b.shape[0]].sum(axis=0)[:, None], d)
-        return tuple(grads)
-
-    parents = tuple(t for t in (x, h_prev, a_proj) if t is not None) + gates
-    return h, parents, bwd, pre_g, g
+    return h, g, (hd, tn, diff, g)
 
 
-def aspect_gru_step(
-    p: CellParams,
-    x: Tensor,
-    aspect: Tensor,
-    h_prev: Tensor,
-    a_proj: Tensor | None = None,
-) -> tuple[Tensor, Tensor]:
-    """One aspect-gated step; returns (new state, relu gate activations).
+# One implementation under each cell kind's name. The block calls a kind's
+# step by its module-level name, so a wrapper on one name (a profiler's)
+# sees exactly that kind's steps.
+aspect_gru_step = dt_gru_step = gru_step = transition_gru_step = cell_step
 
-    x: (d_x, B), aspect: (d_a, B), h_prev: (d_h, B). ``a_proj`` lets the
-    caller hoist w_a @ aspect out of the time loop; the aspect is
-    constant across a sequence, so the projection is too. The gate is a
-    constant off the tape: no loss reads it, only inspection does.
+
+def _step_backward(p: CellParams, X, H, saved, dh: np.ndarray, x, acc: list):
+    """Backward of one ``cell_step``: returns ``(dh_prev, dg, DxT)``.
+
+    Every pre-activation gradient goes into one array ``D`` laid out as
+    [token-only rows, sigmoid gates, (g), candidate state term], so the
+    token and state stacks' gradients are its two overlapping row slices.
+    The step's weight gradients are added into ``acc``, the cell's
+    [token stack, state stack, bias] accumulators, ``x`` being the step's
+    (d_x, B) input; ``DxT`` is the token rows' slice, batch-major.
     """
-    if a_proj is None:
-        a_proj = matmul(p.w_a, aspect)
-    h, parents, bwd, pre_g, g = _cell_step(p, x, h_prev, a_proj)
-    return _node(h, parents, bwd, "aspect_step", kinks=pre_g), Tensor(g)
-
-
-def dt_gru_step(p: CellParams, x: Tensor, h_prev: Tensor) -> Tensor:
-    """Aspect-free input cell: ungated nonlinear path plus gated bypass."""
-    h, parents, bwd, _, _ = _cell_step(p, x, h_prev, None)
-    return _node(h, parents, bwd, "dt_step")
-
-
-def transition_gru_step(p: CellParams, h_prev: Tensor) -> Tensor:
-    """One transition refinement; candidate is tanh(r * (w_h @ h))."""
-    h, parents, bwd, _, _ = _cell_step(p, None, h_prev, None)
-    return _node(h, parents, bwd, "transition_step")
-
-
-def gru_step(p: CellParams, x: Tensor, h_prev: Tensor) -> Tensor:
-    """Conventional GRU step for the stacked baseline."""
-    h, parents, bwd, _, _ = _cell_step(p, x, h_prev, None)
-    return _node(h, parents, bwd, "gru_step")
+    hd, tn, diff, g = saved
+    d, ns, lead = p.d_h, p.ns, p.lead
+    S = H[: ns * d] if X is None else X[lead * d :]
+    r, z = S[:d], S[d : 2 * d]
+    D = np.empty((dh.shape[1], (lead + ns + p.gated + 1) * d), dh.dtype).T
+    blk = _blocks(D, d)
+    dcand = dh * z
+    du = np.multiply(tn, tn, out=blk[0] if X is not None and g is None else None)
+    np.subtract(1.0, du, out=du)
+    du *= dcand
+    np.multiply(du, H[-d:], out=blk[lead])
+    np.multiply(diff, dh, out=blk[lead + 1])
+    np.multiply(du, r, out=blk[-1])
+    dg = None
+    if g is not None:
+        dg = blk[lead + ns]
+        np.multiply(du, X[:d], out=dg)
+        np.multiply(dcand, X[2 * d : 3 * d], out=blk[0])
+        dg += blk[0]
+        np.putmask(dg, g == 0, 0)  # the relu subgradient is 0 at the kink
+        np.multiply(du, g, out=blk[0])
+        np.multiply(dcand, g, out=blk[2])
+    if ns == 3:
+        np.multiply(dcand, X[d : 2 * d], out=blk[lead + 2])
+        np.multiply(dcand, S[2 * d :], out=blk[1])
+    dS = D[lead * d : (lead + ns) * d]
+    dS *= S
+    dS *= 1.0 - S
+    DhT = D.T[:, lead * d :]
+    dh_prev = (DhT @ p.stacks["h"]).T
+    dh_prev += dh
+    dh_prev -= dcand
+    DxT = None
+    if X is not None:
+        DxT = D.T[:, : (lead + ns) * d]
+        acc[0] += (x @ DxT).T
+    acc[1] += (hd @ DhT).T
+    if p.bias is not None:
+        acc[2] += DhT[:, : p.bias.shape[0]].sum(axis=0)[:, None]
+    return dh_prev, dg, DxT
 
 
 # -- deep-transition block ------------------------------------------------------
@@ -353,10 +315,6 @@ class DeepTransitionBlock:
     def depth(self) -> int:
         return 1 + len(self.transitions)
 
-    @property
-    def aspect_gated(self) -> bool:
-        return self.first.kind == "aspect"
-
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         out = self.first.tensors(f"{prefix}c0/")
         for i, t in enumerate(self.transitions):
@@ -364,77 +322,117 @@ class DeepTransitionBlock:
         return out
 
 
-def block_step(
-    block: DeepTransitionBlock,
-    x: Tensor,
-    aspect: Tensor | None,
-    h_prev: Tensor,
-    a_proj: Tensor | None = None,
-) -> tuple[Tensor, Tensor | None]:
-    """Run one time step through all cells; returns (state, gate or None)."""
-    kind = block.first.kind
-    if kind == "aspect":
-        if aspect is None and a_proj is None:
-            raise ValueError("block_step: aspect-gated block needs an aspect")
-        h, g = aspect_gru_step(block.first, x, aspect, h_prev, a_proj)
-    elif kind == "dt":
-        h, g = dt_gru_step(block.first, x, h_prev), None
-    else:
-        h, g = gru_step(block.first, x, h_prev), None
-    for cell in block.transitions:
-        h = transition_gru_step(cell, h)
-    return h, g
+# -- sequence encoder ------------------------------------------------------------
 
 
-# -- sequence encoders -----------------------------------------------------------
-
-
-def _validate_mask(mask: np.ndarray, B: int, T: int) -> np.ndarray:
+def validate_mask(mask, B: int, T: int) -> np.ndarray:
+    """A (B, T) 0/1 mask whose real tokens form a prefix of each row."""
     mask = np.asarray(mask)
     if mask.shape != (B, T):
         raise ShapeError(f"mask shape {mask.shape} does not match batch ({B}, {T})")
-    vals = np.unique(mask)
-    if not np.all(np.isin(vals, (0, 1))):
+    if not np.all((mask == 0) | (mask == 1)):
         raise ValueError("mask entries must be 0 or 1")
-    # real tokens must form a prefix of each row
-    diffs = np.diff(mask.astype(np.int8), axis=1)
-    if np.any(diffs > 0):
+    if np.any(np.diff(mask.astype(np.int8), axis=1) > 0):
         raise ValueError("mask must be monotone: padding only as a suffix")
     return mask
 
 
 def run_block_batch(
     block: DeepTransitionBlock,
-    steps: Sequence[Tensor],
+    x: Tensor,
     aspect: Tensor | None,
     mask: np.ndarray,
-) -> tuple[list[Tensor], list[Tensor | None]]:
-    """Encode a column batch through a deep-transition block.
+) -> tuple[Tensor, np.ndarray | None]:
+    """Encode a step-major column batch through a block, as one tape node.
 
-    ``steps[t]`` is the (d_x, B) input at time t, ``mask`` is (B, T) with
-    real tokens as a prefix. Masked positions carry the previous state
-    through unchanged, so the final state of every column is its state at
-    its own last real token. Returns per-step states and gate tensors.
-    The state starts at zero.
+    ``x`` is (T, d_x, B): the (d_x, B) input of every step. ``mask`` is a
+    (B, T) mask as ``validate_mask`` accepts, which the caller checks. A
+    masked column carries its previous state through by selection, so
+    from its last real token on a column holds its final state. Returns
+    the (T, d_h, B) states, starting from zero, and the relu aspect gates
+    as a read-only (T, d_h, B) constant (None without an aspect).
+
+    The token projection of every step is one GEMM before the time loop.
+    The loop runs each cell's step by its kind's name; the node's
+    backward runs backprop through time over what the steps saved, and
+    the grad-free forward saves nothing.
     """
-    d_h = block.first.d_h
-    if not steps:
-        return [], []
-    B = steps[0].shape[1]
-    mask = _validate_mask(mask, B, len(steps))
-    h = Tensor(np.zeros((d_h, B), dtype=steps[0].dtype))
+    first, cells = block.first, (block.first, *block.transitions)
+    weights = [t for c in cells for t in c.step_tensors()]
+    Wx, d = first.stacks["x"], first.d_h
+    if x.ndim != 3 or x.shape[1] != Wx.shape[1] or x.dtype != Wx.dtype:
+        raise ShapeError(
+            f"run_block_batch: x is {x.shape} {x.dtype}, expected (T, {Wx.shape[1]}, B) {Wx.dtype}"
+        )
+    T, d_x, B = x.shape
+    keep = np.asarray(mask).astype(bool).T  # (T, B)
+    if keep.shape != (T, B):
+        raise ShapeError(f"mask shape {np.shape(mask)} does not match batch ({B}, {T})")
+    parents = [x]
     a_proj = None
-    if block.aspect_gated:
+    if first.gated:
         if aspect is None:
             raise ValueError("run_block_batch: aspect-gated block needs an aspect")
-        a_proj = matmul(block.first.w_a, aspect)
-    states: list[Tensor] = []
-    gates: list[Tensor | None] = []
-    for t, x in enumerate(steps):
-        h_new, g = block_step(block, x, aspect, h, a_proj)
-        col = mask[:, t]
-        h = h_new if col.all() else select_columns(col, h_new, h)
-        states.append(h)
-        gates.append(g)
-    return states, gates
+        a_proj = matmul(first.w_a, aspect)
+        if a_proj.shape != (d, B):
+            raise ShapeError(f"run_block_batch: aspect batch {aspect.shape} does not match B={B}")
+        parents.append(a_proj)
+    parents += weights
+    taped = _records(parents)
+    # each step's input batch-major, so all T steps project in one GEMM
+    xs = np.ascontiguousarray(x.data.transpose(0, 2, 1))
+    X = (xs.reshape(T * B, d_x) @ Wx.T).reshape(T, B, Wx.shape[0])
+    # the cells' state projections: every step's when taped, else one reused
+    Hs = [np.empty((T if taped else 1, B, c.stacks["h"].shape[0]), x.dtype) for c in cells]
+    steps = [{"aspect": aspect_gru_step, "dt": dt_gru_step, "gru": gru_step}[first.kind]]
+    steps += [transition_gru_step] * len(block.transitions)
+    saved: list[list] = [[] for _ in cells]
+    states = np.empty((T, B, d), x.dtype).transpose(0, 2, 1)
+    gates = np.empty((T, d, B), x.dtype) if first.gated else None
+    h0 = np.zeros((B, d), x.dtype).T
+    ap = None if a_proj is None else a_proj.data
+    for t in range(T):
+        h = hd = states[t - 1] if t else h0
+        for j, (cell, step) in enumerate(zip(cells, steps)):
+            h, g, s = step(cell, None if j else X[t].T, h, ap, Hs[j][t if taped else 0].T)
+            if taped:
+                saved[j].append(s)
+            if g is not None:
+                gates[t] = g
+        states[t] = h
+        if not keep[t].all():
+            np.copyto(states[t], hd, where=~keep[t])
+    if gates is not None:
+        gates.setflags(write=False)
 
+    def bwd(gs):
+        acc = [[None if w is None else np.zeros_like(w)
+                for w in (c.stacks.get("x"), c.stacks["h"], c.bias)] for c in cells]
+        dx = np.zeros_like(xs) if x.requires_grad else None
+        da = np.zeros((d, B), gs.dtype) if a_proj is not None else None
+        dnext = np.zeros((d, B), gs.dtype)  # reaching states[t] from step t + 1
+        for t in reversed(range(T)):
+            dh = gs[t] + dnext
+            dcarry = None
+            if not keep[t].all():
+                dcarry = np.where(keep[t], 0.0, dh)
+                dh = np.where(keep[t], dh, 0.0)
+            for j in reversed(range(len(cells))):
+                dh, dg, DxT = _step_backward(cells[j], None if j else X[t].T, Hs[j][t].T,
+                                             saved[j][t], dh, xs[t].T, acc[j])
+            if da is not None:
+                da += dg
+            if dx is not None:
+                np.matmul(DxT, Wx, out=dx[t])
+            dnext = dh if dcarry is None else dh + dcarry
+        grads = [None if dx is None else dx.transpose(0, 2, 1)]
+        if da is not None:
+            grads.append(da)
+        for a in acc:
+            grads += [blk for w in a if w is not None for blk in _blocks(w, d)]
+        return tuple(grads)
+
+    kinks = None
+    if taped and first.gated:  # every step's relu gate pre-activation
+        kinks = Hs[0][:, :, first.ns * d : (first.ns + 1) * d]
+    return _node(states, tuple(parents), bwd, "block", kinks=kinks), gates

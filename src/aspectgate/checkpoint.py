@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -50,15 +51,16 @@ def save_checkpoint(path, model: SentimentModel, vocab: Vocab, meta: dict | None
     return write_atomic_bytes(path, b"".join(parts))
 
 
-def _read_header(raw: bytes, path) -> tuple[dict, int]:
-    if len(raw) < len(MAGIC) + _HEAD.size or raw[: len(MAGIC)] != MAGIC:
+def _read_header(fh, path) -> dict:
+    """The header of an open checkpoint, reading nothing past it."""
+    prefix = fh.read(len(MAGIC) + _HEAD.size)
+    if len(prefix) < len(MAGIC) + _HEAD.size or prefix[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a model checkpoint")
-    (hlen,) = _HEAD.unpack_from(raw, len(MAGIC))
-    start = len(MAGIC) + _HEAD.size
-    if start + hlen > len(raw):
+    (hlen,) = _HEAD.unpack_from(prefix, len(MAGIC))
+    if len(prefix) + hlen > os.fstat(fh.fileno()).st_size:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[start : start + hlen].decode("utf-8"))
+        header = json.loads(fh.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header: {e}") from e
     if not isinstance(header, dict):
@@ -67,13 +69,13 @@ def _read_header(raw: bytes, path) -> tuple[dict, int]:
         raise CheckpointError(
             f"{path}: unsupported format {header.get('format')!r}, expected {FORMAT_VERSION}"
         )
-    return header, start + hlen
+    return header
 
 
 def read_checkpoint_meta(path) -> dict:
     """Header-only peek: config, meta, vocab digest, tensor table."""
-    header, _ = _read_header(Path(path).read_bytes(), path)
-    return header
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
 
 
 def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
@@ -82,8 +84,10 @@ def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
     Every malformed file, header included, raises ``CheckpointError``
     naming the path.
     """
-    raw = Path(path).read_bytes()
-    header, offset = _read_header(raw, path)
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        raw = fh.read()  # the tensor blobs
+    offset = 0
     try:
         table = [(str(e["name"]), tuple(int(s) for s in e["shape"])) for e in header["tensors"]]
         tokens = tuple(header["vocab_tokens"])

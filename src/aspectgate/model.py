@@ -24,22 +24,22 @@ from .cells import (
     affine,
     glorot,
     run_block_batch,
+    validate_mask,
 )
 from .tensor import (
+    POOLING_MODES,
     TRAIN_DTYPE,
     ShapeError,
     Tensor,
     concat,
     dropout,
-    maximum,
-    select_columns,
     sigmoid_xent_logits,
     softmax_xent_logits,
     transpose,
 )
+from .tensor import pool_columns as _pool_columns  # the name profilers wrap
 
 ENCODERS = ("aspect-dt", "plain-dt", "gru")
-POOLING_MODES = ("last", "max", "mean")
 TASKS = ("category", "term")
 
 
@@ -122,12 +122,16 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
-    """One batch forward: logits are (B, C); pooled is (rep, B)."""
+    """One batch forward: logits are (B, C); pooled is (rep, B).
+
+    ``gates`` holds the forward direction's relu aspect gates as a
+    (T, hidden, B) constant, None for an encoder without them.
+    """
 
     sent_logits: Tensor
     recon_logits: Tensor
     pooled: Tensor
-    gates: list | None
+    gates: np.ndarray | None
 
 
 # -- aspect embedding -----------------------------------------------------------
@@ -149,72 +153,6 @@ def embed_aspect(tokens: Sequence[str], vocab) -> np.ndarray:
 def aspect_matrix(aspect_token_lists: Sequence[Sequence[str]], vocab) -> np.ndarray:
     """Stack per-instance aspect vectors into a (B, d) array."""
     return np.stack([embed_aspect(toks, vocab) for toks in aspect_token_lists])
-
-
-# -- pooling ----------------------------------------------------------------------
-
-
-def _identity(t: Tensor) -> Tensor:
-    return t
-
-
-def _pool_columns(states, mask: np.ndarray, mode: str, dropfn=_identity) -> Tensor:
-    """Pool per-step (d, B) states into one (d, B) representation.
-
-    ``dropfn`` applies per-step hidden dropout before pooling; masked
-    steps are exact no-ops for every mode, so extra padding can never
-    change the result. States at masked steps already carry the previous
-    state through (the encoder guarantees it), which makes "last" the
-    state at each sequence's own final real token.
-    """
-    if not states:
-        raise ValueError("pool: empty sequence")
-    if mode not in POOLING_MODES:
-        raise ValueError(f"pool: unknown mode {mode!r}")
-    d, B = states[0].shape
-    if mask.shape != (B, len(states)):
-        raise ShapeError(f"pool: mask shape {mask.shape} does not match ({B}, {len(states)})")
-    lengths = mask.sum(axis=1)
-    if np.any(lengths == 0):
-        raise ValueError("pool: a sequence in the batch has no real tokens")
-    dtype = states[0].dtype
-    if mode == "last":
-        # per-column select of the state at each sequence's last real step;
-        # for encoder outputs this replays the carry-through, so values match
-        acc = states[0]
-        for t in range(1, len(states)):
-            col = mask[:, t]
-            if col.all():
-                acc = states[t]
-            elif col.any():
-                acc = select_columns(col, states[t], acc)
-        return dropfn(acc)
-    if mode == "max":
-        acc = dropfn(states[0])  # step 0 is all-real under a monotone mask
-        for t in range(1, len(states)):
-            col = mask[:, t]
-            if not col.any():
-                continue
-            cand = dropfn(states[t])
-            if not col.all():
-                cand = select_columns(col, cand, acc)
-            acc = maximum(acc, cand)
-        return acc
-    # mean: masked sum scaled by one over true length
-    zero = Tensor(np.zeros((d, B), dtype=dtype))
-    acc = None
-    for t in range(len(states)):
-        col = mask[:, t]
-        if not col.any():
-            continue
-        term = dropfn(states[t])
-        if not col.all():
-            term = select_columns(col, term, zero)
-        acc = term if acc is None else acc + term
-    recip = np.ascontiguousarray(
-        np.broadcast_to((1.0 / lengths).astype(dtype), (d, mask.shape[0]))
-    )
-    return acc * Tensor(recip)
 
 
 # -- the model ----------------------------------------------------------------------
@@ -317,17 +255,24 @@ class SentimentModel:
 
     def _encode(self, emb, aspects_t, mask, training, rng, reverse: bool):
         c = self.config
-        B, T, _ = emb.shape
-        steps = [
-            Tensor(np.ascontiguousarray(emb[:, t, :].T)) for t in range(T)
-        ]
-        if training and c.dropout_input > 0:
-            steps = [dropout(s, c.dropout_input, True, rng) for s in steps]
+        # step-major (T, d, B), each step a view of a batch-major (B, d) slab
+        x = Tensor(np.ascontiguousarray(emb.transpose(1, 0, 2)).transpose(0, 2, 1))
+        # one (T, d, B) draw: the same numbers as T per-step (d, B) draws
+        x = dropout(x, c.dropout_input, training, rng)
         aspect = aspects_t if c.encoder == "aspect-dt" else None
-        states = steps
         for block in self.blocks_rev if reverse else self.blocks:
-            states, gates = run_block_batch(block, states, aspect, mask)
-        return states, gates
+            x, gates = run_block_batch(block, x, aspect, mask)
+        return x, gates
+
+    def _pool(self, states: Tensor, mask, training, rng) -> Tensor:
+        """Pooled (d, B) states with hidden dropout; masked steps never count.
+
+        "last" pools before dropping, so only the pooled (d, B) is drawn.
+        """
+        c = self.config
+        if c.pooling == "last":
+            return dropout(_pool_columns(states, mask, "last"), c.dropout_hidden, training, rng)
+        return _pool_columns(dropout(states, c.dropout_hidden, training, rng), mask, c.pooling)
 
     def forward(
         self,
@@ -351,9 +296,7 @@ class SentimentModel:
         B, T = token_ids.shape
         if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= self.embedding.shape[0]):
             raise IndexError("token id out of range for the embedding table")
-        mask = np.asarray(mask)
-        if mask.shape != (B, T):
-            raise ShapeError(f"mask shape {mask.shape} does not match ({B}, {T})")
+        mask = validate_mask(mask, B, T)
         aspect_vecs = np.asarray(aspect_vecs, dtype=self.dtype)
         if aspect_vecs.shape != (B, c.embed_size):
             raise ShapeError(
@@ -364,17 +307,12 @@ class SentimentModel:
         aspects_t = Tensor(np.ascontiguousarray(aspect_vecs.T))
         emb = self._embed_steps(token_ids)
         states, gates = self._encode(emb, aspects_t, mask, training, rng, reverse=False)
-
-        def dropfn(t: Tensor) -> Tensor:
-            return dropout(t, c.dropout_hidden, training, rng) if training else t
-
-        pooled = _pool_columns(states, mask, c.pooling, dropfn)
+        pooled = self._pool(states, mask, training, rng)
         if c.bidirectional:
             lengths = mask.sum(axis=1).astype(int)
             emb_rev = self._embed_steps(token_ids, reverse_lengths=lengths)
             states_r, _ = self._encode(emb_rev, aspects_t, mask, training, rng, reverse=True)
-            pooled_r = _pool_columns(states_r, mask, c.pooling, dropfn)
-            pooled = concat(pooled, pooled_r)
+            pooled = concat(pooled, self._pool(states_r, mask, training, rng))
         recon_logits = transpose(affine(self.w_recon, pooled, self.b_recon))
         cls_in = concat(pooled, aspects_t) if c.aspect_concat else pooled
         sent_logits = transpose(affine(self.w_cls, cls_in, self.b_cls))

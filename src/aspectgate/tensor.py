@@ -37,9 +37,10 @@ class Tensor:
 
     ``requires_grad`` marks trainable leaves; interior nodes inherit it
     from their parents. Constant inputs (embeddings, masks) stay off the
-    tape entirely, so backward never visits them. ``kinks`` holds the
-    pre-activations of the relu kinks inside a recorded op, for
-    ``relu_kink_margin``, and is None everywhere else.
+    tape entirely, so backward never visits them. ``kinks`` holds how far
+    a recorded op's inputs sit from its kinks (relu pre-activations, the
+    gap between a max and its runner-up), for ``relu_kink_margin``, and
+    is None everywhere else.
     """
 
     __slots__ = ("data", "requires_grad", "op", "kinks", "_parents", "_bwd")
@@ -131,8 +132,13 @@ def no_grad() -> Iterator[None]:
         _recording = outer
 
 
+def _records(parents) -> bool:
+    """Whether an op over ``parents`` goes on the tape."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str, kinks=None) -> Tensor:
-    needs = _recording and any(p.requires_grad for p in parents)
+    needs = _records(parents)
     out = Tensor(
         data,
         requires_grad=needs,
@@ -224,22 +230,6 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max of two same-shape tensors; ties send the gradient to ``a``."""
-    if a.dtype != b.dtype:
-        raise ValueError(f"maximum: mixed dtypes {a.dtype} and {b.dtype}")
-    if a.shape != b.shape:
-        raise ShapeError(f"maximum: shapes {a.shape} and {b.shape} do not match")
-    take_a = a.data >= b.data
-    out = np.where(take_a, a.data, b.data)
-
-    def bwd(g):
-        zero = g.dtype.type(0.0)
-        return np.where(take_a, g, zero), np.where(take_a, zero, g)
-
-    return _node(out, (a, b), bwd, "maximum")
-
-
 # -- structural ops --------------------------------------------------------
 
 
@@ -258,32 +248,6 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), bwd, "concat")
 
 
-def select_columns(keep, a: Tensor, b: Tensor) -> Tensor:
-    """Column j of ``a`` where ``keep[j]``, else column j of ``b``.
-
-    ``keep`` is a (B,) 0/1 array over the columns of two (d, B) operands.
-    Each column is copied, not blended, so values and gradients are exact;
-    backward routes each gradient column to the operand it came from.
-    """
-    if a.dtype != b.dtype:
-        raise ValueError(f"select_columns: mixed dtypes {a.dtype} and {b.dtype}")
-    keep = np.asarray(keep).astype(bool)
-    if a.ndim != 2 or a.shape != b.shape or keep.shape != (a.shape[1],):
-        raise ShapeError(
-            f"select_columns: keep {keep.shape} does not fit operands {a.shape} and {b.shape}"
-        )
-    out = np.where(keep, a.data, b.data)
-
-    def bwd(g):
-        # a constant operand (the zero column of mean pooling) gets no gradient
-        zero = g.dtype.type(0.0)
-        ga = np.where(keep, g, zero) if a.requires_grad else None
-        gb = np.where(keep, zero, g) if b.requires_grad else None
-        return ga, gb
-
-    return _node(out, (a, b), bwd, "select")
-
-
 def transpose(t: Tensor) -> Tensor:
     if t.ndim != 2:
         raise ShapeError(f"transpose: needs a 2-d tensor, got {t.shape}")
@@ -292,6 +256,66 @@ def transpose(t: Tensor) -> Tensor:
         return (g.T,)
 
     return _node(t.data.T, (t,), bwd, "transpose")
+
+
+# -- pooling ---------------------------------------------------------------
+
+
+POOLING_MODES = ("last", "max", "mean")
+
+
+def pool_columns(states: Tensor, mask, mode: str) -> Tensor:
+    """Pool (T, d, B) step-major states into one (d, B) representation.
+
+    ``mask`` is (B, T) 0/1 with real tokens as a prefix of each row, and
+    a masked step must carry its column's previous state through, as the
+    encoder does; then masked steps never change the result. "last"
+    takes step T-1, which is each column's state at its own last real
+    token. "max" is the max over real steps; its gradient goes to the
+    earliest step holding it. "mean" is the sum over real steps, in step
+    order, times one over each column's length.
+    """
+    if mode not in POOLING_MODES:
+        raise ValueError(f"pool: unknown mode {mode!r}")
+    if states.ndim != 3 or states.shape[0] == 0:
+        raise ShapeError(f"pool: needs (T, d, B) states with T >= 1, got {states.shape}")
+    T, d, B = states.shape
+    mask = np.asarray(mask)
+    if mask.shape != (B, T):
+        raise ShapeError(f"pool: mask shape {mask.shape} does not match ({B}, {T})")
+    lengths = mask.sum(axis=1)
+    if np.any(lengths == 0):
+        raise ValueError("pool: a sequence in the batch has no real tokens")
+    x = states.data
+    real = mask.T.astype(bool)[:, None, :]  # (T, 1, B)
+    kinks = None
+    if mode == "mean":
+        out = x[0].copy()  # step 0 is real in every column
+        for t in range(1, T):
+            out += np.where(real[t], x[t], 0)
+        scale = (1.0 / lengths).astype(x.dtype)
+        out *= scale
+    else:
+        if mode == "last":
+            pick = np.full((1, d, B), T - 1)
+        else:  # argmax takes the first of tied maxima
+            masked = np.where(real, x, -np.inf)
+            pick = masked.argmax(axis=0)[None]
+            # the max has a kink where the runner-up catches up; only a
+            # recorded node's kinks are read
+            if T > 1 and _records((states,)):
+                top = np.partition(masked, T - 2, axis=0)
+                kinks = top[-1] - top[-2]
+        out = np.take_along_axis(x, pick, axis=0)[0]
+
+    def bwd(g):
+        if mode == "mean":
+            return (np.where(real, g * scale, 0),)
+        full = np.zeros_like(x)
+        np.put_along_axis(full, pick, g[None], axis=0)
+        return (full,)
+
+    return _node(out, (states,), bwd, "pool", kinks=kinks)
 
 
 # -- reductions -------------------------------------------------------------
@@ -397,7 +421,7 @@ def dropout(t: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     keep = (rng.random(t.data.shape) >= rate).astype(t.data.dtype)
     scale = t.data.dtype.type(1.0 / (1.0 - rate))
     keep *= scale
-    out = t.data * keep
+    out = np.multiply(t.data, keep, out=np.empty_like(t.data))  # in the input's memory order
 
     def bwd(g):
         return (g * keep,)
@@ -492,12 +516,13 @@ def iter_nodes(root: Tensor):
 
 
 def relu_kink_margin(root: Tensor) -> float:
-    """Smallest |pre-activation| over the relu kinks of every op under ``root``.
+    """Smallest distance to a kink over every op under ``root``.
 
-    Finite-difference checks are only meaningful away from the relu kink;
-    callers resample inputs until this margin clears their radius. An op
-    with a relu inside records its pre-activations as ``kinks`` when it is
-    taped. Returns +inf when the graph has no relu.
+    Finite-difference checks are only meaningful away from kinks; callers
+    resample inputs until this margin clears their radius. A taped op
+    with a relu inside records its pre-activations as ``kinks``, and max
+    pooling records each max's lead over its runner-up. Returns +inf when
+    the graph has no kink.
     """
     margin = np.inf
     for node in iter_nodes(root):
@@ -520,10 +545,10 @@ def grad_check(
 
     ``f`` must be deterministic (no fresh dropout masks) and close over
     ``tensors``; their data is perturbed in place coordinate by
-    coordinate and restored. Coordinates where both gradients sit below
-    the 1e-8 resolvability floor count as agreement: central differences
-    of an O(1) loss cannot distinguish zero from zero at that scale, and
-    any genuinely wrong gradient larger than the floor is still caught.
+    coordinate and restored. A coordinate whose two gradients differ by
+    no more than the central difference's own resolution at ``eps``,
+    eps**2 for truncation plus machine epsilon / eps for rounding of an
+    O(1) loss, counts as agreement; beyond that the error is relative.
     """
     loss = f()
     if loss.ndim != 0:
@@ -534,6 +559,7 @@ def grad_check(
         eps = t.data.dtype.type(
             epsilon if epsilon is not None else default_fd_epsilon(t.data.dtype)
         )
+        floor = float(eps) ** 2 + float(np.finfo(eps.dtype).eps) / float(eps)
         analytic = tape[t]
         for idx in np.ndindex(t.data.shape):
             orig = t.data[idx]
@@ -544,9 +570,8 @@ def grad_check(
             t.data[idx] = orig
             numeric = (hi - lo) / (2 * eps)
             ana = analytic[idx]
-            denom = max(abs(float(numeric)), abs(float(ana)))
-            if denom < 1e-8:
-                continue
-            worst = max(worst, abs(float(numeric - ana)) / denom)
+            err = abs(float(numeric - ana))
+            if err > floor:
+                worst = max(worst, err / max(abs(float(numeric)), abs(float(ana))))
     return worst
 

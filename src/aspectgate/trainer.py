@@ -453,7 +453,7 @@ def inspect_gates(
         result = model.forward_one(ids, aspect)
     records = []
     for t, tok in enumerate(tokens):
-        g = result.gates[t].data[:, 0]
+        g = result.gates[t, :, 0]
         records.append(
             {
                 "position": t,

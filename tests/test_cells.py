@@ -10,11 +10,11 @@ from aspectgate.cells import (
     CellParams,
     DeepTransitionBlock,
     aspect_gru_step,
-    block_step,
     dt_gru_step,
     gru_step,
     run_block_batch,
     transition_gru_step,
+    validate_mask,
 )
 from aspectgate.tensor import (
     CHECK_DTYPE,
@@ -22,6 +22,7 @@ from aspectgate.tensor import (
     Tensor,
     backward,
     grad_check,
+    iter_nodes,
     no_grad,
     relu_kink_margin,
 )
@@ -34,12 +35,28 @@ def _zero_params(params) -> None:
 
 
 def _col(rng, d, B=1, dtype=np.float64):
-    return Tensor((rng.random((d, B)) - 0.5).astype(dtype))
+    return ((rng.random((d, B)) - 0.5)).astype(dtype)
 
 
-def _steps(emb: np.ndarray) -> list[Tensor]:
-    """(T, d) token rows as T (d, 1) columns: one sequence as a batch of one."""
-    return [Tensor(np.ascontiguousarray(emb[t : t + 1].T)) for t in range(emb.shape[0])]
+def _seq(emb: np.ndarray, grad=False) -> Tensor:
+    """(T, d) token rows as a step-major (T, d, 1) input: one sequence as a batch of one."""
+    return Tensor(np.ascontiguousarray(emb[:, :, None]), requires_grad=grad)
+
+
+def _xp(p, rows):
+    """The token projection of (n, d_x) batch-major token rows, one GEMM as the
+    block computes it before its time loop: row i is token i's (rows,) slice."""
+    return rows @ p.stacks["x"].T
+
+
+def _only(kind, rng, dtype=np.float64, bias=False, d_h=5, d_x=4) -> DeepTransitionBlock:
+    """A block whose cell of ``kind`` is the one under test: its first cell,
+    or for a transition its second, after an aspect-free input cell."""
+    p = CellParams.init(kind, d_h, rng, d_x=d_x, d_a=d_x, dtype=dtype, bias=bias)
+    if kind != "transition":
+        return DeepTransitionBlock(p, ())
+    first = CellParams.init("dt", d_h, rng, d_x=d_x, dtype=dtype, bias=bias)
+    return DeepTransitionBlock(first, (p,))
 
 
 # -- frozen step behavior ------------------------------------------------------
@@ -48,12 +65,10 @@ def _steps(emb: np.ndarray) -> list[Tensor]:
 def test_aspect_gru_all_zero_weights_fixed_point(rng):
     p = CellParams.init("aspect", 4, rng, d_x=3, d_a=3)
     _zero_params(p)
-    x = _col(rng, 3)
-    a = _col(rng, 3)
-    h0 = Tensor(np.zeros((4, 1)))
-    h, g = aspect_gru_step(p, x, a, h0)
-    assert np.array_equal(h.data, np.zeros((4, 1)))
-    assert np.array_equal(g.data, np.zeros((4, 1)))
+    x, a = _col(rng, 3), _col(rng, 3)
+    h, g, _ = aspect_gru_step(p, _xp(p, x.T).T, np.zeros((4, 1)), p.w_a.data @ a)
+    assert np.array_equal(h, np.zeros((4, 1)))
+    assert np.array_equal(g, np.zeros((4, 1)))
 
 
 def test_aspect_gru_dead_gate_reduces_to_ungated_paths(rng):
@@ -61,30 +76,27 @@ def test_aspect_gru_dead_gate_reduces_to_ungated_paths(rng):
     p = CellParams.init("aspect", 4, rng, d_x=3, d_a=3)
     p.w_a.data[...] = 0.0
     p.w_hg.data[...] = 0.0
-    x = _col(rng, 3)
-    a = _col(rng, 3)
-    h_prev = _col(rng, 4)
-    h, g = aspect_gru_step(p, x, a, h_prev)
-    assert np.array_equal(g.data, np.zeros((4, 1)))
+    x, a, h_prev = _col(rng, 3), _col(rng, 3), _col(rng, 4)
+    h, g, _ = aspect_gru_step(p, _xp(p, x.T).T, h_prev, p.w_a.data @ a)
+    assert np.array_equal(g, np.zeros((4, 1)))
 
     def s(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    r = s(p.w_xr.data @ x.data + p.w_hr.data @ h_prev.data)
-    z = s(p.w_xz.data @ x.data + p.w_hz.data @ h_prev.data)
-    l = s(p.w_xl.data @ x.data + p.w_hl.data @ h_prev.data)
-    cand = np.tanh(r * (p.w_hh.data @ h_prev.data)) + l * (p.w_lin1.data @ x.data)
-    expected = (1 - z) * h_prev.data + z * cand
-    assert np.allclose(h.data, expected, rtol=1e-12, atol=1e-14)
+    r = s(p.w_xr.data @ x + p.w_hr.data @ h_prev)
+    z = s(p.w_xz.data @ x + p.w_hz.data @ h_prev)
+    l = s(p.w_xl.data @ x + p.w_hl.data @ h_prev)
+    cand = np.tanh(r * (p.w_hh.data @ h_prev)) + l * (p.w_lin1.data @ x)
+    expected = (1 - z) * h_prev + z * cand
+    assert np.allclose(h, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_aspect_gru_ignores_aspect_when_projection_is_zero(rng):
-    p = CellParams.init("aspect", 4, rng, d_x=3, d_a=3)
-    p.w_a.data[...] = 0.0
-    x = _col(rng, 3)
-    h_prev = _col(rng, 4)
-    h1, _ = aspect_gru_step(p, x, _col(rng, 3), h_prev)
-    h2, _ = aspect_gru_step(p, x, _col(rng, 3), h_prev)
+    block = _only("aspect", rng, d_h=4, d_x=3)
+    block.first.w_a.data[...] = 0.0
+    x = _seq(rng.standard_normal((3, 3)))
+    h1, _ = run_block_batch(block, x, Tensor(_col(rng, 3)), np.ones((1, 3)))
+    h2, _ = run_block_batch(block, x, Tensor(_col(rng, 3)), np.ones((1, 3)))
     assert np.array_equal(h1.data, h2.data)
 
 
@@ -92,29 +104,33 @@ def test_transition_gru_zero_weights_halves_state(rng):
     p = CellParams.init("transition", 4, rng)
     _zero_params(p)
     h = _col(rng, 4)
-    out = transition_gru_step(p, h)
-    assert np.allclose(out.data, 0.5 * h.data, rtol=0, atol=1e-15)
+    out, _, _ = transition_gru_step(p, None, h)
+    assert np.allclose(out, 0.5 * h, rtol=0, atol=1e-15)
 
 
 def test_block_depth_one_is_just_the_input_cell(rng):
     block = DeepTransitionBlock.init(4, 3, 3, depth=1, rng=rng)
     assert block.depth == 1 and block.transitions == ()
-    x, a, h = _col(rng, 3), _col(rng, 3), _col(rng, 4)
-    via_block, g1 = block_step(block, x, a, h)
-    direct, g2 = aspect_gru_step(block.first, x, a, h)
-    assert np.array_equal(via_block.data, direct.data)
-    assert np.array_equal(g1.data, g2.data)
+    emb, a = rng.standard_normal((2, 3)), _col(rng, 3)
+    states, gates = run_block_batch(block, _seq(emb), Tensor(a), np.ones((1, 2)))
+    p, h = block.first, np.zeros((4, 1))
+    X = _xp(p, emb)
+    for t in range(2):
+        h, g, _ = aspect_gru_step(p, X[t][:, None], h, p.w_a.data @ a)
+        assert np.array_equal(states.data[t], h)
+        assert np.array_equal(gates[t], g)
 
 
 def test_block_transitions_compose(rng):
     block = DeepTransitionBlock.init(4, 3, 3, depth=3, rng=rng)
     for cell in block.transitions:
         _zero_params(cell)
-    x, a, h = _col(rng, 3), _col(rng, 3), _col(rng, 4)
-    first, _ = aspect_gru_step(block.first, x, a, h)
-    out, _ = block_step(block, x, a, h)
+    emb, a = rng.standard_normal((1, 3)), _col(rng, 3)
+    p = block.first
+    first, _, _ = aspect_gru_step(p, _xp(p, emb)[0][:, None], np.zeros((4, 1)), p.w_a.data @ a)
+    states, _ = run_block_batch(block, _seq(emb), Tensor(a), np.ones((1, 1)))
     # two zeroed transition cells each halve the state
-    assert np.allclose(out.data, 0.25 * first.data, rtol=0, atol=1e-15)
+    assert np.allclose(states.data[0], 0.25 * first, rtol=0, atol=1e-15)
 
 
 def test_block_depth_validation(rng):
@@ -125,20 +141,19 @@ def test_block_depth_validation(rng):
 def test_dt_cell_has_no_aspect_surface(rng):
     block = DeepTransitionBlock.init(4, 3, 3, depth=2, rng=rng, aspect_gated=False)
     assert block.first.kind == "dt" and not hasattr(block.first, "w_a")
-    x, h = _col(rng, 3), _col(rng, 4)
-    out, g = block_step(block, x, None, h)
-    assert g is None
-    assert out.shape == (4, 1)
+    states, gates = run_block_batch(block, _seq(rng.standard_normal((2, 3))), None, np.ones((1, 2)))
+    assert gates is None
+    assert states.shape == (2, 4, 1)
 
 
 def test_gate_ranges(rng):
     p = CellParams.init("aspect", 6, rng, d_x=4, d_a=4)
-    h, g = aspect_gru_step(p, _col(rng, 4), _col(rng, 4), _col(rng, 6))
-    assert np.all(g.data >= 0)
-    assert np.all(np.isfinite(h.data))
+    h, g, _ = aspect_gru_step(p, _xp(p, _col(rng, 4).T).T, _col(rng, 6), p.w_a.data @ _col(rng, 4))
+    assert np.all(g >= 0)
+    assert np.all(np.isfinite(h))
 
 
-# -- fused steps against a per-gate reference ---------------------------------
+# -- steps and blocks against a per-gate reference ------------------------------
 
 
 def _reference_step(p, x, h, a):
@@ -173,15 +188,13 @@ def _reference_step(p, x, h, a):
     return (1 - z) * h + z * cand, g
 
 
-# each kind's step op as (h, g or None) from (params, x, aspect, h_prev)
+# each kind's numpy step as (h, g or None) from (params, x, aspect, h_prev)
 _STEPS = {
-    "aspect": lambda p, x, a, h: aspect_gru_step(p, x, a, h),
-    "dt": lambda p, x, a, h: (dt_gru_step(p, x, h), None),
-    "gru": lambda p, x, a, h: (gru_step(p, x, h), None),
-    "transition": lambda p, x, a, h: (transition_gru_step(p, h), None),
+    "aspect": lambda p, x, a, h: aspect_gru_step(p, _xp(p, x.T).T, h, p.w_a.data @ a)[:2],
+    "dt": lambda p, x, a, h: dt_gru_step(p, _xp(p, x.T).T, h)[:2],
+    "gru": lambda p, x, a, h: gru_step(p, _xp(p, x.T).T, h)[:2],
+    "transition": lambda p, x, a, h: transition_gru_step(p, None, h)[:2],
 }
-_TAGS = {"aspect": "aspect_step", "dt": "dt_step", "gru": "gru_step",
-         "transition": "transition_step"}
 
 
 def _rel(got, want):
@@ -192,7 +205,7 @@ def _step_inputs(rng, kind, bias, B):
     p = CellParams.init(kind, 5, rng, d_x=4, d_a=4, bias=bias)
     if bias:
         p.bias[...] = rng.standard_normal(p.bias.shape)
-    x, a, h = (Tensor(rng.standard_normal((n, B)), requires_grad=True) for n in (4, 4, 5))
+    x, a, h = (rng.standard_normal((n, B)) for n in (4, 4, 5))
     return p, x, a, h
 
 
@@ -201,55 +214,94 @@ def _step_inputs(rng, kind, bias, B):
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
 def test_fused_step_matches_the_per_gate_reference(rng, kind, bias, B):
     p, x, a, h = _step_inputs(rng, kind, bias, B)
-    want_h, want_g = _reference_step(p, x.data, h.data, a.data)
+    want_h, want_g = _reference_step(p, x, h, a)
     got_h, got_g = _STEPS[kind](p, x, a, h)
-    assert _rel(got_h.data, want_h) <= 1e-13
+    assert _rel(got_h, want_h) <= 1e-13
     assert (got_g is None) == (want_g is None)
     if want_g is not None:
-        assert _rel(got_g.data, want_g) <= 1e-13
+        assert _rel(got_g, want_g) <= 1e-13
+
+
+_PADDED = np.array([[1, 1, 1], [1, 1, 0]])
+
+
+def _padded_case(rng, kind, dtype=np.float64):
+    """A depth-2 block with biases off zero over a padded B=2 batch, input and aspect on the tape."""
+    block = DeepTransitionBlock.init(3, 2, 2, depth=2, rng=rng, dtype=dtype,
+                                     aspect_gated=kind == "aspect", bias=True)
+    if kind == "gru":
+        block = DeepTransitionBlock(CellParams.init("gru", 3, rng, d_x=2, dtype=dtype, bias=True),
+                                    block.transitions)
+    for cell in (block.first, *block.transitions):
+        cell.bias[...] = (rng.random(cell.bias.shape) - 0.5).astype(dtype)
+    x = Tensor((rng.random((3, 2, 2)) - 0.5).astype(dtype), requires_grad=True)
+    aspect = Tensor((rng.random((2, 2)) - 0.5).astype(dtype), requires_grad=True)
+    return block, x, aspect if kind == "aspect" else None
+
+
+@pytest.mark.parametrize("kind", ["aspect", "dt", "gru"])
+def test_block_matches_the_per_gate_reference_over_a_padded_batch(rng, kind):
+    """Every step runs every cell, and a masked column keeps its previous state bit for bit."""
+    block, x, aspect = _padded_case(rng, kind)
+    states, gates = run_block_batch(block, x, aspect, _PADDED)
+    h = np.zeros((3, 2))
+    for t in range(3):
+        new, g = _reference_step(block.first, x.data[t], h, None if aspect is None else aspect.data)
+        new, _ = _reference_step(block.transitions[0], None, new, None)
+        assert _rel(states.data[t][:, _PADDED[:, t] == 1], new[:, _PADDED[:, t] == 1]) <= 1e-13
+        if g is not None:
+            assert _rel(gates[t], g) <= 1e-13
+        h = states.data[t]
+    assert np.array_equal(states.data[2][:, 1], states.data[1][:, 1])
 
 
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
 def test_fused_step_is_one_tape_node(rng, kind):
-    """Every parent is an operand or a gate leaf, and no_grad gives the same bits."""
-    p, x, a, h = _step_inputs(rng, kind, True, 3)
-    out, g = _STEPS[kind](p, x, a, h)
-    assert out.op == _TAGS[kind]
-    gates = set(map(id, p.tensors("").values()))
-    assert all(q.op == "leaf" and (id(q) in gates or q in (x, h)) or q.op == "matmul"
-               for q in out._parents)
-    if g is not None:  # the relu gate is a constant: no loss reads it
-        assert not g.requires_grad and g._parents == ()
+    """A block over a padded batch is one node whose parents are its operands and
+    gate leaves, and no_grad gives the same bits, gates included."""
+    block = _only(kind, rng, bias=True)
+    x = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+    aspect = Tensor(rng.standard_normal((4, 2))) if kind == "aspect" else None
+    states, gates = run_block_batch(block, x, aspect, _PADDED)
+    assert states.op == "block"
+    leaves = set(map(id, block.tensors("").values()))
+    assert all(q is x or id(q) in leaves or q.op == "matmul" for q in states._parents)
+    assert (gates is None) == (kind != "aspect")
+    if gates is not None:  # the relu gate is a constant: no loss reads it
+        assert not gates.flags.writeable
     with no_grad():
-        free, free_g = _STEPS[kind](p, x, a, h)
-    assert np.array_equal(free.data, out.data) and free._parents == ()
-    if g is not None:
-        assert np.array_equal(free_g.data, g.data)
+        free, free_gates = run_block_batch(block, x, aspect, _PADDED)
+    assert np.array_equal(free.data, states.data) and free._parents == ()
+    if gates is not None:
+        assert np.array_equal(free_gates, gates)
 
 
 def test_aspect_gate_subgradient_at_zero_is_zero(rng):
     """The relu gate passes no gradient at or below its kink."""
-    p = CellParams.init("aspect", 3, rng, d_x=2, d_a=2)
-    p.w_hg.data[...] = 0.0  # the pre-activation is exactly the aspect projection
-    x = _col(rng, 2)
-    a_proj = Tensor(np.array([[-1.0], [0.0], [2.0]]), requires_grad=True)
-    h, g = aspect_gru_step(p, x, None, _col(rng, 3), a_proj)
-    assert np.array_equal(g.data[:, 0], [0.0, 0.0, 2.0])
-    grad = backward(h.sum(), params=[a_proj])[a_proj]
+    block = _only("aspect", rng, d_h=3, d_x=3)
+    block.first.w_a.data[...] = np.eye(3)  # from the zero state the pre-activation is the aspect
+    aspect = Tensor(np.array([[-1.0], [0.0], [2.0]]), requires_grad=True)
+    states, gates = run_block_batch(block, _seq(rng.standard_normal((1, 3))), aspect, np.ones((1, 1)))
+    assert np.array_equal(gates[0][:, 0], [0.0, 0.0, 2.0])
+    grad = backward(states.sum(), params=[aspect])[aspect]
     assert np.array_equal(grad[:2, 0], [0.0, 0.0]) and grad[2, 0] != 0.0
 
 
 def test_relu_kink_margin_reads_the_aspect_gate_preactivation(rng):
-    p = CellParams.init("aspect", 3, rng, d_x=2, d_a=2)
-    p.w_hg.data[...] = 0.0
-    a_proj = Tensor(np.array([[0.5, -2.0], [1e-9, 3.0], [-1.5, 0.7]]), requires_grad=True)
-    h, _ = aspect_gru_step(p, _col(rng, 2, B=2), None, _col(rng, 3, B=2), a_proj)
-    assert relu_kink_margin((h * h).sum()) <= 1e-9
-    a_proj.data[1, 0] = 0.25
-    h, _ = aspect_gru_step(p, _col(rng, 2, B=2), None, _col(rng, 3, B=2), a_proj)
-    assert relu_kink_margin((h * h).sum()) == 0.25
-    t = transition_gru_step(CellParams.init("transition", 3, rng), h)
-    assert relu_kink_margin(t.sum()) == 0.25  # found through a smooth op above it
+    block = DeepTransitionBlock.init(3, 2, 3, depth=2, rng=rng)
+    block.first.w_hg.data[...] = 0.0  # every step's pre-activation is the aspect
+    block.first.w_a.data[...] = np.eye(3)
+    aspect = Tensor(np.array([[0.5, -2.0], [1e-9, 3.0], [-1.5, 0.7]]), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 2, 2)))
+
+    def margin():
+        states, _ = run_block_batch(block, x, aspect, np.ones((2, 4)))
+        # found through the transition cell and a smooth op above the block
+        return relu_kink_margin((states * states).sum())
+
+    assert margin() <= 1e-9
+    aspect.data[1, 0] = 0.25
+    assert margin() == 0.25
 
 
 # -- stacked storage -------------------------------------------------------------
@@ -271,20 +323,24 @@ def test_gates_are_row_blocks_of_their_stacks(rng):
 
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
 def test_step_refuses_a_gate_rebound_out_of_its_stack(rng, kind):
-    p, x, a, h = _step_inputs(rng, kind, False, 2)
+    block = _only(kind, rng)
+    p = block.transitions[0] if kind == "transition" else block.first
     name = CELL_KINDS[kind][1]["h"][0]
     getattr(p, name).data = getattr(p, name).data.copy()
+    aspect = Tensor(rng.standard_normal((4, 2))) if kind == "aspect" else None
     with pytest.raises(ValueError, match=f"{name} no longer views its stacked weights"):
-        _STEPS[kind](p, x, a, h)
+        run_block_batch(block, Tensor(rng.standard_normal((2, 4, 2))), aspect, np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
 def test_gate_gradients_of_one_cell_never_overlap(rng, kind):
     """clip_global_norm scales each gradient in place, so none may alias another."""
-    p, x, a, h = _step_inputs(rng, kind, True, 3)
-    params = list(p.tensors("").values())
-    out, _ = _STEPS[kind](p, x, a, h)
-    grads = list(backward((out * out).sum(), params).values())
+    block = _only(kind, rng, bias=True)
+    params = list(block.tensors("").values())
+    aspect = Tensor(rng.standard_normal((4, 3))) if kind == "aspect" else None
+    states, _ = run_block_batch(block, Tensor(rng.standard_normal((2, 4, 3))), aspect,
+                                np.ones((3, 2)))
+    grads = list(backward((states * states).sum(), params).values())
     for i, gi in enumerate(grads):
         for gj in grads[i + 1 :]:
             assert not np.shares_memory(gi, gj)
@@ -293,87 +349,63 @@ def test_gate_gradients_of_one_cell_never_overlap(rng, kind):
 # -- gradient checks -----------------------------------------------------------
 
 
-def _wide_params(kind, d_h, rng, **dims):
-    return CellParams.init(kind, d_h, rng, dtype=CHECK_DTYPE, **dims)
-
-
-def test_grad_aspect_gru_step(rng):
-    p = _wide_params("aspect", 3, rng, d_x=2, d_a=2)
-    x = _col(rng, 2, dtype=CHECK_DTYPE)
-    a = _col(rng, 2, dtype=CHECK_DTYPE)
-    h0 = _col(rng, 3, dtype=CHECK_DTYPE)
-    tensors = list(p.tensors("").values())
-
+def _check_block(block, x, aspect, mask, tensors):
     def f():
-        h, _ = aspect_gru_step(p, x, a, h0)
-        return (h * h).sum()
+        states, _ = run_block_batch(block, x, aspect, mask)
+        return (states * states).sum()
 
+    assert relu_kink_margin(f()) > 1e-3
     assert grad_check(f, tensors, FD_EPS_CHECK) <= TOL_CHECK
 
 
+def test_grad_aspect_gru_step(rng):
+    block = _only("aspect", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
+    x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE))
+    aspect = Tensor(_col(rng, 2, dtype=CHECK_DTYPE))
+    _check_block(block, x, aspect, np.ones((1, 2)), list(block.tensors("").values()))
+
+
 def test_grad_transition_gru_step(rng):
-    p = _wide_params("transition", 3, rng)
-    h0 = Tensor(_col(rng, 3).data.astype(CHECK_DTYPE), requires_grad=True)
-
-    def f():
-        out = transition_gru_step(p, h0)
-        return (out * out).sum()
-
-    assert grad_check(f, [*p.tensors("").values(), h0], FD_EPS_CHECK) <= TOL_CHECK
+    block = _only("transition", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
+    x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE), grad=True)
+    tensors = [*block.transitions[0].tensors("").values(), x]
+    _check_block(block, x, None, np.ones((1, 2)), tensors)
 
 
 def test_grad_dt_cell_step(rng):
-    p = _wide_params("dt", 3, rng, d_x=2)
-    x = _col(rng, 2, dtype=CHECK_DTYPE)
-    h0 = _col(rng, 3, dtype=CHECK_DTYPE)
-
-    def f():
-        out = dt_gru_step(p, x, h0)
-        return (out * out).sum()
-
-    assert grad_check(f, list(p.tensors("").values()), FD_EPS_CHECK) <= TOL_CHECK
+    block = _only("dt", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
+    x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE))
+    _check_block(block, x, None, np.ones((1, 2)), list(block.tensors("").values()))
 
 
 def test_grad_gru_step(rng):
-    p = _wide_params("gru", 3, rng, d_x=2)
-    x = _col(rng, 2, dtype=CHECK_DTYPE)
-    h0 = _col(rng, 3, dtype=CHECK_DTYPE)
-
-    def f():
-        out = gru_step(p, x, h0)
-        return (out * out).sum()
-
-    assert grad_check(f, list(p.tensors("").values()), FD_EPS_CHECK) <= TOL_CHECK
+    block = _only("gru", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
+    x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE), grad=True)
+    _check_block(block, x, None, np.ones((1, 2)), [*block.tensors("").values(), x])
 
 
 def test_grad_depth2_block_over_three_steps(rng):
     block = DeepTransitionBlock.init(3, 2, 2, depth=2, rng=rng, dtype=CHECK_DTYPE)
-    emb = (rng.random((3, 2)) - 0.5).astype(CHECK_DTYPE)
+    x = _seq((rng.random((3, 2)) - 0.5).astype(CHECK_DTYPE))
     aspect = Tensor((rng.random((2, 1)) - 0.5).astype(CHECK_DTYPE))
     tensors = list(block.tensors("").values())
 
     def f():
-        states, _ = run_block_batch(block, _steps(emb), aspect, np.ones((1, 3)))
-        return (states[-1] * states[-1]).sum() + states[0].sum()
+        states, _ = run_block_batch(block, x, aspect, np.ones((1, 3)))
+        return (states * states).sum() + states.sum()
 
     assert grad_check(f, tensors, FD_EPS_CHECK) <= TOL_CHECK
 
 
 def test_grad_bias_terms_flow(rng):
-    p = CellParams.init("aspect", 3, rng, d_x=2, d_a=2, dtype=CHECK_DTYPE, bias=True)
+    block = _only("aspect", rng, dtype=CHECK_DTYPE, bias=True, d_h=3, d_x=2)
+    p = block.first
     # move biases off zero so the check probes a generic point
     for name in ("b_r", "b_z", "b_l", "b_g", "b_h"):
         getattr(p, name).data[...] = (rng.random((3, 1)) - 0.5).astype(CHECK_DTYPE)
-    x = _col(rng, 2, dtype=CHECK_DTYPE)
-    a = _col(rng, 2, dtype=CHECK_DTYPE)
-    h0 = _col(rng, 3, dtype=CHECK_DTYPE)
-
-    def f():
-        h, _ = aspect_gru_step(p, x, a, h0)
-        return (h * h).sum()
-
-    biases = [p.b_r, p.b_z, p.b_l, p.b_g, p.b_h]
-    assert grad_check(f, biases, FD_EPS_CHECK) <= TOL_CHECK
+    x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE))
+    aspect = Tensor(_col(rng, 2, dtype=CHECK_DTYPE))
+    _check_block(block, x, aspect, np.ones((1, 2)), [p.b_r, p.b_z, p.b_l, p.b_g, p.b_h])
 
 
 def test_bias_off_by_default(rng):
@@ -390,27 +422,28 @@ def test_masked_suffix_carries_state_bit_identically(rng):
     block = DeepTransitionBlock.init(5, 3, 3, depth=2, rng=rng)
     emb = rng.standard_normal((4, 3))
     aspect = Tensor(rng.standard_normal((3, 1)))
-    short, _ = run_block_batch(block, _steps(emb[:2]), aspect, np.ones((1, 2)))
+    short, _ = run_block_batch(block, _seq(emb[:2]), aspect, np.ones((1, 2)))
     padded = np.vstack([emb[:2], np.zeros((2, 3))])
-    long, _ = run_block_batch(block, _steps(padded), aspect, np.array([[1, 1, 0, 0]]))
-    assert np.array_equal(short[-1].data, long[-1].data)
-    assert np.array_equal(long[2].data, long[1].data)  # carried through
-    assert np.array_equal(long[3].data, long[1].data)
+    long, _ = run_block_batch(block, _seq(padded), aspect, np.array([[1, 1, 0, 0]]))
+    assert np.array_equal(short.data[-1], long.data[-1])
+    assert np.array_equal(long.data[2], long.data[1])  # carried through
+    assert np.array_equal(long.data[3], long.data[1])
 
 
-def test_nonmonotone_mask_rejected(rng):
-    block = DeepTransitionBlock.init(4, 3, 3, depth=1, rng=rng)
-    emb = rng.standard_normal((3, 3))
+def test_nonmonotone_mask_rejected():
     with pytest.raises(ValueError, match="monotone"):
-        run_block_batch(
-            block, _steps(emb), Tensor(rng.standard_normal((3, 1))), np.array([[1, 0, 1]])
-        )
+        validate_mask(np.array([[1, 0, 1]]), 1, 3)
+    with pytest.raises(ValueError, match="0 or 1"):
+        validate_mask(np.array([[1, 2, 0]]), 1, 3)
+    with pytest.raises(ShapeError):
+        validate_mask(np.ones((1, 3)), 1, 4)
 
 
 def test_empty_sequence_encodes_to_nothing(rng):
     block = DeepTransitionBlock.init(4, 3, 3, depth=2, rng=rng)
-    states, gates = run_block_batch(block, [], Tensor(np.zeros((3, 1))), np.zeros((1, 0)))
-    assert states == [] and gates == []
+    states, gates = run_block_batch(block, Tensor(np.zeros((0, 3, 1))), Tensor(np.zeros((3, 1))),
+                                    np.zeros((1, 0)))
+    assert states.shape == gates.shape == (0, 4, 1)
 
 
 def test_batch_matches_single_sequences(rng):
@@ -421,25 +454,21 @@ def test_batch_matches_single_sequences(rng):
     aspects = [rng.standard_normal(3) for _ in lens]
     T = max(lens)
     B = len(lens)
-    steps = []
-    for t in range(T):
-        cols = np.zeros((3, B))
-        for i, s in enumerate(seqs):
-            if t < lens[i]:
-                cols[:, i] = s[t]
-        steps.append(Tensor(cols))
+    x = np.zeros((T, 3, B))
+    for i, s in enumerate(seqs):
+        x[: lens[i], :, i] = s
     mask = np.array([[1] * n + [0] * (T - n) for n in lens])
     a_cols = Tensor(np.stack(aspects, axis=1))
-    states, _ = run_block_batch(block, steps, a_cols, mask)
+    states, _ = run_block_batch(block, Tensor(x), a_cols, mask)
     for i, (seq, asp, n) in enumerate(zip(seqs, aspects, lens)):
-        solo, _ = run_block_batch(block, _steps(seq), Tensor(asp[:, None]), np.ones((1, n)))
-        assert np.allclose(states[-1].data[:, i], solo[-1].data[:, 0], rtol=1e-10, atol=1e-12)
+        solo, _ = run_block_batch(block, _seq(seq), Tensor(asp[:, None]), np.ones((1, n)))
+        assert np.allclose(states.data[-1][:, i], solo.data[-1][:, 0], rtol=1e-10, atol=1e-12)
 
 
-def _run_stack(blocks, steps, mask):
+def _run_stack(blocks, x, mask):
     for block in blocks:
-        steps, gates = run_block_batch(block, steps, None, mask)
-    return steps, gates
+        x, gates = run_block_batch(block, x, None, mask)
+    return x, gates
 
 
 def test_stacked_gru_encode_shapes_and_masking(rng):
@@ -449,18 +478,21 @@ def test_stacked_gru_encode_shapes_and_masking(rng):
         DeepTransitionBlock(CellParams.init("gru", 4, rng, d_x=4), ()),
     ]
     emb = rng.standard_normal((5, 3))
-    states, gates = _run_stack(layers, _steps(emb), np.ones((1, 5)))
-    assert len(states) == 5 and states[0].shape == (4, 1)
-    assert gates == [None] * 5
-    short, _ = _run_stack(layers, _steps(emb[:3]), np.ones((1, 3)))
-    padded, _ = _run_stack(layers, _steps(emb), np.array([[1, 1, 1, 0, 0]]))
-    assert np.array_equal(short[-1].data, padded[-1].data)
+    states, gates = _run_stack(layers, _seq(emb), np.ones((1, 5)))
+    assert states.shape == (5, 4, 1)
+    assert gates is None
+    short, _ = _run_stack(layers, _seq(emb[:3]), np.ones((1, 3)))
+    padded, _ = _run_stack(layers, _seq(emb), np.array([[1, 1, 1, 0, 0]]))
+    assert np.array_equal(short.data[-1], padded.data[-1])
     # one layer is one gru_step per token from a zero state
-    h = Tensor(np.zeros((4, 1)))
-    for x in _steps(emb[:2]):
-        h = gru_step(layers[0].first, x, h)
-    first, _ = run_block_batch(layers[0], _steps(emb[:2]), None, np.ones((1, 2)))
-    assert np.array_equal(first[-1].data, h.data)
+    p, h = layers[0].first, np.zeros((4, 1))
+    X = _xp(p, emb[:2])
+    for t in range(2):
+        h, _, _ = gru_step(p, X[t][:, None], h)
+    first, _ = run_block_batch(layers[0], _seq(emb[:2]), None, np.ones((1, 2)))
+    assert np.array_equal(first.data[-1], h)
+    # one node: the block, its input and its weights
+    assert len(list(iter_nodes(first))) == 2 + len(p.tensors(""))
 
 
 # -- properties -------------------------------------------------------------------
@@ -472,10 +504,10 @@ def test_transition_step_is_a_contraction_toward_unit_box(seed):
     """Each coordinate of the output is a convex mix of h and tanh(...)."""
     r = np.random.default_rng(seed)
     p = CellParams.init("transition", 6, r)
-    h = Tensor(r.standard_normal((6, 1)) * 3)
-    out = transition_gru_step(p, h)
-    bound = np.maximum(np.abs(h.data), 1.0)
-    assert np.all(np.abs(out.data) <= bound + 1e-12)
+    h = r.standard_normal((6, 1)) * 3
+    out, _, _ = transition_gru_step(p, None, h)
+    bound = np.maximum(np.abs(h), 1.0)
+    assert np.all(np.abs(out) <= bound + 1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -486,8 +518,6 @@ def test_block_state_bounded_without_linear_bypass(seed, depth):
     block = DeepTransitionBlock.init(4, 3, 3, depth=depth, rng=r)
     block.first.w_lin1.data[...] = 0.0
     block.first.w_lin2.data[...] = 0.0
-    emb = r.standard_normal((6, 3))
     aspect = Tensor(r.standard_normal((3, 1)))
-    states, _ = run_block_batch(block, _steps(emb), aspect, np.ones((1, 6)))
-    for s in states:
-        assert np.all(np.abs(s.data) <= 1.0 + 1e-12)
+    states, _ = run_block_batch(block, _seq(r.standard_normal((6, 3))), aspect, np.ones((1, 6)))
+    assert np.all(np.abs(states.data) <= 1.0 + 1e-12)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import aspectgate.checkpoint as checkpoint_mod
 from aspectgate.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -79,6 +80,45 @@ def test_meta_peek_skips_tensors(tmp_path):
     assert header["meta"]["dataset"] == "toy"
     assert header["vocab_digest"] == vocab.digest
     assert header["config"]["hidden_size"] == 3
+
+
+def test_meta_peek_reads_only_the_header(tmp_path, monkeypatch):
+    """The peek reads the magic, the length and the header, even with the blobs cut off."""
+    model, vocab = _fixture()
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model, vocab, {"dataset": "toy"})
+    raw = p.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 4)
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(raw[: 12 + hlen])
+    read = []
+
+    class Counting:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def read(self, n=-1):
+            data = self.fh.read(n)
+            read.append(len(data))
+            return data
+
+    monkeypatch.setattr(checkpoint_mod, "open", lambda *a, **k: Counting(open(*a, **k)),
+                        raising=False)
+    for path in (p, cut):
+        read.clear()
+        assert read_checkpoint_meta(path) == json.loads(raw[12 : 12 + hlen])
+        assert sum(read) == 12 + hlen
+    with pytest.raises(CheckpointError, match="truncated tensor"):
+        load_checkpoint(cut)
 
 
 def test_rejects_garbage_and_truncation(tmp_path):

@@ -181,36 +181,53 @@ def test_embed_aspect_averages_rows():
 # -- pooling ------------------------------------------------------------------------
 
 
-def _cols(rows: np.ndarray) -> list[Tensor]:
-    """(T, d) per-step rows as T (d, 1) state columns: a batch of one."""
-    return [Tensor(np.ascontiguousarray(rows[t : t + 1].T)) for t in range(rows.shape[0])]
+def _steps(rows: np.ndarray, requires_grad=False) -> Tensor:
+    """(T, d) per-step rows as (T, d, 1) step-major states: a batch of one."""
+    return Tensor(np.ascontiguousarray(rows[:, :, None]), requires_grad=requires_grad)
 
 
 def test_pool_modes_frozen_values():
-    states = _cols(np.array([[1.0, 2.0], [5.0, 0.0], [3.0, 9.0]]))
+    # step 2 is masked, so it carries step 1's state, as the encoder's states do
+    states = _steps(np.array([[1.0, 2.0], [5.0, 0.0], [5.0, 0.0]]))
     mask = np.array([[1, 1, 0]])
     assert np.array_equal(_pool_columns(states, mask, "last").data[:, 0], [5.0, 0.0])
     assert np.array_equal(_pool_columns(states, mask, "max").data[:, 0], [5.0, 2.0])
     assert np.array_equal(_pool_columns(states, mask, "mean").data[:, 0], [3.0, 1.0])
     # an all-ones mask means every row is real
+    states = _steps(np.array([[1.0, 2.0], [5.0, 0.0], [3.0, 9.0]]))
     assert np.array_equal(_pool_columns(states, np.ones((1, 3)), "max").data[:, 0], [5.0, 9.0])
+    assert np.array_equal(_pool_columns(states, np.ones((1, 3)), "last").data[:, 0], [3.0, 9.0])
+
+
+def test_max_pool_records_each_max_lead_over_its_runner_up():
+    """Only real steps compete, and only a recorded node keeps the kinks."""
+    rows = np.array([[1.0, 2.0], [1.25, 0.0], [1.25, 0.0]])  # step 2 masked, carried
+    mask = np.array([[1, 1, 0]])
+    taped = _pool_columns(_steps(rows, requires_grad=True), mask, "max")
+    assert relu_kink_margin(taped.sum()) == 0.25
+    assert _pool_columns(_steps(rows), mask, "max").kinks is None
 
 
 def test_pool_validation():
-    states = _cols(np.ones((2, 3)))
+    states = _steps(np.ones((2, 3)))
     with pytest.raises(ValueError, match="no real tokens"):
         _pool_columns(states, np.array([[0, 0]]), "mean")
     with pytest.raises(ValueError, match="unknown mode"):
         _pool_columns(states, np.ones((1, 2)), "avg")
     with pytest.raises(ShapeError):
         _pool_columns(states, np.array([[1, 1, 1]]), "last")
+    with pytest.raises(ShapeError, match="T >= 1"):
+        _pool_columns(Tensor(np.zeros((0, 3, 1))), np.zeros((1, 0)), "last")
+    with pytest.raises(ShapeError):
+        _pool_columns(Tensor(np.ones((2, 3))), np.ones((3, 2)), "max")
 
 
 def test_pool_list_of_state_tensors_stays_on_tape(rng):
-    states = [Tensor(rng.standard_normal((4, 1)), requires_grad=True) for _ in range(3)]
+    """Every step's state gets its share of the pooled gradient."""
+    states = _steps(rng.standard_normal((3, 4)), requires_grad=True)
     out = _pool_columns(states, np.ones((1, 3)), "mean")
-    g = backward(out.sum(), params=states)
-    assert all(np.allclose(g[s], 1.0 / 3.0) for s in states)
+    g = backward(out.sum(), params=[states])
+    assert np.allclose(g[states], 1.0 / 3.0)
 
 
 # -- forward shapes and invariances ---------------------------------------------------
@@ -226,6 +243,14 @@ def _batch(rng, B=3, T=4, vocab=9):
     return ids, mask
 
 
+@pytest.mark.parametrize("bad, match", [([[1, 0, 1]], "monotone"), ([[1, 2, 0]], "0 or 1")])
+def test_forward_refuses_a_bad_mask(rng, bad, match):
+    """forward checks the mask once; the block and pooling trust it."""
+    model, _ = tiny_model(rng)
+    with pytest.raises(ValueError, match=match):
+        model.forward(np.array([[1, 2, 3]]), np.array(bad), rng.standard_normal((1, 2)))
+
+
 def test_forward_shapes(rng):
     model, cfg = tiny_model(rng)
     ids, mask = _batch(rng)
@@ -234,20 +259,23 @@ def test_forward_shapes(rng):
     assert out.sent_logits.shape == (3, cfg.num_labels)
     assert out.recon_logits.shape == (3, cfg.num_recon_targets)
     assert out.pooled.shape == (cfg.hidden_size, 3)
-    assert out.gates is not None and len(out.gates) == 4
+    assert out.gates.shape == (4, cfg.hidden_size, 3)
 
 
 @pytest.mark.parametrize(
     "encoder, depth, expected",
     [
         ("aspect-dt", 3, {"aspect_gru_step": 4, "transition_gru_step": 8, "gru_step": 0,
-                          "run_block_batch": 1}),
+                          "run_block_batch": 1, "_pool_columns": 1, "affine": 2, "matmul": 3}),
         ("gru", 2, {"aspect_gru_step": 0, "transition_gru_step": 0, "gru_step": 8,
-                    "run_block_batch": 2}),
+                    "run_block_batch": 2, "_pool_columns": 1, "affine": 2, "matmul": 2}),
     ],
 )
 def test_step_functions_are_looked_up_by_module_name(rng, monkeypatch, encoder, depth, expected):
-    """Profilers wrap these module attributes; every forward must call through them."""
+    """Profilers wrap these module attributes; every forward must call through them.
+
+    ``matmul`` counts the aspect projection and the two heads' GEMMs.
+    """
     counts = dict.fromkeys(expected, 0)
 
     def counting(owner, name):
@@ -259,15 +287,31 @@ def test_step_functions_are_looked_up_by_module_name(rng, monkeypatch, encoder, 
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("aspect_gru_step", "transition_gru_step", "gru_step"):
+    for name in ("aspect_gru_step", "transition_gru_step", "gru_step", "matmul"):
         counting(cells_mod, name)
-    counting(model_mod, "run_block_batch")
+    for name in ("run_block_batch", "_pool_columns", "affine"):
+        counting(model_mod, name)
     model, _ = tiny_model(rng, encoder=encoder, depth=depth)
     ids, mask = _batch(rng)  # T = 4 steps
     out = model.forward(ids, mask, rng.standard_normal((3, 2)))
     assert counts == expected
     if encoder == "gru":
-        assert out.gates == [None] * 4
+        assert out.gates is None
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("pooling", POOLING_MODES)
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_tape_does_not_grow_with_sentence_length(rng, encoder, pooling, bidirectional):
+    """A training forward's tape has as many nodes at T=3 as at T=30."""
+    model, _ = tiny_model(rng, encoder=encoder, pooling=pooling, bidirectional=bidirectional)
+    sizes = []
+    for T in (3, 30):
+        ids, mask = _batch(rng, T=T)
+        out = model.forward(ids, mask, rng.standard_normal((3, 2)), training=True, rng=rng)
+        sizes.append(len({id(n) for root in (out.sent_logits, out.recon_logits)
+                          for n in iter_nodes(root)}))
+    assert sizes[0] == sizes[1]
 
 
 def test_zero_weight_model_is_uniform(rng):
@@ -318,11 +362,10 @@ def test_grad_free_forward_is_the_taped_forward_bitwise(
         assert np.array_equal(t.data, f.data), name
         assert len(list(iter_nodes(t))) > 1
         assert list(iter_nodes(f)) == [f], name
-    assert len(free.gates) == len(taped.gates) == ids.shape[1]
-    for t, f in zip(taped.gates, free.gates):
-        assert (t is None) == (f is None) == (encoder != "aspect-dt")
-        if t is not None:
-            assert np.array_equal(t.data, f.data)
+    assert (taped.gates is None) == (free.gates is None) == (encoder != "aspect-dt")
+    if taped.gates is not None:
+        assert taped.gates.shape[0] == ids.shape[1]
+        assert np.array_equal(taped.gates, free.gates)
 
 
 def test_bidirectional_padding_invariance_and_shapes(rng):
@@ -541,8 +584,12 @@ def _sample_checkable_model(rng, cfg, make_targets):
     pytest.fail("could not sample a model away from relu kinks")
 
 
-def test_end_to_end_gradients_category(rng):
-    cfg = tiny_config()
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("pooling", POOLING_MODES)
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_end_to_end_gradients_category(rng, encoder, pooling, bidirectional):
+    """Every parameter's gradient through the padded batch, the carry and pooling included."""
+    cfg = tiny_config(encoder=encoder, pooling=pooling, bidirectional=bidirectional)
     model, f = _sample_checkable_model(
         rng, cfg, lambda: (np.array([0, 2]), np.array([[False, True], [True, False]]))
     )

@@ -21,17 +21,16 @@ from aspectgate.tensor import (
     grad_check,
     iter_nodes,
     matmul,
-    maximum,
     no_grad,
+    pool_columns,
     reduce_mean,
     reduce_sum,
-    select_columns,
     sigmoid_xent_logits,
     softmax_xent_logits,
     transpose,
     _sigmoid,
 )
-from conftest import FD_EPS_CHECK, KINK_RADIUS, TOL_CHECK, wide
+from conftest import FD_EPS_CHECK, TOL_CHECK, wide
 
 
 # -- oracle self-tests -------------------------------------------------------
@@ -138,39 +137,26 @@ def test_concat_and_backward_split(rng):
         concat(Tensor(rng.standard_normal(3)), Tensor(rng.standard_normal(3)))
 
 
-def _blend_oracle(keep, a: Tensor, b: Tensor) -> Tensor:
-    """The padding blend select_columns replaces: m * a + (1 - m) * b."""
-    m = Tensor(np.ascontiguousarray(np.broadcast_to(keep.astype(a.dtype), a.shape)))
-    return m * a + Tensor(1.0 - m.data) * b
+# a padded (T, d, B) = (3, 2, 3) batch: column j has 3 - j real steps
+_POOL_MASK = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
 
 
-@pytest.mark.parametrize("keep", [[1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 0, 0]])
-def test_select_columns_matches_the_blend_bitwise(rng, keep):
-    keep = np.asarray(keep)
-    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    w = rng.standard_normal((3, 4))
-    out = select_columns(keep, a, b)
-    ref = _blend_oracle(keep, a, b)
-    assert out.op == "select"
-    assert np.array_equal(out.data, ref.data)
-    # a downstream use of both operands, as in the carry, accumulates into each
-    g = backward((out * Tensor(w)).sum() + (a * b).sum(), params=[a, b])
-    g_ref = backward((ref * Tensor(w)).sum() + (a * b).sum(), params=[a, b])
-    assert np.array_equal(g[a], g_ref[a]) and np.array_equal(g[b], g_ref[b])
-    routed = backward((out * Tensor(w)).sum(), params=[a, b])
-    assert np.array_equal(routed[a], np.where(keep, w, 0.0))
-    assert np.array_equal(routed[b], np.where(keep, 0.0, w))
+def _carried(x: np.ndarray) -> np.ndarray:
+    """States whose masked steps repeat the column's previous state, as the encoder's do."""
+    for t in range(1, x.shape[0]):
+        x[t] = np.where(_POOL_MASK[:, t], x[t], x[t - 1])
+    return x
 
 
-def test_select_columns_validation(rng):
-    a = Tensor(rng.standard_normal((3, 4)))
-    with pytest.raises(ShapeError, match="keep"):
-        select_columns(np.ones(3), a, a)
-    with pytest.raises(ShapeError):
-        select_columns(np.ones(4), a, Tensor(rng.standard_normal((2, 4))))
-    with pytest.raises(ValueError, match="dtype"):
-        select_columns(np.ones(4), a, Tensor(a.data.astype(CHECK_DTYPE)))
+def test_pool_columns_values_against_a_loop(rng):
+    x = _carried(rng.standard_normal((3, 2, 3)))
+    lengths = _POOL_MASK.sum(axis=1)
+    for j, n in enumerate(lengths):
+        real = x[:n, :, j]
+        for mode, want in (("last", real[-1]), ("max", real.max(axis=0)),
+                           ("mean", real.sum(axis=0) / n)):
+            got = pool_columns(Tensor(x), _POOL_MASK, mode).data[:, j]
+            assert np.allclose(got, want, rtol=1e-15, atol=0), mode
 
 
 def test_reduce_dispatch_and_values():
@@ -181,14 +167,13 @@ def test_reduce_dispatch_and_values():
         Tensor(np.zeros((0, 2))).mean()
 
 
-def test_maximum_tie_routes_to_first_operand():
-    a = Tensor([1.0, 5.0], requires_grad=True)
-    b = Tensor([1.0, 2.0], requires_grad=True)
-    g = backward(maximum(a, b).sum(), params=[a, b])
-    assert np.array_equal(g[a], [1.0, 1.0])
-    assert np.array_equal(g[b], [0.0, 0.0])
-    with pytest.raises(ShapeError):
-        maximum(a, Tensor(np.float64(1.0)))  # no scalar operand
+def test_max_pool_ties_route_to_the_earliest_step():
+    # (T, d, B) = (4, 1, 1); the masked step 3 never counts, however large
+    x = Tensor(np.array([1.0, 5.0, 5.0, 7.0])[:, None, None], requires_grad=True)
+    out = pool_columns(x, np.array([[1, 1, 1, 0]]), "max")
+    assert out.data[0, 0] == 5.0
+    g = backward(out.sum(), params=[x])[x]
+    assert np.array_equal(g[:, 0, 0], [0.0, 1.0, 0.0, 0.0])
 
 
 # -- backward mechanics ------------------------------------------------------
@@ -237,7 +222,7 @@ def test_backward_requires_scalar_root(rng):
 def test_backward_is_bit_identical_on_same_tape(rng):
     a = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    loss = (maximum(matmul(a, b), a + b) * matmul(a, b)).sum()
+    loss = (concat(matmul(a, b), a + b) * concat(matmul(a, b), a * b)).sum()
     params = [a, b]
     g1 = backward(loss, params=params)
     g2 = backward(loss, params=params)
@@ -268,7 +253,7 @@ def test_no_grad_builds_no_tape_and_keeps_the_values(rng):
 
     def f():
         m = matmul(a, b)
-        return maximum(m * m, m + 0.5)
+        return concat(m * m, m + 0.5)
 
     taped = f()
     with no_grad():
@@ -334,13 +319,17 @@ def test_grad_matmul(rng):
     _check(lambda: (matmul(a, b) * matmul(a, b)).sum(), [a, b])
 
 
-def test_grad_maximum(rng):
-    while True:
-        a = wide(rng, 6)
-        b = wide(rng, 6)
-        if np.abs(a.data - b.data).min() > KINK_RADIUS:
-            break
-    _check(lambda: (maximum(a, b) * maximum(a, b)).sum(), [a, b])
+def test_grad_pool_columns(rng):
+    x = wide(rng, 3, 2, 3)
+    _carried(x.data)
+    # max: keep every real entry 0.1 above the next one so no perturbation swaps them
+    gaps = 0.1 + 0.2 * np.arange(3)[:, None, None]
+    x_max = Tensor((wide(rng, 1, 2, 3).data + gaps[rng.permutation(3)]).astype(CHECK_DTYPE),
+                   requires_grad=True)
+    _carried(x_max.data)
+    w = wide(rng, 2, 3, grad=False)
+    for mode, t in (("last", x), ("max", x_max), ("mean", x)):
+        _check(lambda: (pool_columns(t, _POOL_MASK, mode) * w).sum(), [t])
 
 
 def test_grad_reductions(rng):
@@ -356,9 +345,6 @@ def test_grad_structural(rng):
     _check(lambda: (concat(a, b) * concat(b, a)).sum(), [a, b])
     t = wide(rng, 4, 3)
     _check(lambda: (transpose(t) * transpose(t)).sum(), [t])
-    keep = np.array([1, 0, 1])
-    _check(lambda: (select_columns(keep, t, t * t) * select_columns(keep, t * t, t)).sum(), [t])
-    _check(lambda: (select_columns(keep, a, b) * b).sum(), [a, b])
 
 
 def test_grad_softmax_xent(rng):
