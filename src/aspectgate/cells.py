@@ -98,42 +98,26 @@ def _blocks(a: np.ndarray, d: int) -> list[np.ndarray]:
 class CellParams:
     """Weights of one cell of a ``CELL_KINDS`` kind.
 
-    The weights of each operand live in one stacked (rows, fan-in) array,
-    ``stacks[op]``, and the biases in one stacked column, ``bias`` (None
-    without biases). Each named gate (``w_xh``, ``b_z``, ...) is an
-    attribute holding a trainable Tensor whose data is a row-block view
-    into its stack, so an in-place write to a gate (Adam, a checkpoint
-    load) is what the steps read. Rebinding a gate's data breaks that
-    link; the block refuses to run on such a cell. A stack is stored
-    Fortran-ordered, its transpose contiguous, so the steps' GEMMs run
-    with the batch as the leading dimension, the faster orientation for
-    this BLAS at these shapes.
+    The weights of each operand are one trainable stacked (rows, fan-in)
+    Tensor, ``stacks[op]``, and the biases one trainable stacked column,
+    ``bias`` (None without biases). These stacks are the parameters: the
+    steps read their ``.data``, and the per-gate names exist only in the
+    checkpoint, through ``gate_arrays``. A stack is stored Fortran-ordered,
+    its transpose contiguous, so the steps' GEMMs run with the batch as
+    the leading dimension, the faster orientation for this BLAS at these
+    shapes.
     """
 
     def __init__(self, kind: str, stacks: dict[str, np.ndarray], bias: np.ndarray | None):
-        draw, rows, biases = CELL_KINDS[kind]
         self.kind = kind
-        self.stacks = stacks
-        self.bias = bias
-        d = stacks["h"].shape[1]
-        self._views = {
-            name: view
-            for op, names in rows.items()
-            for name, view in zip(names, _blocks(stacks[op], d))
-        }
-        if bias is not None:
-            self._views.update(zip(biases, _blocks(bias, d)))
-        self._names = draw + biases
+        self.stacks = {op: Tensor(w, requires_grad=True) for op, w in stacks.items()}
+        self.bias = None if bias is None else Tensor(bias, requires_grad=True)
+        d = self.d_h
         # the relu aspect gate g, the sigmoid gates (r, z, then l for a
         # linear bypass), and the token-only rows ahead of them in "x"
         self.gated = "a" in stacks
         self.ns = stacks["h"].shape[0] // d - 1 - self.gated
         self.lead = stacks["x"].shape[0] // d - self.ns if "x" in stacks else 0
-        # the tensors a block takes gradients for, in stacked row order
-        self._step_names = (*rows.get("x", ()), *rows["h"], *(biases if bias is not None else ()))
-        for name in self._names:
-            view = self._views.get(name)
-            setattr(self, name, None if view is None else Tensor(view, requires_grad=True))
 
     @classmethod
     def init(cls, kind: str, d_h: int, rng, d_x: int | None = None,
@@ -155,24 +139,30 @@ class CellParams:
         return self.stacks["h"].shape[1]
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}{name}": t
-            for name in self._names
-            if (t := getattr(self, name)) is not None
-        }
+        """The trainable stacks by name: ``{prefix}{op}`` per operand, ``{prefix}b``."""
+        out = {f"{prefix}{op}": t for op, t in self.stacks.items()}
+        if self.bias is not None:
+            out[f"{prefix}b"] = self.bias
+        return out
 
-    def step_tensors(self) -> tuple[Tensor, ...]:
-        """The gates a step reads, checked to still view their stacks."""
-        out = []
-        for name in self._step_names:
-            t = getattr(self, name)
-            if t is None or t.data is not self._views[name]:
-                raise ValueError(
-                    f"{self.kind} cell: {name} no longer views its stacked weights; "
-                    "write gate data in place (data[...] = ...)"
-                )
-            out.append(t)
-        return tuple(out)
+
+def gate_arrays(cell: CellParams, prefix: str = "") -> dict[str, np.ndarray]:
+    """Each named gate's row-block view of its stack's current data.
+
+    These are the cell's tensors in checkpoint format 1, named
+    ``{prefix}{gate}`` in glorot draw order, then the biases; a write
+    into a view is a write into the stack.
+    """
+    draw, rows, biases = CELL_KINDS[cell.kind]
+    d = cell.d_h
+    views = {
+        name: view
+        for op, names in rows.items()
+        for name, view in zip(names, _blocks(cell.stacks[op].data, d))
+    }
+    if cell.bias is not None:
+        views.update(zip(biases, _blocks(cell.bias.data, d)))
+    return {f"{prefix}{name}": views[name] for name in draw + biases if name in views}
 
 
 # -- cell steps ------------------------------------------------------------------
@@ -192,13 +182,13 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
     rows. ``g`` is the relu aspect gate (None without an aspect) and
     ``saved`` is what ``_step_backward`` needs besides X and H.
     """
-    Wh, b, d, ns, hd = p.stacks["h"], p.bias, p.d_h, p.ns, h_prev
+    Wh, d, ns, hd = p.stacks["h"].data, p.d_h, p.ns, h_prev
     if H is None:
         H = np.empty((hd.shape[1], Wh.shape[0]), hd.dtype).T
     # batch-major GEMM: H.T = hd.T @ Wh.T, with Wh.T the contiguous storage
     np.matmul(hd.T, Wh.T, out=H.T)
-    if b is not None:
-        H[: b.shape[0]] += b
+    if p.bias is not None:
+        H[: p.bias.shape[0]] += p.bias.data
     if X is None:
         S = _sigmoid(H[: ns * d], out=H[: ns * d])
     else:
@@ -275,7 +265,7 @@ def _step_backward(p: CellParams, X, H, saved, dh: np.ndarray, x, acc: list):
     dS *= S
     dS *= 1.0 - S
     DhT = D.T[:, lead * d :]
-    dh_prev = (DhT @ p.stacks["h"]).T
+    dh_prev = (DhT @ p.stacks["h"].data).T
     dh_prev += dh
     dh_prev -= dcand
     DxT = None
@@ -315,10 +305,14 @@ class DeepTransitionBlock:
     def depth(self) -> int:
         return 1 + len(self.transitions)
 
+    @property
+    def cells(self) -> tuple[CellParams, ...]:
+        return (self.first, *self.transitions)
+
     def tensors(self, prefix: str) -> dict[str, Tensor]:
-        out = self.first.tensors(f"{prefix}c0/")
-        for i, t in enumerate(self.transitions):
-            out.update(t.tensors(f"{prefix}c{i + 1}/"))
+        out = {}
+        for j, cell in enumerate(self.cells):
+            out.update(cell.tensors(f"{prefix}c{j}/"))
         return out
 
 
@@ -357,9 +351,10 @@ def run_block_batch(
     backward runs backprop through time over what the steps saved, and
     the grad-free forward saves nothing.
     """
-    first, cells = block.first, (block.first, *block.transitions)
-    weights = [t for c in cells for t in c.step_tensors()]
-    Wx, d = first.stacks["x"], first.d_h
+    first, cells = block.first, block.cells
+    # the stacks the steps read; "a" enters through its own matmul
+    weights = [(c.stacks.get("x"), c.stacks["h"], c.bias) for c in cells]
+    Wx, d = first.stacks["x"].data, first.d_h
     if x.ndim != 3 or x.shape[1] != Wx.shape[1] or x.dtype != Wx.dtype:
         raise ShapeError(
             f"run_block_batch: x is {x.shape} {x.dtype}, expected (T, {Wx.shape[1]}, B) {Wx.dtype}"
@@ -373,11 +368,11 @@ def run_block_batch(
     if first.gated:
         if aspect is None:
             raise ValueError("run_block_batch: aspect-gated block needs an aspect")
-        a_proj = matmul(first.w_a, aspect)
+        a_proj = matmul(first.stacks["a"], aspect)
         if a_proj.shape != (d, B):
             raise ShapeError(f"run_block_batch: aspect batch {aspect.shape} does not match B={B}")
         parents.append(a_proj)
-    parents += weights
+    parents += [w for ws in weights for w in ws if w is not None]
     taped = _records(parents)
     # each step's input batch-major, so all T steps project in one GEMM
     xs = np.ascontiguousarray(x.data.transpose(0, 2, 1))
@@ -406,8 +401,7 @@ def run_block_batch(
         gates.setflags(write=False)
 
     def bwd(gs):
-        acc = [[None if w is None else np.zeros_like(w)
-                for w in (c.stacks.get("x"), c.stacks["h"], c.bias)] for c in cells]
+        acc = [[None if w is None else np.zeros_like(w.data) for w in ws] for ws in weights]
         dx = np.zeros_like(xs) if x.requires_grad else None
         da = np.zeros((d, B), gs.dtype) if a_proj is not None else None
         dnext = np.zeros((d, B), gs.dtype)  # reaching states[t] from step t + 1
@@ -429,7 +423,7 @@ def run_block_batch(
         if da is not None:
             grads.append(da)
         for a in acc:
-            grads += [blk for w in a if w is not None for blk in _blocks(w, d)]
+            grads += [w for w in a if w is not None]
         return tuple(grads)
 
     kinks = None

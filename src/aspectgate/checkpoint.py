@@ -31,9 +31,9 @@ class CheckpointError(RuntimeError):
 
 def save_checkpoint(path, model: SentimentModel, vocab: Vocab, meta: dict | None = None) -> Path:
     """Serialize model weights, the embedding table, and metadata."""
-    params = model.parameters()
-    names = sorted(params)
-    tensors = [{"name": n, "shape": list(params[n].shape)} for n in names]
+    arrays = model.checkpoint_arrays()
+    names = sorted(arrays)
+    tensors = [{"name": n, "shape": list(arrays[n].shape)} for n in names]
     tensors.append({"name": "embedding", "shape": list(vocab.embedding.shape)})
     header = {
         "format": FORMAT_VERSION,
@@ -46,7 +46,7 @@ def save_checkpoint(path, model: SentimentModel, vocab: Vocab, meta: dict | None
     head = canonical_json(header).encode("utf-8")
     parts = [MAGIC, _HEAD.pack(len(head)), head]
     for n in names:
-        parts.append(np.ascontiguousarray(params[n].data, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
     parts.append(np.ascontiguousarray(vocab.embedding, dtype="<f8").tobytes())
     return write_atomic_bytes(path, b"".join(parts))
 
@@ -131,16 +131,16 @@ def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
         model = SentimentModel(config, vocab.embedding, np.random.default_rng(0))
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: config does not build a model: {e}") from e
-    params = model.parameters()
-    if set(params) != set(arrays):
-        missing = sorted(set(params) - set(arrays))
-        extra = sorted(set(arrays) - set(params))
+    views = model.checkpoint_arrays()
+    if set(views) != set(arrays):
+        missing = sorted(set(views) - set(arrays))
+        extra = sorted(set(arrays) - set(views))
         raise CheckpointError(f"{path}: tensor set mismatch: missing {missing}, extra {extra}")
-    for name, tensor in params.items():
-        if tensor.data.shape != arrays[name].shape:
+    for name, view in views.items():
+        if view.shape != arrays[name].shape:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
-                f"model expects {tensor.data.shape}"
+                f"model expects {view.shape}"
             )
-        tensor.data[...] = arrays[name]
+        view[...] = arrays[name]
     return model, vocab, meta

@@ -22,6 +22,7 @@ from .cells import (
     CellParams,
     DeepTransitionBlock,
     affine,
+    gate_arrays,
     glorot,
     run_block_batch,
     validate_mask,
@@ -222,24 +223,37 @@ class SentimentModel:
 
     # -- parameters ------------------------------------------------------------
 
-    def _block_tensors(self, blocks, prefix: str) -> dict[str, Tensor]:
-        # checkpoint names: {prefix}l{i}/ per GRU layer, {prefix}c{j}/ per cell
-        if self.config.encoder != "gru":
-            return blocks[0].tensors(prefix)
-        out: dict[str, Tensor] = {}
-        for i, block in enumerate(blocks):
-            out.update(block.first.tensors(f"{prefix}l{i}/"))
+    def cells(self) -> dict[str, CellParams]:
+        """Every encoder cell by name prefix: ``{dir}c{j}/`` per cell of the
+        deep-transition block, ``{dir}l{i}/`` per GRU layer, with ``{dir}``
+        ``enc/`` or ``enc_rev/``."""
+        out: dict[str, CellParams] = {}
+        for d, blocks in (("enc/", self.blocks), ("enc_rev/", self.blocks_rev or ())):
+            for i, block in enumerate(blocks):
+                if self.config.encoder == "gru":
+                    out[f"{d}l{i}/"] = block.first
+                else:
+                    out.update((f"{d}c{j}/", c) for j, c in enumerate(block.cells))
         return out
 
     def parameters(self) -> dict[str, Tensor]:
-        out = self._block_tensors(self.blocks, "enc/")
-        if self.blocks_rev is not None:
-            out.update(self._block_tensors(self.blocks_rev, "enc_rev/"))
+        """The trainable tensors: every cell's stacks (``CellParams.tensors``), the heads."""
+        out: dict[str, Tensor] = {}
+        for prefix, cell in self.cells().items():
+            out.update(cell.tensors(prefix))
         out["head/recon"] = self.w_recon
         out["head/cls"] = self.w_cls
         if self.b_recon is not None:
             out["head/recon_b"] = self.b_recon
             out["head/cls_b"] = self.b_cls
+        return out
+
+    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """The weights under their checkpoint format 1 names: the heads' data,
+        and every gate's view of its stack (``gate_arrays``)."""
+        out = {n: t.data for n, t in self.parameters().items() if n.startswith("head/")}
+        for prefix, cell in self.cells().items():
+            out.update(gate_arrays(cell, prefix))
         return out
 
     # -- forward -----------------------------------------------------------------

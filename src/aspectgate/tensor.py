@@ -469,15 +469,11 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMa
     if loss.ndim != 0:
         raise ShapeError(f"backward: root must be scalar, got shape {loss.shape}")
     grads: GradientMap = {}
-    # ids of the sums this pass allocated: nothing else holds them, so later
-    # contributions add into them in place
-    owned: set[int] = set()
     if loss.requires_grad:
         order = _toposort(loss)
         grads[loss] = np.ones((), dtype=loss.data.dtype)
         for node in reversed(order):
             g = grads.pop(node)
-            owned.discard(id(g))
             if node._bwd is None:  # leaf
                 grads[node] = g
                 continue
@@ -486,14 +482,7 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMa
                 if pg is None or not parent.requires_grad:
                     continue
                 acc = grads.get(parent)
-                if acc is None:
-                    grads[parent] = pg
-                elif id(acc) in owned:
-                    acc += pg
-                else:
-                    acc = grads[parent] = acc + pg
-                    if isinstance(acc, np.ndarray):  # a 0-d sum is an immutable scalar
-                        owned.add(id(acc))
+                grads[parent] = pg if acc is None else acc + pg
     if params is not None:
         return {p: grads.get(p, np.zeros_like(p.data)) for p in params}
     return grads

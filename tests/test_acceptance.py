@@ -23,6 +23,7 @@ from aspectgate.cells import (
     CellParams,
     DeepTransitionBlock,
     aspect_gru_step,
+    gate_arrays,
     run_block_batch,
     transition_gru_step,
 )
@@ -204,7 +205,7 @@ def _block_case(rng, kind):
             first = CellParams.init("gru", 3, rng, d_x=2, dtype=CHECK_DTYPE, bias=True)
             block = DeepTransitionBlock(first, block.transitions)
         for cell in (block.first, *block.transitions):
-            cell.bias[...] = (rng.random(cell.bias.shape) - 0.5).astype(CHECK_DTYPE)
+            cell.bias.data[...] = (rng.random(cell.bias.shape) - 0.5).astype(CHECK_DTYPE)
         x, asp = _pt(rng, 3, 2, 2), _pt(rng, 2, 2)
         aspect = asp if kind == "aspect" else None
 
@@ -370,7 +371,7 @@ def test_criterion_02_zero_fixed_points():
     for t in p.tensors("").values():
         t.data[...] = 0.0
     x, asp = rng.random((3, 1)), rng.random((3, 1))
-    h, g, _ = aspect_gru_step(p, p.stacks["x"] @ x, np.zeros((4, 1)), p.w_a.data @ asp)
+    h, g, _ = aspect_gru_step(p, p.stacks["x"].data @ x, np.zeros((4, 1)), p.stacks["a"].data @ asp)
     if not (np.all(h == 0) and np.all(g == 0)):
         problems.append("a-gru non-zero")
     tp = CellParams.init("transition", 4, rng)
@@ -428,8 +429,8 @@ def test_criterion_03_aspect_independence():
     if not np.array_equal(z1, z2):
         problems.append("ablated model depends on the aspect")
     block = DeepTransitionBlock.init(5, 3, 3, depth=2, rng=rng)
-    block.first.w_a.data[...] = 0.0
-    block.first.w_hg.data[...] = 0.0
+    block.first.stacks["a"].data[...] = 0.0
+    gate_arrays(block.first)["w_hg"][...] = 0.0
     steps = Tensor(rng.random((4, 3, 2)))
     m = np.ones((2, 4), dtype=np.int64)
     s1, _ = run_block_batch(block, steps, Tensor(rng.random((3, 2))), m)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from aspectgate.checkpoint import (
 from aspectgate.cli import main
 from aspectgate.corpus import Vocab, vocab_digest
 from aspectgate.model import ModelConfig, SentimentModel
+from aspectgate.tensor import no_grad
 
 
 def _fixture(seed=11):
@@ -58,6 +60,35 @@ def test_roundtrip_is_byte_identical(tmp_path):
     loaded, v2, meta = load_checkpoint(p1)
     save_checkpoint(p2, loaded, v2, meta)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_DATA = Path(__file__).parent / "data"
+
+
+def test_a_checkpoint_written_by_an_earlier_commit_loads_bitwise(tmp_path):
+    """``format1_aspect_dt.ckpt`` was written by commit bbc82fd, when every
+    gate was its own parameter tensor: hidden 3, embed 2, depth 2, aspect-dt
+    with biases, bidirectional, so every stack kind and both directions are
+    in it, with every weight drawn uniform in [-1, 1). Its outputs on the
+    padded batch below were saved beside it. The file loads, reproduces
+    those outputs bit for bit, taped and grad-free, and saves back to the
+    same bytes."""
+    path = _DATA / "format1_aspect_dt.ckpt"
+    model, vocab, meta = load_checkpoint(path)
+    ids = np.array([[2, 3, 4, 3], [4, 3, 2, 0], [3, 0, 0, 0]])
+    mask = (ids != 0).astype(np.int64)
+    aspects = vocab.embedding[[3, 3, 2]]
+    with no_grad():
+        free = model.forward(ids, mask, aspects)
+    taped = model.forward(ids, mask, aspects)
+    assert taped.sent_logits.requires_grad
+    with np.load(_DATA / "format1_aspect_dt_outputs.npz") as want:
+        for out in (free, taped):
+            assert out.sent_logits.data.tobytes() == want["sent_logits"].tobytes()
+            assert out.recon_logits.data.tobytes() == want["recon_logits"].tobytes()
+            assert out.gates.tobytes() == want["gates"].tobytes()
+    save_checkpoint(tmp_path / "again.ckpt", model, vocab, meta)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_loaded_model_predicts_identically(tmp_path):

@@ -90,7 +90,8 @@ def test_config_roundtrip_and_rep_size():
 
 # -- parameter manifest -------------------------------------------------------------
 
-# encoder tensors of one direction with biases on, at hidden 3, embed 2, depth 2
+# checkpoint tensors of one direction's encoder with biases on, at hidden 3,
+# embed 2, depth 2: the per-gate views that checkpoint format 1 stores
 _ENC_MANIFEST = {
     "aspect-dt": (
         "c0/w_xh:3x2 c0/w_xr:3x2 c0/w_xz:3x2 c0/w_xl:3x2 c0/w_hh:3x3 c0/w_hr:3x3 "
@@ -111,6 +112,13 @@ _ENC_MANIFEST = {
     ),
 }
 
+# the trainable stacks behind those views, same settings
+_STACK_MANIFEST = {
+    "aspect-dt": "c0/x:18x2 c0/h:15x3 c0/a:3x2 c0/b:15x1 c1/h:9x3 c1/b:6x1",
+    "plain-dt": "c0/x:15x2 c0/h:12x3 c0/b:12x1 c1/h:9x3 c1/b:6x1",
+    "gru": "l0/x:9x2 l0/h:9x3 l0/b:9x1 l1/x:9x3 l1/h:9x3 l1/b:9x1",
+}
+
 # sha256 over the float64 bytes of a fresh default_rng(0) init, sorted-name order
 _INIT_SHA256 = {
     ("aspect-dt", False, False): "9052bcb4b69a5f0fc1d48f804148fa6c63d00c6013717ac455c3fb4ee3186530",
@@ -128,11 +136,11 @@ _INIT_SHA256 = {
 }
 
 
-def _expected_manifest(encoder, use_bias, bidirectional):
+def _expected_manifest(table, encoder, use_bias, bidirectional):
     rows = []
-    for item in _ENC_MANIFEST[encoder].split():
+    for item in table[encoder].split():
         name, shape = item.split(":")
-        if "/b_" in name and not use_bias:
+        if name.split("/")[1].startswith("b") and not use_bias:
             continue
         dims = tuple(int(d) for d in shape.split("x"))
         for prefix in ("enc/", "enc_rev/") if bidirectional else ("enc/",):
@@ -148,18 +156,23 @@ def _expected_manifest(encoder, use_bias, bidirectional):
 @pytest.mark.parametrize("use_bias", [False, True])
 @pytest.mark.parametrize("encoder", ENCODERS)
 def test_parameter_manifest_and_init_are_pinned(encoder, use_bias, bidirectional):
-    """Names, shapes and init draws are the checkpoint format; they must not move."""
+    """The checkpoint's per-gate names, shapes and init draws are the format;
+    they must not move. The trainable stacks behind them are pinned too."""
     cfg = tiny_config(encoder=encoder, use_bias=use_bias, bidirectional=bidirectional)
     model = SentimentModel(cfg, np.zeros((5, 2)), np.random.default_rng(0))
-    params = model.parameters()
-    names = sorted(params)
-    assert [(n, params[n].shape) for n in names] == _expected_manifest(
-        encoder, use_bias, bidirectional
+    arrays = model.checkpoint_arrays()
+    names = sorted(arrays)
+    assert [(n, arrays[n].shape) for n in names] == _expected_manifest(
+        _ENC_MANIFEST, encoder, use_bias, bidirectional
     )
     h = hashlib.sha256()
     for n in names:
-        h.update(np.ascontiguousarray(params[n].data, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
     assert h.hexdigest() == _INIT_SHA256[encoder, use_bias, bidirectional]
+    params = model.parameters()
+    assert sorted((n, t.shape) for n, t in params.items()) == _expected_manifest(
+        _STACK_MANIFEST, encoder, use_bias, bidirectional
+    )
 
 
 # -- aspect embedding --------------------------------------------------------------
@@ -445,7 +458,7 @@ def test_ablated_model_ignores_aspect_bitwise(rng):
 
 def test_zeroed_aspect_projection_makes_encoder_aspect_blind(rng):
     model, _ = tiny_model(rng, aspect_concat=False)
-    model.blocks[0].first.w_a.data[...] = 0.0
+    model.blocks[0].first.stacks["a"].data[...] = 0.0
     ids, mask = _batch(rng)
     a1 = model.forward(ids, mask, rng.standard_normal((3, 2)))
     a2 = model.forward(ids, mask, rng.standard_normal((3, 2)))

@@ -175,17 +175,17 @@ def test_nonfinite_gradient_norm_stops_before_the_update(emb_path, monkeypatch, 
 
 
 def assert_gates_view_their_stacks(model):
-    """Every gate of every cell still writes into its cell's stacked arrays."""
-    blocks = model.blocks + (model.blocks_rev or ())
-    for cell in (c for b in blocks for c in (b.first, *b.transitions)):
+    """Every tensor the checkpoint names is a view into a parameter's data."""
+    params, arrays = model.parameters(), model.checkpoint_arrays()
+    owner = {n: n for n in params if n.startswith("head/")}
+    for prefix, cell in model.cells().items():
         _, rows, biases = CELL_KINDS[cell.kind]
-        for op, names in rows.items():
-            for name in names:
-                assert np.shares_memory(getattr(cell, name).data, cell.stacks[op]), name
-        for name in biases:
-            if cell.bias is not None:
-                assert np.shares_memory(getattr(cell, name).data, cell.bias), name
-        cell.step_tensors()  # the steps' own check agrees
+        owner.update((prefix + name, prefix + op) for op, names in rows.items() for name in names)
+        if cell.bias is not None:
+            owner.update((prefix + name, prefix + "b") for name in biases)
+    assert set(owner) == set(arrays)
+    for name, param in owner.items():
+        assert np.shares_memory(arrays[name], params[param].data), name
 
 
 @pytest.mark.parametrize("encoder", ["aspect-dt", "plain-dt", "gru"])
