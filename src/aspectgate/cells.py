@@ -1,8 +1,9 @@
 """Gated recurrent cells and deep-transition sequence encoders.
 
 A deep-transition block processes one time step through a stack of
-cells: an input-consuming first cell followed by ``depth - 1`` transition
-cells that refine the state without seeing the token. The first cell
+cells, and is the tuple of those cells' ``CellParams``: an
+input-consuming first cell followed by ``depth - 1`` transition cells
+that refine the state without seeing the token. The first cell
 comes in two flavors: an aspect-gated one, whose candidate state is
 modulated by a relu gate computed from the aspect vector and the previous
 state, and an aspect-free one that keeps the gated linear bypass but no
@@ -19,8 +20,6 @@ only implementation of the math.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,15 +225,15 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
 aspect_gru_step = dt_gru_step = gru_step = transition_gru_step = cell_step
 
 
-def _step_backward(p: CellParams, X, H, saved, dh: np.ndarray, x, acc: list):
+def _step_backward(p: CellParams, X, H, saved, dh: np.ndarray, x, acc: dict):
     """Backward of one ``cell_step``: returns ``(dh_prev, dg, DxT)``.
 
     Every pre-activation gradient goes into one array ``D`` laid out as
     [token-only rows, sigmoid gates, (g), candidate state term], so the
     token and state stacks' gradients are its two overlapping row slices.
     The step's weight gradients are added into ``acc``, the cell's
-    [token stack, state stack, bias] accumulators, ``x`` being the step's
-    (d_x, B) input; ``DxT`` is the token rows' slice, batch-major.
+    accumulators keyed like ``CellParams.tensors("")``, ``x`` being the
+    step's (d_x, B) input; ``DxT`` is the token rows' slice, batch-major.
     """
     hd, tn, diff, g = saved
     d, ns, lead = p.d_h, p.ns, p.lead
@@ -271,49 +270,25 @@ def _step_backward(p: CellParams, X, H, saved, dh: np.ndarray, x, acc: list):
     DxT = None
     if X is not None:
         DxT = D.T[:, : (lead + ns) * d]
-        acc[0] += (x @ DxT).T
-    acc[1] += (hd @ DhT).T
+        acc["x"] += (x @ DxT).T
+    acc["h"] += (hd @ DhT).T
     if p.bias is not None:
-        acc[2] += DhT[:, : p.bias.shape[0]].sum(axis=0)[:, None]
+        acc["b"] += DhT[:, : p.bias.shape[0]].sum(axis=0)[:, None]
     return dh_prev, dg, DxT
 
 
 # -- deep-transition block ------------------------------------------------------
 
 
-@dataclass
-class DeepTransitionBlock:
-    """One input cell plus transition cells, applied once per time step."""
-
-    first: CellParams  # kind "aspect", "dt" or "gru"
-    transitions: tuple[CellParams, ...]  # kind "transition"
-
-    @classmethod
-    def init(cls, d_h, d_x, d_a, depth, rng, dtype=TRAIN_DTYPE, aspect_gated=True, bias=False):
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        first = CellParams.init(
-            "aspect" if aspect_gated else "dt", d_h, rng, d_x, d_a, dtype, bias
-        )
-        trans = tuple(
-            CellParams.init("transition", d_h, rng, dtype=dtype, bias=bias)
-            for _ in range(depth - 1)
-        )
-        return cls(first=first, transitions=trans)
-
-    @property
-    def depth(self) -> int:
-        return 1 + len(self.transitions)
-
-    @property
-    def cells(self) -> tuple[CellParams, ...]:
-        return (self.first, *self.transitions)
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for j, cell in enumerate(self.cells):
-            out.update(cell.tensors(f"{prefix}c{j}/"))
-        return out
+def init_block(kind: str, d_h: int, d_x: int, d_a: int | None, depth: int, rng,
+               dtype=TRAIN_DTYPE, bias=False) -> tuple[CellParams, ...]:
+    """A block: an input cell of ``kind`` ("aspect", "dt" or "gru"), then
+    ``depth - 1`` transition cells, drawn in that order."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    first = CellParams.init(kind, d_h, rng, d_x, d_a, dtype, bias)
+    return (first, *(CellParams.init("transition", d_h, rng, dtype=dtype, bias=bias)
+                     for _ in range(depth - 1)))
 
 
 # -- sequence encoder ------------------------------------------------------------
@@ -332,28 +307,31 @@ def validate_mask(mask, B: int, T: int) -> np.ndarray:
 
 
 def run_block_batch(
-    block: DeepTransitionBlock,
+    cells: tuple[CellParams, ...],
     x: Tensor,
     aspect: Tensor | None,
     mask: np.ndarray,
 ) -> tuple[Tensor, np.ndarray | None]:
     """Encode a step-major column batch through a block, as one tape node.
 
-    ``x`` is (T, d_x, B): the (d_x, B) input of every step. ``mask`` is a
-    (B, T) mask as ``validate_mask`` accepts, which the caller checks. A
-    masked column carries its previous state through by selection, so
-    from its last real token on a column holds its final state. Returns
-    the (T, d_h, B) states, starting from zero, and the relu aspect gates
-    as a read-only (T, d_h, B) constant (None without an aspect).
+    ``cells`` is the block: its input cell, then its transition cells.
+    ``x`` is (T, d_x, B): the (d_x, B) input of every step. ``aspect`` is
+    the (d_a, B) aspect batch an aspect-gated input cell reads. ``mask``
+    is a (B, T) mask as ``validate_mask`` accepts, which the caller
+    checks. A masked column carries its previous state through by
+    selection, so from its last real token on a column holds its final
+    state. Returns the (T, d_h, B) states, starting from zero, and the
+    relu aspect gates as a read-only (T, d_h, B) constant (None without
+    an aspect).
 
-    The token projection of every step is one GEMM before the time loop.
-    The loop runs each cell's step by its kind's name; the node's
-    backward runs backprop through time over what the steps saved, and
-    the grad-free forward saves nothing.
+    The token projection of every step is one GEMM before the time loop,
+    and so is the aspect projection: the aspect is constant across a
+    sequence. The loop runs each cell's step by its kind's name. The
+    node's parents are ``x``, the aspect when the input cell is gated,
+    and every cell's stacks; its backward runs backprop through time over
+    what the steps saved, and the grad-free forward saves nothing.
     """
-    first, cells = block.first, block.cells
-    # the stacks the steps read; "a" enters through its own matmul
-    weights = [(c.stacks.get("x"), c.stacks["h"], c.bias) for c in cells]
+    first = cells[0]
     Wx, d = first.stacks["x"].data, first.d_h
     if x.ndim != 3 or x.shape[1] != Wx.shape[1] or x.dtype != Wx.dtype:
         raise ShapeError(
@@ -368,11 +346,16 @@ def run_block_batch(
     if first.gated:
         if aspect is None:
             raise ValueError("run_block_batch: aspect-gated block needs an aspect")
-        a_proj = matmul(first.stacks["a"], aspect)
-        if a_proj.shape != (d, B):
-            raise ShapeError(f"run_block_batch: aspect batch {aspect.shape} does not match B={B}")
-        parents.append(a_proj)
-    parents += [w for ws in weights for w in ws if w is not None]
+        Wa = first.stacks["a"].data
+        if aspect.shape != (Wa.shape[1], B) or aspect.dtype != Wa.dtype:
+            raise ShapeError(
+                f"run_block_batch: aspect is {aspect.shape} {aspect.dtype}, "
+                f"expected ({Wa.shape[1]}, {B}) {Wa.dtype}"
+            )
+        a_proj = Wa @ aspect.data
+        parents.append(aspect)
+    for c in cells:
+        parents += c.tensors("").values()
     taped = _records(parents)
     # each step's input batch-major, so all T steps project in one GEMM
     xs = np.ascontiguousarray(x.data.transpose(0, 2, 1))
@@ -380,16 +363,15 @@ def run_block_batch(
     # the cells' state projections: every step's when taped, else one reused
     Hs = [np.empty((T if taped else 1, B, c.stacks["h"].shape[0]), x.dtype) for c in cells]
     steps = [{"aspect": aspect_gru_step, "dt": dt_gru_step, "gru": gru_step}[first.kind]]
-    steps += [transition_gru_step] * len(block.transitions)
+    steps += [transition_gru_step] * (len(cells) - 1)
     saved: list[list] = [[] for _ in cells]
     states = np.empty((T, B, d), x.dtype).transpose(0, 2, 1)
     gates = np.empty((T, d, B), x.dtype) if first.gated else None
     h0 = np.zeros((B, d), x.dtype).T
-    ap = None if a_proj is None else a_proj.data
     for t in range(T):
         h = hd = states[t - 1] if t else h0
         for j, (cell, step) in enumerate(zip(cells, steps)):
-            h, g, s = step(cell, None if j else X[t].T, h, ap, Hs[j][t if taped else 0].T)
+            h, g, s = step(cell, None if j else X[t].T, h, a_proj, Hs[j][t if taped else 0].T)
             if taped:
                 saved[j].append(s)
             if g is not None:
@@ -401,7 +383,9 @@ def run_block_batch(
         gates.setflags(write=False)
 
     def bwd(gs):
-        acc = [[None if w is None else np.zeros_like(w.data) for w in ws] for ws in weights]
+        # the aspect stack's gradient is one GEMM after the loop
+        acc = [{k: np.zeros_like(w.data) for k, w in c.tensors("").items() if k != "a"}
+               for c in cells]
         dx = np.zeros_like(xs) if x.requires_grad else None
         da = np.zeros((d, B), gs.dtype) if a_proj is not None else None
         dnext = np.zeros((d, B), gs.dtype)  # reaching states[t] from step t + 1
@@ -421,9 +405,10 @@ def run_block_batch(
             dnext = dh if dcarry is None else dh + dcarry
         grads = [None if dx is None else dx.transpose(0, 2, 1)]
         if da is not None:
-            grads.append(da)
-        for a in acc:
-            grads += [w for w in a if w is not None]
+            grads.append(Wa.T @ da if aspect.requires_grad else None)
+            acc[0]["a"] = da @ aspect.data.T
+        for c, a in zip(cells, acc):
+            grads += (a[k] for k in c.tensors(""))
         return tuple(grads)
 
     kinks = None

@@ -141,7 +141,7 @@ def aspect_tokens_of(sentence: RawSentence, ann: AspectAnnotation) -> tuple[str,
 # -- XML parsing ---------------------------------------------------------------------
 
 
-def _align_term(sentence_text: str, spans, term: str, lo, hi, sid: str) -> tuple[int, int]:
+def _align_term(spans, term: str, lo, hi, sid: str) -> tuple[int, int]:
     """Token span of a term given its character offsets (or by search)."""
     if lo is not None and hi is not None:
         hit = [i for i, (_, s, e) in enumerate(spans) if s < hi and e > lo]
@@ -188,7 +188,6 @@ def parse_semeval_xml(data: str | bytes, task: str) -> list[RawSentence]:
                 lo = t.get("from")
                 hi = t.get("to")
                 span = _align_term(
-                    text,
                     spans,
                     term,
                     int(lo) if lo is not None else None,
@@ -438,15 +437,18 @@ def vocab_digest(tokens: Sequence[str], embedding: np.ndarray) -> str:
 def scan_embedding_file(path, wanted: set[str]) -> tuple[dict[str, np.ndarray], int]:
     """Stream a text embedding file, keeping only wanted tokens.
 
-    Returns (token -> vector, dimension). A leading word2vec-style count
-    header is skipped. Inconsistent dimensions or unparsable numbers
-    raise ``CorpusError`` with the line number.
+    Returns (token -> vector, dimension), the dimension read from the
+    first row. A leading word2vec-style count header and trailing
+    whitespace are skipped. A row's last ``dim`` fields are its vector
+    and the rest its token; a token holding a space, which ``tokenize``
+    never produces, is skipped unparsed. Too few values or unparsable
+    numbers raise ``CorpusError`` with the line number.
     """
     found: dict[str, np.ndarray] = {}
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if ln == 1 and len(parts) == 2:
                 try:
                     int(parts[0]), int(parts[1])
@@ -457,13 +459,15 @@ def scan_embedding_file(path, wanted: set[str]) -> tuple[dict[str, np.ndarray], 
                 if line.strip() == "":
                     continue
                 raise CorpusError(f"embedding file line {ln}: too few fields")
-            token = parts[0]
             if dim is None:
                 dim = len(parts) - 1
-            elif len(parts) - 1 != dim:
+            elif len(parts) - 1 < dim:
                 raise CorpusError(
                     f"embedding file line {ln}: expected {dim} values, got {len(parts) - 1}"
                 )
+            elif len(parts) - 1 > dim:
+                continue  # a token with spaces in it
+            token = parts[0]
             if token in wanted and token not in found:
                 try:
                     found[token] = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)

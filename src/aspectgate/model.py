@@ -20,10 +20,10 @@ import numpy as np
 
 from .cells import (
     CellParams,
-    DeepTransitionBlock,
     affine,
     gate_arrays,
     glorot,
+    init_block,
     run_block_batch,
     validate_mask,
 )
@@ -200,24 +200,15 @@ class SentimentModel:
                 np.zeros((config.num_labels, 1), dtype=self.dtype), requires_grad=True
             )
 
-    def _make_blocks(self, rng) -> tuple[DeepTransitionBlock, ...]:
+    def _make_blocks(self, rng) -> tuple[tuple[CellParams, ...], ...]:
         """The deep-transition block, or ``depth`` one-cell GRU blocks."""
         c = self.config
         d_h, d_x, bias = c.hidden_size, c.embed_size, c.use_bias
         if c.encoder != "gru":
-            gated = c.encoder == "aspect-dt"
-            return (
-                DeepTransitionBlock.init(
-                    d_h, d_x, d_x, c.depth, rng, self.dtype, aspect_gated=gated, bias=bias
-                ),
-            )
+            kind = "aspect" if c.encoder == "aspect-dt" else "dt"
+            return (init_block(kind, d_h, d_x, d_x, c.depth, rng, self.dtype, bias),)
         return tuple(
-            DeepTransitionBlock(
-                CellParams.init(
-                    "gru", d_h, rng, d_x=d_x if i == 0 else d_h, dtype=self.dtype, bias=bias
-                ),
-                (),
-            )
+            init_block("gru", d_h, d_x if i == 0 else d_h, None, 1, rng, self.dtype, bias)
             for i in range(c.depth)
         )
 
@@ -231,9 +222,9 @@ class SentimentModel:
         for d, blocks in (("enc/", self.blocks), ("enc_rev/", self.blocks_rev or ())):
             for i, block in enumerate(blocks):
                 if self.config.encoder == "gru":
-                    out[f"{d}l{i}/"] = block.first
+                    out[f"{d}l{i}/"] = block[0]
                 else:
-                    out.update((f"{d}c{j}/", c) for j, c in enumerate(block.cells))
+                    out.update((f"{d}c{j}/", c) for j, c in enumerate(block))
         return out
 
     def parameters(self) -> dict[str, Tensor]:

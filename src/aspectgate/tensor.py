@@ -3,9 +3,10 @@
 Two floating point widths are supported: float64 is the training
 precision, and numpy's longdouble is the double-width precision used for
 gradient checking, where central differences need roundoff headroom below
-the checking tolerance. Shapes never broadcast implicitly; the only
-exception is combining a scalar (0-d) value with a tensor, which keeps
-shape bugs loud inside the hand-built recurrence code.
+the checking tolerance. Shapes never broadcast implicitly, so a
+mismatched operand fails at the op that received it rather than
+passing a wrong shape on; the only exception is combining a scalar
+(0-d) value with a tensor.
 
 Every operation records its inputs and a backward closure on the output
 node, forming an implicit tape (a DAG, since nodes can be reused).

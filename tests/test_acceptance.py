@@ -21,9 +21,9 @@ from aspectgate import cells as cells_mod
 from aspectgate import tensor as tensor_mod
 from aspectgate.cells import (
     CellParams,
-    DeepTransitionBlock,
     aspect_gru_step,
     gate_arrays,
+    init_block,
     run_block_batch,
     transition_gru_step,
 )
@@ -199,12 +199,12 @@ def _block_case(rng, kind):
     """A depth-2 block over a padded B=2 batch, first cell ``kind``, biases off zero,
     input and aspect on the tape, away from relu kinks."""
     for _ in range(100):
-        block = DeepTransitionBlock.init(3, 2, 2, depth=2, rng=rng, dtype=CHECK_DTYPE,
-                                         aspect_gated=kind == "aspect", bias=True)
+        block = init_block("aspect" if kind == "aspect" else "dt", 3, 2, 2, 2, rng,
+                           CHECK_DTYPE, bias=True)
         if kind == "gru":
             first = CellParams.init("gru", 3, rng, d_x=2, dtype=CHECK_DTYPE, bias=True)
-            block = DeepTransitionBlock(first, block.transitions)
-        for cell in (block.first, *block.transitions):
+            block = (first, *block[1:])
+        for cell in block:
             cell.bias.data[...] = (rng.random(cell.bias.shape) - 0.5).astype(CHECK_DTYPE)
         x, asp = _pt(rng, 3, 2, 2), _pt(rng, 2, 2)
         aspect = asp if kind == "aspect" else None
@@ -214,7 +214,8 @@ def _block_case(rng, kind):
             return (states * states).sum() + states.sum()
 
         if relu_kink_margin(f()) > KINK_RADIUS:
-            return f, [*block.tensors("").values(), x, *([asp] if aspect is not None else [])]
+            stacks = [t for cell in block for t in cell.tensors("").values()]
+            return f, [*stacks, x, *([asp] if aspect is not None else [])]
     pytest.fail(f"could not sample a {kind} block away from relu kinks")
 
 
@@ -379,9 +380,10 @@ def test_criterion_02_zero_fixed_points():
         t.data[...] = 0.0
     if not np.all(transition_gru_step(tp, None, np.zeros((4, 1)))[0] == 0):
         problems.append("t-gru non-zero")
-    block = DeepTransitionBlock.init(4, 3, 3, depth=3, rng=rng)
-    for t in block.tensors("").values():
-        t.data[...] = 0.0
+    block = init_block("aspect", 4, 3, 3, 3, rng)
+    for cell in block:
+        for t in cell.tensors("").values():
+            t.data[...] = 0.0
     states, _ = run_block_batch(
         block, Tensor(rng.random((3, 3, 2))), Tensor(rng.random((3, 2))),
         np.ones((2, 3), dtype=np.int64),
@@ -428,9 +430,9 @@ def test_criterion_03_aspect_independence():
     z2 = model.forward(ids, mask, a2).sent_logits.data
     if not np.array_equal(z1, z2):
         problems.append("ablated model depends on the aspect")
-    block = DeepTransitionBlock.init(5, 3, 3, depth=2, rng=rng)
-    block.first.stacks["a"].data[...] = 0.0
-    gate_arrays(block.first)["w_hg"][...] = 0.0
+    block = init_block("aspect", 5, 3, 3, 2, rng)
+    block[0].stacks["a"].data[...] = 0.0
+    gate_arrays(block[0])["w_hg"][...] = 0.0
     steps = Tensor(rng.random((4, 3, 2)))
     m = np.ones((2, 4), dtype=np.int64)
     s1, _ = run_block_batch(block, steps, Tensor(rng.random((3, 2))), m)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from aspectgate.cells import (
     CELL_KINDS,
     CellParams,
-    DeepTransitionBlock,
     aspect_gru_step,
     dt_gru_step,
     gate_arrays,
     gru_step,
+    init_block,
     run_block_batch,
     transition_gru_step,
     validate_mask,
@@ -50,14 +50,19 @@ def _xp(p, rows):
     return rows @ p.stacks["x"].data.T
 
 
-def _only(kind, rng, dtype=np.float64, bias=False, d_h=5, d_x=4) -> DeepTransitionBlock:
+def _only(kind, rng, dtype=np.float64, bias=False, d_h=5, d_x=4) -> tuple[CellParams, ...]:
     """A block whose cell of ``kind`` is the one under test: its first cell,
     or for a transition its second, after an aspect-free input cell."""
     p = CellParams.init(kind, d_h, rng, d_x=d_x, d_a=d_x, dtype=dtype, bias=bias)
     if kind != "transition":
-        return DeepTransitionBlock(p, ())
+        return (p,)
     first = CellParams.init("dt", d_h, rng, d_x=d_x, dtype=dtype, bias=bias)
-    return DeepTransitionBlock(first, (p,))
+    return (first, p)
+
+
+def _params(block) -> list[Tensor]:
+    """Every cell's stacks, in block order: the block op's parents after its operands."""
+    return [t for cell in block for t in cell.tensors("").values()]
 
 
 # -- frozen step behavior ------------------------------------------------------
@@ -95,7 +100,7 @@ def test_aspect_gru_dead_gate_reduces_to_ungated_paths(rng):
 
 def test_aspect_gru_ignores_aspect_when_projection_is_zero(rng):
     block = _only("aspect", rng, d_h=4, d_x=3)
-    block.first.stacks["a"].data[...] = 0.0
+    block[0].stacks["a"].data[...] = 0.0
     x = _seq(rng.standard_normal((3, 3)))
     h1, _ = run_block_batch(block, x, Tensor(_col(rng, 3)), np.ones((1, 3)))
     h2, _ = run_block_batch(block, x, Tensor(_col(rng, 3)), np.ones((1, 3)))
@@ -111,11 +116,11 @@ def test_transition_gru_zero_weights_halves_state(rng):
 
 
 def test_block_depth_one_is_just_the_input_cell(rng):
-    block = DeepTransitionBlock.init(4, 3, 3, depth=1, rng=rng)
-    assert block.depth == 1 and block.transitions == ()
+    block = init_block("aspect", 4, 3, 3, 1, rng)
+    assert len(block) == 1
     emb, a = rng.standard_normal((2, 3)), _col(rng, 3)
     states, gates = run_block_batch(block, _seq(emb), Tensor(a), np.ones((1, 2)))
-    p, h = block.first, np.zeros((4, 1))
+    p, h = block[0], np.zeros((4, 1))
     X = _xp(p, emb)
     for t in range(2):
         h, g, _ = aspect_gru_step(p, X[t][:, None], h, p.stacks["a"].data @ a)
@@ -124,11 +129,11 @@ def test_block_depth_one_is_just_the_input_cell(rng):
 
 
 def test_block_transitions_compose(rng):
-    block = DeepTransitionBlock.init(4, 3, 3, depth=3, rng=rng)
-    for cell in block.transitions:
+    block = init_block("aspect", 4, 3, 3, 3, rng)
+    for cell in block[1:]:
         _zero_params(cell)
     emb, a = rng.standard_normal((1, 3)), _col(rng, 3)
-    p = block.first
+    p = block[0]
     a_proj = p.stacks["a"].data @ a
     first, _, _ = aspect_gru_step(p, _xp(p, emb)[0][:, None], np.zeros((4, 1)), a_proj)
     states, _ = run_block_batch(block, _seq(emb), Tensor(a), np.ones((1, 1)))
@@ -138,12 +143,12 @@ def test_block_transitions_compose(rng):
 
 def test_block_depth_validation(rng):
     with pytest.raises(ValueError):
-        DeepTransitionBlock.init(4, 3, 3, depth=0, rng=rng)
+        init_block("aspect", 4, 3, 3, 0, rng)
 
 
 def test_dt_cell_has_no_aspect_surface(rng):
-    block = DeepTransitionBlock.init(4, 3, 3, depth=2, rng=rng, aspect_gated=False)
-    assert block.first.kind == "dt" and "a" not in block.first.stacks
+    block = init_block("dt", 4, 3, 3, 2, rng)
+    assert block[0].kind == "dt" and "a" not in block[0].stacks
     states, gates = run_block_batch(block, _seq(rng.standard_normal((2, 3))), None, np.ones((1, 2)))
     assert gates is None
     assert states.shape == (2, 4, 1)
@@ -231,12 +236,10 @@ _PADDED = np.array([[1, 1, 1], [1, 1, 0]])
 
 def _padded_case(rng, kind, dtype=np.float64):
     """A depth-2 block with biases off zero over a padded B=2 batch, input and aspect on the tape."""
-    block = DeepTransitionBlock.init(3, 2, 2, depth=2, rng=rng, dtype=dtype,
-                                     aspect_gated=kind == "aspect", bias=True)
+    block = init_block("aspect" if kind == "aspect" else "dt", 3, 2, 2, 2, rng, dtype, bias=True)
     if kind == "gru":
-        block = DeepTransitionBlock(CellParams.init("gru", 3, rng, d_x=2, dtype=dtype, bias=True),
-                                    block.transitions)
-    for cell in (block.first, *block.transitions):
+        block = (CellParams.init("gru", 3, rng, d_x=2, dtype=dtype, bias=True), *block[1:])
+    for cell in block:
         cell.bias.data[...] = (rng.random(cell.bias.shape) - 0.5).astype(dtype)
     x = Tensor((rng.random((3, 2, 2)) - 0.5).astype(dtype), requires_grad=True)
     aspect = Tensor((rng.random((2, 2)) - 0.5).astype(dtype), requires_grad=True)
@@ -250,8 +253,8 @@ def test_block_matches_the_per_gate_reference_over_a_padded_batch(rng, kind):
     states, gates = run_block_batch(block, x, aspect, _PADDED)
     h = np.zeros((3, 2))
     for t in range(3):
-        new, g = _reference_step(block.first, x.data[t], h, None if aspect is None else aspect.data)
-        new, _ = _reference_step(block.transitions[0], None, new, None)
+        new, g = _reference_step(block[0], x.data[t], h, None if aspect is None else aspect.data)
+        new, _ = _reference_step(block[1], None, new, None)
         assert _rel(states.data[t][:, _PADDED[:, t] == 1], new[:, _PADDED[:, t] == 1]) <= 1e-13
         if g is not None:
             assert _rel(gates[t], g) <= 1e-13
@@ -261,17 +264,15 @@ def test_block_matches_the_per_gate_reference_over_a_padded_batch(rng, kind):
 
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
 def test_fused_step_is_one_tape_node(rng, kind):
-    """A block over a padded batch is one node whose parents are its operands and
-    at most three stacks per cell, and no_grad gives the same bits, gates included."""
+    """A block over a padded batch is one node whose parents are its input, the
+    aspect and every cell's stacks, and no_grad gives the same bits, gates included."""
     block = _only(kind, rng, bias=True)
     x = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
     aspect = Tensor(rng.standard_normal((4, 2))) if kind == "aspect" else None
     states, gates = run_block_batch(block, x, aspect, _PADDED)
     assert states.op == "block"
-    leaves = set(map(id, block.tensors("").values()))
-    assert all(q is x or id(q) in leaves or q.op == "matmul" for q in states._parents)
-    # the aspect stack enters through its matmul, every other stack directly
-    assert len(states._parents) == 1 + len(leaves)
+    operands = (x,) if aspect is None else (x, aspect)
+    assert states._parents == (*operands, *_params(block))
     assert (gates is None) == (kind != "aspect")
     if gates is not None:  # the relu gate is a constant: no loss reads it
         assert not gates.flags.writeable
@@ -286,7 +287,7 @@ def test_aspect_gate_subgradient_at_zero_is_zero(rng):
     """The relu gate passes no gradient at or below its kink."""
     block = _only("aspect", rng, d_h=3, d_x=3)
     # from the zero state the pre-activation is the aspect
-    block.first.stacks["a"].data[...] = np.eye(3)
+    block[0].stacks["a"].data[...] = np.eye(3)
     aspect = Tensor(np.array([[-1.0], [0.0], [2.0]]), requires_grad=True)
     states, gates = run_block_batch(block, _seq(rng.standard_normal((1, 3))), aspect, np.ones((1, 1)))
     assert np.array_equal(gates[0][:, 0], [0.0, 0.0, 2.0])
@@ -295,9 +296,9 @@ def test_aspect_gate_subgradient_at_zero_is_zero(rng):
 
 
 def test_relu_kink_margin_reads_the_aspect_gate_preactivation(rng):
-    block = DeepTransitionBlock.init(3, 2, 3, depth=2, rng=rng)
-    gate_arrays(block.first)["w_hg"][...] = 0.0  # every step's pre-activation is the aspect
-    block.first.stacks["a"].data[...] = np.eye(3)
+    block = init_block("aspect", 3, 2, 3, 2, rng)
+    gate_arrays(block[0])["w_hg"][...] = 0.0  # every step's pre-activation is the aspect
+    block[0].stacks["a"].data[...] = np.eye(3)
     aspect = Tensor(np.array([[0.5, -2.0], [1e-9, 3.0], [-1.5, 0.7]]), requires_grad=True)
     x = Tensor(rng.standard_normal((4, 2, 2)))
 
@@ -337,7 +338,7 @@ def test_gates_are_row_blocks_of_their_stacks(rng):
 def test_gate_gradients_of_one_cell_never_overlap(rng, kind):
     """clip_global_norm scales each gradient in place, so none may alias another."""
     block = _only(kind, rng, bias=True)
-    params = list(block.tensors("").values())
+    params = _params(block)
     aspect = Tensor(rng.standard_normal((4, 3))) if kind == "aspect" else None
     states, _ = run_block_batch(block, Tensor(rng.standard_normal((2, 4, 3))), aspect,
                                 np.ones((3, 2)))
@@ -363,33 +364,33 @@ def test_grad_aspect_gru_step(rng):
     block = _only("aspect", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
     x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE))
     aspect = Tensor(_col(rng, 2, dtype=CHECK_DTYPE))
-    _check_block(block, x, aspect, np.ones((1, 2)), list(block.tensors("").values()))
+    _check_block(block, x, aspect, np.ones((1, 2)), _params(block))
 
 
 def test_grad_transition_gru_step(rng):
     block = _only("transition", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
     x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE), grad=True)
-    tensors = [*block.transitions[0].tensors("").values(), x]
+    tensors = [*block[1].tensors("").values(), x]
     _check_block(block, x, None, np.ones((1, 2)), tensors)
 
 
 def test_grad_dt_cell_step(rng):
     block = _only("dt", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
     x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE))
-    _check_block(block, x, None, np.ones((1, 2)), list(block.tensors("").values()))
+    _check_block(block, x, None, np.ones((1, 2)), _params(block))
 
 
 def test_grad_gru_step(rng):
     block = _only("gru", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
     x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE), grad=True)
-    _check_block(block, x, None, np.ones((1, 2)), [*block.tensors("").values(), x])
+    _check_block(block, x, None, np.ones((1, 2)), [*_params(block), x])
 
 
 def test_grad_depth2_block_over_three_steps(rng):
-    block = DeepTransitionBlock.init(3, 2, 2, depth=2, rng=rng, dtype=CHECK_DTYPE)
+    block = init_block("aspect", 3, 2, 2, 2, rng, CHECK_DTYPE)
     x = _seq((rng.random((3, 2)) - 0.5).astype(CHECK_DTYPE))
     aspect = Tensor((rng.random((2, 1)) - 0.5).astype(CHECK_DTYPE))
-    tensors = list(block.tensors("").values())
+    tensors = _params(block)
 
     def f():
         states, _ = run_block_batch(block, x, aspect, np.ones((1, 3)))
@@ -400,7 +401,7 @@ def test_grad_depth2_block_over_three_steps(rng):
 
 def test_grad_bias_terms_flow(rng):
     block = _only("aspect", rng, dtype=CHECK_DTYPE, bias=True, d_h=3, d_x=2)
-    p = block.first
+    p = block[0]
     # move biases off zero so the check probes a generic point
     p.bias.data[...] = (rng.random((15, 1)) - 0.5).astype(CHECK_DTYPE)
     x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE))
@@ -421,7 +422,7 @@ def test_bias_off_by_default(rng):
 
 
 def test_masked_suffix_carries_state_bit_identically(rng):
-    block = DeepTransitionBlock.init(5, 3, 3, depth=2, rng=rng)
+    block = init_block("aspect", 5, 3, 3, 2, rng)
     emb = rng.standard_normal((4, 3))
     aspect = Tensor(rng.standard_normal((3, 1)))
     short, _ = run_block_batch(block, _seq(emb[:2]), aspect, np.ones((1, 2)))
@@ -441,8 +442,17 @@ def test_nonmonotone_mask_rejected():
         validate_mask(np.ones((1, 3)), 1, 4)
 
 
+def test_block_refuses_an_aspect_that_does_not_fit(rng):
+    """No broadcasting: an aspect batch of the wrong width, batch or dtype is refused."""
+    block = init_block("aspect", 4, 3, 3, 1, rng)
+    x = Tensor(rng.standard_normal((2, 3, 2)))
+    for bad in (np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((3, 2), dtype=CHECK_DTYPE)):
+        with pytest.raises(ShapeError, match="aspect is"):
+            run_block_batch(block, x, Tensor(bad), np.ones((2, 2)))
+
+
 def test_empty_sequence_encodes_to_nothing(rng):
-    block = DeepTransitionBlock.init(4, 3, 3, depth=2, rng=rng)
+    block = init_block("aspect", 4, 3, 3, 2, rng)
     states, gates = run_block_batch(block, Tensor(np.zeros((0, 3, 1))), Tensor(np.zeros((3, 1))),
                                     np.zeros((1, 0)))
     assert states.shape == gates.shape == (0, 4, 1)
@@ -450,7 +460,7 @@ def test_empty_sequence_encodes_to_nothing(rng):
 
 def test_batch_matches_single_sequences(rng):
     """Packing sequences into columns reproduces per-sequence encodings."""
-    block = DeepTransitionBlock.init(5, 3, 3, depth=3, rng=rng)
+    block = init_block("aspect", 5, 3, 3, 3, rng)
     lens = [4, 2, 3]
     seqs = [rng.standard_normal((n, 3)) for n in lens]
     aspects = [rng.standard_normal(3) for _ in lens]
@@ -476,8 +486,8 @@ def _run_stack(blocks, x, mask):
 def test_stacked_gru_encode_shapes_and_masking(rng):
     """The GRU baseline is one-cell blocks run one after another."""
     layers = [
-        DeepTransitionBlock(CellParams.init("gru", 4, rng, d_x=3), ()),
-        DeepTransitionBlock(CellParams.init("gru", 4, rng, d_x=4), ()),
+        (CellParams.init("gru", 4, rng, d_x=3),),
+        (CellParams.init("gru", 4, rng, d_x=4),),
     ]
     emb = rng.standard_normal((5, 3))
     states, gates = _run_stack(layers, _seq(emb), np.ones((1, 5)))
@@ -487,7 +497,7 @@ def test_stacked_gru_encode_shapes_and_masking(rng):
     padded, _ = _run_stack(layers, _seq(emb), np.array([[1, 1, 1, 0, 0]]))
     assert np.array_equal(short.data[-1], padded.data[-1])
     # one layer is one gru_step per token from a zero state
-    p, h = layers[0].first, np.zeros((4, 1))
+    p, h = layers[0][0], np.zeros((4, 1))
     X = _xp(p, emb[:2])
     for t in range(2):
         h, _, _ = gru_step(p, X[t][:, None], h)
@@ -517,8 +527,8 @@ def test_transition_step_is_a_contraction_toward_unit_box(seed):
 def test_block_state_bounded_without_linear_bypass(seed, depth):
     """Zeroing both bypass paths leaves a pure tanh candidate, so |h| <= 1."""
     r = np.random.default_rng(seed)
-    block = DeepTransitionBlock.init(4, 3, 3, depth=depth, rng=r)
-    w = gate_arrays(block.first)
+    block = init_block("aspect", 4, 3, 3, depth, r)
+    w = gate_arrays(block[0])
     w["w_lin1"][...] = 0.0
     w["w_lin2"][...] = 0.0
     aspect = Tensor(r.standard_normal((3, 1)))

@@ -319,6 +319,14 @@ def test_scan_embedding_file(emb_path, tmp_path):
     notnum.write_text("food one 2 3\n")
     with pytest.raises(CorpusError, match="bad number"):
         scan_embedding_file(notnum, {"food"})
+    spaced = tmp_path / "spaced.txt"
+    spaced.write_text("food 1 2 3\n. . . 4 5 6\nbar 7 8 9\n")
+    found, dim = scan_embedding_file(spaced, {".", "bar"})
+    assert dim == 3 and set(found) == {"bar"} and np.allclose(found["bar"], [7, 8, 9])
+    trailing = tmp_path / "trailing.txt"
+    trailing.write_text("food 1 2 3 \nbar 4 5 6 \n")
+    found, dim = scan_embedding_file(trailing, {"food", "bar"})
+    assert dim == 3 and np.allclose(found["food"], [1, 2, 3]) and np.allclose(found["bar"], [4, 5, 6])
 
 
 def test_build_vocab_rows_and_fallbacks(emb_path):

@@ -256,9 +256,13 @@ def _batch(rng, B=3, T=4, vocab=9):
     return ids, mask
 
 
-@pytest.mark.parametrize("bad, match", [([[1, 0, 1]], "monotone"), ([[1, 2, 0]], "0 or 1")])
+@pytest.mark.parametrize(
+    "bad, match",
+    [([[1, 0, 1]], "monotone"), ([[1, 2, 0]], "0 or 1"), ([[0, 0, 0]], "no real tokens")],
+)
 def test_forward_refuses_a_bad_mask(rng, bad, match):
-    """forward checks the mask once; the block and pooling trust it."""
+    """forward checks the mask once and the block trusts it; pooling refuses a row
+    with no real token, after the recurrence has run."""
     model, _ = tiny_model(rng)
     with pytest.raises(ValueError, match=match):
         model.forward(np.array([[1, 2, 3]]), np.array(bad), rng.standard_normal((1, 2)))
@@ -279,7 +283,7 @@ def test_forward_shapes(rng):
     "encoder, depth, expected",
     [
         ("aspect-dt", 3, {"aspect_gru_step": 4, "transition_gru_step": 8, "gru_step": 0,
-                          "run_block_batch": 1, "_pool_columns": 1, "affine": 2, "matmul": 3}),
+                          "run_block_batch": 1, "_pool_columns": 1, "affine": 2, "matmul": 2}),
         ("gru", 2, {"aspect_gru_step": 0, "transition_gru_step": 0, "gru_step": 8,
                     "run_block_batch": 2, "_pool_columns": 1, "affine": 2, "matmul": 2}),
     ],
@@ -287,7 +291,7 @@ def test_forward_shapes(rng):
 def test_step_functions_are_looked_up_by_module_name(rng, monkeypatch, encoder, depth, expected):
     """Profilers wrap these module attributes; every forward must call through them.
 
-    ``matmul`` counts the aspect projection and the two heads' GEMMs.
+    ``matmul`` counts the two heads' GEMMs; the block projects the aspect itself.
     """
     counts = dict.fromkeys(expected, 0)
 
@@ -458,7 +462,7 @@ def test_ablated_model_ignores_aspect_bitwise(rng):
 
 def test_zeroed_aspect_projection_makes_encoder_aspect_blind(rng):
     model, _ = tiny_model(rng, aspect_concat=False)
-    model.blocks[0].first.stacks["a"].data[...] = 0.0
+    model.blocks[0][0].stacks["a"].data[...] = 0.0
     ids, mask = _batch(rng)
     a1 = model.forward(ids, mask, rng.standard_normal((3, 2)))
     a2 = model.forward(ids, mask, rng.standard_normal((3, 2)))
