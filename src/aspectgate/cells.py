@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import TRAIN_DTYPE, ShapeError, Tensor, _node, _records, _sigmoid, matmul
+from .tensor import TRAIN_DTYPE, ShapeError, Tensor, _node, _records, _sigmoid
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int, dtype=TRAIN_DTYPE) -> Tensor:
@@ -33,13 +33,39 @@ def glorot(rng: np.random.Generator, rows: int, cols: int, dtype=TRAIN_DTYPE) ->
     return Tensor(data, requires_grad=True)
 
 
+# The heads' GEMM, looked up by this module-level name so that a wrapper
+# on it (a profiler's) sees every head product.
+matmul = np.matmul
+
+
 def affine(w: Tensor, x: Tensor, b: Tensor | None) -> Tensor:
-    """w @ x, plus a column bias tiled across the batch when enabled."""
-    out = matmul(w, x)
-    if b is None:
-        return out
-    ones = Tensor(np.ones((1, out.shape[1]), dtype=out.dtype))
-    return out + matmul(b, ones)
+    """A head's (B, C) logits, ``(w @ x + b).T``, as one tape node.
+
+    ``w`` is (C, d), ``x`` the (d, B) columns and ``b`` a (C, 1) column
+    bias tiled across the batch, or None. The output is the transposed
+    view of the (C, B) product. The backward forms the bias gradient as
+    a GEMM with a column of ones, which fixes its summation order.
+    """
+    if w.ndim != 2 or x.ndim != 2 or w.shape[1] != x.shape[0]:
+        raise ShapeError(f"affine: cannot apply {w.shape} to {x.shape}")
+    if w.dtype != x.dtype:
+        raise ValueError(f"affine: mixed dtypes {w.dtype} and {x.dtype}")
+    if b is not None and b.shape != (w.shape[0], 1):
+        raise ShapeError(f"affine: bias {b.shape} does not fit {w.shape}")
+    out = matmul(w.data, x.data)
+    if b is not None:
+        out += b.data
+
+    def bwd(g):
+        gt = g.T  # the (C, B) product's gradient
+        grads = (gt @ x.data.T if w.requires_grad else None,
+                 w.data.T @ gt if x.requires_grad else None)
+        if b is None:
+            return grads
+        ones = np.ones((1, gt.shape[1]), gt.dtype)
+        return (*grads, gt @ ones.T if b.requires_grad else None)
+
+    return _node(out.T, (w, x) if b is None else (w, x, b), bwd, "affine")
 
 
 # -- parameter containers -----------------------------------------------------

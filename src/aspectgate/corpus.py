@@ -15,6 +15,7 @@ file covers them, and everything else maps to the unknown row.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -434,38 +435,59 @@ def vocab_digest(tokens: Sequence[str], embedding: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _vector_width(rows: list[tuple[int, list[str]]]) -> int | None:
+    """The value count that most of ``rows`` fit, ties toward the larger.
+
+    A row of n values fits width k when n == k, or when n > k and the
+    field ahead of its last k is not a number: a token holding spaces,
+    followed by k values. So a spaced token never outvotes the width,
+    and of two conflicting widths the shorter rows are the truncated ones.
+    """
+    def fits(k: int) -> int:
+        return sum(len(p) - 1 == k or (len(p) - 1 > k and not _is_number(p[-k - 1]))
+                   for _, p in rows)
+
+    return max({len(p) - 1 for _, p in rows if len(p) > 1}, key=lambda k: (fits(k), k),
+               default=None)
+
+
 def scan_embedding_file(path, wanted: set[str]) -> tuple[dict[str, np.ndarray], int]:
     """Stream a text embedding file, keeping only wanted tokens.
 
-    Returns (token -> vector, dimension), the dimension read from the
-    first row. A leading word2vec-style count header and trailing
-    whitespace are skipped. A row's last ``dim`` fields are its vector
-    and the rest its token; a token holding a space, which ``tokenize``
-    never produces, is skipped unparsed. Too few values or unparsable
-    numbers raise ``CorpusError`` with the line number.
+    Returns (token -> vector, dimension). The dimension is the one a
+    leading word2vec-style "count dim" header gives, else the value
+    count most of the first 100 non-blank rows fit (``_vector_width``).
+    Trailing whitespace is skipped. A row's last ``dim`` fields are its
+    vector and the rest its token; a token holding a space, which
+    ``tokenize`` never produces, is skipped unparsed. Too few values or
+    unparsable numbers raise ``CorpusError`` with the line number.
     """
     found: dict[str, np.ndarray] = {}
-    dim = None
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            parts = line.rstrip().split(" ")
-            if ln == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header line
-                except ValueError:
-                    pass
+        rows = ((ln, line.rstrip().split(" ")) for ln, line in enumerate(fh, start=1)
+                if line.strip())
+        head = list(itertools.islice(rows, 100))
+        first = head[0] if head else (0, [])
+        if first[0] == 1 and len(first[1]) == 2 and all(map(str.isdecimal, first[1])):
+            dim = int(head.pop(0)[1][1])
+        else:
+            dim = _vector_width(head)
+        for ln, parts in itertools.chain(head, rows):
             if len(parts) < 2:
-                if line.strip() == "":
-                    continue
                 raise CorpusError(f"embedding file line {ln}: too few fields")
-            if dim is None:
-                dim = len(parts) - 1
-            elif len(parts) - 1 < dim:
+            if len(parts) - 1 < dim:
                 raise CorpusError(
                     f"embedding file line {ln}: expected {dim} values, got {len(parts) - 1}"
                 )
-            elif len(parts) - 1 > dim:
+            if len(parts) - 1 > dim:
                 continue  # a token with spaces in it
             token = parts[0]
             if token in wanted and token not in found:

@@ -34,9 +34,7 @@ from .tensor import (
     Tensor,
     concat,
     dropout,
-    sigmoid_xent_logits,
-    softmax_xent_logits,
-    transpose,
+    joint_loss,
 )
 from .tensor import pool_columns as _pool_columns  # the name profilers wrap
 
@@ -318,9 +316,9 @@ class SentimentModel:
             emb_rev = self._embed_steps(token_ids, reverse_lengths=lengths)
             states_r, _ = self._encode(emb_rev, aspects_t, mask, training, rng, reverse=True)
             pooled = concat(pooled, self._pool(states_r, mask, training, rng))
-        recon_logits = transpose(affine(self.w_recon, pooled, self.b_recon))
+        recon_logits = affine(self.w_recon, pooled, self.b_recon)
         cls_in = concat(pooled, aspects_t) if c.aspect_concat else pooled
-        sent_logits = transpose(affine(self.w_cls, cls_in, self.b_cls))
+        sent_logits = affine(self.w_cls, cls_in, self.b_cls)
         return ForwardResult(
             sent_logits=sent_logits,
             recon_logits=recon_logits,
@@ -359,20 +357,15 @@ def batch_joint_loss(
 
     ``recon_target`` is the batch's (B, C) 0/1 reconstruction target:
     one-hot rows for the category task (softmax cross-entropy), multi-hot
-    rows for the term task (sigmoid cross-entropy). The fused losses
-    refuse a wrong shape and rows that do not fit their task. The parts
+    rows for the term task (sigmoid cross-entropy). ``joint_loss``
+    refuses a wrong shape and rows that do not fit their task. The parts
     are float diagnostics of the already-reduced means.
     """
-    z = result.sent_logits
-    onehot = Tensor(_onehot_rows(label_ids, z.shape[1], z.dtype))
-    ce = softmax_xent_logits(z, onehot).mean()
-    if not config.reconstruct:
-        return ce, ce.item(), 0.0
-    rz = result.recon_logits
-    xent = softmax_xent_logits if config.task == "category" else sigmoid_xent_logits
-    recon = xent(rz, Tensor(np.asarray(recon_target, dtype=rz.dtype))).mean()
-    total = ce + config.lam * recon
-    return total, ce.item(), recon.item()
+    z, rz = result.sent_logits, result.recon_logits
+    onehot = _onehot_rows(label_ids, z.shape[1], z.dtype)
+    xent = "softmax" if config.task == "category" else "sigmoid"
+    return joint_loss(z, onehot, rz if config.reconstruct else None, recon_target,
+                      config.lam, xent)
 
 
 # -- prediction -----------------------------------------------------------------

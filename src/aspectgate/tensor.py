@@ -5,8 +5,7 @@ precision, and numpy's longdouble is the double-width precision used for
 gradient checking, where central differences need roundoff headroom below
 the checking tolerance. Shapes never broadcast implicitly, so a
 mismatched operand fails at the op that received it rather than
-passing a wrong shape on; the only exception is combining a scalar
-(0-d) value with a tensor.
+passing a wrong shape on.
 
 Every operation records its inputs and a backward closure on the output
 node, forming an implicit tape (a DAG, since nodes can be reused).
@@ -85,33 +84,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self.op!r})"
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def sum(self):
-        return reduce_sum(self)
-
-    def mean(self):
-        return reduce_mean(self)
-
-
-def _as_tensor(value, dtype: np.dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    arr = np.asarray(value, dtype=dtype)
-    if arr.ndim != 0:
-        raise TypeError("only scalars may be combined with tensors implicitly")
-    return Tensor(arr)
-
 
 _recording = True
 
@@ -152,71 +124,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str, kinks=Non
     return out
 
 
-def _fit(grad: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    # collapse a broadcast gradient back onto a scalar operand
-    if ref.ndim == 0 and grad.ndim != 0:
-        return grad.sum()
-    return grad
-
-
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.dtype != b.data.dtype:
-        raise ValueError(f"{op}: mixed dtypes {a.data.dtype} and {b.data.dtype}")
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match")
-
-
-# -- elementwise arithmetic ----------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        raise TypeError("add needs at least one Tensor operand")
-    ref = a if isinstance(a, Tensor) else b
-    a = _as_tensor(a, ref.dtype)
-    b = _as_tensor(b, ref.dtype)
-    _binary_shapes(a, b, "add")
-    out = a.data + b.data
-
-    def bwd(g):
-        return _fit(g, a.data), _fit(g, b.data)
-
-    return _node(out, (a, b), bwd, "add")
-
-
-def mul(a, b) -> Tensor:
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        raise TypeError("mul needs at least one Tensor operand")
-    ref = a if isinstance(a, Tensor) else b
-    a = _as_tensor(a, ref.dtype)
-    b = _as_tensor(b, ref.dtype)
-    _binary_shapes(a, b, "mul")
-    out = a.data * b.data
-
-    def bwd(g):
-        return _fit(g * b.data, a.data), _fit(g * a.data, b.data)
-
-    return _node(out, (a, b), bwd, "mul")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} and {b.shape}")
-    if a.dtype != b.dtype:
-        raise ValueError(f"matmul: mixed dtypes {a.dtype} and {b.dtype}")
-    out = a.data @ b.data
-
-    def bwd(g):
-        # a constant operand (an input column, h0, the aspect) gets no gradient
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
-        return ga, gb
-
-    return _node(out, (a, b), bwd, "matmul")
-
-
 # -- elementwise nonlinearities -------------------------------------------
 
 
@@ -247,16 +154,6 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
         return g[:split], g[split:]
 
     return _node(out, (a, b), bwd, "concat")
-
-
-def transpose(t: Tensor) -> Tensor:
-    if t.ndim != 2:
-        raise ShapeError(f"transpose: needs a 2-d tensor, got {t.shape}")
-
-    def bwd(g):
-        return (g.T,)
-
-    return _node(t.data.T, (t,), bwd, "transpose")
 
 
 # -- pooling ---------------------------------------------------------------
@@ -319,88 +216,106 @@ def pool_columns(states: Tensor, mask, mode: str) -> Tensor:
     return _node(out, (states,), bwd, "pool", kinks=kinks)
 
 
-# -- reductions -------------------------------------------------------------
+# -- the joint objective ----------------------------------------------------------
 
 
-def reduce_sum(t: Tensor) -> Tensor:
-    """Sum of every entry, a scalar."""
-    out = t.data.sum()
-
-    def bwd(g):
-        return (np.full_like(t.data, 1.0) * g,)
-
-    return _node(out, (t,), bwd, "sum")
-
-
-def reduce_mean(t: Tensor) -> Tensor:
-    """Mean of every entry, a scalar."""
-    if t.data.size == 0:
-        raise ShapeError("reduce: mean of an empty tensor")
-    out = t.data.mean()
-    inv = t.data.dtype.type(1.0 / t.data.size)
-
-    def bwd(g):
-        return (np.full_like(t.data, inv) * g,)
-
-    return _node(out, (t,), bwd, "mean")
+def _check_logit_pair(z: np.ndarray, y: np.ndarray, op: str) -> None:
+    if z.shape != y.shape:
+        raise ShapeError(f"{op}: shapes {z.shape} and {y.shape} differ")
+    if z.ndim != 2:
+        raise ShapeError(f"{op}: needs (B, C) rows, got {z.shape}")
+    if z.shape[1] == 0:
+        raise ShapeError(f"{op}: zero classes in shape {z.shape}")
 
 
-# -- fused losses -----------------------------------------------------------
-
-
-def _check_logit_pair(logits: Tensor, targets: Tensor, op: str) -> None:
-    if logits.shape != targets.shape:
-        raise ShapeError(f"{op}: shapes {logits.shape} and {targets.shape} differ")
-    if logits.ndim != 2:
-        raise ShapeError(f"{op}: needs (B, C) rows, got {logits.shape}")
-    if logits.shape[1] == 0:
-        raise ShapeError(f"{op}: zero classes in shape {logits.shape}")
-
-
-def softmax_xent_logits(logits: Tensor, onehot: Tensor) -> Tensor:
+def softmax_xent_logits(z: np.ndarray, y: np.ndarray):
     """Per-row cross-entropy of a softmax over (B, C) logits, fused for stability.
 
-    ``onehot`` must contain exactly one 1 per row and 0 elsewhere. The
+    ``y`` must contain exactly one 1 per row and 0 elsewhere. The
     log-sum-exp is shifted by the row max, so the value is finite for any
-    finite logits. The result is a (B,) vector.
+    finite logits. Returns the (B,) losses and the map from their (B,)
+    gradient to the logits' gradient.
     """
-    _check_logit_pair(logits, onehot, "softmax_xent_logits")
-    y = onehot.data
+    _check_logit_pair(z, y, "softmax_xent_logits")
     if not np.all((y == 0) | (y == 1)) or not np.all(y.sum(axis=1) == 1):
         raise ValueError("softmax_xent_logits: targets are not one-hot rows")
-    z = logits.data
     m = z.max(axis=1, keepdims=True)
     shifted = z - m
     lse = np.log(np.exp(shifted).sum(axis=1)) + m[:, 0]
-    out = lse - (z * y).sum(axis=1)
 
-    def bwd(g):
+    def grad(g):
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
-        # targets are constants in every use; still return their slot
-        return (p - y) * g[:, None], None
+        return (p - y) * g[:, None]
 
-    return _node(out, (logits, onehot), bwd, "softmax_xent")
+    return lse - (z * y).sum(axis=1), grad
 
 
-def sigmoid_xent_logits(logits: Tensor, targets: Tensor) -> Tensor:
+def sigmoid_xent_logits(z: np.ndarray, y: np.ndarray):
     """Multi-label sigmoid cross-entropy of (B, C) logits, summed per row.
 
     Uses the softplus form max(z, 0) - z*y + log1p(exp(-|z|)), finite for
-    any finite logits. Targets must be 0/1. The result is a (B,) vector.
+    any finite logits. Targets must be 0/1. Returns the (B,) losses and
+    the map from their (B,) gradient to the logits' gradient.
     """
-    _check_logit_pair(logits, targets, "sigmoid_xent_logits")
-    y = targets.data
+    _check_logit_pair(z, y, "sigmoid_xent_logits")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("sigmoid_xent_logits: targets must be 0 or 1")
-    z = logits.data
     per = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    out = per.sum(axis=1)
+
+    def grad(g):
+        return (_sigmoid(z) - y) * g[:, None]
+
+    return per.sum(axis=1), grad
+
+
+RECON_XENTS = {"softmax": softmax_xent_logits, "sigmoid": sigmoid_xent_logits}
+
+
+def joint_loss(
+    logits: Tensor,
+    labels: np.ndarray,
+    recon_logits: Tensor | None,
+    recon_targets: np.ndarray | None,
+    lam: float,
+    recon_xent: str,
+) -> tuple[Tensor, float, float]:
+    """The batch objective as one tape node; returns (loss, ce part, recon part).
+
+    The loss is the mean softmax cross-entropy of the (B, C) ``logits``
+    against the one-hot ``labels``, plus ``lam`` times the mean
+    ``recon_xent`` cross-entropy ("softmax" or "sigmoid", from
+    ``RECON_XENTS``) of ``recon_logits`` against the 0/1
+    ``recon_targets``. Without ``recon_logits`` there is no
+    reconstruction part, and the recon part reads 0. Targets are numpy
+    constants, cast to the logits' dtype. The parts are floats of the two
+    means.
+    """
+    ce_rows, ce_grad = softmax_xent_logits(logits.data, np.asarray(labels, logits.dtype))
+    if ce_rows.size == 0:
+        raise ShapeError("joint_loss: empty batch")
+    inv = logits.dtype.type(1.0 / ce_rows.size)
+    ce, rec, parents = ce_rows.mean(), None, (logits,)
+    if recon_logits is not None:
+        if recon_xent not in RECON_XENTS:
+            raise ValueError(f"joint_loss: unknown reconstruction loss {recon_xent!r}")
+        rz = recon_logits.data
+        if rz.shape[:1] != logits.shape[:1]:
+            raise ShapeError(f"joint_loss: logits {logits.shape} and {rz.shape} differ in batch")
+        rec_rows, rec_grad = RECON_XENTS[recon_xent](rz, np.asarray(recon_targets, rz.dtype))
+        lam = np.asarray(lam, dtype=logits.dtype)
+        rec, parents = rec_rows.mean(), (logits, recon_logits)
 
     def bwd(g):
-        return (_sigmoid(z) - y) * g[:, None], None
+        # each mean spreads its weighted gradient, g or g * lam, as 1/B per row
+        if rec is None:
+            return (ce_grad(np.full_like(ce_rows, inv) * g),)
+        return (ce_grad(np.full_like(ce_rows, inv) * g),
+                rec_grad(np.full_like(rec_rows, inv) * (g * lam)))
 
-    return _node(out, (logits, targets), bwd, "sigmoid_xent")
+    value = ce if rec is None else ce + rec * lam
+    loss = _node(np.asarray(value), parents, bwd, "joint_loss")
+    return loss, float(ce), 0.0 if rec is None else float(rec)
 
 
 # -- dropout ---------------------------------------------------------------

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import FD_EPS_CHECK, KINK_RADIUS, TOL_CHECK
+from conftest import FD_EPS_CHECK, KINK_RADIUS, TOL_CHECK, weighted_sum
 
 from aspectgate import cells as cells_mod
 from aspectgate import tensor as tensor_mod
 from aspectgate.cells import (
     CellParams,
+    affine,
     aspect_gru_step,
     gate_arrays,
     init_block,
@@ -54,14 +55,9 @@ from aspectgate.tensor import (
     dropout,
     grad_check,
     iter_nodes,
-    matmul,
+    joint_loss,
     pool_columns,
-    reduce_mean,
-    reduce_sum,
     relu_kink_margin,
-    sigmoid_xent_logits,
-    softmax_xent_logits,
-    transpose,
 )
 from aspectgate.trainer import (
     TrainConfig,
@@ -211,7 +207,7 @@ def _block_case(rng, kind):
 
         def f():
             states, _ = run_block_batch(block, x, aspect, _PADDED)
-            return (states * states).sum() + states.sum()
+            return weighted_sum(states, seed=0)
 
         if relu_kink_margin(f()) > KINK_RADIUS:
             stacks = [t for cell in block for t in cell.tensors("").values()]
@@ -226,10 +222,9 @@ def _pool_case(rng, mode):
         states = _pt(rng, 3, 2, 3)
         for t in (1, 2):
             states.data[t] = np.where(mask[:, t], states.data[t], states.data[t - 1])
-        w = Tensor((rng.random((2, 3)) - 0.5).astype(CHECK_DTYPE))
 
         def f():
-            return (pool_columns(states, mask, mode) * w).sum()
+            return weighted_sum(pool_columns(states, mask, mode), seed=0)
 
         if relu_kink_margin(f()) > KINK_RADIUS:
             return f, [states]
@@ -239,27 +234,28 @@ def _pool_case(rng, mode):
 def _op_cases(rng):
     a = _pt(rng, 3, 4)
     b = _pt(rng, 3, 4)
-    m1 = _pt(rng, 3, 4)
-    m2 = _pt(rng, 4, 2)
-    v = _pt(rng, 1, 5)
-    onehot = np.zeros((1, 5), dtype=CHECK_DTYPE)
-    onehot[0, 2] = 1
-    multi = (rng.random((1, 5)) < 0.5).astype(CHECK_DTYPE)
+    w = _pt(rng, 2, 3)
+    bias = _pt(rng, 2, 1)
+    z = _pt(rng, 3, 4, scale=2.0)  # (B, C) logits
+    rz = _pt(rng, 3, 5, scale=2.0)
+    labels = np.eye(4, dtype=CHECK_DTYPE)[[2, 0, 3]]
+    cats = np.eye(5, dtype=CHECK_DTYPE)[[1, 4, 0]]
+    terms = (rng.random((3, 5)) < 0.5).astype(CHECK_DTYPE)
 
     def drop_case():
         r = np.random.default_rng(1234)
-        return dropout(a, 0.4, True, r).sum()
+        return weighted_sum(dropout(a, 0.4, True, r), seed=0)
 
     return [
-        ("add", lambda: (a + b).sum(), [a, b]),
-        ("mul", lambda: (a * b).sum(), [a, b]),
-        ("matmul", lambda: matmul(m1, m2).sum(), [m1, m2]),
-        ("concat", lambda: (concat(a, b) * concat(b, a)).sum(), [a, b]),
-        ("transpose", lambda: matmul(transpose(m1), m1).sum(), [m1]),
-        ("sum", lambda: reduce_sum(a) * reduce_sum(b), [a, b]),
-        ("mean", lambda: reduce_mean(a) * reduce_mean(b), [a, b]),
-        ("softmax_xent", lambda: softmax_xent_logits(v, Tensor(onehot)).sum(), [v]),
-        ("sigmoid_xent", lambda: sigmoid_xent_logits(v, Tensor(multi)).sum(), [v]),
+        ("concat", lambda: weighted_sum(concat(a, b), concat(b, a), seed=0), [a, b]),
+        ("affine", lambda: weighted_sum(affine(w, a, None), seed=0), [w, a]),
+        ("affine[bias]", lambda: weighted_sum(affine(w, a, bias), seed=0), [w, a, bias]),
+        ("joint_loss[category]", lambda: joint_loss(z, labels, rz, cats, 0.4, "softmax")[0],
+         [z, rz]),
+        ("joint_loss[term]", lambda: joint_loss(z, labels, rz, terms, 0.4, "sigmoid")[0],
+         [z, rz]),
+        ("joint_loss[no recon]", lambda: joint_loss(z, labels, None, None, 0.4, "softmax")[0],
+         [z]),
         ("dropout", drop_case, [a]),
         *((f"block[{kind}]", *_block_case(rng, kind)) for kind in ("aspect", "dt", "gru")),
         *((f"pool[{mode}]", *_pool_case(rng, mode)) for mode in POOLING_MODES),
@@ -298,7 +294,7 @@ def _e2e_case(rng, task):
 
 
 def test_criterion_01_gradient_fidelity():
-    worst_name, worst = "", 0.0
+    worst_name, worst = "every case within resolution", 0.0
     for point in range(N_POINTS):
         rng = np.random.default_rng(1000 + point)
         for name, f, tensors in _op_cases(rng):
@@ -344,9 +340,7 @@ def _model_tape_ops(task, encoder, pooling, bidirectional, use_bias) -> set[str]
 def test_op_set_is_what_the_model_runs():
     """Every op the model puts on a tape is grad-checked, and every op defined is used.
 
-    The ops are those tensor.py defines plus the block op of cells.py.
-    Checking support is exempt from the second half: ``leaf`` is no op,
-    and the full ``sum`` builds grad-check losses.
+    The ops are those tensor.py and cells.py define. ``leaf`` is no op.
     """
     checked = {name.split("[")[0] for name, _, _ in _op_cases(np.random.default_rng(0))}
     on_tape: set[str] = set()
@@ -359,7 +353,7 @@ def test_op_set_is_what_the_model_runs():
     source = inspect.getsource(tensor_mod) + inspect.getsource(cells_mod)
     defined = set(re.findall(r'_node\([^"\n]*"(\w+)"', source))
     assert defined >= checked
-    assert defined - {"sum"} == on_tape, f"unused: {defined - on_tape}, undeclared: {on_tape - defined}"
+    assert defined == on_tape, f"unused: {defined - on_tape}, undeclared: {on_tape - defined}"
 
 
 # -- criterion 2: zero fixed points ------------------------------------------------------

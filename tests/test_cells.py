@@ -27,7 +27,7 @@ from aspectgate.tensor import (
     no_grad,
     relu_kink_margin,
 )
-from conftest import FD_EPS_CHECK, TOL_CHECK
+from conftest import FD_EPS_CHECK, TOL_CHECK, weighted_sum
 
 
 def _zero_params(params) -> None:
@@ -291,7 +291,7 @@ def test_aspect_gate_subgradient_at_zero_is_zero(rng):
     aspect = Tensor(np.array([[-1.0], [0.0], [2.0]]), requires_grad=True)
     states, gates = run_block_batch(block, _seq(rng.standard_normal((1, 3))), aspect, np.ones((1, 1)))
     assert np.array_equal(gates[0][:, 0], [0.0, 0.0, 2.0])
-    grad = backward(states.sum(), params=[aspect])[aspect]
+    grad = backward(weighted_sum(states), params=[aspect])[aspect]
     assert np.array_equal(grad[:2, 0], [0.0, 0.0]) and grad[2, 0] != 0.0
 
 
@@ -305,7 +305,7 @@ def test_relu_kink_margin_reads_the_aspect_gate_preactivation(rng):
     def margin():
         states, _ = run_block_batch(block, x, aspect, np.ones((2, 4)))
         # found through the transition cell and a smooth op above the block
-        return relu_kink_margin((states * states).sum())
+        return relu_kink_margin(weighted_sum(states))
 
     assert margin() <= 1e-9
     aspect.data[1, 0] = 0.25
@@ -342,7 +342,7 @@ def test_gate_gradients_of_one_cell_never_overlap(rng, kind):
     aspect = Tensor(rng.standard_normal((4, 3))) if kind == "aspect" else None
     states, _ = run_block_batch(block, Tensor(rng.standard_normal((2, 4, 3))), aspect,
                                 np.ones((3, 2)))
-    grads = list(backward((states * states).sum(), params).values())
+    grads = list(backward(weighted_sum(states, seed=0), params).values())
     for i, gi in enumerate(grads):
         for gj in grads[i + 1 :]:
             assert not np.shares_memory(gi, gj)
@@ -354,7 +354,7 @@ def test_gate_gradients_of_one_cell_never_overlap(rng, kind):
 def _check_block(block, x, aspect, mask, tensors):
     def f():
         states, _ = run_block_batch(block, x, aspect, mask)
-        return (states * states).sum()
+        return weighted_sum(states, seed=0)
 
     assert relu_kink_margin(f()) > 1e-3
     assert grad_check(f, tensors, FD_EPS_CHECK) <= TOL_CHECK
@@ -394,7 +394,7 @@ def test_grad_depth2_block_over_three_steps(rng):
 
     def f():
         states, _ = run_block_batch(block, x, aspect, np.ones((1, 3)))
-        return (states * states).sum() + states.sum()
+        return weighted_sum(states, seed=1)
 
     assert grad_check(f, tensors, FD_EPS_CHECK) <= TOL_CHECK
 

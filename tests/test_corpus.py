@@ -327,6 +327,10 @@ def test_scan_embedding_file(emb_path, tmp_path):
     trailing.write_text("food 1 2 3 \nbar 4 5 6 \n")
     found, dim = scan_embedding_file(trailing, {"food", "bar"})
     assert dim == 3 and np.allclose(found["food"], [1, 2, 3]) and np.allclose(found["bar"], [4, 5, 6])
+    spaced_first = tmp_path / "spaced_first.txt"
+    spaced_first.write_text(". . . 1 2 3\nfood 4 5 6\n")
+    found, dim = scan_embedding_file(spaced_first, {".", "food"})
+    assert dim == 3 and set(found) == {"food"} and np.allclose(found["food"], [4, 5, 6])
 
 
 def test_build_vocab_rows_and_fallbacks(emb_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,7 +39,7 @@ from aspectgate.tensor import (
     relu_kink_margin,
     softmax_xent_logits,
 )
-from conftest import FD_EPS_CHECK, KINK_RADIUS, TOL_CHECK
+from conftest import FD_EPS_CHECK, KINK_RADIUS, TOL_CHECK, weighted_sum
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -217,7 +218,7 @@ def test_max_pool_records_each_max_lead_over_its_runner_up():
     rows = np.array([[1.0, 2.0], [1.25, 0.0], [1.25, 0.0]])  # step 2 masked, carried
     mask = np.array([[1, 1, 0]])
     taped = _pool_columns(_steps(rows, requires_grad=True), mask, "max")
-    assert relu_kink_margin(taped.sum()) == 0.25
+    assert relu_kink_margin(weighted_sum(taped)) == 0.25
     assert _pool_columns(_steps(rows), mask, "max").kinks is None
 
 
@@ -239,7 +240,7 @@ def test_pool_list_of_state_tensors_stays_on_tape(rng):
     """Every step's state gets its share of the pooled gradient."""
     states = _steps(rng.standard_normal((3, 4)), requires_grad=True)
     out = _pool_columns(states, np.ones((1, 3)), "mean")
-    g = backward(out.sum(), params=[states])
+    g = backward(weighted_sum(out), params=[states])
     assert np.allclose(g[states], 1.0 / 3.0)
 
 
@@ -329,6 +330,19 @@ def test_tape_does_not_grow_with_sentence_length(rng, encoder, pooling, bidirect
         sizes.append(len({id(n) for root in (out.sent_logits, out.recon_logits)
                           for n in iter_nodes(root)}))
     assert sizes[0] == sizes[1]
+
+
+def test_training_tape_is_one_node_per_op(rng):
+    """Each head is one affine node and the objective one joint_loss node; the
+    targets and lam never enter the tape."""
+    model, cfg = tiny_model(rng)
+    ids, mask = _batch(rng)
+    out = model.forward(ids, mask, rng.standard_normal((3, 2)), training=True, rng=rng)
+    loss = batch_joint_loss(out, np.array([0, 2, 1]), np.eye(2, dtype=bool)[[1, 0, 1]], cfg)[0]
+    ops = Counter(node.op for node in iter_nodes(loss))
+    # leaves: the 4 stacks of a depth-2 block, the 2 head weights and the aspect
+    assert ops == {"leaf": 7, "dropout": 2, "block": 1, "pool": 1, "concat": 1, "affine": 2,
+                   "joint_loss": 1}
 
 
 def test_zero_weight_model_is_uniform(rng):
@@ -528,8 +542,8 @@ def test_joint_loss_combines_terms():
     cfg = tiny_config(lam=0.4)
     out = _logit_rows([0.1, 0.2, 0.3], [0.5, -0.5])
     j, _, _ = batch_joint_loss(out, [1], [[True, False]], cfg)
-    recon = softmax_xent_logits(Tensor([[0.5, -0.5]]), Tensor([[1.0, 0.0]])).data[0]
-    ce = softmax_xent_logits(Tensor([[0.1, 0.2, 0.3]]), Tensor([[0.0, 1.0, 0.0]])).data[0]
+    recon = softmax_xent_logits(np.array([[0.5, -0.5]]), np.array([[1.0, 0.0]]))[0][0]
+    ce = softmax_xent_logits(np.array([[0.1, 0.2, 0.3]]), np.array([[0.0, 1.0, 0.0]]))[0][0]
     assert abs(j.item() - (ce + 0.4 * recon)) < 1e-12
     off = tiny_config(reconstruct=False)
     assert abs(batch_joint_loss(out, [1], None, off)[0].item() - ce) < 1e-15

@@ -1,7 +1,8 @@
 """Tape, operations, backward, and the finite-difference oracle.
 
 Expected values here are computed with plain ``math`` formulas, written
-before the implementation and kept independent of it.
+before the implementation and kept independent of it. Scalar losses are
+built with the test-side ``weighted_sum`` node.
 """
 
 import math
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspectgate.cells import affine
 from aspectgate.tensor import (
     CHECK_DTYPE,
+    RECON_XENTS,
     ShapeError,
     Tensor,
     backward,
@@ -20,103 +23,130 @@ from aspectgate.tensor import (
     dropout,
     grad_check,
     iter_nodes,
-    matmul,
+    joint_loss,
     no_grad,
     pool_columns,
-    reduce_mean,
-    reduce_sum,
     sigmoid_xent_logits,
     softmax_xent_logits,
-    transpose,
     _sigmoid,
 )
-from conftest import FD_EPS_CHECK, TOL_CHECK, wide
+from conftest import FD_EPS_CHECK, TOL_CHECK, weighted_sum, wide
+
+
+def _weights(seed, *shapes):
+    """The fixed weightings ``weighted_sum(..., seed=seed)`` draws for operands of ``shapes``."""
+    r = np.random.default_rng(seed)
+    return [r.uniform(0.5, 1.5, shape) for shape in shapes]
 
 
 # -- oracle self-tests -------------------------------------------------------
 
 
 def test_fd_oracle_on_sum_of_squares(rng):
-    """Central differences are near-exact on a cubic-free polynomial."""
-    point = Tensor(rng.standard_normal(7), requires_grad=True)
-    err = grad_check(lambda: (point * point).sum(), [point], epsilon=1e-5)
+    """Central differences are near-exact on a cubic-free polynomial: a fixed
+    weighting of the entries of P @ P."""
+    point = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    err = grad_check(lambda: weighted_sum(affine(point, point, None), seed=0), [point],
+                     epsilon=1e-5)
     assert err <= 1e-7
 
 
 def test_fd_oracle_on_constant_function(rng):
-    point = Tensor(rng.standard_normal(4), requires_grad=True)
-    err = grad_check(lambda: Tensor(np.float64(3.0)) * 1.0 + (point * 0.0).sum(), [point])
+    point = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
+    zero = Tensor(np.zeros((2, 4)))
+    err = grad_check(lambda: weighted_sum(affine(zero, point, None), seed=0), [point])
     assert err <= 1e-8
 
 
 # -- frozen forward values ---------------------------------------------------
 
 
-def test_add_mul_matmul_values():
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal((a + b).data, [[6.0, 8.0], [10.0, 12.0]])
-    assert np.array_equal((a * b).data, [[5.0, 12.0], [21.0, 32.0]])
-    assert np.array_equal(matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
-
-
-def test_scalar_broadcast_is_the_only_broadcast():
-    a = Tensor([1.0, 2.0, 3.0])
-    out = 1.0 + a * 2.0
-    assert np.array_equal(out.data, [3.0, 5.0, 7.0])
-    with pytest.raises(ShapeError):
-        a + Tensor([[1.0, 2.0, 3.0]])  # (3,) vs (1,3) must not broadcast
+def test_affine_values():
+    """One node over its operands, the (B, C) transpose of w @ x plus the bias column."""
+    w = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    x = Tensor([[5.0, 6.0], [7.0, 8.0]])
+    b = Tensor([[0.5], [-1.0]], requires_grad=True)
+    assert np.array_equal(affine(w, x, None).data, [[19.0, 43.0], [22.0, 50.0]])
+    out = affine(w, x, b)
+    assert np.array_equal(out.data, [[19.5, 42.0], [22.5, 49.0]])
+    assert out.op == "affine" and out._parents == (w, x, b)
 
 
 def test_softmax_xent_value_matches_direct_formula():
-    logits = Tensor([[1.0, 2.0, 3.0]])
-    onehot = Tensor([[0.0, 0.0, 1.0]])
+    logits = np.array([[1.0, 2.0, 3.0]])
+    onehot = np.array([[0.0, 0.0, 1.0]])
     expected = math.log(math.e + math.e**2 + math.e**3) - 3.0
-    got = softmax_xent_logits(logits, onehot).data[0]
+    got = softmax_xent_logits(logits, onehot)[0][0]
     assert abs(got - expected) < 1e-12
 
 
 def test_softmax_xent_extreme_logits_finite():
     loss = softmax_xent_logits(
-        Tensor([[1000.0, 0.0, -1000.0]]), Tensor([[1.0, 0.0, 0.0]])
-    ).data[0]
+        np.array([[1000.0, 0.0, -1000.0]]), np.array([[1.0, 0.0, 0.0]])
+    )[0][0]
     assert math.isfinite(loss)
     assert abs(loss) < 1e-12
 
 
 def test_sigmoid_xent_value_matches_direct_formula():
-    loss = sigmoid_xent_logits(Tensor([[0.5, -0.5]]), Tensor([[1.0, 0.0]])).data[0]
+    loss = sigmoid_xent_logits(np.array([[0.5, -0.5]]), np.array([[1.0, 0.0]]))[0][0]
     expected = 2.0 * math.log(1.0 + math.exp(-0.5))
     assert abs(loss - expected) < 1e-12
 
 
 def test_sigmoid_xent_extreme_logits_finite():
-    loss = sigmoid_xent_logits(Tensor([[800.0, -800.0]]), Tensor([[0.0, 1.0]])).data[0]
+    loss = sigmoid_xent_logits(np.array([[800.0, -800.0]]), np.array([[0.0, 1.0]]))[0][0]
     assert math.isfinite(loss)
     assert abs(loss - 1600.0) < 1e-9
 
 
 def test_batched_losses_are_rows():
-    z = Tensor([[1.0, 2.0], [3.0, -1.0]])
-    y = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    row = softmax_xent_logits(z, y)
+    z = np.array([[1.0, 2.0], [3.0, -1.0]])
+    y = np.array([[1.0, 0.0], [0.0, 1.0]])
+    row, _ = softmax_xent_logits(z, y)
     assert row.shape == (2,)
-    a = softmax_xent_logits(Tensor([[1.0, 2.0]]), Tensor([[1.0, 0.0]])).data[0]
-    b = softmax_xent_logits(Tensor([[3.0, -1.0]]), Tensor([[0.0, 1.0]])).data[0]
-    assert np.allclose(row.data, [a, b], rtol=0, atol=1e-15)
+    a = softmax_xent_logits(np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]]))[0][0]
+    b = softmax_xent_logits(np.array([[3.0, -1.0]]), np.array([[0.0, 1.0]]))[0][0]
+    assert np.allclose(row, [a, b], rtol=0, atol=1e-15)
+
+
+def test_joint_loss_is_one_node_over_the_logits():
+    z = Tensor([[1.0, 2.0], [3.0, -1.0]], requires_grad=True)
+    rz = Tensor([[0.5, -0.5, 2.0], [0.0, 1.0, -1.0]], requires_grad=True)
+    labels = np.array([[1.0, 0.0], [0.0, 1.0]])
+    cats = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    loss, ce, recon = joint_loss(z, labels, rz, cats, 0.4, "softmax")
+    assert loss.op == "joint_loss" and loss._parents == (z, rz) and loss.shape == ()
+    assert ce == softmax_xent_logits(z.data, labels)[0].mean()
+    assert recon == softmax_xent_logits(rz.data, cats)[0].mean()
+    assert loss.item() == ce + recon * 0.4
+    off, ce_off, recon_off = joint_loss(z, labels, None, None, 0.4, "softmax")
+    assert off._parents == (z,) and off.item() == ce_off == ce and recon_off == 0.0
 
 
 def test_loss_target_validation():
-    with pytest.raises(ValueError):
-        softmax_xent_logits(Tensor([[1.0, 2.0]]), Tensor([[0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        softmax_xent_logits(Tensor([[1.0, 2.0]]), Tensor([[1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        sigmoid_xent_logits(Tensor([[1.0, 2.0]]), Tensor([[0.0, 0.3]]))
-    for loss in (softmax_xent_logits, sigmoid_xent_logits):
+    """The targets' refusals, the shapes' and the reconstruction loss's name."""
+    z = Tensor([[1.0, 2.0]])
+    for bad in ([[0.5, 0.5]], [[1.0, 1.0]], [[0.0, 0.0]]):
+        with pytest.raises(ValueError, match="one-hot"):
+            joint_loss(z, np.array(bad), None, None, 0.4, "softmax")
+        with pytest.raises(ValueError, match="one-hot"):
+            joint_loss(z, np.array([[1.0, 0.0]]), z, np.array(bad), 0.4, "softmax")
+    with pytest.raises(ValueError, match="0 or 1"):
+        joint_loss(z, np.array([[1.0, 0.0]]), z, np.array([[0.0, 0.3]]), 0.4, "sigmoid")
+    with pytest.raises(ValueError, match="unknown"):
+        joint_loss(z, np.array([[1.0, 0.0]]), z, np.array([[0.0, 1.0]]), 0.4, "hinge")
+    with pytest.raises(ShapeError, match="batch"):
+        joint_loss(z, np.array([[1.0, 0.0]]), Tensor(np.zeros((2, 2))), np.eye(2), 0.4, "softmax")
+    with pytest.raises(ShapeError, match="empty"):
+        joint_loss(Tensor(np.zeros((0, 2))), np.zeros((0, 2)), None, None, 0.4, "softmax")
+    for xent in RECON_XENTS:
         for shape in [(2,), (1, 2, 2), (2, 0)]:  # (B, C) rows with C >= 1 only
             with pytest.raises(ShapeError):
-                loss(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
+                joint_loss(Tensor(np.zeros(shape)), np.zeros(shape), None, None, 0.4, xent)
+            with pytest.raises(ShapeError):
+                joint_loss(z, np.array([[1.0, 0.0]]), Tensor(np.zeros(shape)), np.zeros(shape),
+                           0.4, xent)
 
 
 # -- structural ops ----------------------------------------------------------
@@ -127,10 +157,9 @@ def test_concat_and_backward_split(rng):
     b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     out = concat(a, b)
     assert out.shape == (6, 3)
-    loss = (out * out).sum()
-    g = backward(loss, params=[a, b])
-    assert np.allclose(g[a], 2 * a.data)
-    assert np.allclose(g[b], 2 * b.data)
+    g = backward(weighted_sum(out, seed=0), params=[a, b])
+    (w,) = _weights(0, (6, 3))
+    assert np.array_equal(g[a], w[:2]) and np.array_equal(g[b], w[2:])
     with pytest.raises(ShapeError):
         concat(a, Tensor(rng.standard_normal((4, 2))))
     with pytest.raises(ShapeError):
@@ -159,20 +188,12 @@ def test_pool_columns_values_against_a_loop(rng):
             assert np.allclose(got, want, rtol=1e-15, atol=0), mode
 
 
-def test_reduce_dispatch_and_values():
-    t = Tensor([[1.0, 5.0], [2.0, 2.0]])
-    assert t.sum().item() == 10.0
-    assert t.mean().item() == 2.5
-    with pytest.raises(ShapeError):
-        Tensor(np.zeros((0, 2))).mean()
-
-
 def test_max_pool_ties_route_to_the_earliest_step():
     # (T, d, B) = (4, 1, 1); the masked step 3 never counts, however large
     x = Tensor(np.array([1.0, 5.0, 5.0, 7.0])[:, None, None], requires_grad=True)
     out = pool_columns(x, np.array([[1, 1, 1, 0]]), "max")
     assert out.data[0, 0] == 5.0
-    g = backward(out.sum(), params=[x])[x]
+    g = backward(weighted_sum(out), params=[x])[x]
     assert np.array_equal(g[:, 0, 0], [0.0, 1.0, 0.0, 0.0])
 
 
@@ -180,49 +201,49 @@ def test_max_pool_ties_route_to_the_earliest_step():
 
 
 def test_diamond_graph_accumulates():
-    x = Tensor(np.float64(3.0), requires_grad=True)
-    y = x * x + x  # dy/dx = 2x + 1 = 7
+    x = Tensor(np.array([[3.0]]), requires_grad=True)
+    y = weighted_sum(affine(x, x, None), x)  # x * x + x: dy/dx = 2x + 1 = 7
     g = backward(y, params=[x])[x]
-    assert float(g) == 7.0
+    assert float(g[0, 0]) == 7.0
 
 
 def test_reused_node_accumulates_once_per_consumer(rng):
-    h = Tensor(rng.standard_normal(4), requires_grad=True)
-    c = Tensor(rng.standard_normal(4))
-    s = h * c
-    loss = (s * s).sum() + s.sum()
+    h = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    s = concat(h, h)  # h reaches s through both slots
+    loss = weighted_sum(s, s, seed=0)  # and s reaches the loss through both slots
     g = backward(loss, params=[h])[h]
-    expected = (2 * h.data * c.data + 1) * c.data
-    assert np.allclose(g, expected, rtol=1e-12)
+    w = sum(_weights(0, (8, 2), (8, 2)))
+    assert np.allclose(g, w[:4] + w[4:], rtol=1e-15)
 
 
 def test_accumulation_never_writes_into_a_shared_gradient(rng):
-    """add hands one gradient array to both operands; later sums must copy it."""
-    a = Tensor(rng.standard_normal(4), requires_grad=True)
-    b = Tensor(rng.standard_normal(4), requires_grad=True)
-    loss = (a + b).sum() + (a * 2.0).sum() + (a * 3.0).sum() + (b * 5.0).sum()
+    """concat hands views of one gradient array to its operands; later sums must copy them."""
+    a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    loss = weighted_sum(concat(a, b), a, concat(b, a), a)
     g = backward(loss, params=[a, b])
-    assert np.array_equal(g[a], np.full(4, 6.0)) and np.array_equal(g[b], np.full(4, 6.0))
+    assert np.array_equal(g[a], np.full((2, 3), 4.0)) and np.array_equal(g[b], np.full((2, 3), 2.0))
     assert not np.shares_memory(g[a], g[b])
 
 
 def test_unreachable_param_gets_zeros(rng):
-    used = Tensor(rng.standard_normal(3), requires_grad=True)
+    used = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
     unused = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-    g = backward((used * used).sum(), params=[used, unused])
+    g = backward(weighted_sum(used), params=[used, unused])
     assert np.array_equal(g[unused], np.zeros((2, 2)))
 
 
 def test_backward_requires_scalar_root(rng):
-    v = Tensor(rng.standard_normal(3), requires_grad=True)
+    v = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
     with pytest.raises(ShapeError):
-        backward(v * 2.0)
+        backward(concat(v, v))
 
 
 def test_backward_is_bit_identical_on_same_tape(rng):
     a = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    loss = (concat(matmul(a, b), a + b) * concat(matmul(a, b), a * b)).sum()
+    m = affine(a, b, None)
+    loss = weighted_sum(concat(m, a), concat(m, b), affine(m, a, None), seed=0)
     params = [a, b]
     g1 = backward(loss, params=params)
     g2 = backward(loss, params=params)
@@ -233,7 +254,7 @@ def test_backward_is_bit_identical_on_same_tape(rng):
 def test_constant_subgraphs_stay_off_the_tape(rng):
     const = Tensor(rng.standard_normal((3, 3)))
     assert not const.requires_grad
-    out = const * 2.0 + const
+    out = weighted_sum(concat(const, const), affine(const, const, None))
     assert not out.requires_grad
     assert out._parents == ()
 
@@ -243,7 +264,7 @@ def test_constant_subgraphs_stay_off_the_tape(rng):
 
 def _recorded(a: Tensor) -> bool:
     """Whether an op on the grad-requiring ``a`` lands on the tape now."""
-    out = a * a + a
+    out = weighted_sum(concat(a, a), a)
     return out.requires_grad and len(list(iter_nodes(out))) > 1
 
 
@@ -252,8 +273,8 @@ def test_no_grad_builds_no_tape_and_keeps_the_values(rng):
     b = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
 
     def f():
-        m = matmul(a, b)
-        return concat(m * m, m + 0.5)
+        m = affine(a, b, None)
+        return concat(m, dropout(m, 0.5, True, np.random.default_rng(0)))
 
     taped = f()
     with no_grad():
@@ -265,7 +286,7 @@ def test_no_grad_builds_no_tape_and_keeps_the_values(rng):
 
 
 def test_no_grad_nests_and_restores_the_outer_state(rng):
-    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     assert _recorded(a)
     with no_grad():
         assert not _recorded(a)
@@ -276,21 +297,21 @@ def test_no_grad_nests_and_restores_the_outer_state(rng):
 
 
 def test_no_grad_restores_recording_after_an_exception(rng):
-    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
         with no_grad():
             with no_grad():
-                a + Tensor(np.zeros(4))
+                concat(a, Tensor(np.zeros((4, 1))))
     assert _recorded(a)
 
 
 def test_backward_refuses_to_run_inside_no_grad(rng):
     a = Tensor(rng.standard_normal(3), requires_grad=True)
-    loss = (a * a).sum()
+    loss = weighted_sum(a, seed=0)
     with no_grad():
         with pytest.raises(RuntimeError, match="no_grad"):
             backward(loss, params=[a])
-    assert np.array_equal(backward(loss, params=[a])[a], 2 * a.data)
+    assert np.array_equal(backward(loss, params=[a])[a], _weights(0, (3,))[0])
 
 
 # -- gradient checks against the oracle --------------------------------------
@@ -303,20 +324,31 @@ def _check(f, tensors):
 
 def test_grad_elementwise_chain(rng):
     a = wide(rng, 3, 4)
-    b = wide(rng, 3, 4)
-    _check(lambda: (a * b + a + b * -1.0).sum(), [a, b])
+    b = wide(rng, 2, 4)
+    r = np.random.default_rng
+    _check(lambda: weighted_sum(dropout(concat(a, b), 0.3, True, r(5)), seed=0), [a, b])
 
 
 def test_grad_scalar_operand(rng):
-    a = wide(rng, 5)
-    s = Tensor(np.asarray(0.7, dtype=CHECK_DTYPE), requires_grad=True)
-    _check(lambda: (a * s + s).sum(), [a, s])
+    """The scalar lam weights the reconstruction part's gradient and leaves the
+    classification part's alone."""
+    z, rz = wide(rng, 3, 4, scale=2.0), wide(rng, 3, 5, scale=2.0)
+    labels = np.eye(4, dtype=CHECK_DTYPE)[[2, 0, 3]]
+    cats = np.eye(5, dtype=CHECK_DTYPE)[[1, 4, 0]]
+    for lam in (0.0, 0.7, 2.5):
+        _check(lambda: joint_loss(z, labels, rz, cats, lam, "softmax")[0], [z, rz])
+    one = backward(joint_loss(z, labels, rz, cats, 1.0, "softmax")[0], params=[z, rz])
+    some = backward(joint_loss(z, labels, rz, cats, 0.7, "softmax")[0], params=[z, rz])
+    assert np.array_equal(one[z], some[z])
+    assert np.allclose(some[rz], 0.7 * one[rz], rtol=1e-15, atol=0)
 
 
 def test_grad_matmul(rng):
-    a = wide(rng, 3, 4)
-    b = wide(rng, 4, 2)
-    _check(lambda: (matmul(a, b) * matmul(a, b)).sum(), [a, b])
+    w = wide(rng, 3, 4)
+    x = wide(rng, 4, 2)
+    b = wide(rng, 3, 1)
+    _check(lambda: weighted_sum(affine(w, x, None), seed=0), [w, x])
+    _check(lambda: weighted_sum(affine(w, x, b), seed=0), [w, x, b])
 
 
 def test_grad_pool_columns(rng):
@@ -327,42 +359,45 @@ def test_grad_pool_columns(rng):
     x_max = Tensor((wide(rng, 1, 2, 3).data + gaps[rng.permutation(3)]).astype(CHECK_DTYPE),
                    requires_grad=True)
     _carried(x_max.data)
-    w = wide(rng, 2, 3, grad=False)
     for mode, t in (("last", x), ("max", x_max), ("mean", x)):
-        _check(lambda: (pool_columns(t, _POOL_MASK, mode) * w).sum(), [t])
+        _check(lambda: weighted_sum(pool_columns(t, _POOL_MASK, mode), seed=0), [t])
 
 
 def test_grad_reductions(rng):
-    a = wide(rng, 3, 5)
-    _check(lambda: reduce_sum(a * a), [a])
-    _check(lambda: reduce_mean(a * a), [a])
-    _check(lambda: reduce_mean(a) * 3.0, [a])
+    """joint_loss's means over the batch, with and without the reconstruction part."""
+    for B in (1, 4):
+        z, rz = wide(rng, B, 3, scale=2.0), wide(rng, B, 2, scale=2.0)
+        labels = np.eye(3, dtype=CHECK_DTYPE)[rng.integers(0, 3, B)]
+        cats = np.eye(2, dtype=CHECK_DTYPE)[rng.integers(0, 2, B)]
+        _check(lambda: joint_loss(z, labels, None, None, 0.4, "softmax")[0], [z])
+        _check(lambda: joint_loss(z, labels, rz, cats, 0.4, "softmax")[0], [z, rz])
 
 
 def test_grad_structural(rng):
     a = wide(rng, 2, 3)
     b = wide(rng, 2, 3)
-    _check(lambda: (concat(a, b) * concat(b, a)).sum(), [a, b])
-    t = wide(rng, 4, 3)
-    _check(lambda: (transpose(t) * transpose(t)).sum(), [t])
+    _check(lambda: weighted_sum(concat(a, b), concat(b, a), seed=0), [a, b])
 
 
 def test_grad_softmax_xent(rng):
     z = wide(rng, 1, 5, scale=2.0)
-    y = Tensor(np.eye(5, dtype=CHECK_DTYPE)[[2]])
-    _check(lambda: softmax_xent_logits(z, y).sum(), [z])
+    y = np.eye(5, dtype=CHECK_DTYPE)[[2]]
+    _check(lambda: joint_loss(z, y, None, None, 0.0, "softmax")[0], [z])
     zb = wide(rng, 3, 4, scale=2.0)
-    yb = Tensor(np.eye(4, dtype=CHECK_DTYPE)[[0, 3, 1]])
-    _check(lambda: softmax_xent_logits(zb, yb).sum(), [zb])
+    yb = np.eye(4, dtype=CHECK_DTYPE)[[0, 3, 1]]
+    _check(lambda: joint_loss(zb, yb, zb, yb, 0.6, "softmax")[0], [zb])
 
 
 def test_grad_sigmoid_xent(rng):
     z = wide(rng, 1, 6, scale=2.0)
-    y = Tensor(np.asarray([[1, 0, 1, 1, 0, 0]], dtype=CHECK_DTYPE))
-    _check(lambda: sigmoid_xent_logits(z, y).sum(), [z])
+    y = np.asarray([[1, 0, 1, 1, 0, 0]], dtype=CHECK_DTYPE)
+    label = np.eye(6, dtype=CHECK_DTYPE)[[4]]
+    _check(lambda: joint_loss(z, label, z, y, 0.4, "sigmoid")[0], [z])
     zb = wide(rng, 2, 3, scale=2.0)
-    yb = Tensor(np.asarray([[1, 0, 0], [0, 1, 1]], dtype=CHECK_DTYPE))
-    _check(lambda: sigmoid_xent_logits(zb, yb).sum(), [zb])
+    yb = np.asarray([[1, 0, 0], [0, 1, 1]], dtype=CHECK_DTYPE)
+    zc = wide(rng, 2, 4, scale=2.0)
+    labels = np.eye(4, dtype=CHECK_DTYPE)[[1, 2]]
+    _check(lambda: joint_loss(zc, labels, zb, yb, 1.3, "sigmoid")[0], [zb, zc])
 
 
 def test_grad_dropout_fixed_mask(rng):
@@ -371,7 +406,7 @@ def test_grad_dropout_fixed_mask(rng):
 
     def f():
         node = dropout(a, 0.5, training=True, rng=np.random.default_rng(7))
-        return (node * node).sum()
+        return weighted_sum(node, seed=0)
 
     _check(f, [a])
 
@@ -406,19 +441,25 @@ def test_dropout_validation(rng):
 
 
 def test_shape_errors_name_both_shapes():
+    """Shapes never broadcast: a mismatch fails at the op, naming both shapes."""
     a = Tensor(np.zeros((2, 3)))
-    b = Tensor(np.zeros((3, 3)))
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 3\)"):
-        a + b
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
+        concat(a, Tensor(np.zeros((2, 4))))
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        matmul(a, Tensor(np.zeros((2, 3))))
+        affine(a, Tensor(np.zeros((2, 3))), None)
+    with pytest.raises(ShapeError, match=r"\(2,\).*\(2, 3\)"):
+        affine(a, Tensor(np.zeros((3, 4))), Tensor(np.zeros(2)))  # a bias is a (C, 1) column
+    with pytest.raises(ShapeError, match=r"\(1, 2\).*\(1, 3\)"):
+        joint_loss(Tensor(np.zeros((1, 2))), np.eye(3)[[0]], None, None, 0.4, "softmax")
 
 
 def test_mixed_dtype_rejected(rng):
-    a = Tensor(rng.standard_normal(3))
-    b = Tensor(rng.standard_normal(3).astype(CHECK_DTYPE))
+    a = Tensor(rng.standard_normal((1, 3)))
+    b = Tensor(rng.standard_normal((1, 3)).astype(CHECK_DTYPE))
     with pytest.raises(ValueError, match="dtype"):
-        a + b
+        concat(a, b)
+    with pytest.raises(ValueError, match="dtype"):
+        affine(Tensor(np.zeros((2, 1))), b, None)
 
 
 # -- properties ---------------------------------------------------------------
@@ -434,8 +475,8 @@ def test_softmax_xent_shift_invariance(logits, shift, hot):
     hot = hot % len(logits)
     y = np.zeros((1, len(logits)))
     y[0, hot] = 1.0
-    base = softmax_xent_logits(Tensor(np.asarray([logits])), Tensor(y)).data[0]
-    moved = softmax_xent_logits(Tensor(np.asarray([logits]) + shift), Tensor(y)).data[0]
+    base = softmax_xent_logits(np.asarray([logits]), y)[0][0]
+    moved = softmax_xent_logits(np.asarray([logits]) + shift, y)[0][0]
     assert abs(base - moved) <= 1e-9 * max(1.0, abs(base))
 
 
@@ -445,20 +486,20 @@ def test_matmul_grads_match_oracle_property(seed, n, m):
     r = np.random.default_rng(seed)
     a = Tensor((r.random((n, m)) - 0.5).astype(CHECK_DTYPE), requires_grad=True)
     b = Tensor((r.random((m, n)) - 0.5).astype(CHECK_DTYPE), requires_grad=True)
-    err = grad_check(lambda: (matmul(a, b) * matmul(a, b)).sum(), [a, b], FD_EPS_CHECK)
+    err = grad_check(lambda: weighted_sum(affine(a, b, None), seed=0), [a, b], FD_EPS_CHECK)
     assert err <= TOL_CHECK
     # a constant operand gets no gradient, and the other operand's is unchanged
     const_a, const_b = Tensor(a.data.copy()), Tensor(b.data.copy())
 
     def split():
-        return matmul(a, const_b).sum() + matmul(const_a, b).sum()
+        return weighted_sum(affine(a, const_b, None), affine(const_a, b, None))
 
     assert grad_check(split, [a, b], FD_EPS_CHECK) <= TOL_CHECK
-    both = backward(matmul(a, b).sum())
+    both = backward(weighted_sum(affine(a, b, None)))
     apart = backward(split())
     assert const_a not in apart and const_b not in apart
     assert np.array_equal(both[a], apart[a]) and np.array_equal(both[b], apart[b])
-    node = matmul(a, const_b)
+    node = affine(a, const_b, None)
     assert node._bwd(np.ones_like(node.data))[1] is None  # its GEMM is skipped
 
 
