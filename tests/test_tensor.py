@@ -72,6 +72,22 @@ def test_affine_values():
     assert out.op == "affine" and out._parents == (w, x, b)
 
 
+def test_scalar_broadcast_is_the_only_broadcast():
+    """The scalar lam spreads over the reconstruction term and its rows; no array
+    operand broadcasts against another."""
+    z = Tensor([[0.0, 0.0]], requires_grad=True)
+    rz = Tensor([[0.0, 0.0, 0.0]], requires_grad=True)
+    loss, ce, rec = joint_loss(z, np.eye(2)[[0]], rz, np.zeros((1, 3)), 2.0, "sigmoid")
+    assert abs(ce - math.log(2.0)) < 1e-15 and abs(rec - 3.0 * math.log(2.0)) < 1e-15
+    assert loss.data == ce + 2.0 * rec
+    grads = backward(loss, params=[rz])
+    assert np.array_equal(grads[rz], [[1.0, 1.0, 1.0]])  # 2.0 * (sigmoid(0) - 0)
+    with pytest.raises(ShapeError):
+        affine(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 1))), Tensor(np.zeros(3)))  # (3,) vs (3, 1)
+    with pytest.raises(ShapeError):
+        joint_loss(z, np.eye(2)[[0]], Tensor(np.zeros((2, 3))), np.zeros((2, 3)), 2.0, "sigmoid")
+
+
 def test_softmax_xent_value_matches_direct_formula():
     logits = np.array([[1.0, 2.0, 3.0]])
     onehot = np.array([[0.0, 0.0, 1.0]])
