@@ -9,12 +9,13 @@ modulated by a relu gate computed from the aspect vector and the previous
 state, and an aspect-free one that keeps the gated linear bypass but no
 aspect conditioning. The stacked-GRU baseline is a sequence of
 one-cell blocks whose only cell is a conventional GRU, so every encoder
-runs through the same recurrence and padding carry.
+runs through the same recurrence.
 
 A block over a whole batch of sequences is one tape op,
 ``run_block_batch``: its input and states are step-major (T, d, B)
-arrays, and it runs the numpy step functions once per cell per step.
-Steps take column-major batches, (d, B) with one column per sequence. A
+arrays, and it runs the numpy step functions once per cell per step
+on the columns still running. Steps take column-major batches, (d, B)
+with one column per sequence. A
 single sequence is a batch of one column, so the batched encoder is the
 only implementation of the math.
 """
@@ -344,15 +345,19 @@ def run_block_batch(
     ``x`` is (T, d_x, B): the (d_x, B) input of every step. ``aspect`` is
     the (d_a, B) aspect batch an aspect-gated input cell reads. ``mask``
     is a (B, T) mask as ``validate_mask`` accepts, which the caller
-    checks. A masked column carries its previous state through by
-    selection, so from its last real token on a column holds its final
-    state. Returns the (T, d_h, B) states, starting from zero, and the
+    checks. Returns the (T, d_h, B) states, starting from zero, and the
     relu aspect gates as a read-only (T, d_h, B) constant (None without
     an aspect).
 
-    The token projection of every step is one GEMM before the time loop,
-    and so is the aspect projection: the aspect is constant across a
-    sequence. The loop runs each cell's step by its kind's name. The
+    Only real cells run: in length order, the columns running at step t
+    are a suffix, a row range of the batch-major storage. A batch in that
+    order (any ``make_batches`` batch, B=1) is used as it is, any other is
+    permuted once on the way in and once out. A finished column keeps its
+    final state by a slice copy, and its gates are 0.
+
+    The token projection of every real cell is one GEMM before the time
+    loop, and so is the aspect projection: the aspect is constant across
+    a sequence. The loop runs each cell's step by its kind's name. The
     node's parents are ``x``, the aspect when the input cell is gated,
     and every cell's stacks; its backward runs backprop through time over
     what the steps saved, and the grad-free forward saves nothing.
@@ -364,9 +369,16 @@ def run_block_batch(
             f"run_block_batch: x is {x.shape} {x.dtype}, expected (T, {Wx.shape[1]}, B) {Wx.dtype}"
         )
     T, d_x, B = x.shape
-    keep = np.asarray(mask).astype(bool).T  # (T, B)
-    if keep.shape != (T, B):
+    if np.shape(mask) != (B, T):
         raise ShapeError(f"mask shape {np.shape(mask)} does not match batch ({B}, {T})")
+    lengths = np.asarray(mask).sum(axis=1)
+    # the columns in length order and back, as basic slices (views) when they already are
+    shuffled = np.any(lengths[:-1] > lengths[1:])
+    order = np.argsort(lengths, kind="stable") if shuffled else slice(None)
+    inverse = np.argsort(order) if shuffled else slice(None)
+    # at step t the columns [start[t]:] run, and rows off[t]:off[t + 1] are their real cells
+    start = np.searchsorted(lengths[order], np.arange(T), side="right")
+    off = np.concatenate(([0], np.cumsum(B - start)))
     parents = [x]
     a_proj = None
     if first.gated:
@@ -378,66 +390,78 @@ def run_block_batch(
                 f"run_block_batch: aspect is {aspect.shape} {aspect.dtype}, "
                 f"expected ({Wa.shape[1]}, {B}) {Wa.dtype}"
             )
-        a_proj = Wa @ aspect.data
+        a_proj = Wa @ aspect.data[:, order]
         parents.append(aspect)
     for c in cells:
         parents += c.tensors("").values()
     taped = _records(parents)
-    # each step's input batch-major, so all T steps project in one GEMM
-    xs = np.ascontiguousarray(x.data.transpose(0, 2, 1))
-    X = (xs.reshape(T * B, d_x) @ Wx.T).reshape(T, B, Wx.shape[0])
-    # the cells' state projections: every step's when taped, else one reused
-    Hs = [np.empty((T if taped else 1, B, c.stacks["h"].shape[0]), x.dtype) for c in cells]
+    # the real cells' inputs batch-major, step after step, so they project in one GEMM
+    tt, bb = np.nonzero(np.arange(B) >= start[:, None])
+    real = (tt, np.arange(B)[order][bb])
+    xs = x.data.transpose(0, 2, 1)[real]
+    X = xs @ Wx.T
+    # the cells' state projections: every real cell's when taped, else one step's reused
+    Hs = [np.empty((len(xs) if taped else B, c.stacks["h"].shape[0]), x.dtype) for c in cells]
     steps = [{"aspect": aspect_gru_step, "dt": dt_gru_step, "gru": gru_step}[first.kind]]
     steps += [transition_gru_step] * (len(cells) - 1)
     saved: list[list] = [[] for _ in cells]
     states = np.empty((T, B, d), x.dtype).transpose(0, 2, 1)
-    gates = np.empty((T, d, B), x.dtype) if first.gated else None
+    gates = np.zeros((T, B, d), x.dtype).transpose(0, 2, 1) if first.gated else None
     h0 = np.zeros((B, d), x.dtype).T
     for t in range(T):
-        h = hd = states[t - 1] if t else h0
+        k, rows = start[t], slice(off[t], off[t + 1])
+        h = states[t - 1] if t else h0
+        states[t][:, :k] = h[:, :k]  # a finished column keeps its state
+        if k == B:
+            continue
+        h, a = h[:, k:], None if a_proj is None else a_proj[:, k:]
         for j, (cell, step) in enumerate(zip(cells, steps)):
-            h, g, s = step(cell, None if j else X[t].T, h, a_proj, Hs[j][t if taped else 0].T)
+            H = Hs[j][rows] if taped else Hs[j][: B - k]
+            h, g, s = step(cell, None if j else X[rows].T, h, a, H.T)
             if taped:
                 saved[j].append(s)
             if g is not None:
-                gates[t] = g
-        states[t] = h
-        if not keep[t].all():
-            np.copyto(states[t], hd, where=~keep[t])
+                gates[t][:, k:] = g
+        states[t][:, k:] = h
     if gates is not None:
+        gates = gates[..., inverse]
         gates.setflags(write=False)
 
     def bwd(gs):
+        gs = gs[..., order]
         # the aspect stack's gradient is one GEMM after the loop
         acc = [{k: np.zeros_like(w.data) for k, w in c.tensors("").items() if k != "a"}
                for c in cells]
-        dx = np.zeros_like(xs) if x.requires_grad else None
+        dxs = np.empty_like(xs) if x.requires_grad else None
         da = np.zeros((d, B), gs.dtype) if a_proj is not None else None
         dnext = np.zeros((d, B), gs.dtype)  # reaching states[t] from step t + 1
         for t in reversed(range(T)):
-            dh = gs[t] + dnext
-            dcarry = None
-            if not keep[t].all():
-                dcarry = np.where(keep[t], 0.0, dh)
-                dh = np.where(keep[t], dh, 0.0)
+            k, rows = start[t], slice(off[t], off[t + 1])
+            dnext = gs[t] + dnext  # a finished column's gradient passes straight through
+            if k == B:
+                continue
+            dh = dnext[:, k:]
             for j in reversed(range(len(cells))):
-                dh, dg, DxT = _step_backward(cells[j], None if j else X[t].T, Hs[j][t].T,
-                                             saved[j][t], dh, xs[t].T, acc[j])
+                dh, dg, DxT = _step_backward(cells[j], None if j else X[rows].T, Hs[j][rows].T,
+                                             saved[j][t], dh, xs[rows].T, acc[j])
             if da is not None:
-                da += dg
-            if dx is not None:
-                np.matmul(DxT, Wx, out=dx[t])
-            dnext = dh if dcarry is None else dh + dcarry
-        grads = [None if dx is None else dx.transpose(0, 2, 1)]
+                da[:, k:] += dg
+            if dxs is not None:
+                np.matmul(DxT, Wx, out=dxs[rows])
+            dnext[:, k:] = dh
+        grads = [None]
+        if dxs is not None:
+            dx = np.zeros((T, B, d_x), gs.dtype)
+            dx[real] = dxs
+            grads = [dx.transpose(0, 2, 1)]
         if da is not None:
-            grads.append(Wa.T @ da if aspect.requires_grad else None)
-            acc[0]["a"] = da @ aspect.data.T
+            grads.append((Wa.T @ da)[:, inverse] if aspect.requires_grad else None)
+            acc[0]["a"] = da @ aspect.data[:, order].T
         for c, a in zip(cells, acc):
             grads += (a[k] for k in c.tensors(""))
         return tuple(grads)
 
     kinks = None
-    if taped and first.gated:  # every step's relu gate pre-activation
-        kinks = Hs[0][:, :, first.ns * d : (first.ns + 1) * d]
-    return _node(states, tuple(parents), bwd, "block", kinks=kinks), gates
+    if taped and first.gated:  # every real cell's relu gate pre-activation
+        kinks = Hs[0][:, first.ns * d : (first.ns + 1) * d]
+    return _node(states[..., inverse], tuple(parents), bwd, "block", kinks=kinks), gates

@@ -29,6 +29,15 @@ class CheckpointError(RuntimeError):
     """Raised for malformed, truncated, or inconsistent checkpoint files."""
 
 
+class _Undrawn:
+    """The init rng of a model whose weights are read next: glorot gets
+    memory to fill, and nothing is drawn."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 def save_checkpoint(path, model: SentimentModel, vocab: Vocab, meta: dict | None = None) -> Path:
     """Serialize model weights, the embedding table, and metadata."""
     arrays = model.checkpoint_arrays()
@@ -128,7 +137,7 @@ def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
         )
     vocab = Vocab(tokens, embedding, digest)
     try:
-        model = SentimentModel(config, vocab.embedding, np.random.default_rng(0))
+        model = SentimentModel(config, vocab.embedding, _Undrawn())
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: config does not build a model: {e}") from e
     views = model.checkpoint_arrays()

@@ -446,7 +446,17 @@ def grad_check(
     tensors: Sequence[Tensor],
     epsilon: float | None = None,
 ) -> float:
-    """Max relative error of tape gradients against central differences.
+    """Max relative error of tape gradients against central differences,
+    the first figure of ``grad_errors``."""
+    return grad_errors(f, tensors, epsilon)[0]
+
+
+def grad_errors(
+    f: Callable[[], Tensor],
+    tensors: Sequence[Tensor],
+    epsilon: float | None = None,
+) -> tuple[float, float, float]:
+    """Tape gradients against central differences: ``(worst, raw, floor)``.
 
     ``f`` must be deterministic (no fresh dropout masks) and close over
     ``tensors``; their data is perturbed in place coordinate by
@@ -454,17 +464,21 @@ def grad_check(
     no more than the central difference's own resolution at ``eps``,
     eps**2 for truncation plus machine epsilon / eps for rounding of an
     O(1) loss, counts as agreement; beyond that the error is relative.
+    ``worst`` is the largest such relative error, ``raw`` the largest
+    |analytic - numeric| of any coordinate, and ``floor`` the largest
+    resolution of any tensor.
     """
     loss = f()
     if loss.ndim != 0:
         raise ShapeError("grad_check: f must return a scalar")
     tape = backward(loss, params=list(tensors))
-    worst = 0.0
+    worst = raw = top = 0.0
     for t in tensors:
         eps = t.data.dtype.type(
             epsilon if epsilon is not None else default_fd_epsilon(t.data.dtype)
         )
         floor = float(eps) ** 2 + float(np.finfo(eps.dtype).eps) / float(eps)
+        top = max(top, floor)
         analytic = tape[t]
         for idx in np.ndindex(t.data.shape):
             orig = t.data[idx]
@@ -476,7 +490,8 @@ def grad_check(
             numeric = (hi - lo) / (2 * eps)
             ana = analytic[idx]
             err = abs(float(numeric - ana))
+            raw = max(raw, err)
             if err > floor:
                 worst = max(worst, err / max(abs(float(numeric)), abs(float(ana))))
-    return worst
+    return worst, raw, top
 

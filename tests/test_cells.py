@@ -248,16 +248,19 @@ def _padded_case(rng, kind, dtype=np.float64):
 
 @pytest.mark.parametrize("kind", ["aspect", "dt", "gru"])
 def test_block_matches_the_per_gate_reference_over_a_padded_batch(rng, kind):
-    """Every step runs every cell, and a masked column keeps its previous state bit for bit."""
+    """Real cells match the reference, a masked column keeps its previous state
+    bit for bit, and its gates are 0."""
     block, x, aspect = _padded_case(rng, kind)
     states, gates = run_block_batch(block, x, aspect, _PADDED)
     h = np.zeros((3, 2))
     for t in range(3):
+        real = _PADDED[:, t] == 1
         new, g = _reference_step(block[0], x.data[t], h, None if aspect is None else aspect.data)
         new, _ = _reference_step(block[1], None, new, None)
-        assert _rel(states.data[t][:, _PADDED[:, t] == 1], new[:, _PADDED[:, t] == 1]) <= 1e-13
+        assert _rel(states.data[t][:, real], new[:, real]) <= 1e-13
         if g is not None:
-            assert _rel(gates[t], g) <= 1e-13
+            assert _rel(gates[t][:, real], g[:, real]) <= 1e-13
+            assert np.all(gates[t][:, ~real] == 0.0)
         h = states.data[t]
     assert np.array_equal(states.data[2][:, 1], states.data[1][:, 1])
 

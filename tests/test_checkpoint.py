@@ -91,6 +91,23 @@ def test_a_checkpoint_written_by_an_earlier_commit_loads_bitwise(tmp_path):
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
+def test_a_load_draws_no_init(tmp_path, monkeypatch):
+    """Every weight is read from the file, so a load makes no generator and
+    draws nothing."""
+    model, vocab = _fixture()
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model, vocab)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a load made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    loaded, _, _ = load_checkpoint(p)
+    for name, t in model.parameters().items():
+        assert np.array_equal(loaded.parameters()[name].data, t.data), name
+
+
 def test_loaded_model_predicts_identically(tmp_path):
     model, vocab = _fixture()
     p = tmp_path / "m.ckpt"

@@ -464,6 +464,82 @@ def test_batch_composition_leaves_each_sentence_logits_alone(
                 assert np.argmax(got) == np.argmax(want)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(0, 6), min_size=1, max_size=7),
+    kind=st.sampled_from(("aspect", "dt", "gru")),
+)
+def test_a_block_in_any_column_order_is_the_length_ordered_block_permuted(seed, lengths, kind):
+    """Columns out of length order give the length-ordered states, gates and
+    input gradients, taken in their order."""
+    r = np.random.default_rng(seed)
+    B, T = len(lengths), max(lengths) + int(r.integers(0, 2))
+    block = cells_mod.init_block("aspect" if kind == "aspect" else "dt", 3, 2, 2, 2, r, bias=True)
+    if kind == "gru":
+        block = (cells_mod.CellParams.init("gru", 3, r, d_x=2, bias=True), *block[1:])
+    for cell in block:
+        cell.bias.data[...] = r.standard_normal(cell.bias.shape)
+    mask = (np.arange(T) < np.sort(lengths)[:, None]).astype(np.int64)
+    x, a = r.standard_normal((T, 2, B)), r.standard_normal((2, B))
+
+    def run(cols):
+        xt = Tensor(x[:, :, cols], requires_grad=True)
+        at = Tensor(a[:, cols], requires_grad=True) if kind == "aspect" else None
+        states, gates = cells_mod.run_block_batch(block, xt, at, mask[cols])
+        grads = backward(weighted_sum(states), params=[xt] if at is None else [xt, at])
+        return [states.data, *([] if gates is None else [gates]), *grads.values()]
+
+    perm = r.permutation(B)
+    for got, want in zip(run(perm), run(np.arange(B))):
+        np.testing.assert_allclose(got, want[..., perm], rtol=0, atol=BATCH_COMPOSITION_ATOL)
+
+
+def test_the_block_steps_only_real_cells(rng, monkeypatch):
+    """Over a padded make_batches batch the cells step exactly its real tokens,
+    and the block's relu kinks are the aspect gate pre-activations of those."""
+    inst = [
+        Instance(f"s{i}", tuple(ALL_WORDS[k] for k in rng.integers(0, len(ALL_WORDS), size=n)),
+                 "category", ASPECTS[i % 2], (ASPECTS[i % 2],), LABELS[i % 3])
+        for i, n in enumerate((2, 3, 3, 5, 7))
+    ]
+    spaces = TaskSpaces.build("category", inst)
+    vocab = assemble_vocab(list(ALL_WORDS), [], {}, 4, seed=1)
+    cfg = ModelConfig(hidden_size=3, embed_size=4, depth=3, num_labels=spaces.num_labels,
+                      num_recon_targets=spaces.num_recon_targets, task="category")
+    model = SentimentModel(cfg, vocab.embedding, rng)
+    (batch,) = make_batches(inst, vocab, spaces, 4096, shuffle=False)
+    real = int(batch.mask.sum())
+    assert real < batch.mask.size
+    stepped = Counter()
+
+    def counting(name):
+        step = getattr(cells_mod, name)
+
+        def wrapped(p, X, h_prev, *rest):
+            stepped[name] += h_prev.shape[1]
+            return step(p, X, h_prev, *rest)
+
+        monkeypatch.setattr(cells_mod, name, wrapped)
+
+    counting("aspect_gru_step")
+    counting("transition_gru_step")
+    aspects = aspect_matrix(batch.aspect_tokens, vocab)
+    out = model.forward(batch.token_ids, batch.mask, aspects)
+    assert stepped == {"aspect_gru_step": real, "transition_gru_step": (cfg.depth - 1) * real}
+
+    block = next(n for n in iter_nodes(out.sent_logits) if n.op == "block")
+    w = cells_mod.gate_arrays(model.blocks[0][0])
+    prev = np.concatenate([np.zeros_like(block.data[:1]), block.data[:-1]])
+    pre = [
+        (w["w_a"] @ aspects.T + w["w_hg"] @ prev[t])[:, batch.mask[:, t] == 1]
+        for t in range(batch.mask.shape[1])
+    ]
+    assert block.kinks.shape == (real, cfg.hidden_size)
+    want = min(float(np.abs(p).min()) for p in pre)
+    assert relu_kink_margin(block) == pytest.approx(want, rel=1e-12)
+
+
 def test_ablated_model_ignores_aspect_bitwise(rng):
     """gru encoder, no concat, no reconstruction gradient path to aspect."""
     model, _ = tiny_model(rng, encoder="gru", aspect_concat=False, reconstruct=False)
