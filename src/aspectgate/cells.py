@@ -322,38 +322,41 @@ def init_block(kind: str, d_h: int, d_x: int, d_a: int | None, depth: int, rng,
 
 
 def validate_mask(mask, B: int, T: int) -> np.ndarray:
-    """A (B, T) 0/1 mask whose real tokens form a prefix of each row."""
+    """The (B,) lengths of a (B, T) 0/1 mask whose real tokens form a
+    nonempty prefix of each row. This is the only reader of a mask: the
+    block and pooling take the lengths."""
     mask = np.asarray(mask)
     if mask.shape != (B, T):
         raise ShapeError(f"mask shape {mask.shape} does not match batch ({B}, {T})")
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ValueError("mask entries must be 0 or 1")
-    if np.any(np.diff(mask.astype(np.int8), axis=1) > 0):
-        raise ValueError("mask must be monotone: padding only as a suffix")
-    return mask
+    lengths = np.count_nonzero(mask, axis=1)
+    if not np.array_equal(mask, np.arange(T) < lengths[:, None]):
+        raise ValueError("mask entries must be 0 or 1 and monotone: padding only as a suffix")
+    if np.any(lengths == 0):
+        raise ValueError("a sequence in the batch has no real tokens")
+    return lengths
 
 
 def run_block_batch(
     cells: tuple[CellParams, ...],
     x: Tensor,
     aspect: Tensor | None,
-    mask: np.ndarray,
+    lengths: np.ndarray,
 ) -> tuple[Tensor, np.ndarray | None]:
     """Encode a step-major column batch through a block, as one tape node.
 
     ``cells`` is the block: its input cell, then its transition cells.
     ``x`` is (T, d_x, B): the (d_x, B) input of every step. ``aspect`` is
-    the (d_a, B) aspect batch an aspect-gated input cell reads. ``mask``
-    is a (B, T) mask as ``validate_mask`` accepts, which the caller
-    checks. Returns the (T, d_h, B) states, starting from zero, and the
-    relu aspect gates as a read-only (T, d_h, B) constant (None without
-    an aspect).
+    the (d_a, B) aspect batch an aspect-gated input cell reads.
+    ``lengths`` is each column's count of real steps, as ``validate_mask``
+    returns; the steps after them are padding. Returns the (T, d_h, B)
+    states, starting from zero, and the relu aspect gates as a read-only
+    (T, d_h, B) constant (None without an aspect). At a padded step both
+    are 0, and the backward drops the states' incoming gradient there.
 
     Only real cells run: in length order, the columns running at step t
     are a suffix, a row range of the batch-major storage. A batch in that
     order (any ``make_batches`` batch, B=1) is used as it is, any other is
-    permuted once on the way in and once out. A finished column keeps its
-    final state by a slice copy, and its gates are 0.
+    permuted once on the way in and once out.
 
     The token projection of every real cell is one GEMM before the time
     loop, and so is the aspect projection: the aspect is constant across
@@ -369,9 +372,9 @@ def run_block_batch(
             f"run_block_batch: x is {x.shape} {x.dtype}, expected (T, {Wx.shape[1]}, B) {Wx.dtype}"
         )
     T, d_x, B = x.shape
-    if np.shape(mask) != (B, T):
-        raise ShapeError(f"mask shape {np.shape(mask)} does not match batch ({B}, {T})")
-    lengths = np.asarray(mask).sum(axis=1)
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,):
+        raise ShapeError(f"run_block_batch: lengths are {lengths.shape}, expected ({B},)")
     # the columns in length order and back, as basic slices (views) when they already are
     shuffled = np.any(lengths[:-1] > lengths[1:])
     order = np.argsort(lengths, kind="stable") if shuffled else slice(None)
@@ -405,16 +408,15 @@ def run_block_batch(
     steps = [{"aspect": aspect_gru_step, "dt": dt_gru_step, "gru": gru_step}[first.kind]]
     steps += [transition_gru_step] * (len(cells) - 1)
     saved: list[list] = [[] for _ in cells]
-    states = np.empty((T, B, d), x.dtype).transpose(0, 2, 1)
+    states = np.zeros((T, B, d), x.dtype).transpose(0, 2, 1)
     gates = np.zeros((T, B, d), x.dtype).transpose(0, 2, 1) if first.gated else None
     h0 = np.zeros((B, d), x.dtype).T
     for t in range(T):
         k, rows = start[t], slice(off[t], off[t + 1])
-        h = states[t - 1] if t else h0
-        states[t][:, :k] = h[:, :k]  # a finished column keeps its state
         if k == B:
-            continue
-        h, a = h[:, k:], None if a_proj is None else a_proj[:, k:]
+            break
+        h = (states[t - 1] if t else h0)[:, k:]
+        a = None if a_proj is None else a_proj[:, k:]
         for j, (cell, step) in enumerate(zip(cells, steps)):
             H = Hs[j][rows] if taped else Hs[j][: B - k]
             h, g, s = step(cell, None if j else X[rows].T, h, a, H.T)
@@ -437,10 +439,9 @@ def run_block_batch(
         dnext = np.zeros((d, B), gs.dtype)  # reaching states[t] from step t + 1
         for t in reversed(range(T)):
             k, rows = start[t], slice(off[t], off[t + 1])
-            dnext = gs[t] + dnext  # a finished column's gradient passes straight through
             if k == B:
                 continue
-            dh = dnext[:, k:]
+            dh = gs[t][:, k:] + dnext[:, k:]
             for j in reversed(range(len(cells))):
                 dh, dg, DxT = _step_backward(cells[j], None if j else X[rows].T, Hs[j][rows].T,
                                              saved[j][t], dh, xs[rows].T, acc[j])

@@ -254,6 +254,8 @@ def validate_common(rc: RunConfig, problems: list[str]) -> None:
         problems.append("need at least one seed")
     elif len(set(rc.seeds)) != len(rc.seeds):
         problems.append(f"duplicate seeds in {list(rc.seeds)}")
+    if min(rc.seeds, default=0) < 0:
+        problems.append(f"seeds must be >= 0, got seed {min(rc.seeds)}")
     if not 0.0 < rc.threshold < 1.0:
         problems.append(f"threshold must be in (0, 1), got {rc.threshold}")
     if rc.token_budget < 1:

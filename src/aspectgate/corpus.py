@@ -467,8 +467,9 @@ def scan_embedding_file(path, wanted: set[str]) -> tuple[dict[str, np.ndarray], 
     count most of the first 100 non-blank rows fit (``_vector_width``).
     Trailing whitespace is skipped. A row's last ``dim`` fields are its
     vector and the rest its token; a token holding a space, which
-    ``tokenize`` never produces, is skipped unparsed. Too few values or
-    unparsable numbers raise ``CorpusError`` with the line number.
+    ``tokenize`` never produces, is skipped unparsed. Too few values, or
+    a wanted row's unparsable or non-finite numbers, raise ``CorpusError``
+    with the line number.
     """
     found: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -492,9 +493,12 @@ def scan_embedding_file(path, wanted: set[str]) -> tuple[dict[str, np.ndarray], 
             token = parts[0]
             if token in wanted and token not in found:
                 try:
-                    found[token] = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
+                    vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
                 except ValueError as e:
                     raise CorpusError(f"embedding file line {ln}: bad number: {e}") from e
+                if not np.all(np.isfinite(vec)):
+                    raise CorpusError(f"embedding file line {ln}: non-finite value")
+                found[token] = vec
     if dim is None:
         raise CorpusError("embedding file is empty")
     return found, dim

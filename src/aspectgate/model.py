@@ -247,35 +247,26 @@ class SentimentModel:
 
     # -- forward -----------------------------------------------------------------
 
-    def _embed_steps(self, token_ids: np.ndarray, reverse_lengths=None) -> np.ndarray:
-        emb = self.embedding[token_ids]  # (B, T, d)
-        if reverse_lengths is not None:
-            rev = np.zeros_like(emb)
-            for i, L in enumerate(reverse_lengths):
-                rev[i, :L] = emb[i, L - 1 :: -1]
-            emb = rev
-        return emb
-
-    def _encode(self, emb, aspects_t, mask, training, rng, reverse: bool):
+    def _encode(self, token_ids, aspects_t, lengths, training, rng, reverse: bool):
         c = self.config
         # step-major (T, d, B), each step a view of a batch-major (B, d) slab
-        x = Tensor(np.ascontiguousarray(emb.transpose(1, 0, 2)).transpose(0, 2, 1))
+        x = Tensor(self.embedding[token_ids.T].transpose(0, 2, 1))
         # one (T, d, B) draw: the same numbers as T per-step (d, B) draws
         x = dropout(x, c.dropout_input, training, rng)
         aspect = aspects_t if c.encoder == "aspect-dt" else None
         for block in self.blocks_rev if reverse else self.blocks:
-            x, gates = run_block_batch(block, x, aspect, mask)
+            x, gates = run_block_batch(block, x, aspect, lengths)
         return x, gates
 
-    def _pool(self, states: Tensor, mask, training, rng) -> Tensor:
-        """Pooled (d, B) states with hidden dropout; masked steps never count.
+    def _pool(self, states: Tensor, lengths, training, rng) -> Tensor:
+        """Pooled (d, B) states with hidden dropout; padded steps never count.
 
         "last" pools before dropping, so only the pooled (d, B) is drawn.
         """
         c = self.config
         if c.pooling == "last":
-            return dropout(_pool_columns(states, mask, "last"), c.dropout_hidden, training, rng)
-        return _pool_columns(dropout(states, c.dropout_hidden, training, rng), mask, c.pooling)
+            return dropout(_pool_columns(states, lengths, "last"), c.dropout_hidden, training, rng)
+        return _pool_columns(dropout(states, c.dropout_hidden, training, rng), lengths, c.pooling)
 
     def forward(
         self,
@@ -288,7 +279,8 @@ class SentimentModel:
         """Run one column batch through encoder, pooling, and both heads.
 
         token_ids: (B, T) int ids into the embedding table; mask: (B, T)
-        0/1 with real tokens as a prefix; aspect_vecs: (B, d) frozen
+        0/1 with real tokens as a nonempty prefix of each row, read once
+        into lengths by ``validate_mask``; aspect_vecs: (B, d) frozen
         aspect embeddings. In training mode an rng must be supplied for
         the dropout masks.
         """
@@ -299,7 +291,7 @@ class SentimentModel:
         B, T = token_ids.shape
         if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= self.embedding.shape[0]):
             raise IndexError("token id out of range for the embedding table")
-        mask = validate_mask(mask, B, T)
+        lengths = validate_mask(mask, B, T)
         aspect_vecs = np.asarray(aspect_vecs, dtype=self.dtype)
         if aspect_vecs.shape != (B, c.embed_size):
             raise ShapeError(
@@ -308,14 +300,14 @@ class SentimentModel:
         if training and rng is None and (c.dropout_input > 0 or c.dropout_hidden > 0):
             raise ValueError("forward: training mode needs an rng for dropout")
         aspects_t = Tensor(np.ascontiguousarray(aspect_vecs.T))
-        emb = self._embed_steps(token_ids)
-        states, gates = self._encode(emb, aspects_t, mask, training, rng, reverse=False)
-        pooled = self._pool(states, mask, training, rng)
+        states, gates = self._encode(token_ids, aspects_t, lengths, training, rng, reverse=False)
+        pooled = self._pool(states, lengths, training, rng)
         if c.bidirectional:
-            lengths = mask.sum(axis=1).astype(int)
-            emb_rev = self._embed_steps(token_ids, reverse_lengths=lengths)
-            states_r, _ = self._encode(emb_rev, aspects_t, mask, training, rng, reverse=True)
-            pooled = concat(pooled, self._pool(states_r, mask, training, rng))
+            # each row's real prefix reversed; a padded step, which no block
+            # reads, takes a negative index into the row's own padding
+            rev = np.take_along_axis(token_ids, lengths[:, None] - 1 - np.arange(T), axis=1)
+            states_r, _ = self._encode(rev, aspects_t, lengths, training, rng, reverse=True)
+            pooled = concat(pooled, self._pool(states_r, lengths, training, rng))
         recon_logits = affine(self.w_recon, pooled, self.b_recon)
         cls_in = concat(pooled, aspects_t) if c.aspect_concat else pooled
         sent_logits = affine(self.w_cls, cls_in, self.b_cls)

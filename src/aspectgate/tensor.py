@@ -162,30 +162,26 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
 POOLING_MODES = ("last", "max", "mean")
 
 
-def pool_columns(states: Tensor, mask, mode: str) -> Tensor:
+def pool_columns(states: Tensor, lengths, mode: str) -> Tensor:
     """Pool (T, d, B) step-major states into one (d, B) representation.
 
-    ``mask`` is (B, T) 0/1 with real tokens as a prefix of each row, and
-    a masked step must carry its column's previous state through, as the
-    encoder does; then masked steps never change the result. "last"
-    takes step T-1, which is each column's state at its own last real
-    token. "max" is the max over real steps; its gradient goes to the
-    earliest step holding it. "mean" is the sum over real steps, in step
-    order, times one over each column's length.
+    ``lengths`` holds each column's count of real steps, 1 to T, as
+    ``cells.validate_mask`` returns. The steps after them are padding:
+    pooling never reads them, and their gradient is 0. "last" takes each
+    column's step ``lengths - 1``. "max" is the max over real steps; its
+    gradient goes to the earliest step holding it. "mean" is the sum over
+    real steps, in step order, times one over each column's length.
     """
     if mode not in POOLING_MODES:
         raise ValueError(f"pool: unknown mode {mode!r}")
     if states.ndim != 3 or states.shape[0] == 0:
         raise ShapeError(f"pool: needs (T, d, B) states with T >= 1, got {states.shape}")
     T, d, B = states.shape
-    mask = np.asarray(mask)
-    if mask.shape != (B, T):
-        raise ShapeError(f"pool: mask shape {mask.shape} does not match ({B}, {T})")
-    lengths = mask.sum(axis=1)
-    if np.any(lengths == 0):
-        raise ValueError("pool: a sequence in the batch has no real tokens")
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,):
+        raise ShapeError(f"pool: lengths are {lengths.shape}, expected ({B},)")
     x = states.data
-    real = mask.T.astype(bool)[:, None, :]  # (T, 1, B)
+    real = (np.arange(T)[:, None] < lengths)[:, None, :]  # (T, 1, B)
     kinks = None
     if mode == "mean":
         out = x[0].copy()  # step 0 is real in every column
@@ -195,7 +191,7 @@ def pool_columns(states: Tensor, mask, mode: str) -> Tensor:
         out *= scale
     else:
         if mode == "last":
-            pick = np.full((1, d, B), T - 1)
+            pick = (lengths - 1)[None, None, :]
         else:  # argmax takes the first of tied maxima
             masked = np.where(real, x, -np.inf)
             pick = masked.argmax(axis=0)[None]

@@ -316,6 +316,8 @@ def run_experiment(
         raise ValueError("run_experiment: need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"run_experiment: duplicate seeds in {list(seeds)}")
+    if min(seeds) < 0:
+        raise ValueError(f"run_experiment: seeds must be >= 0, got seed {min(seeds)}")
     all_eval = [i for insts in eval_sets.values() for i in insts]
     train_tokens, test_tokens = vocab_token_lists(train_instances, all_eval)
     found, dim = scan_embedding_file(embedding_path, set(train_tokens) | set(test_tokens))

@@ -188,7 +188,7 @@ def _pt(rng, *shape, scale=1.0):
     return Tensor(data, requires_grad=True)
 
 
-_PADDED = np.array([[1, 1, 1], [1, 1, 0]])  # (B, T): the second column pads its last step
+_LENGTHS = np.array([3, 2])  # over T=3 steps: the second column pads its last step
 
 
 def _block_case(rng, kind):
@@ -206,7 +206,8 @@ def _block_case(rng, kind):
         aspect = asp if kind == "aspect" else None
 
         def f():
-            states, _ = run_block_batch(block, x, aspect, _PADDED)
+            # the loss weights every state, the padded step's included
+            states, _ = run_block_batch(block, x, aspect, _LENGTHS)
             return weighted_sum(states, seed=0)
 
         if relu_kink_margin(f()) > KINK_RADIUS:
@@ -216,15 +217,13 @@ def _block_case(rng, kind):
 
 
 def _pool_case(rng, mode):
-    """Pooling of padded (T, d, B) states that carry through masked steps, away from max ties."""
-    mask = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
+    """Pooling of padded (T, d, B) states, columns out of length order, away from max ties."""
+    lengths = np.array([2, 3, 1])
     for _ in range(100):
         states = _pt(rng, 3, 2, 3)
-        for t in (1, 2):
-            states.data[t] = np.where(mask[:, t], states.data[t], states.data[t - 1])
 
         def f():
-            return weighted_sum(pool_columns(states, mask, mode), seed=0)
+            return weighted_sum(pool_columns(states, lengths, mode), seed=0)
 
         if relu_kink_margin(f()) > KINK_RADIUS:
             return f, [states]
@@ -387,7 +386,7 @@ def test_criterion_02_zero_fixed_points():
             t.data[...] = 0.0
     states, _ = run_block_batch(
         block, Tensor(rng.random((3, 3, 2))), Tensor(rng.random((3, 2))),
-        np.ones((2, 3), dtype=np.int64),
+        np.array([3, 3]),
     )
     if not np.all(states.data == 0):
         problems.append("block non-zero")
@@ -435,9 +434,9 @@ def test_criterion_03_aspect_independence():
     block[0].stacks["a"].data[...] = 0.0
     gate_arrays(block[0])["w_hg"][...] = 0.0
     steps = Tensor(rng.random((4, 3, 2)))
-    m = np.ones((2, 4), dtype=np.int64)
-    s1, _ = run_block_batch(block, steps, Tensor(rng.random((3, 2))), m)
-    s2, _ = run_block_batch(block, steps, Tensor(rng.random((3, 2)) * 5), m)
+    lengths = np.array([4, 4])
+    s1, _ = run_block_batch(block, steps, Tensor(rng.random((3, 2))), lengths)
+    s2, _ = run_block_batch(block, steps, Tensor(rng.random((3, 2)) * 5), lengths)
     if not np.array_equal(s1.data, s2.data):
         problems.append("zeroed-gate encoder states depend on the aspect")
     conclude(3, "aspect independence", not problems, "; ".join(problems) or "bit-identical")

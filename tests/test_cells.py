@@ -1,4 +1,4 @@
-"""Recurrent cells: step math, block composition, masking, gradients."""
+"""Recurrent cells: step math, block composition, padding, gradients."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from aspectgate.tensor import (
     CHECK_DTYPE,
     ShapeError,
     Tensor,
+    _node,
     backward,
     grad_check,
     iter_nodes,
@@ -102,8 +103,8 @@ def test_aspect_gru_ignores_aspect_when_projection_is_zero(rng):
     block = _only("aspect", rng, d_h=4, d_x=3)
     block[0].stacks["a"].data[...] = 0.0
     x = _seq(rng.standard_normal((3, 3)))
-    h1, _ = run_block_batch(block, x, Tensor(_col(rng, 3)), np.ones((1, 3)))
-    h2, _ = run_block_batch(block, x, Tensor(_col(rng, 3)), np.ones((1, 3)))
+    h1, _ = run_block_batch(block, x, Tensor(_col(rng, 3)), np.array([3]))
+    h2, _ = run_block_batch(block, x, Tensor(_col(rng, 3)), np.array([3]))
     assert np.array_equal(h1.data, h2.data)
 
 
@@ -119,7 +120,7 @@ def test_block_depth_one_is_just_the_input_cell(rng):
     block = init_block("aspect", 4, 3, 3, 1, rng)
     assert len(block) == 1
     emb, a = rng.standard_normal((2, 3)), _col(rng, 3)
-    states, gates = run_block_batch(block, _seq(emb), Tensor(a), np.ones((1, 2)))
+    states, gates = run_block_batch(block, _seq(emb), Tensor(a), np.array([2]))
     p, h = block[0], np.zeros((4, 1))
     X = _xp(p, emb)
     for t in range(2):
@@ -136,7 +137,7 @@ def test_block_transitions_compose(rng):
     p = block[0]
     a_proj = p.stacks["a"].data @ a
     first, _, _ = aspect_gru_step(p, _xp(p, emb)[0][:, None], np.zeros((4, 1)), a_proj)
-    states, _ = run_block_batch(block, _seq(emb), Tensor(a), np.ones((1, 1)))
+    states, _ = run_block_batch(block, _seq(emb), Tensor(a), np.array([1]))
     # two zeroed transition cells each halve the state
     assert np.allclose(states.data[0], 0.25 * first, rtol=0, atol=1e-15)
 
@@ -149,7 +150,7 @@ def test_block_depth_validation(rng):
 def test_dt_cell_has_no_aspect_surface(rng):
     block = init_block("dt", 4, 3, 3, 2, rng)
     assert block[0].kind == "dt" and "a" not in block[0].stacks
-    states, gates = run_block_batch(block, _seq(rng.standard_normal((2, 3))), None, np.ones((1, 2)))
+    states, gates = run_block_batch(block, _seq(rng.standard_normal((2, 3))), None, np.array([2]))
     assert gates is None
     assert states.shape == (2, 4, 1)
 
@@ -231,7 +232,7 @@ def test_fused_step_matches_the_per_gate_reference(rng, kind, bias, B):
         assert _rel(got_g, want_g) <= 1e-13
 
 
-_PADDED = np.array([[1, 1, 1], [1, 1, 0]])
+_LENGTHS = np.array([3, 2])  # over T=3 steps: the second column pads its last step
 
 
 def _padded_case(rng, kind, dtype=np.float64):
@@ -248,21 +249,32 @@ def _padded_case(rng, kind, dtype=np.float64):
 
 @pytest.mark.parametrize("kind", ["aspect", "dt", "gru"])
 def test_block_matches_the_per_gate_reference_over_a_padded_batch(rng, kind):
-    """Real cells match the reference, a masked column keeps its previous state
-    bit for bit, and its gates are 0."""
+    """Real cells match the reference, and a padded step's state and gates are 0."""
     block, x, aspect = _padded_case(rng, kind)
-    states, gates = run_block_batch(block, x, aspect, _PADDED)
+    states, gates = run_block_batch(block, x, aspect, _LENGTHS)
     h = np.zeros((3, 2))
     for t in range(3):
-        real = _PADDED[:, t] == 1
+        real = t < _LENGTHS
         new, g = _reference_step(block[0], x.data[t], h, None if aspect is None else aspect.data)
         new, _ = _reference_step(block[1], None, new, None)
         assert _rel(states.data[t][:, real], new[:, real]) <= 1e-13
+        assert np.all(states.data[t][:, ~real] == 0.0)
         if g is not None:
             assert _rel(gates[t][:, real], g[:, real]) <= 1e-13
             assert np.all(gates[t][:, ~real] == 0.0)
         h = states.data[t]
-    assert np.array_equal(states.data[2][:, 1], states.data[1][:, 1])
+
+
+@pytest.mark.parametrize("kind", ["aspect", "dt", "gru"])
+def test_a_padded_step_takes_no_gradient(rng, kind):
+    """A padded step's state is a constant 0, so a loss on the padded steps
+    alone reaches no weight, input or aspect."""
+    block, x, aspect = _padded_case(rng, kind)
+    states, _ = run_block_batch(block, x, aspect, _LENGTHS)
+    w = np.broadcast_to(np.arange(3)[:, None, None] >= _LENGTHS, states.shape).astype(states.dtype)
+    loss = _node(np.asarray((states.data * w).sum()), (states,), lambda g: (w * g,), "padded")
+    tensors = [*_params(block), x, *([] if aspect is None else [aspect])]
+    assert not any(np.any(g) for g in backward(loss, tensors).values())
 
 
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
@@ -272,7 +284,7 @@ def test_fused_step_is_one_tape_node(rng, kind):
     block = _only(kind, rng, bias=True)
     x = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
     aspect = Tensor(rng.standard_normal((4, 2))) if kind == "aspect" else None
-    states, gates = run_block_batch(block, x, aspect, _PADDED)
+    states, gates = run_block_batch(block, x, aspect, _LENGTHS)
     assert states.op == "block"
     operands = (x,) if aspect is None else (x, aspect)
     assert states._parents == (*operands, *_params(block))
@@ -280,7 +292,7 @@ def test_fused_step_is_one_tape_node(rng, kind):
     if gates is not None:  # the relu gate is a constant: no loss reads it
         assert not gates.flags.writeable
     with no_grad():
-        free, free_gates = run_block_batch(block, x, aspect, _PADDED)
+        free, free_gates = run_block_batch(block, x, aspect, _LENGTHS)
     assert np.array_equal(free.data, states.data) and free._parents == ()
     if gates is not None:
         assert np.array_equal(free_gates, gates)
@@ -292,7 +304,7 @@ def test_aspect_gate_subgradient_at_zero_is_zero(rng):
     # from the zero state the pre-activation is the aspect
     block[0].stacks["a"].data[...] = np.eye(3)
     aspect = Tensor(np.array([[-1.0], [0.0], [2.0]]), requires_grad=True)
-    states, gates = run_block_batch(block, _seq(rng.standard_normal((1, 3))), aspect, np.ones((1, 1)))
+    states, gates = run_block_batch(block, _seq(rng.standard_normal((1, 3))), aspect, np.array([1]))
     assert np.array_equal(gates[0][:, 0], [0.0, 0.0, 2.0])
     grad = backward(weighted_sum(states), params=[aspect])[aspect]
     assert np.array_equal(grad[:2, 0], [0.0, 0.0]) and grad[2, 0] != 0.0
@@ -306,7 +318,7 @@ def test_relu_kink_margin_reads_the_aspect_gate_preactivation(rng):
     x = Tensor(rng.standard_normal((4, 2, 2)))
 
     def margin():
-        states, _ = run_block_batch(block, x, aspect, np.ones((2, 4)))
+        states, _ = run_block_batch(block, x, aspect, np.array([4, 4]))
         # found through the transition cell and a smooth op above the block
         return relu_kink_margin(weighted_sum(states))
 
@@ -344,7 +356,7 @@ def test_gate_gradients_of_one_cell_never_overlap(rng, kind):
     params = _params(block)
     aspect = Tensor(rng.standard_normal((4, 3))) if kind == "aspect" else None
     states, _ = run_block_batch(block, Tensor(rng.standard_normal((2, 4, 3))), aspect,
-                                np.ones((3, 2)))
+                                np.array([2, 2, 2]))
     grads = list(backward(weighted_sum(states, seed=0), params).values())
     for i, gi in enumerate(grads):
         for gj in grads[i + 1 :]:
@@ -354,9 +366,9 @@ def test_gate_gradients_of_one_cell_never_overlap(rng, kind):
 # -- gradient checks -----------------------------------------------------------
 
 
-def _check_block(block, x, aspect, mask, tensors):
+def _check_block(block, x, aspect, lengths, tensors):
     def f():
-        states, _ = run_block_batch(block, x, aspect, mask)
+        states, _ = run_block_batch(block, x, aspect, lengths)
         return weighted_sum(states, seed=0)
 
     assert relu_kink_margin(f()) > 1e-3
@@ -367,26 +379,26 @@ def test_grad_aspect_gru_step(rng):
     block = _only("aspect", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
     x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE))
     aspect = Tensor(_col(rng, 2, dtype=CHECK_DTYPE))
-    _check_block(block, x, aspect, np.ones((1, 2)), _params(block))
+    _check_block(block, x, aspect, np.array([2]), _params(block))
 
 
 def test_grad_transition_gru_step(rng):
     block = _only("transition", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
     x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE), grad=True)
     tensors = [*block[1].tensors("").values(), x]
-    _check_block(block, x, None, np.ones((1, 2)), tensors)
+    _check_block(block, x, None, np.array([2]), tensors)
 
 
 def test_grad_dt_cell_step(rng):
     block = _only("dt", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
     x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE))
-    _check_block(block, x, None, np.ones((1, 2)), _params(block))
+    _check_block(block, x, None, np.array([2]), _params(block))
 
 
 def test_grad_gru_step(rng):
     block = _only("gru", rng, dtype=CHECK_DTYPE, d_h=3, d_x=2)
     x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE), grad=True)
-    _check_block(block, x, None, np.ones((1, 2)), [*_params(block), x])
+    _check_block(block, x, None, np.array([2]), [*_params(block), x])
 
 
 def test_grad_depth2_block_over_three_steps(rng):
@@ -396,7 +408,7 @@ def test_grad_depth2_block_over_three_steps(rng):
     tensors = _params(block)
 
     def f():
-        states, _ = run_block_batch(block, x, aspect, np.ones((1, 3)))
+        states, _ = run_block_batch(block, x, aspect, np.array([3]))
         return weighted_sum(states, seed=1)
 
     assert grad_check(f, tensors, FD_EPS_CHECK) <= TOL_CHECK
@@ -409,7 +421,7 @@ def test_grad_bias_terms_flow(rng):
     p.bias.data[...] = (rng.random((15, 1)) - 0.5).astype(CHECK_DTYPE)
     x = _seq((rng.random((2, 2)) - 0.5).astype(CHECK_DTYPE))
     aspect = Tensor(_col(rng, 2, dtype=CHECK_DTYPE))
-    _check_block(block, x, aspect, np.ones((1, 2)), [p.bias])
+    _check_block(block, x, aspect, np.array([2]), [p.bias])
 
 
 def test_bias_off_by_default(rng):
@@ -421,19 +433,19 @@ def test_bias_off_by_default(rng):
     assert {"b_r", "b_z", "b_l", "b_g", "b_h"} <= set(gate_arrays(q))
 
 
-# -- sequence encoding and masking ---------------------------------------------
+# -- sequence encoding and padding ---------------------------------------------
 
 
-def test_masked_suffix_carries_state_bit_identically(rng):
+def test_padded_steps_leave_the_real_prefix_bit_identical(rng):
+    """Padding is never read: whatever its input, the real steps match the
+    unpadded run bit for bit, and the padded states are 0."""
     block = init_block("aspect", 5, 3, 3, 2, rng)
     emb = rng.standard_normal((4, 3))
     aspect = Tensor(rng.standard_normal((3, 1)))
-    short, _ = run_block_batch(block, _seq(emb[:2]), aspect, np.ones((1, 2)))
-    padded = np.vstack([emb[:2], np.zeros((2, 3))])
-    long, _ = run_block_batch(block, _seq(padded), aspect, np.array([[1, 1, 0, 0]]))
-    assert np.array_equal(short.data[-1], long.data[-1])
-    assert np.array_equal(long.data[2], long.data[1])  # carried through
-    assert np.array_equal(long.data[3], long.data[1])
+    short, _ = run_block_batch(block, _seq(emb[:2]), aspect, np.array([2]))
+    long, _ = run_block_batch(block, _seq(emb), aspect, np.array([2]))
+    assert np.array_equal(short.data, long.data[:2])
+    assert np.all(long.data[2:] == 0.0)
 
 
 def test_nonmonotone_mask_rejected():
@@ -445,19 +457,28 @@ def test_nonmonotone_mask_rejected():
         validate_mask(np.ones((1, 3)), 1, 4)
 
 
+def test_validate_mask_returns_the_lengths():
+    """The mask is read once, into each row's count of real tokens; a row
+    without one is refused there, before anything encodes it."""
+    lengths = validate_mask(np.array([[1, 1, 0], [1, 1, 1], [1, 0, 0]]), 3, 3)
+    assert lengths.tolist() == [2, 3, 1]
+    with pytest.raises(ValueError, match="no real tokens"):
+        validate_mask(np.array([[1, 1], [0, 0]]), 2, 2)
+
+
 def test_block_refuses_an_aspect_that_does_not_fit(rng):
     """No broadcasting: an aspect batch of the wrong width, batch or dtype is refused."""
     block = init_block("aspect", 4, 3, 3, 1, rng)
     x = Tensor(rng.standard_normal((2, 3, 2)))
     for bad in (np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((3, 2), dtype=CHECK_DTYPE)):
         with pytest.raises(ShapeError, match="aspect is"):
-            run_block_batch(block, x, Tensor(bad), np.ones((2, 2)))
+            run_block_batch(block, x, Tensor(bad), np.array([2, 2]))
 
 
 def test_empty_sequence_encodes_to_nothing(rng):
     block = init_block("aspect", 4, 3, 3, 2, rng)
     states, gates = run_block_batch(block, Tensor(np.zeros((0, 3, 1))), Tensor(np.zeros((3, 1))),
-                                    np.zeros((1, 0)))
+                                    np.array([0]))
     assert states.shape == gates.shape == (0, 4, 1)
 
 
@@ -472,17 +493,16 @@ def test_batch_matches_single_sequences(rng):
     x = np.zeros((T, 3, B))
     for i, s in enumerate(seqs):
         x[: lens[i], :, i] = s
-    mask = np.array([[1] * n + [0] * (T - n) for n in lens])
     a_cols = Tensor(np.stack(aspects, axis=1))
-    states, _ = run_block_batch(block, Tensor(x), a_cols, mask)
+    states, _ = run_block_batch(block, Tensor(x), a_cols, np.array(lens))
     for i, (seq, asp, n) in enumerate(zip(seqs, aspects, lens)):
-        solo, _ = run_block_batch(block, _seq(seq), Tensor(asp[:, None]), np.ones((1, n)))
-        assert np.allclose(states.data[-1][:, i], solo.data[-1][:, 0], rtol=1e-10, atol=1e-12)
+        solo, _ = run_block_batch(block, _seq(seq), Tensor(asp[:, None]), np.array([n]))
+        assert np.allclose(states.data[:n, :, i], solo.data[..., 0], rtol=1e-10, atol=1e-12)
 
 
-def _run_stack(blocks, x, mask):
+def _run_stack(blocks, x, lengths):
     for block in blocks:
-        x, gates = run_block_batch(block, x, None, mask)
+        x, gates = run_block_batch(block, x, None, lengths)
     return x, gates
 
 
@@ -493,18 +513,19 @@ def test_stacked_gru_encode_shapes_and_masking(rng):
         (CellParams.init("gru", 4, rng, d_x=4),),
     ]
     emb = rng.standard_normal((5, 3))
-    states, gates = _run_stack(layers, _seq(emb), np.ones((1, 5)))
+    states, gates = _run_stack(layers, _seq(emb), np.array([5]))
     assert states.shape == (5, 4, 1)
     assert gates is None
-    short, _ = _run_stack(layers, _seq(emb[:3]), np.ones((1, 3)))
-    padded, _ = _run_stack(layers, _seq(emb), np.array([[1, 1, 1, 0, 0]]))
-    assert np.array_equal(short.data[-1], padded.data[-1])
+    short, _ = _run_stack(layers, _seq(emb[:3]), np.array([3]))
+    padded, _ = _run_stack(layers, _seq(emb), np.array([3]))
+    assert np.array_equal(short.data, padded.data[:3])
+    assert np.all(padded.data[3:] == 0.0)
     # one layer is one gru_step per token from a zero state
     p, h = layers[0][0], np.zeros((4, 1))
     X = _xp(p, emb[:2])
     for t in range(2):
         h, _, _ = gru_step(p, X[t][:, None], h)
-    first, _ = run_block_batch(layers[0], _seq(emb[:2]), None, np.ones((1, 2)))
+    first, _ = run_block_batch(layers[0], _seq(emb[:2]), None, np.array([2]))
     assert np.array_equal(first.data[-1], h)
     # one node: the block, its input and its weights
     assert len(list(iter_nodes(first))) == 2 + len(p.tensors(""))
@@ -535,5 +556,5 @@ def test_block_state_bounded_without_linear_bypass(seed, depth):
     w["w_lin1"][...] = 0.0
     w["w_lin2"][...] = 0.0
     aspect = Tensor(r.standard_normal((3, 1)))
-    states, _ = run_block_batch(block, _seq(r.standard_normal((6, 3))), aspect, np.ones((1, 6)))
+    states, _ = run_block_batch(block, _seq(r.standard_normal((6, 3))), aspect, np.array([6]))
     assert np.all(np.abs(states.data) <= 1.0 + 1e-12)

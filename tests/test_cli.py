@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import aspectgate.cli as cli_mod
 from aspectgate.cli import (
     DATASETS,
     RunConfig,
@@ -288,6 +289,21 @@ def test_validation_reports_all_problems_at_once(tmp_path, capsys):
     assert "epochs" in err
     assert "not found" in err
     assert "depth" in err
+
+
+def test_a_negative_seed_is_refused_before_any_file_is_read(workspace, capsys, monkeypatch):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+
+    def no_read(*args):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(cli_mod, "_read_raw", no_read)
+    code = run(["train", "--data-dir", str(data), "--embeddings", str(emb),
+                "--out", str(tmp_path / "run"), "--seeds", "1,-1"])
+    assert code == 1
+    assert "seeds must be >= 0, got seed -1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_unknown_flag_is_exit_1(capsys):

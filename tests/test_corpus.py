@@ -319,6 +319,11 @@ def test_scan_embedding_file(emb_path, tmp_path):
     notnum.write_text("food one 2 3\n")
     with pytest.raises(CorpusError, match="bad number"):
         scan_embedding_file(notnum, {"food"})
+    for value in ("nan", "inf", "-inf"):
+        nonfinite = tmp_path / "nonfinite.txt"
+        nonfinite.write_text(f"bar 1 2 3\nfood {value} 0.1 0.2\n")
+        with pytest.raises(CorpusError, match="line 2: non-finite"):
+            scan_embedding_file(nonfinite, {"food"})
     spaced = tmp_path / "spaced.txt"
     spaced.write_text("food 1 2 3\n. . . 4 5 6\nbar 7 8 9\n")
     found, dim = scan_embedding_file(spaced, {".", "bar"})

@@ -201,45 +201,43 @@ def _steps(rows: np.ndarray, requires_grad=False) -> Tensor:
 
 
 def test_pool_modes_frozen_values():
-    # step 2 is masked, so it carries step 1's state, as the encoder's states do
-    states = _steps(np.array([[1.0, 2.0], [5.0, 0.0], [5.0, 0.0]]))
-    mask = np.array([[1, 1, 0]])
-    assert np.array_equal(_pool_columns(states, mask, "last").data[:, 0], [5.0, 0.0])
-    assert np.array_equal(_pool_columns(states, mask, "max").data[:, 0], [5.0, 2.0])
-    assert np.array_equal(_pool_columns(states, mask, "mean").data[:, 0], [3.0, 1.0])
-    # an all-ones mask means every row is real
+    # step 2 is padding, so its values never count
+    states = _steps(np.array([[1.0, 2.0], [5.0, 0.0], [9.0, -9.0]]))
+    lengths = np.array([2])
+    assert np.array_equal(_pool_columns(states, lengths, "last").data[:, 0], [5.0, 0.0])
+    assert np.array_equal(_pool_columns(states, lengths, "max").data[:, 0], [5.0, 2.0])
+    assert np.array_equal(_pool_columns(states, lengths, "mean").data[:, 0], [3.0, 1.0])
+    # a full length means every step is real
     states = _steps(np.array([[1.0, 2.0], [5.0, 0.0], [3.0, 9.0]]))
-    assert np.array_equal(_pool_columns(states, np.ones((1, 3)), "max").data[:, 0], [5.0, 9.0])
-    assert np.array_equal(_pool_columns(states, np.ones((1, 3)), "last").data[:, 0], [3.0, 9.0])
+    assert np.array_equal(_pool_columns(states, np.array([3]), "max").data[:, 0], [5.0, 9.0])
+    assert np.array_equal(_pool_columns(states, np.array([3]), "last").data[:, 0], [3.0, 9.0])
 
 
 def test_max_pool_records_each_max_lead_over_its_runner_up():
     """Only real steps compete, and only a recorded node keeps the kinks."""
-    rows = np.array([[1.0, 2.0], [1.25, 0.0], [1.25, 0.0]])  # step 2 masked, carried
-    mask = np.array([[1, 1, 0]])
-    taped = _pool_columns(_steps(rows, requires_grad=True), mask, "max")
+    rows = np.array([[1.0, 2.0], [1.25, 0.0], [7.0, 7.0]])  # step 2 is padding
+    lengths = np.array([2])
+    taped = _pool_columns(_steps(rows, requires_grad=True), lengths, "max")
     assert relu_kink_margin(weighted_sum(taped)) == 0.25
-    assert _pool_columns(_steps(rows), mask, "max").kinks is None
+    assert _pool_columns(_steps(rows), lengths, "max").kinks is None
 
 
 def test_pool_validation():
     states = _steps(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="no real tokens"):
-        _pool_columns(states, np.array([[0, 0]]), "mean")
     with pytest.raises(ValueError, match="unknown mode"):
-        _pool_columns(states, np.ones((1, 2)), "avg")
-    with pytest.raises(ShapeError):
-        _pool_columns(states, np.array([[1, 1, 1]]), "last")
+        _pool_columns(states, np.array([2]), "avg")
+    with pytest.raises(ShapeError, match="lengths"):
+        _pool_columns(states, np.array([2, 2]), "last")
     with pytest.raises(ShapeError, match="T >= 1"):
-        _pool_columns(Tensor(np.zeros((0, 3, 1))), np.zeros((1, 0)), "last")
+        _pool_columns(Tensor(np.zeros((0, 3, 1))), np.array([0]), "last")
     with pytest.raises(ShapeError):
-        _pool_columns(Tensor(np.ones((2, 3))), np.ones((3, 2)), "max")
+        _pool_columns(Tensor(np.ones((2, 3))), np.array([2, 2, 2]), "max")
 
 
 def test_pool_list_of_state_tensors_stays_on_tape(rng):
     """Every step's state gets its share of the pooled gradient."""
     states = _steps(rng.standard_normal((3, 4)), requires_grad=True)
-    out = _pool_columns(states, np.ones((1, 3)), "mean")
+    out = _pool_columns(states, np.array([3]), "mean")
     g = backward(weighted_sum(out), params=[states])
     assert np.allclose(g[states], 1.0 / 3.0)
 
@@ -261,12 +259,16 @@ def _batch(rng, B=3, T=4, vocab=9):
     "bad, match",
     [([[1, 0, 1]], "monotone"), ([[1, 2, 0]], "0 or 1"), ([[0, 0, 0]], "no real tokens")],
 )
-def test_forward_refuses_a_bad_mask(rng, bad, match):
-    """forward checks the mask once and the block trusts it; pooling refuses a row
-    with no real token, after the recurrence has run."""
+def test_forward_refuses_a_bad_mask(rng, monkeypatch, bad, match):
+    """forward reads the mask once, into lengths, and refuses a bad one,
+    a row with no real token included, before any block runs."""
+    calls = []
+    real = model_mod.run_block_batch
+    monkeypatch.setattr(model_mod, "run_block_batch", lambda *a: calls.append(1) or real(*a))
     model, _ = tiny_model(rng)
     with pytest.raises(ValueError, match=match):
         model.forward(np.array([[1, 2, 3]]), np.array(bad), rng.standard_normal((1, 2)))
+    assert calls == []
 
 
 def test_forward_shapes(rng):
@@ -480,13 +482,13 @@ def test_a_block_in_any_column_order_is_the_length_ordered_block_permuted(seed, 
         block = (cells_mod.CellParams.init("gru", 3, r, d_x=2, bias=True), *block[1:])
     for cell in block:
         cell.bias.data[...] = r.standard_normal(cell.bias.shape)
-    mask = (np.arange(T) < np.sort(lengths)[:, None]).astype(np.int64)
+    lengths = np.sort(lengths)
     x, a = r.standard_normal((T, 2, B)), r.standard_normal((2, B))
 
     def run(cols):
         xt = Tensor(x[:, :, cols], requires_grad=True)
         at = Tensor(a[:, cols], requires_grad=True) if kind == "aspect" else None
-        states, gates = cells_mod.run_block_batch(block, xt, at, mask[cols])
+        states, gates = cells_mod.run_block_batch(block, xt, at, lengths[cols])
         grads = backward(weighted_sum(states), params=[xt] if at is None else [xt, at])
         return [states.data, *([] if gates is None else [gates]), *grads.values()]
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from aspectgate.cells import affine
 from aspectgate.tensor import (
     CHECK_DTYPE,
+    POOLING_MODES,
     RECON_XENTS,
     ShapeError,
     Tensor,
@@ -182,32 +183,31 @@ def test_concat_and_backward_split(rng):
         concat(Tensor(rng.standard_normal(3)), Tensor(rng.standard_normal(3)))
 
 
-# a padded (T, d, B) = (3, 2, 3) batch: column j has 3 - j real steps
-_POOL_MASK = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0]])
-
-
-def _carried(x: np.ndarray) -> np.ndarray:
-    """States whose masked steps repeat the column's previous state, as the encoder's do."""
-    for t in range(1, x.shape[0]):
-        x[t] = np.where(_POOL_MASK[:, t], x[t], x[t - 1])
-    return x
+# a padded (T, d, B) = (3, 2, 3) batch whose columns are out of length order
+_POOL_LENGTHS = np.array([2, 3, 1])
+_POOL_PADDED = np.arange(3)[:, None] >= _POOL_LENGTHS  # (T, B)
 
 
 def test_pool_columns_values_against_a_loop(rng):
-    x = _carried(rng.standard_normal((3, 2, 3)))
-    lengths = _POOL_MASK.sum(axis=1)
-    for j, n in enumerate(lengths):
-        real = x[:n, :, j]
-        for mode, want in (("last", real[-1]), ("max", real.max(axis=0)),
-                           ("mean", real.sum(axis=0) / n)):
-            got = pool_columns(Tensor(x), _POOL_MASK, mode).data[:, j]
-            assert np.allclose(got, want, rtol=1e-15, atol=0), mode
+    """Pooling never reads a padded step: with NaN there, every mode equals
+    a loop over each column's real steps, and the padded gradient is 0."""
+    x = rng.standard_normal((3, 2, 3))
+    x.transpose(0, 2, 1)[_POOL_PADDED] = np.nan
+    for mode in POOLING_MODES:
+        states = Tensor(x, requires_grad=True)
+        out = pool_columns(states, _POOL_LENGTHS, mode)
+        for j, n in enumerate(_POOL_LENGTHS):
+            real = x[:n, :, j]
+            want = {"last": real[-1], "max": real.max(axis=0), "mean": real.sum(axis=0) / n}
+            assert np.allclose(out.data[:, j], want[mode], rtol=1e-15, atol=0), mode
+        g = backward(weighted_sum(out), params=[states])[states]
+        assert np.all(g.transpose(0, 2, 1)[_POOL_PADDED] == 0.0), mode
 
 
 def test_max_pool_ties_route_to_the_earliest_step():
-    # (T, d, B) = (4, 1, 1); the masked step 3 never counts, however large
+    # (T, d, B) = (4, 1, 1); the padded step 3 never counts, however large
     x = Tensor(np.array([1.0, 5.0, 5.0, 7.0])[:, None, None], requires_grad=True)
-    out = pool_columns(x, np.array([[1, 1, 1, 0]]), "max")
+    out = pool_columns(x, np.array([3]), "max")
     assert out.data[0, 0] == 5.0
     g = backward(weighted_sum(out), params=[x])[x]
     assert np.array_equal(g[:, 0, 0], [0.0, 1.0, 0.0, 0.0])
@@ -369,14 +369,12 @@ def test_grad_matmul(rng):
 
 def test_grad_pool_columns(rng):
     x = wide(rng, 3, 2, 3)
-    _carried(x.data)
     # max: keep every real entry 0.1 above the next one so no perturbation swaps them
     gaps = 0.1 + 0.2 * np.arange(3)[:, None, None]
     x_max = Tensor((wide(rng, 1, 2, 3).data + gaps[rng.permutation(3)]).astype(CHECK_DTYPE),
                    requires_grad=True)
-    _carried(x_max.data)
     for mode, t in (("last", x), ("max", x_max), ("mean", x)):
-        _check(lambda: weighted_sum(pool_columns(t, _POOL_MASK, mode), seed=0), [t])
+        _check(lambda: weighted_sum(pool_columns(t, _POOL_LENGTHS, mode), seed=0), [t])
 
 
 def test_grad_reductions(rng):

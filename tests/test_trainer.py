@@ -417,6 +417,18 @@ def test_run_experiment_two_seeds(emb_path):
     assert report.per_seed[1]["train_loss"] != report.per_seed[2]["train_loss"]
 
 
+def test_run_experiment_refuses_a_negative_seed_before_training(emb_path, monkeypatch):
+    inst = synthetic_instances(4, seed=9)
+    spaces = TaskSpaces.build("category", inst)
+    cfg = small_config(num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
+    trained = []
+    monkeypatch.setattr(trainer_mod, "train", lambda *a, **kw: trained.append(1) or [0.0])
+    with pytest.raises(ValueError, match="seeds must be >= 0, got seed -1"):
+        run_experiment(inst, {"train": inst}, emb_path, cfg, TrainConfig(epochs=1), spaces,
+                       seeds=(1, -1))
+    assert trained == []
+
+
 def test_run_experiment_is_reproducible(emb_path):
     inst = synthetic_instances(4, seed=9)
     spaces = TaskSpaces.build("category", inst)
