@@ -200,8 +200,10 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
 
     ``X`` is the step's (rows, B) slice of the token projection
     ``stacks["x"] @ x``, which the block computes for every step in one
-    GEMM (None for a transition cell); the sigmoid gates are written over
-    its gate rows. ``a_proj`` is w_a @ aspect, hoisted out of the time
+    GEMM, over the batch's distinct token ids when it is given them
+    (None for a transition cell); the sigmoid gates are written over its
+    gate rows, so each cell's slice is its own copy even where cells
+    share an id. ``a_proj`` is w_a @ aspect, hoisted out of the time
     loop too: the aspect is constant across a sequence. The state
     projection ``stacks["h"] @ h_prev`` plus bias is written into ``H``
     (a new array when None), the relu gate's pre-activation in its gate
@@ -341,6 +343,7 @@ def run_block_batch(
     x: Tensor,
     aspect: Tensor | None,
     lengths: np.ndarray,
+    ids: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray | None]:
     """Encode a step-major column batch through a block, as one tape node.
 
@@ -360,10 +363,15 @@ def run_block_batch(
 
     The token projection of every real cell is one GEMM before the time
     loop, and so is the aspect projection: the aspect is constant across
-    a sequence. The loop runs each cell's step by its kind's name. The
-    node's parents are ``x``, the aspect when the input cell is gated,
-    and every cell's stacks; its backward runs backprop through time over
-    what the steps saved, and the grad-free forward saves nothing.
+    a sequence. ``ids``, when given, are the (T, B) token ids of ``x``'s
+    cells, passed only when equal ids mean equal input rows (undropped
+    embeddings): the GEMM then runs once per distinct id among the real
+    cells, and each cell gathers its id's row. ``x`` stays the only
+    source of values, and the backward is the same either way. The loop
+    runs each cell's step by its kind's name. The node's parents are
+    ``x``, the aspect when the input cell is gated, and every cell's
+    stacks; its backward runs backprop through time over what the steps
+    saved, and the grad-free forward saves nothing.
     """
     first = cells[0]
     Wx, d = first.stacks["x"].data, first.d_h
@@ -402,7 +410,13 @@ def run_block_batch(
     tt, bb = np.nonzero(np.arange(B) >= start[:, None])
     real = (tt, np.arange(B)[order][bb])
     xs = x.data.transpose(0, 2, 1)[real]
-    X = xs @ Wx.T
+    if ids is None:
+        X = xs @ Wx.T
+    else:
+        if ids.shape != (T, B):
+            raise ShapeError(f"run_block_batch: ids are {ids.shape}, expected ({T}, {B})")
+        _, once, each = np.unique(ids[real], return_index=True, return_inverse=True)
+        X = (xs[once] @ Wx.T)[each]
     # the cells' state projections: every real cell's when taped, else one step's reused
     Hs = [np.empty((len(xs) if taped else B, c.stacks["h"].shape[0]), x.dtype) for c in cells]
     steps = [{"aspect": aspect_gru_step, "dt": dt_gru_step, "gru": gru_step}[first.kind]]

@@ -150,8 +150,11 @@ def embed_aspect(tokens: Sequence[str], vocab) -> np.ndarray:
 
 
 def aspect_matrix(aspect_token_lists: Sequence[Sequence[str]], vocab) -> np.ndarray:
-    """Stack per-instance aspect vectors into a (B, d) array."""
-    return np.stack([embed_aspect(toks, vocab) for toks in aspect_token_lists])
+    """Stack per-instance aspect vectors into a (B, d) array, embedding
+    each distinct token tuple once."""
+    keys = [tuple(toks) for toks in aspect_token_lists]
+    rows = {k: embed_aspect(k, vocab) for k in dict.fromkeys(keys)}
+    return np.stack([rows[k] for k in keys])
 
 
 # -- the model ----------------------------------------------------------------------
@@ -250,12 +253,16 @@ class SentimentModel:
     def _encode(self, token_ids, aspects_t, lengths, training, rng, reverse: bool):
         c = self.config
         # step-major (T, d, B), each step a view of a batch-major (B, d) slab
-        x = Tensor(self.embedding[token_ids.T].transpose(0, 2, 1))
+        rows = Tensor(self.embedding[token_ids.T].transpose(0, 2, 1))
         # one (T, d, B) draw: the same numbers as T per-step (d, B) draws
-        x = dropout(x, c.dropout_input, training, rng)
+        x = dropout(rows, c.dropout_input, training, rng)
+        # undropped rows are equal where their ids are, so the first block
+        # projects each distinct id once; later blocks read states
+        ids = token_ids.T if x is rows else None
         aspect = aspects_t if c.encoder == "aspect-dt" else None
         for block in self.blocks_rev if reverse else self.blocks:
-            x, gates = run_block_batch(block, x, aspect, lengths)
+            x, gates = run_block_batch(block, x, aspect, lengths, ids)
+            ids = None
         return x, gates
 
     def _pool(self, states: Tensor, lengths, training, rng) -> Tensor:
@@ -278,14 +285,17 @@ class SentimentModel:
     ) -> ForwardResult:
         """Run one column batch through encoder, pooling, and both heads.
 
-        token_ids: (B, T) int ids into the embedding table; mask: (B, T)
+        token_ids: (B, T) integer ids into the embedding table; mask: (B, T)
         0/1 with real tokens as a nonempty prefix of each row, read once
         into lengths by ``validate_mask``; aspect_vecs: (B, d) frozen
         aspect embeddings. In training mode an rng must be supplied for
         the dropout masks.
         """
         c = self.config
-        token_ids = np.asarray(token_ids, dtype=np.int64)
+        token_ids = np.asarray(token_ids)
+        if token_ids.size and not np.issubdtype(token_ids.dtype, np.integer):
+            raise ValueError(f"token_ids must be integers, got dtype {token_ids.dtype}")
+        token_ids = token_ids.astype(np.int64, copy=False)
         if token_ids.ndim != 2:
             raise ShapeError(f"token_ids must be (B, T), got {token_ids.shape}")
         B, T = token_ids.shape
@@ -297,6 +307,8 @@ class SentimentModel:
             raise ShapeError(
                 f"aspect_vecs shape {aspect_vecs.shape} does not match ({B}, {c.embed_size})"
             )
+        if not np.all(np.isfinite(aspect_vecs)):
+            raise ValueError("aspect_vecs hold a non-finite value")
         if training and rng is None and (c.dropout_input > 0 or c.dropout_hidden > 0):
             raise ValueError("forward: training mode needs an rng for dropout")
         aspects_t = Tensor(np.ascontiguousarray(aspect_vecs.T))
@@ -322,8 +334,8 @@ class SentimentModel:
         self, token_ids: Sequence[int], aspect_vec: np.ndarray, training=False, rng=None
     ) -> ForwardResult:
         """Single-sequence convenience wrapper around ``forward``."""
-        ids = np.asarray(token_ids, dtype=np.int64).reshape(1, -1)
-        mask = np.ones_like(ids)
+        ids = np.asarray(token_ids).reshape(1, -1)
+        mask = np.ones(ids.shape, np.int64)
         return self.forward(ids, mask, np.asarray(aspect_vec).reshape(1, -1), training, rng)
 
 

@@ -277,6 +277,37 @@ def test_a_padded_step_takes_no_gradient(rng, kind):
     assert not any(np.any(g) for g in backward(loss, tensors).values())
 
 
+@pytest.mark.parametrize("kind", ["aspect", "dt", "gru"])
+def test_block_over_distinct_ids_is_the_per_cell_block(rng, kind):
+    """Input rows that are equal where their (T, B) ids are: projecting each
+    distinct id once gives the per-cell projection's states, gates and
+    gradients, taped and grad-free, over columns out of length order."""
+    block, _, _ = _padded_case(rng, kind)
+    lengths = np.array([3, 1, 2])
+    ids = np.array([[4, 6, 4], [4, 0, 4], [6, 0, 0]])  # padded cells hold id 0
+    x = (rng.random((8, 2))[ids] - 0.5).transpose(0, 2, 1)
+    a = rng.random((2, 3)) - 0.5
+
+    def run(ids):
+        xt = Tensor(x, requires_grad=True)
+        at = Tensor(a, requires_grad=True) if kind == "aspect" else None
+        states, gates = run_block_batch(block, xt, at, lengths, ids)
+        with no_grad():
+            free, free_gates = run_block_batch(block, xt, at, lengths, ids)
+        assert np.array_equal(free.data, states.data)
+        assert (gates is None) == (kind != "aspect")
+        if gates is not None:
+            assert np.array_equal(free_gates, gates)
+        tensors = [xt, *([] if at is None else [at]), *_params(block)]
+        grads = backward(weighted_sum(states, seed=1), tensors)
+        return [states.data, *([] if gates is None else [gates]), *grads.values()]
+
+    for got, want in zip(run(ids), run(None), strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError, match="ids"):
+        run(ids[:, :2])
+
+
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
 def test_fused_step_is_one_tape_node(rng, kind):
     """A block over a padded batch is one node whose parents are its input, the

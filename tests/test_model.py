@@ -192,6 +192,19 @@ def test_embed_aspect_averages_rows():
     assert stacked.shape == (2, 2)
 
 
+def test_aspect_matrix_embeds_each_distinct_aspect_once():
+    rows = np.random.default_rng(3).standard_normal((6, 2))
+    v = fake_vocab(rows, ["food", "service"])
+    looked_up = Counter()
+    counting = SimpleNamespace(
+        lookup=lambda t: looked_up.update([t]) or v.lookup(t), embedding=rows
+    )
+    lists = [["food"], ["food", "service"], ["food"], ("food", "service"), ["nope"]]
+    got = aspect_matrix(lists, counting)
+    assert np.array_equal(got, np.stack([embed_aspect(t, v) for t in lists]))
+    assert looked_up == {"food": 2, "service": 1, "nope": 1}
+
+
 # -- pooling ------------------------------------------------------------------------
 
 
@@ -421,7 +434,7 @@ BATCH_COMPOSITION_ATOL = 1e-12
     seed=st.integers(0, 2**32 - 1),
     budget=st.sampled_from((1, 7, 40, 100, 400, 4096)) | st.integers(1, 120),
     lengths=st.lists(st.integers(1, 15), min_size=1, max_size=16),
-    encoder=st.sampled_from(("aspect-dt", "gru")),
+    encoder=st.sampled_from(ENCODERS),
     pooling=st.sampled_from(POOLING_MODES),
     bidirectional=st.booleans(),
     hidden=st.sampled_from((3, 8)),
@@ -540,6 +553,132 @@ def test_the_block_steps_only_real_cells(rng, monkeypatch):
     assert block.kinks.shape == (real, cfg.hidden_size)
     want = min(float(np.abs(p).min()) for p in pre)
     assert relu_kink_margin(block) == pytest.approx(want, rel=1e-12)
+
+
+# -- each distinct token projected once ----------------------------------------------
+
+# (ids, mask) batches that repeat ids: one sentence of one distinct id ("food
+# food food"), and three sentences out of length order over two distinct ids
+_REPEATS = (
+    (np.array([[4, 4, 4]]), np.ones((1, 3), np.int64)),
+    (np.array([[3, 5, 3, 3], [5, 5, 0, 0], [3, 3, 5, 0]]),
+     np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]])),
+)
+
+
+def _per_cell_projection(monkeypatch):
+    """Make every block project each real cell's token row itself, ids unread."""
+    real = model_mod.run_block_batch
+    monkeypatch.setattr(
+        model_mod, "run_block_batch",
+        lambda cells, x, aspect, lengths, ids=None: real(cells, x, aspect, lengths),
+    )
+
+
+def _outputs(r: ForwardResult) -> list:
+    return [r.sent_logits.data, r.recon_logits.data, r.pooled.data,
+            *([] if r.gates is None else [r.gates])]
+
+
+@pytest.mark.parametrize("case", range(len(_REPEATS)))
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_undropped_forward_over_repeated_ids_is_the_per_cell_forward(
+    rng, monkeypatch, encoder, bidirectional, case
+):
+    """Where ids repeat, the taped and grad-free eval forwards give the same
+    bits, and they and a training forward without input dropout give the
+    per-cell projection's values."""
+    model, _ = tiny_model(
+        rng, encoder=encoder, bidirectional=bidirectional, use_bias=True, dropout_input=0.0
+    )
+    ids, mask = _REPEATS[case]
+    aspects = rng.standard_normal((len(ids), 2))
+
+    def run():
+        taped = model.forward(ids, mask, aspects)
+        with no_grad():
+            free = model.forward(ids, mask, aspects)
+        trained = model.forward(ids, mask, aspects, training=True, rng=np.random.default_rng(7))
+        for t, f in zip(_outputs(taped), _outputs(free)):
+            assert np.array_equal(t, f)
+        return _outputs(taped) + _outputs(trained)
+
+    got = run()
+    _per_cell_projection(monkeypatch)
+    for g, w in zip(got, run(), strict=True):
+        np.testing.assert_allclose(g, w, rtol=0, atol=BATCH_COMPOSITION_ATOL)
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_input_dropout_projects_every_cell(rng, monkeypatch, encoder):
+    """Two cells of one id draw different input dropout masks, so a training
+    forward with input dropout is the per-cell projection's."""
+    model, _ = tiny_model(rng, encoder=encoder, bidirectional=True)
+    ids, mask = _REPEATS[1]
+    aspects = rng.standard_normal((3, 2))
+
+    def run():
+        return _outputs(
+            model.forward(ids, mask, aspects, training=True, rng=np.random.default_rng(7))
+        )
+
+    got = run()
+    _per_cell_projection(monkeypatch)
+    for g, w in zip(got, run(), strict=True):
+        np.testing.assert_allclose(g, w, rtol=0, atol=BATCH_COMPOSITION_ATOL)
+
+
+@pytest.mark.parametrize(
+    "training, dropout_input, reads_ids", [(False, 0.5, True), (True, 0.0, True), (True, 0.5, False)]
+)
+def test_only_an_undropped_first_block_reads_ids(rng, monkeypatch, training, dropout_input, reads_ids):
+    """Each direction's first block gets the (T, B) ids when its input rows are
+    undropped embeddings; a later GRU layer reads states and gets none."""
+    model, _ = tiny_model(rng, encoder="gru", bidirectional=True, dropout_input=dropout_input)
+    ids, mask = _REPEATS[1]
+    seen = []
+    real = model_mod.run_block_batch
+
+    def spy(cells, x, aspect, lengths, ids=None):
+        seen.append(ids)
+        return real(cells, x, aspect, lengths, ids)
+
+    monkeypatch.setattr(model_mod, "run_block_batch", spy)
+    model.forward(ids, mask, rng.standard_normal((3, 2)), training, np.random.default_rng(7))
+    assert seen[1] is None and seen[3] is None and len(seen) == 4
+    if not reads_ids:
+        assert seen[0] is None and seen[2] is None
+        return
+    assert np.array_equal(seen[0], ids.T)
+    lengths = mask.sum(axis=1)
+    for b, n in enumerate(lengths):  # each row's real prefix, reversed
+        assert np.array_equal(seen[2][:n, b], ids[b, :n][::-1])
+
+
+@pytest.mark.parametrize("ids", [[[1.9, 2.2, 3.7]], [[True, False, True]]])
+def test_forward_refuses_token_ids_that_are_not_integers(rng, ids):
+    model, _ = tiny_model(rng)
+    ids = np.array(ids)
+    with pytest.raises(ValueError, match=f"dtype {ids.dtype}"):
+        model.forward(ids, np.ones((1, 3)), rng.standard_normal((1, 2)))
+
+
+def test_forward_takes_any_integer_token_ids(rng):
+    model, _ = tiny_model(rng)
+    ids, mask = _batch(rng)
+    aspects = rng.standard_normal((3, 2))
+    want = model.forward(ids, mask, aspects).sent_logits.data
+    for dtype in (np.int32, np.uint8):
+        got = model.forward(ids.astype(dtype), mask, aspects).sent_logits.data
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_refuses_a_non_finite_aspect(rng, bad):
+    model, _ = tiny_model(rng)
+    with pytest.raises(ValueError, match="non-finite"):
+        model.forward(np.array([[1, 2, 3]]), np.ones((1, 3)), np.array([[bad, 0.1]]))
 
 
 def test_ablated_model_ignores_aspect_bitwise(rng):
