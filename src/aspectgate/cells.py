@@ -22,6 +22,12 @@ only implementation of the math.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
+
 import numpy as np
 
 from .tensor import TRAIN_DTYPE, ShapeError, Tensor, _node, _records, _sigmoid
@@ -254,15 +260,14 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
 aspect_gru_step = dt_gru_step = gru_step = transition_gru_step = cell_step
 
 
-def _step_backward(p: CellParams, X, H, saved, dh: np.ndarray, x, acc: dict):
-    """Backward of one ``cell_step``: returns ``(dh_prev, dg, DxT)``.
+def _step_backward(p: CellParams, X, H, saved, dh: np.ndarray):
+    """Backward of one ``cell_step`` along the recurrence: ``(dh_prev, dg, D)``.
 
     Every pre-activation gradient goes into one array ``D`` laid out as
     [token-only rows, sigmoid gates, (g), candidate state term], so the
-    token and state stacks' gradients are its two overlapping row slices.
-    The step's weight gradients are added into ``acc``, the cell's
-    accumulators keyed like ``CellParams.tensors("")``, ``x`` being the
-    step's (d_x, B) input; ``DxT`` is the token rows' slice, batch-major.
+    token and state stacks' gradients are its two overlapping row slices,
+    which ``_weight_grads`` forms; only ``dh_prev`` and the relu aspect
+    gate's gradient ``dg`` (None without one) are read by the next step back.
     """
     hd, tn, diff, g = saved
     d, ns, lead = p.d_h, p.ns, p.lead
@@ -292,18 +297,78 @@ def _step_backward(p: CellParams, X, H, saved, dh: np.ndarray, x, acc: dict):
     dS = D[lead * d : (lead + ns) * d]
     dS *= S
     dS *= 1.0 - S
-    DhT = D.T[:, lead * d :]
-    dh_prev = (DhT @ p.stacks["h"].data).T
+    dh_prev = (D.T[:, lead * d :] @ p.stacks["h"].data).T
     dh_prev += dh
     dh_prev -= dcand
+    return dh_prev, dg, D
+
+
+def _weight_grads(p: CellParams, D: np.ndarray, x: np.ndarray | None, hd: np.ndarray,
+                  acc: dict) -> np.ndarray | None:
+    """Add one step's weight gradients into ``acc``; returns ``DxT``.
+
+    ``D`` is what ``_step_backward`` returned, ``x`` the step's (d_x, B)
+    input (None for a transition cell) and ``hd`` its previous state.
+    ``acc`` holds the cell's accumulators keyed like
+    ``CellParams.tensors("")``. ``DxT`` is the token rows' slice of
+    ``D``, batch-major (None without an input).
+    """
+    d, lead = p.d_h, p.lead
+    DhT = D.T[:, lead * d :]
     DxT = None
-    if X is not None:
-        DxT = D.T[:, : (lead + ns) * d]
+    if x is not None:
+        DxT = D.T[:, : (lead + p.ns) * d]
         acc["x"] += (x @ DxT).T
     acc["h"] += (hd @ DhT).T
     if p.bias is not None:
         acc["b"] += DhT[:, : p.bias.shape[0]].sum(axis=0)[:, None]
-    return dh_prev, dg, DxT
+    return DxT
+
+
+# The block backward's work that nothing later in its time loop reads (the
+# weight-gradient GEMMs, the bias sums, the input gradient) runs on one
+# worker thread, off the recurrent chain. Jobs run in the order they are
+# submitted, the serial loop's order, so every accumulator sums in the same
+# order and gets the same bits. A backward keeps at most _IN_FLIGHT steps of
+# jobs queued or running, so their gradient arrays do not pile up.
+_IN_FLIGHT = 4
+_worker_lock = threading.Lock()
+_worker: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The worker, started on first use; a forked child, which inherits no
+    thread, starts its own."""
+    global _worker
+    with _worker_lock:
+        if _worker is None or _worker[0] != os.getpid():
+            _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="aspectgate-bptt"))
+        return _worker[1]
+
+
+@contextmanager
+def _off_chain():
+    """Yield ``submit(fn, *args)``, which queues a job on the worker.
+
+    Leaving the block waits for every job submitted in it and raises the
+    first job's exception; a submit that finds ``_IN_FLIGHT`` jobs pending
+    waits for the oldest first, and may raise it there. When the block
+    itself raises, its pending jobs finish before the exception leaves.
+    """
+    pending = deque()
+    worker = _executor()
+
+    def submit(fn, *args):
+        if len(pending) == _IN_FLIGHT:
+            pending.popleft().result()
+        pending.append(worker.submit(fn, *args))
+
+    try:
+        yield submit
+        while pending:
+            pending.popleft().result()
+    finally:
+        wait(pending)
 
 
 # -- deep-transition block ------------------------------------------------------
@@ -371,7 +436,8 @@ def run_block_batch(
     runs each cell's step by its kind's name. The node's parents are
     ``x``, the aspect when the input cell is gated, and every cell's
     stacks; its backward runs backprop through time over what the steps
-    saved, and the grad-free forward saves nothing.
+    saved, with each step's weight-gradient work on the worker thread
+    (``_off_chain``), and the grad-free forward saves nothing.
     """
     first = cells[0]
     Wx, d = first.stacks["x"].data, first.d_h
@@ -451,19 +517,28 @@ def run_block_batch(
         dxs = np.empty_like(xs) if x.requires_grad else None
         da = np.zeros((d, B), gs.dtype) if a_proj is not None else None
         dnext = np.zeros((d, B), gs.dtype)  # reaching states[t] from step t + 1
-        for t in reversed(range(T)):
-            k, rows = start[t], slice(off[t], off[t + 1])
-            if k == B:
-                continue
-            dh = gs[t][:, k:] + dnext[:, k:]
-            for j in reversed(range(len(cells))):
-                dh, dg, DxT = _step_backward(cells[j], None if j else X[rows].T, Hs[j][rows].T,
-                                             saved[j][t], dh, xs[rows].T, acc[j])
-            if da is not None:
-                da[:, k:] += dg
+
+        def weight_grads(t, rows, Ds):  # on the worker; Ds in the loop's cell order
+            for j, D in zip(reversed(range(len(cells))), Ds):
+                DxT = _weight_grads(cells[j], D, None if j else xs[rows].T, saved[j][t][0], acc[j])
             if dxs is not None:
                 np.matmul(DxT, Wx, out=dxs[rows])
-            dnext[:, k:] = dh
+
+        with _off_chain() as submit:
+            for t in reversed(range(T)):
+                k, rows = start[t], slice(off[t], off[t + 1])
+                if k == B:
+                    continue
+                dh = gs[t][:, k:] + dnext[:, k:]
+                Ds = []
+                for j in reversed(range(len(cells))):
+                    dh, dg, D = _step_backward(cells[j], None if j else X[rows].T,
+                                               Hs[j][rows].T, saved[j][t], dh)
+                    Ds.append(D)
+                submit(weight_grads, t, rows, Ds)
+                if da is not None:
+                    da[:, k:] += dg
+                dnext[:, k:] = dh
         grads = [None]
         if dxs is not None:
             dx = np.zeros((T, B, d_x), gs.dtype)

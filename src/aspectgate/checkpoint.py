@@ -91,7 +91,8 @@ def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
     """Rebuild (model, vocab, meta) and verify the embedding digest.
 
     Every malformed file, header included, raises ``CheckpointError``
-    naming the path.
+    naming the path; so does a NaN or infinity in any tensor, which the
+    digest, over the vocabulary and embedding only, would not catch.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
@@ -124,6 +125,8 @@ def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
             .reshape(shape)
             .astype(np.float64)
         )
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
         offset += need
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")

@@ -93,8 +93,10 @@ def no_grad() -> Iterator[None]:
     """Build no tape inside this block: op outputs get no parents or closure.
 
     Contexts nest; leaving one, by return or by exception, restores the
-    recording state it found. The state is process-wide, not per thread;
-    nothing in this package runs ops on more than one thread.
+    recording state it found. The state is process-wide, not per thread.
+    The one thread this package starts, the block backward's worker in
+    ``cells``, runs plain numpy on arrays it is handed and never a tape op,
+    so it neither reads nor sets this state.
     """
     global _recording
     outer = _recording

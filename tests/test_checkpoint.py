@@ -195,6 +195,26 @@ def test_detects_embedding_tampering(tmp_path):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_a_non_finite_weight(tmp_path, value):
+    """A weight the digest does not cover, set to NaN or infinity in the
+    saved bytes, is refused by name rather than loaded into NaN logits."""
+    model, vocab = _fixture()
+    good = tmp_path / "m.ckpt"
+    save_checkpoint(good, model, vocab)
+    raw = bytearray(good.read_bytes())
+    (hlen,) = struct.unpack_from("<Q", raw, 4)
+    table = json.loads(raw[12 : 12 + hlen])["tensors"]
+    i = next(k for k, e in enumerate(table) if e["name"] == "head/cls")
+    at = 12 + hlen + 8 * (sum(int(np.prod(e["shape"])) for e in table[:i]) + 1)
+    raw[at : at + 8] = struct.pack("<d", value)  # the tensor's second entry
+    bad = tmp_path / "nonfinite.ckpt"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="'head/cls' holds a non-finite value") as e:
+        load_checkpoint(bad)
+    assert str(bad) in str(e.value)
+
+
 def test_rejects_future_format(tmp_path):
     model, vocab = _fixture()
     p = tmp_path / "m.ckpt"

@@ -2,7 +2,15 @@
 
 import hashlib
 import math
+import os
+import select
+import signal
+import sys
+import threading
+import time
+import warnings
 from collections import Counter
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -855,6 +863,181 @@ def test_end_to_end_gradients_term(rng):
     )
     params = list(model.parameters().values())
     assert grad_check(f, params, FD_EPS_CHECK) <= TOL_CHECK
+
+
+# -- the block backward's worker ----------------------------------------------------
+
+# (ids, mask) over T=7, out of length order, so each block permutes its columns
+# and its backward submits more steps of jobs than it keeps in flight
+_WORKER_BATCH = (
+    np.array([[3, 5, 4, 0, 0, 0, 0], [2, 6, 3, 8, 5, 1, 4], [7, 1, 7, 2, 6, 0, 0],
+              [5, 0, 0, 0, 0, 0, 0]]),
+    np.array([[1, 1, 1, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0, 0],
+              [1, 0, 0, 0, 0, 0, 0]]),
+)
+
+
+class _Inline:
+    """An executor that runs each job on the calling thread as it is submitted."""
+
+    @staticmethod
+    def submit(fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def _gradients(model, cfg, seed=0) -> list[np.ndarray]:
+    """Every parameter gradient of one training step's joint loss on _WORKER_BATCH."""
+    ids, mask = _WORKER_BATCH
+    aspects = np.random.default_rng(seed).standard_normal((4, cfg.embed_size))
+    out = model.forward(ids, mask, aspects, training=True, rng=np.random.default_rng(seed))
+    recon = np.eye(cfg.num_recon_targets, dtype=bool)[[1, 0, 1, 1]]
+    loss = batch_joint_loss(out, np.array([0, 2, 1, 2]), recon, cfg)[0]
+    return list(backward(loss, list(model.parameters().values())).values())
+
+
+def _serial_gradients(model, cfg, seed=0) -> list[np.ndarray]:
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cells_mod, "_executor", _Inline)
+        return _gradients(model, cfg, seed)
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_backward_on_the_worker_is_the_serial_backward_bitwise(
+    rng, encoder, use_bias, bidirectional
+):
+    """The weight-gradient jobs, on the worker thread, give the bits of the
+    same jobs run inline; a depth-2 gru's second layer adds the input-gradient job."""
+    model, cfg = tiny_model(rng, encoder=encoder, use_bias=use_bias, bidirectional=bidirectional)
+    if use_bias:
+        for t in model.parameters().values():
+            t.data[...] += rng.uniform(-0.1, 0.1, t.shape)
+    want = _serial_gradients(model, cfg)
+    assert any(np.any(g) for g in want)
+    _assert_bitwise(_gradients(model, cfg), want)
+
+
+def test_a_failing_job_is_raised_and_leaks_nothing(rng, monkeypatch):
+    """A weight-gradient job's exception leaves backward; the next backward on
+    the same model gets the serial bits, so no job or in-flight slot outlived it."""
+    model, cfg = tiny_model(rng, encoder="gru")
+    want = _serial_gradients(model, cfg)
+    real, calls = cells_mod._weight_grads, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ArithmeticError("planted job failure")
+        return real(*args)
+
+    monkeypatch.setattr(cells_mod, "_weight_grads", failing)
+    with pytest.raises(ArithmeticError, match="planted job failure"):
+        _gradients(model, cfg)
+    monkeypatch.setattr(cells_mod, "_weight_grads", real)
+    _assert_bitwise(_gradients(model, cfg), want)
+
+
+def test_a_failing_step_waits_for_the_submitted_jobs(rng, monkeypatch):
+    """An exception on the recurrent chain leaves backward only after every job
+    submitted before it has run."""
+    model, cfg = tiny_model(rng, encoder="plain-dt")
+    real_jobs, real_step = cells_mod._weight_grads, cells_mod._step_backward
+    finished, steps = [], []
+
+    def slow(*args):
+        time.sleep(0.01)
+        out = real_jobs(*args)
+        finished.append(1)
+        return out
+
+    def failing(*args):
+        steps.append(1)
+        if len(steps) == 9:  # the fifth step back, after four steps of jobs
+            raise ArithmeticError("planted step failure")
+        return real_step(*args)
+
+    monkeypatch.setattr(cells_mod, "_weight_grads", slow)
+    monkeypatch.setattr(cells_mod, "_step_backward", failing)
+    with pytest.raises(ArithmeticError, match="planted step failure"):
+        _gradients(model, cfg)
+    assert len(finished) == 4 * cfg.depth
+
+
+def test_concurrent_backwards_each_get_their_serial_gradients(rng, monkeypatch):
+    """Backwards on four models from four Python threads share the worker, and
+    each gets its own serial bits, under a short switch interval and with every
+    third job delayed, which would reorder the sums of a worker that ran jobs
+    out of order."""
+    models = [tiny_model(rng, encoder=e)[0] for e in (*ENCODERS, "aspect-dt")]
+    cfgs = [m.config for m in models]
+    want = [_serial_gradients(m, c, seed) for seed, (m, c) in enumerate(zip(models, cfgs))]
+    got = [[] for _ in models]
+    real, calls = cells_mod._weight_grads, []
+
+    def jittered(*args):
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            time.sleep(0.002)
+        return real(*args)
+
+    monkeypatch.setattr(cells_mod, "_weight_grads", jittered)
+
+    def run(i):
+        for _ in range(3):
+            got[i].append(_gradients(models[i], cfgs[i], i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(models))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for runs, w in zip(got, want):
+        assert len(runs) == 3
+        for g in runs:
+            _assert_bitwise(g, w)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_worker(rng):
+    """A child forked after the worker started inherits no thread: its
+    backward starts its own worker, and gets the serial bits, rather than
+    waiting forever on the parent's."""
+    model, cfg = tiny_model(rng)
+    want = _serial_gradients(model, cfg)
+    _gradients(model, cfg)  # the worker is running in this process
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # a fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        try:
+            got = _gradients(model, cfg)
+            os.write(write, b"1" if all(map(np.array_equal, got, want)) else b"0")
+        finally:
+            os._exit(0)
+    os.close(write)
+    ready, _, _ = select.select([read], [], [], 20)
+    answer = os.read(read, 1) if ready else b""
+    os.close(read)
+    if not ready:
+        os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    assert answer == b"1"
 
 
 # -- prediction --------------------------------------------------------------------
