@@ -22,11 +22,8 @@ only implementation of the math.
 
 from __future__ import annotations
 
-import os
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -326,49 +323,13 @@ def _weight_grads(p: CellParams, D: np.ndarray, x: np.ndarray | None, hd: np.nda
 
 
 # The block backward's work that nothing later in its time loop reads (the
-# weight-gradient GEMMs, the bias sums, the input gradient) runs on one
-# worker thread, off the recurrent chain. Jobs run in the order they are
-# submitted, the serial loop's order, so every accumulator sums in the same
-# order and gets the same bits. A backward keeps at most _IN_FLIGHT steps of
-# jobs queued or running, so their gradient arrays do not pile up.
+# weight-gradient GEMMs, the bias sums, the input gradient) runs on a worker
+# thread that each backward starts and joins, off the recurrent chain. Jobs
+# run in the order they are submitted, the serial loop's order, so every
+# accumulator sums in the same order and gets the same bits. A backward keeps
+# at most _IN_FLIGHT steps of jobs queued or running, so their gradient
+# arrays do not pile up.
 _IN_FLIGHT = 4
-_worker_lock = threading.Lock()
-_worker: tuple[int, ThreadPoolExecutor] | None = None
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The worker, started on first use; a forked child, which inherits no
-    thread, starts its own."""
-    global _worker
-    with _worker_lock:
-        if _worker is None or _worker[0] != os.getpid():
-            _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="aspectgate-bptt"))
-        return _worker[1]
-
-
-@contextmanager
-def _off_chain():
-    """Yield ``submit(fn, *args)``, which queues a job on the worker.
-
-    Leaving the block waits for every job submitted in it and raises the
-    first job's exception; a submit that finds ``_IN_FLIGHT`` jobs pending
-    waits for the oldest first, and may raise it there. When the block
-    itself raises, its pending jobs finish before the exception leaves.
-    """
-    pending = deque()
-    worker = _executor()
-
-    def submit(fn, *args):
-        if len(pending) == _IN_FLIGHT:
-            pending.popleft().result()
-        pending.append(worker.submit(fn, *args))
-
-    try:
-        yield submit
-        while pending:
-            pending.popleft().result()
-    finally:
-        wait(pending)
 
 
 # -- deep-transition block ------------------------------------------------------
@@ -436,8 +397,8 @@ def run_block_batch(
     runs each cell's step by its kind's name. The node's parents are
     ``x``, the aspect when the input cell is gated, and every cell's
     stacks; its backward runs backprop through time over what the steps
-    saved, with each step's weight-gradient work on the worker thread
-    (``_off_chain``), and the grad-free forward saves nothing.
+    saved, with each step's weight-gradient work on a worker thread that
+    lives for that backward, and the grad-free forward saves nothing.
     """
     first = cells[0]
     Wx, d = first.stacks["x"].data, first.d_h
@@ -524,7 +485,9 @@ def run_block_batch(
             if dxs is not None:
                 np.matmul(DxT, Wx, out=dxs[rows])
 
-        with _off_chain() as submit:
+        # leaving the executor waits for every submitted job, also when the chain raises
+        with ThreadPoolExecutor(1, thread_name_prefix="aspectgate-bptt") as worker:
+            pending = deque()
             for t in reversed(range(T)):
                 k, rows = start[t], slice(off[t], off[t + 1])
                 if k == B:
@@ -535,10 +498,15 @@ def run_block_batch(
                     dh, dg, D = _step_backward(cells[j], None if j else X[rows].T,
                                                Hs[j][rows].T, saved[j][t], dh)
                     Ds.append(D)
-                submit(weight_grads, t, rows, Ds)
+                if len(pending) == _IN_FLIGHT:
+                    pending.popleft().result()
+                pending.append(worker.submit(weight_grads, t, rows, Ds))
                 if da is not None:
                     da[:, k:] += dg
                 dnext[:, k:] = dh
+            # a job's exception is raised here, before any accumulator is read
+            while pending:
+                pending.popleft().result()
         grads = [None]
         if dxs is not None:
             dx = np.zeros((T, B, d_x), gs.dtype)

@@ -491,8 +491,22 @@ def cmd_eval(rc: RunConfig, args) -> int:
     view = rc.view if "view" in vars(args) else meta.get("view", "ds")
     if view not in VIEWS:
         return _report([f"checkpoint view must be one of {VIEWS}, got {view!r}"])
+    names = meta["data_files"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise CheckpointError(f"{rc.checkpoint}: meta data_files is not a list of file names")
+    try:
+        spaces = TaskSpaces.from_dict(meta["spaces"])
+    except (TypeError, KeyError, ValueError) as e:
+        raise CheckpointError(f"{rc.checkpoint}: meta spaces is malformed ({e!r})") from None
+    cfg = model.config
+    if (spaces.num_labels, spaces.num_recon_targets) != (cfg.num_labels, cfg.num_recon_targets):
+        raise CheckpointError(
+            f"{rc.checkpoint}: meta spaces has {spaces.num_labels} labels and "
+            f"{spaces.num_recon_targets} reconstruction targets, the model "
+            f"{cfg.num_labels} and {cfg.num_recon_targets}"
+        )
     stored = meta["data_digest"]
-    paths = [Path(rc.data_dir) / n for n in meta["data_files"]]
+    paths = [Path(rc.data_dir) / n for n in names]
     missing = [str(p) for p in paths if not p.is_file()]
     if missing:
         return _report([f"cannot verify data digest, missing: {m}" for m in missing])
@@ -508,7 +522,6 @@ def cmd_eval(rc: RunConfig, args) -> int:
     if not test_file.is_file():
         return _report([f"prepared file not found: {test_file}"])
     instances = expand(_read_raw(test_file))
-    spaces = TaskSpaces.from_dict(meta["spaces"])
     result = {
         "checkpoint": Path(rc.checkpoint).name,
         "dataset": meta.get("dataset"),

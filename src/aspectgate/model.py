@@ -35,6 +35,7 @@ from .tensor import (
     concat,
     dropout,
     joint_loss,
+    _ALLOWED_DTYPES,
 )
 from .tensor import pool_columns as _pool_columns  # the name profilers wrap
 
@@ -179,7 +180,7 @@ class SentimentModel:
                 f"config embed_size {config.embed_size}"
             )
         self.config = config
-        self.dtype = embedding.dtype if embedding.dtype in (np.dtype(np.float64), np.dtype(np.longdouble)) else TRAIN_DTYPE
+        self.dtype = embedding.dtype if embedding.dtype in _ALLOWED_DTYPES else TRAIN_DTYPE
         self.embedding = embedding.astype(self.dtype, copy=True)
         self.embedding.setflags(write=False)
         d_x = config.embed_size

@@ -18,6 +18,7 @@ else holds them, and the values are the same bits as on the tape.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -85,7 +86,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self.op!r})"
 
 
-_recording = True
+class _Tape(threading.local):
+    """Whether ops go on the tape, per thread; every thread starts recording."""
+
+    recording = True
+
+
+_tape = _Tape()
 
 
 @contextmanager
@@ -93,23 +100,21 @@ def no_grad() -> Iterator[None]:
     """Build no tape inside this block: op outputs get no parents or closure.
 
     Contexts nest; leaving one, by return or by exception, restores the
-    recording state it found. The state is process-wide, not per thread.
-    The one thread this package starts, the block backward's worker in
-    ``cells``, runs plain numpy on arrays it is handed and never a tape op,
-    so it neither reads nor sets this state.
+    recording state it found. The state belongs to the calling thread:
+    a thread inside ``no_grad`` neither stops another thread from taping
+    nor, when it leaves, turns taping back on for a thread still inside.
     """
-    global _recording
-    outer = _recording
-    _recording = False
+    outer = _tape.recording
+    _tape.recording = False
     try:
         yield
     finally:
-        _recording = outer
+        _tape.recording = outer
 
 
 def _records(parents) -> bool:
     """Whether an op over ``parents`` goes on the tape."""
-    return _recording and any(p.requires_grad for p in parents)
+    return _tape.recording and any(p.requires_grad for p in parents)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], bwd, op: str, kinks=None) -> Tensor:
@@ -378,7 +383,7 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMa
     ``no_grad()`` is an error: no tape is recorded there, so every
     gradient would silently be zero.
     """
-    if not _recording:
+    if not _tape.recording:
         raise RuntimeError("backward called inside no_grad(): no tape was recorded")
     if loss.ndim != 0:
         raise ShapeError(f"backward: root must be scalar, got shape {loss.shape}")

@@ -563,6 +563,28 @@ def test_eval_refuses_a_checkpoint_without_a_run_record(workspace, capsys, keep,
     assert str(ckpt) in err and f"meta lacks {lacking}" in err
 
 
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        ("data_files", lambda meta: [*meta["data_files"], 5]),
+        ("spaces", lambda meta: 5),
+        ("spaces", lambda meta: {"categories": meta["spaces"]["categories"]}),
+        ("spaces", lambda meta: {**meta["spaces"], "labels": meta["spaces"]["labels"][:2]}),
+    ],
+    ids=["file-name-not-a-string", "spaces-not-a-map", "spaces-without-labels",
+         "labels-do-not-fit-the-model"],
+)
+def test_eval_refuses_a_malformed_run_record(workspace, capsys, entry, bad):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    model, vocab, meta = load_checkpoint(train(tmp_path, data, emb) / "model-seed1.ckpt")
+    ckpt = save_checkpoint(tmp_path / "bad.ckpt", model, vocab, {**meta, entry: bad(meta)})
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"{ckpt}: meta {entry} " in err
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     assert run(["eval", "--checkpoint", str(tmp_path / "no.ckpt")]) == 1
     assert "not found" in capsys.readouterr().err

@@ -880,6 +880,15 @@ _WORKER_BATCH = (
 class _Inline:
     """An executor that runs each job on the calling thread as it is submitted."""
 
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
     @staticmethod
     def submit(fn, *args):
         done = Future()
@@ -899,7 +908,7 @@ def _gradients(model, cfg, seed=0) -> list[np.ndarray]:
 
 def _serial_gradients(model, cfg, seed=0) -> list[np.ndarray]:
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cells_mod, "_executor", _Inline)
+        m.setattr(cells_mod, "ThreadPoolExecutor", _Inline)
         return _gradients(model, cfg, seed)
 
 
@@ -946,6 +955,32 @@ def test_a_failing_job_is_raised_and_leaks_nothing(rng, monkeypatch):
     _assert_bitwise(_gradients(model, cfg), want)
 
 
+def _bptt_threads() -> list[threading.Thread]:
+    return [th for th in threading.enumerate() if th.name.startswith("aspectgate-bptt")]
+
+
+def test_the_worker_does_not_outlive_its_backward(rng, monkeypatch):
+    """A backward joins its worker before it returns, and before it raises the
+    exception of its last job, which only the drain after the time loop reads."""
+    model, cfg = tiny_model(rng, encoder="gru")
+    real, calls, last = cells_mod._weight_grads, [], 0
+
+    def failing_last(*args):
+        calls.append(1)
+        if len(calls) == last:
+            raise ArithmeticError("planted job failure")
+        return real(*args)
+
+    monkeypatch.setattr(cells_mod, "_weight_grads", failing_last)
+    _gradients(model, cfg)
+    assert not _bptt_threads()
+    last = len(calls)
+    calls.clear()
+    with pytest.raises(ArithmeticError, match="planted job failure"):
+        _gradients(model, cfg)
+    assert not _bptt_threads()
+
+
 def test_a_failing_step_waits_for_the_submitted_jobs(rng, monkeypatch):
     """An exception on the recurrent chain leaves backward only after every job
     submitted before it has run."""
@@ -973,10 +1008,10 @@ def test_a_failing_step_waits_for_the_submitted_jobs(rng, monkeypatch):
 
 
 def test_concurrent_backwards_each_get_their_serial_gradients(rng, monkeypatch):
-    """Backwards on four models from four Python threads share the worker, and
-    each gets its own serial bits, under a short switch interval and with every
-    third job delayed, which would reorder the sums of a worker that ran jobs
-    out of order."""
+    """Backwards on four models from four Python threads each start their own
+    worker, and each gets its own serial bits, under a short switch interval and
+    with every third job delayed, which would reorder the sums of a worker that
+    ran jobs out of order."""
     models = [tiny_model(rng, encoder=e)[0] for e in (*ENCODERS, "aspect-dt")]
     cfgs = [m.config for m in models]
     want = [_serial_gradients(m, c, seed) for seed, (m, c) in enumerate(zip(models, cfgs))]
@@ -1014,12 +1049,11 @@ def test_concurrent_backwards_each_get_their_serial_gradients(rng, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_worker(rng):
-    """A child forked after the worker started inherits no thread: its
-    backward starts its own worker, and gets the serial bits, rather than
-    waiting forever on the parent's."""
+    """A child forked after a backward starts its own worker and gets the
+    serial bits."""
     model, cfg = tiny_model(rng)
     want = _serial_gradients(model, cfg)
-    _gradients(model, cfg)  # the worker is running in this process
+    _gradients(model, cfg)
     read, write = os.pipe()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # a fork of a threaded process

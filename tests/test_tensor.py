@@ -6,6 +6,7 @@ built with the test-side ``weighted_sum`` node.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -318,6 +319,46 @@ def test_no_grad_restores_recording_after_an_exception(rng):
         with no_grad():
             with no_grad():
                 concat(a, Tensor(np.zeros((4, 1))))
+    assert _recorded(a)
+
+
+def _in_no_grad(leave: threading.Event) -> threading.Thread:
+    """A thread that is inside ``no_grad`` when this returns, and leaves it
+    once ``leave`` is set."""
+    entered = threading.Event()
+
+    def park():
+        with no_grad():
+            entered.set()
+            leave.wait(timeout=10)
+
+    th = threading.Thread(target=park)
+    th.start()
+    assert entered.wait(timeout=10)
+    return th
+
+
+def test_a_thread_inside_no_grad_does_not_stop_another_from_taping(rng):
+    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    leave = threading.Event()
+    th = _in_no_grad(leave)
+    try:
+        assert _recorded(a)
+    finally:
+        leave.set()
+        th.join(timeout=10)
+    assert not th.is_alive()
+
+
+def test_a_thread_leaving_no_grad_does_not_turn_taping_on_for_another(rng):
+    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    leave = threading.Event()
+    th = _in_no_grad(leave)
+    with no_grad():
+        leave.set()
+        th.join(timeout=10)
+        assert not th.is_alive()
+        assert not _recorded(a)
     assert _recorded(a)
 
 
