@@ -1,10 +1,11 @@
 """Command-line workflow: prepare, train, eval, sweep, inspect.
 
 Every command resolves its configuration from defaults, an optional
-key=value config file, and CLI flags (flags win), validates everything
-up front, and only then touches the filesystem. Outputs are written
-atomically. Exit codes: 0 success, 1 validation error, 2 runtime
-failure.
+key=value config file, and CLI flags (flags win), checks the settings
+it reads, and only then reads any file; a model setting, and each sweep
+value, is checked by building the run's ``ModelConfig``. Outputs are
+written atomically. Exit codes: 0 success, 1 validation error, 2
+runtime failure.
 
 Each setting is one ``RunConfig`` field: its config-file key is the
 field name, its flag is the name with dashes (``lam`` is ``--lambda``),
@@ -53,17 +54,16 @@ from .trainer import sweep as run_sweep
 
 @dataclass(frozen=True)
 class DatasetInfo:
-    name: str
     task: str
     lam: float
     schema: str  # flat | opinions
 
 
 DATASETS = {
-    "restaurant-14": DatasetInfo("restaurant-14", "category", 0.4, "flat"),
-    "restaurant-large": DatasetInfo("restaurant-large", "category", 0.4, "opinions"),
-    "restaurant-term": DatasetInfo("restaurant-term", "term", 0.2, "flat"),
-    "laptop-term": DatasetInfo("laptop-term", "term", 0.5, "flat"),
+    "restaurant-14": DatasetInfo("category", 0.4, "flat"),
+    "restaurant-large": DatasetInfo("category", 0.4, "opinions"),
+    "restaurant-term": DatasetInfo("term", 0.2, "flat"),
+    "laptop-term": DatasetInfo("term", 0.5, "flat"),
 }
 
 VIEWS = ("ds", "hds", "nc")
@@ -112,8 +112,8 @@ class RunConfig:
         return DATASETS[self.dataset].lam if self.dataset in DATASETS else 0.0
 
     def effective_encoder(self) -> str:
-        if "ag" in self.ablate:
-            return self.encoder if self.encoder in ("plain-dt", "gru") else "gru"
+        if "ag" in self.ablate and self.encoder in ("", "aspect-dt"):
+            return "gru"
         return self.encoder or "aspect-dt"
 
 
@@ -244,12 +244,8 @@ def validate_common(rc: RunConfig, problems: list[str]) -> None:
     for a in rc.ablate:
         if a not in ABLATIONS:
             problems.append(f"unknown ablation {a!r}; choose from {ABLATIONS}")
-    if rc.encoder and rc.encoder not in ENCODERS:
-        problems.append(f"encoder must be one of {ENCODERS}, got {rc.encoder!r}")
     if "ag" in rc.ablate and rc.encoder == "aspect-dt":
         problems.append("--ablate ag contradicts --encoder aspect-dt")
-    if rc.pool not in POOLING_MODES:
-        problems.append(f"pool must be one of {POOLING_MODES}, got {rc.pool!r}")
     if not rc.seeds:
         problems.append("need at least one seed")
     elif len(set(rc.seeds)) != len(rc.seeds):
@@ -260,28 +256,15 @@ def validate_common(rc: RunConfig, problems: list[str]) -> None:
         problems.append(f"threshold must be in (0, 1), got {rc.threshold}")
     if rc.token_budget < 1:
         problems.append(f"token-budget must be >= 1, got {rc.token_budget}")
-    for name, value in (("hidden", rc.hidden), ("embed-dim", rc.embed_dim), ("depth", rc.depth)):
-        if value < 1:
-            problems.append(f"{name} must be >= 1, got {value}")
-    for name, value in (
-        ("dropout-input", rc.dropout_input),
-        ("dropout-hidden", rc.dropout_hidden),
-    ):
-        if not 0.0 <= value < 1.0:
-            problems.append(f"{name} must be in [0, 1), got {value}")
-    if rc.lam is not None and rc.lam < 0:
-        problems.append(f"lambda must be >= 0, got {rc.lam}")
 
 
-def _model_config(rc: RunConfig, spaces: TaskSpaces, problems: list[str]) -> ModelConfig | None:
+def _model_config(rc: RunConfig, problems: list[str]) -> ModelConfig | None:
+    """The run's model settings; ``_training_inputs`` fills in the task and counts."""
     try:
         return ModelConfig(
             hidden_size=rc.hidden,
             embed_size=rc.embed_dim,
             depth=rc.depth,
-            num_labels=spaces.num_labels,
-            num_recon_targets=spaces.num_recon_targets,
-            task=DATASETS[rc.dataset].task,
             lam=rc.resolved_lam(),
             encoder=rc.effective_encoder(),
             aspect_concat="ac" not in rc.ablate,
@@ -375,7 +358,7 @@ def cmd_prepare(rc: RunConfig, args) -> int:
             stats["nc"] = count_stats(expand(ncs))
         splits[split] = stats
     report = {
-        "dataset": info.name,
+        "dataset": rc.dataset,
         "task": info.task,
         "hds_rule": rc.hds_rule,
         "tokenizer": "lowercase alphanumeric runs and single punctuation marks",
@@ -393,13 +376,13 @@ def cmd_prepare(rc: RunConfig, args) -> int:
 # -- train -------------------------------------------------------------------------
 
 
-def _training_inputs(rc: RunConfig, test_views, problems: list[str]):
+def _training_inputs(rc: RunConfig, cfg: ModelConfig | None, test_views, problems: list[str]):
     """Check every file a training run reads, then load the train view.
 
     Returns (train file, test files, train instances, spaces, model
-    config). It stops at the first stage that adds to ``problems``, or
-    at once if the caller's checks did, so read it only when
-    ``problems`` is empty.
+    config), the config's task and counts filled in. It stops at the
+    first stage that adds to ``problems``, or at once if the caller's
+    checks did, so read it only when ``problems`` is empty.
     """
     train_file = _view_file(rc.data_dir, "train", rc.view)
     test_files = [_view_file(rc.data_dir, "test", v) for v in test_views]
@@ -413,16 +396,24 @@ def _training_inputs(rc: RunConfig, test_views, problems: list[str]):
     if not train_inst:
         problems.append(f"{train_file}: no instances")
         return None
-    spaces = TaskSpaces.build(DATASETS[rc.dataset].task, train_inst, rc.view != "nc")
-    return train_file, test_files, train_inst, spaces, _model_config(rc, spaces, problems)
+    task = DATASETS[rc.dataset].task
+    spaces = TaskSpaces.build(task, train_inst, rc.view != "nc")
+    counts = {"num_labels": spaces.num_labels, "num_recon_targets": spaces.num_recon_targets}
+    try:
+        cfg = replace(cfg, task=task, **counts)
+    except ValueError as e:  # such as a train view with no reconstruction target
+        problems.append(f"{train_file}: {e}")
+        return None
+    return train_file, test_files, train_inst, spaces, cfg
 
 
 def cmd_train(rc: RunConfig, args) -> int:
     problems: list[str] = []
     validate_common(rc, problems)
     tc = _train_config(rc, problems)
+    cfg = _model_config(rc, problems)
     eval_views = ("ds", "hds") if rc.view == "ds" else (rc.view,)
-    inputs = _training_inputs(rc, eval_views, problems)
+    inputs = _training_inputs(rc, cfg, eval_views, problems)
     if problems:
         return _report(problems)
     train_file, test_files, train_inst, spaces, cfg = inputs
@@ -492,8 +483,13 @@ def cmd_eval(rc: RunConfig, args) -> int:
     if view not in VIEWS:
         return _report([f"checkpoint view must be one of {VIEWS}, got {view!r}"])
     names = meta["data_files"]
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+    if not isinstance(names, list):
         raise CheckpointError(f"{rc.checkpoint}: meta data_files is not a list of file names")
+    for n in names:  # a bare name, so the digest reads only files inside --data-dir
+        if not isinstance(n, str) or Path(n).name != n or n in (".", ".."):
+            raise CheckpointError(
+                f"{rc.checkpoint}: meta data_files entry {n!r} is not a bare file name"
+            )
     try:
         spaces = TaskSpaces.from_dict(meta["spaces"])
     except (TypeError, KeyError, ValueError) as e:
@@ -544,6 +540,7 @@ def cmd_sweep(rc: RunConfig, args) -> int:
     problems: list[str] = []
     validate_common(rc, problems)
     tc = _train_config(rc, problems)
+    cfg = _model_config(rc, problems)
     if rc.axis not in SWEEP_AXIS_FLAGS:
         problems.append(f"axis must be one of {sorted(SWEEP_AXIS_FLAGS)}, got {rc.axis!r}")
         return _report(problems)
@@ -552,21 +549,17 @@ def cmd_sweep(rc: RunConfig, args) -> int:
     values = rc.values or (
         DEFAULT_DEPTH_VALUES if rc.axis == "depth" else DEFAULT_LAMBDA_VALUES
     )
-    if rc.axis == "depth" and not all(isinstance(v, int) for v in values):
-        problems.append(f"depth values must be integers, got {list(values)}")
     if len(set(values)) != len(values):
         problems.append(f"duplicate values in {list(values)}")
-    inputs = _training_inputs(rc, (), problems)
-    if problems:
-        return _report(problems)
-    _, _, train_inst, spaces, cfg = inputs
-    for value in values:
+    for value in values if cfg is not None else ():
         try:
             replace(cfg, **{SWEEP_AXIS_FLAGS[rc.axis]: value})
         except ValueError as e:
             problems.append(f"{rc.axis}={value}: {e}")
+    inputs = _training_inputs(rc, cfg, (), problems)
     if problems:
         return _report(problems)
+    _, _, train_inst, spaces, cfg = inputs
     out = run_sweep(
         SWEEP_AXIS_FLAGS[rc.axis],
         values,

@@ -30,7 +30,7 @@ HDS_RULES = ("pairwise-distinct", "min-two-labels")
 
 # coarse buckets for the entity#attribute categories of the later review
 # schema, so the large restaurant set shares one category space
-DEFAULT_CATEGORY_MAP = {
+CATEGORY_MAP = {
     "RESTAURANT": "restaurant",
     "FOOD": "food",
     "DRINKS": "drinks",
@@ -39,6 +39,9 @@ DEFAULT_CATEGORY_MAP = {
     "LOCATION": "location",
 }
 PRICE_ATTRIBUTE = "PRICES"
+# half-width of the uniform draw for the unknown row and for each train
+# token the vectors file lacks
+OOV_SCALE = 0.25
 
 
 class CorpusError(ValueError):
@@ -212,19 +215,15 @@ def parse_semeval_xml(data: str | bytes, task: str) -> list[RawSentence]:
     return out
 
 
-def parse_semeval_opinions_xml(
-    data: str | bytes,
-    category_map: Mapping[str, str] | None = None,
-) -> list[RawSentence]:
+def parse_semeval_opinions_xml(data: str | bytes) -> list[RawSentence]:
     """Parse the review schema whose aspects are entity#attribute opinions.
 
     Each opinion category is folded to a coarse name: the price attribute
-    wins first, then the entity is looked up in ``category_map`` (default
-    table above), anything else becomes "misc". Within a sentence,
-    duplicate (category, label) pairs collapse to one; a category seen
-    with conflicting labels in one sentence is dropped as ambiguous.
+    wins first, then the entity is looked up in ``CATEGORY_MAP``, anything
+    else becomes "misc". Within a sentence, duplicate (category, label)
+    pairs collapse to one; a category seen with conflicting labels in one
+    sentence is dropped as ambiguous.
     """
-    cmap = dict(DEFAULT_CATEGORY_MAP if category_map is None else category_map)
     try:
         root = ET.fromstring(data)
     except ET.ParseError as e:
@@ -247,7 +246,7 @@ def parse_semeval_opinions_xml(
             if attribute.strip().upper() == PRICE_ATTRIBUTE:
                 name = "price"
             else:
-                name = cmap.get(entity.strip().upper(), "misc")
+                name = CATEGORY_MAP.get(entity.strip().upper(), "misc")
             if name not in seen:
                 seen[name] = []
                 order.append(name)
@@ -519,19 +518,18 @@ def build_vocab(
     embedding_path,
     test_instances: Sequence[Instance] = (),
     seed: int = 0,
-    oov_scale: float = 0.25,
 ) -> Vocab:
     """Vocabulary over the training split plus covered test tokens.
 
     Every train token gets a row: the file's vector when present, else a
-    fresh uniform(-oov_scale, oov_scale) sample. Test tokens join only
+    fresh uniform(-OOV_SCALE, OOV_SCALE) sample. Test tokens join only
     when the file covers them; everything else hits the unknown row at
     lookup time. Same seed, same inputs: bit-identical table.
     """
     train_tokens, test_tokens = vocab_token_lists(train_instances, test_instances)
     wanted = set(train_tokens) | set(test_tokens)
     found, dim = scan_embedding_file(embedding_path, wanted)
-    return assemble_vocab(train_tokens, test_tokens, found, dim, seed, oov_scale)
+    return assemble_vocab(train_tokens, test_tokens, found, dim, seed)
 
 
 def vocab_token_lists(
@@ -554,7 +552,6 @@ def assemble_vocab(
     found: Mapping[str, np.ndarray],
     dim: int,
     seed: int = 0,
-    oov_scale: float = 0.25,
 ) -> Vocab:
     """Build the table from a pre-scanned embedding map (see build_vocab).
 
@@ -565,7 +562,7 @@ def assemble_vocab(
     tokens: list[str] = [PAD_TOKEN, UNK_TOKEN]
     rows: list[np.ndarray] = [
         np.zeros(dim, dtype=np.float64),
-        rng.uniform(-oov_scale, oov_scale, size=dim),
+        rng.uniform(-OOV_SCALE, OOV_SCALE, size=dim),
     ]
     taken = set(tokens)
     for t in train_tokens:
@@ -577,7 +574,7 @@ def assemble_vocab(
         rows.append(
             np.asarray(vec, dtype=np.float64)
             if vec is not None
-            else rng.uniform(-oov_scale, oov_scale, size=dim)
+            else rng.uniform(-OOV_SCALE, OOV_SCALE, size=dim)
         )
     for t in test_tokens:
         if t in taken or t not in found:

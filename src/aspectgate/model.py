@@ -77,18 +77,20 @@ class ModelConfig:
 
     def __post_init__(self):
         problems = []
-        if self.hidden_size < 1:
-            problems.append(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.embed_size < 1:
-            problems.append(f"embed_size must be >= 1, got {self.embed_size}")
-        if self.depth < 1:
-            problems.append(f"depth must be >= 1, got {self.depth}")
-        if self.num_labels < 2:
-            problems.append(f"num_labels must be >= 2, got {self.num_labels}")
-        if self.num_recon_targets < 1:
-            problems.append(
-                f"num_recon_targets must be >= 1, got {self.num_recon_targets}"
-            )
+        for name, least in (
+            ("hidden_size", 1),
+            ("embed_size", 1),
+            ("depth", 1),
+            ("num_labels", 2),
+            ("num_recon_targets", 1),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < least:
+                problems.append(f"{name} must be >= {least}, got {value}")
+            else:  # a numpy integer becomes an int, so the config stays JSON
+                setattr(self, name, int(value))
         if self.task not in TASKS:
             problems.append(f"task must be one of {TASKS}, got {self.task!r}")
         if self.lam < 0:

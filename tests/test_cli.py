@@ -3,7 +3,10 @@
 import argparse
 import json
 import re
+import shlex
 from dataclasses import fields
+from pathlib import Path
+from string import Template
 
 import numpy as np
 import pytest
@@ -306,6 +309,21 @@ def test_a_negative_seed_is_refused_before_any_file_is_read(workspace, capsys, m
     assert not (tmp_path / "run").exists()
 
 
+def test_a_bad_sweep_value_is_refused_before_any_file_is_read(workspace, capsys, monkeypatch):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+
+    def no_read(*args):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(cli_mod, "_read_raw", no_read)
+    code = run(["sweep", "--axis", "depth", "--values", "2,0", "--data-dir", str(data),
+                "--embeddings", str(emb), "--out", str(tmp_path / "sweepout")])
+    assert code == 1
+    assert "depth=0: invalid model config: depth must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweepout").exists()
+
+
 def test_unknown_flag_is_exit_1(capsys):
     assert run(["train", "--bogus"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -331,11 +349,18 @@ def test_contradictory_ablation(tmp_path, capsys):
         ("eval", ["--token-budget", "0"], r"token.budget"),
         ("eval", ["--threshold", "1.5"], r"threshold"),
         ("train", ["--token-budget", "0"], r"token.budget"),
+        ("train", ["--depth", "0"], r"depth"),
+        ("train", ["--dropout-input", "1.0"], r"dropout.input"),
+        ("train", ["--config", "pool = bogus"], r"pool"),
+        ("train", ["--config", "encoder = bogus\nablate = ag"], r"encoder"),
     ],
 )
 def test_bad_setting_is_one_validation_error(workspace, capsys, command, flags, setting):
     tmp_path, raw, emb = workspace
     data = prepare(tmp_path, raw)
+    if flags[0] == "--config":  # the case's text is the config file's
+        (tmp_path / "run.cfg").write_text(flags[1] + "\n")
+        flags = ["--config", str(tmp_path / "run.cfg")]
     if command == "eval":
         ckpt = train(tmp_path, data, emb) / "model-seed1.ckpt"
         argv = ["eval", "--checkpoint", str(ckpt), "--data-dir", str(data)]
@@ -567,11 +592,14 @@ def test_eval_refuses_a_checkpoint_without_a_run_record(workspace, capsys, keep,
     "entry, bad",
     [
         ("data_files", lambda meta: [*meta["data_files"], 5]),
+        ("data_files", lambda meta: [*meta["data_files"], "/" + meta["data_files"][0]]),
+        ("data_files", lambda meta: [*meta["data_files"], "../" + meta["data_files"][0]]),
         ("spaces", lambda meta: 5),
         ("spaces", lambda meta: {"categories": meta["spaces"]["categories"]}),
         ("spaces", lambda meta: {**meta["spaces"], "labels": meta["spaces"]["labels"][:2]}),
     ],
-    ids=["file-name-not-a-string", "spaces-not-a-map", "spaces-without-labels",
+    ids=["file-name-not-a-string", "absolute-file-name", "file-name-with-dotdot",
+         "spaces-not-a-map", "spaces-without-labels",
          "labels-do-not-fit-the-model"],
 )
 def test_eval_refuses_a_malformed_run_record(workspace, capsys, entry, bad):
@@ -675,6 +703,18 @@ def test_empty_train_view_has_no_instances(workspace, capsys, command):
     assert "no instances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_train_view_without_reconstruction_targets_is_a_validation_error(
+    workspace, capsys, command
+):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)  # category aspects only, so a term task has no target
+    argv = [command, "--dataset", "laptop-term", "--data-dir", str(data), "--embeddings", str(emb)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{data / 'train.ds.jsonl'}: invalid model config: num_recon_targets must be >= 1" in err
+
+
 def test_sweep_depth_default_values_are_1_to_6():
     from aspectgate.cli import DEFAULT_DEPTH_VALUES
 
@@ -721,7 +761,9 @@ def test_sweep_rejects_float_depth(workspace, capsys):
         ]
     )
     assert code == 1
-    assert "integers" in capsys.readouterr().err
+    assert "depth=1.5: invalid model config: depth must be an integer, got 1.5" in (
+        capsys.readouterr().err
+    )
 
 
 # -- inspect ---------------------------------------------------------------------------
@@ -787,3 +829,40 @@ def test_inspect_requires_sentence_and_aspect(workspace, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "sentence" in err and "aspect" in err and "not found" in err
+
+
+# -- shell scripts ---------------------------------------------------------------------
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _script_invocations():
+    """(script, argv) for each ``aspectgate`` command in scripts/*.sh.
+
+    Continuation lines are joined, and each shell variable is replaced
+    by the default its script gives it (``NAME="${NAME:-default}"``).
+    """
+    for script in sorted(SCRIPTS.glob("*.sh")):
+        defaults = {}
+        for line in script.read_text().replace("\\\n", " ").splitlines():
+            line = line.strip()
+            m = re.fullmatch(r'(\w+)="\$\{\1:-(.*)\}"', line)
+            if m:
+                defaults[m[1]] = Template(m[2]).substitute(defaults)
+            elif line.startswith("aspectgate "):
+                yield script.name, shlex.split(Template(line).substitute(defaults))[1:]
+
+
+INVOCATIONS = list(_script_invocations())
+
+
+def test_the_scripts_call_aspectgate():
+    assert {name for name, _ in INVOCATIONS} == {p.name for p in SCRIPTS.glob("*.sh")}
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for _, argv in INVOCATIONS],
+    ids=[f"{name}-{argv[0]}-{i}" for i, (name, argv) in enumerate(INVOCATIONS)],
+)
+def test_script_invocation_parses(argv):
+    assert build_parser().parse_args(argv).command == argv[0]

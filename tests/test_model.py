@@ -91,6 +91,17 @@ def test_config_validation_collects_problems():
     assert "hidden_size" in msg and "depth" in msg and "lam" in msg and "pooling" in msg
 
 
+@pytest.mark.parametrize(
+    "field", ["hidden_size", "embed_size", "depth", "num_labels", "num_recon_targets"]
+)
+def test_config_refuses_a_non_integer_size(field):
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {bad!r}"):
+            ModelConfig(**{field: bad})
+    value = getattr(ModelConfig(**{field: np.int64(3)}), field)
+    assert value == 3 and type(value) is int  # so the config's JSON can be written
+
+
 def test_config_roundtrip_and_rep_size():
     cfg = tiny_config(bidirectional=True)
     assert cfg.rep_size == 6
