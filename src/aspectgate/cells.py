@@ -392,13 +392,17 @@ def run_block_batch(
     a sequence. ``ids``, when given, are the (T, B) token ids of ``x``'s
     cells, passed only when equal ids mean equal input rows (undropped
     embeddings): the GEMM then runs once per distinct id among the real
-    cells, and each cell gathers its id's row. ``x`` stays the only
-    source of values, and the backward is the same either way. The loop
-    runs each cell's step by its kind's name. The node's parents are
-    ``x``, the aspect when the input cell is gated, and every cell's
-    stacks; its backward runs backprop through time over what the steps
-    saved, with each step's weight-gradient work on a worker thread that
-    lives for that backward, and the grad-free forward saves nothing.
+    cells, and each cell gathers its id's row. A taped forward gathers
+    every real cell's row before the loop; a grad-free one keeps only
+    the distinct-id projection and gathers each step's rows from it
+    inside the loop, and its cells' steps share one state-projection
+    buffer. ``x`` stays the only source of values, and the backward is
+    the same either way. The loop runs each cell's step by its kind's
+    name. The node's parents are ``x``, the aspect when the input cell
+    is gated, and every cell's stacks; its backward runs backprop
+    through time over what the steps saved, with each step's
+    weight-gradient work on a worker thread that lives for that
+    backward, and the grad-free forward saves nothing.
     """
     first = cells[0]
     Wx, d = first.stacks["x"].data, first.d_h
@@ -436,16 +440,23 @@ def run_block_batch(
     # the real cells' inputs batch-major, step after step, so they project in one GEMM
     tt, bb = np.nonzero(np.arange(B) >= start[:, None])
     real = (tt, np.arange(B)[order][bb])
-    xs = x.data.transpose(0, 2, 1)[real]
-    if ids is None:
-        X = xs @ Wx.T
-    else:
+    xT = x.data.transpose(0, 2, 1)
+    if ids is not None:
         if ids.shape != (T, B):
             raise ShapeError(f"run_block_batch: ids are {ids.shape}, expected ({T}, {B})")
         _, once, each = np.unique(ids[real], return_index=True, return_inverse=True)
-        X = (xs[once] @ Wx.T)[each]
-    # the cells' state projections: every real cell's when taped, else one step's reused
-    Hs = [np.empty((len(xs) if taped else B, c.stacks["h"].shape[0]), x.dtype) for c in cells]
+    if ids is None or taped:
+        xs = xT[real]
+        X = xs @ Wx.T if ids is None else (xs[once] @ Wx.T)[each]
+    else:  # only the distinct ids' projection, which each step gathers its rows from
+        xs = X = None
+        P = xT[real[0][once], real[1][once]] @ Wx.T
+    # the cells' state projections: every real cell's when taped, else one step's
+    # reused, in one buffer that every cell's step overwrites in turn
+    if taped:
+        Hs = [np.empty((len(xs), c.stacks["h"].shape[0]), x.dtype) for c in cells]
+    else:
+        buf = np.empty(B * max(c.stacks["h"].shape[0] for c in cells), x.dtype)
     steps = [{"aspect": aspect_gru_step, "dt": dt_gru_step, "gru": gru_step}[first.kind]]
     steps += [transition_gru_step] * (len(cells) - 1)
     saved: list[list] = [[] for _ in cells]
@@ -458,9 +469,13 @@ def run_block_batch(
             break
         h = (states[t - 1] if t else h0)[:, k:]
         a = None if a_proj is None else a_proj[:, k:]
+        Xt = P[each[rows]] if X is None else X[rows]
         for j, (cell, step) in enumerate(zip(cells, steps)):
-            H = Hs[j][rows] if taped else Hs[j][: B - k]
-            h, g, s = step(cell, None if j else X[rows].T, h, a, H.T)
+            if taped:
+                H = Hs[j][rows]
+            else:
+                H = buf[: (B - k) * cell.stacks["h"].shape[0]].reshape(B - k, -1)
+            h, g, s = step(cell, None if j else Xt.T, h, a, H.T)
             if taped:
                 saved[j].append(s)
             if g is not None:

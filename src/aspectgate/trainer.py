@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -201,13 +204,15 @@ def evaluate(
     model is trained to reconstruct; each is a fraction of instances.
     An aspect is reconstructed when its decoding (``reconstruct_aspect``)
     covers every target word or category; an aspect with words outside
-    the term vocabulary counts as wrong outright.
+    the term vocabulary counts as wrong outright. The forwards run on
+    every usable CPU (``_batch_logits``); the scores do not depend on
+    how many there are.
     """
     if not instances:
         raise ValueError("evaluate: no instances")
+    batches = make_batches(instances, vocab, spaces, token_budget, shuffle=False)
     correct = recon = 0
-    for batch in make_batches(instances, vocab, spaces, token_budget, shuffle=False):
-        sent_logits, recon_logits = _eval_logits(model, batch, vocab)
+    for batch, (sent_logits, recon_logits) in zip(batches, _batch_logits(model, batches, vocab)):
         correct += int(np.sum(predict(sent_logits) == batch.label_ids))
         decoded = reconstruct_aspect(recon_logits, model.config, threshold)
         recon += int(np.sum(batch.recon_known & np.all(decoded >= batch.recon_target, axis=1)))
@@ -215,6 +220,61 @@ def evaluate(
     if model.config.reconstruct:
         scores["reconstruction"] = recon / len(instances)
     return scores
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _batch_logits(model: SentimentModel, batches, vocab: Vocab) -> list[tuple]:
+    """Every batch's ``_eval_logits``, in batch order, computed on the
+    calling thread plus one helper thread per further usable CPU.
+
+    The workers, at most one per batch, pull batch indices from one
+    queue, heaviest (most real tokens) first: a forward's time follows
+    its real tokens, not its width. Each batch's logits are those of its
+    own forward, so the worker that ran it does not change a bit. The
+    helpers are joined before this returns or raises; a worker's error
+    stops the others taking new batches and is raised here unchanged.
+    """
+    todo = deque(sorted(range(len(batches)), key=lambda i: -int(batches[i].mask.sum())))
+    logits: list = [None] * len(batches)
+    failed: list[BaseException] = []
+
+    def work():
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:
+                return
+            logits[i] = _eval_logits(model, batches[i], vocab)
+
+    def helper():
+        try:
+            work()
+        except BaseException as e:  # raised again on the calling thread
+            failed.append(e)
+            todo.clear()
+
+    helpers = [
+        threading.Thread(target=helper, name=f"aspectgate-eval-{n}")
+        for n in range(1, min(_usable_cpus(), len(batches)))
+    ]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        todo.clear()
+        for t in helpers:
+            t.join()
+    if failed:
+        raise failed[0]
+    return logits
 
 
 def _eval_logits(model: SentimentModel, batch, vocab: Vocab) -> tuple[np.ndarray, np.ndarray]:

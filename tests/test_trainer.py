@@ -2,17 +2,36 @@
 
 import contextlib
 import gc
+import os
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import aspectgate.cells as cells_mod
 import aspectgate.trainer as trainer_mod
 from aspectgate.cells import CELL_KINDS
 from aspectgate.checkpoint import load_checkpoint, save_checkpoint
-from aspectgate.corpus import LABELS, Instance, TaskSpaces, build_vocab, make_batches
-from aspectgate.model import CapabilityError, ModelConfig, SentimentModel
-from aspectgate.synth import EMBED_DIM, synthetic_instances, write_embedding_file
+from aspectgate.corpus import (
+    LABELS,
+    Instance,
+    TaskSpaces,
+    assemble_vocab,
+    build_vocab,
+    make_batches,
+)
+from aspectgate.model import ENCODERS, CapabilityError, ModelConfig, SentimentModel
+from aspectgate.synth import (
+    ALL_WORDS,
+    ASPECTS,
+    EMBED_DIM,
+    synthetic_instances,
+    write_embedding_file,
+)
 from aspectgate.tensor import Tensor, iter_nodes
 from aspectgate.trainer import (
     AdamState,
@@ -316,7 +335,8 @@ def test_wrappers_return_the_fields_of_evaluate(emb_path, task, reconstruct):
 
 @pytest.mark.parametrize("task", ["category", "term"])
 def test_evaluate_frees_each_forward_before_the_next(emb_path, monkeypatch, task):
-    """No earlier batch's result or tape is alive when a forward starts.
+    """No result or tape of an earlier batch that a worker ran is alive when
+    that worker starts a forward, and none is alive once evaluate returns.
 
     The garbage collector is off, so reference counting alone must free
     them; the pooled states' array stands in for the tape.
@@ -326,19 +346,25 @@ def test_evaluate_frees_each_forward_before_the_next(emb_path, monkeypatch, task
     refs, alive_at_start = [], []
 
     def tracking_forward(self, *args, **kwargs):
-        alive_at_start.append(sum(r() is not None for r in refs))
+        me = threading.get_ident()
+        alive_at_start.append(sum(r() is not None for who, r in refs if who == me))
         result = real_forward(self, *args, **kwargs)
-        refs.extend([weakref.ref(result), weakref.ref(result.pooled.data)])
+        refs.extend([(me, weakref.ref(result)), (me, weakref.ref(result.pooled.data))])
         return result
 
     monkeypatch.setattr(SentimentModel, "forward", tracking_forward)
-    gc.disable()
-    try:
-        evaluate(model, inst, vocab, spaces, token_budget=40)
-    finally:
-        gc.enable()
-    assert len(alive_at_start) >= 3
-    assert alive_at_start == [0] * len(alive_at_start)
+    for cpus in (1, 3):
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+        gc.disable()
+        try:
+            evaluate(model, inst, vocab, spaces, token_budget=40)
+        finally:
+            gc.enable()
+        assert len(alive_at_start) >= 3
+        assert alive_at_start == [0] * len(alive_at_start)
+        assert all(r() is None for _, r in refs)
+        refs.clear()
+        alive_at_start.clear()
 
 
 @pytest.mark.parametrize("task", ["category", "term"])
@@ -378,6 +404,154 @@ def test_grad_free_scores_and_gate_records_equal_the_taped_ones(emb_path, monkey
     free = outputs()
     monkeypatch.setattr(trainer_mod, "no_grad", contextlib.nullcontext)
     assert outputs() == free
+
+
+def _eval_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("aspectgate-eval")]
+
+
+@contextlib.contextmanager
+def _short_switch_interval():
+    """Switch threads as often as the interpreter allows, so a lost update shows."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("encoder", ENCODERS)
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from((1, 7, 40, 4096)) | st.integers(1, 120),
+    lengths=st.lists(st.integers(1, 15), min_size=1, max_size=16),
+)
+def test_pooled_evaluate_is_the_inline_evaluate(encoder, bidirectional, seed, budget, lengths):
+    """Each batch's logits, and the scores, from more workers than cores are
+    the one-CPU path's bit for bit, over random padded instance sets."""
+    r = np.random.default_rng(seed)
+    inst = []
+    for i, n in enumerate(lengths):
+        tokens = tuple(ALL_WORDS[k] for k in r.integers(0, len(ALL_WORDS), size=n))
+        aspect = ASPECTS[r.integers(0, len(ASPECTS))]
+        inst.append(Instance(f"s{i}", tokens, "category", aspect, (aspect,), LABELS[i % 3]))
+    spaces = TaskSpaces.build("category", inst)
+    vocab = assemble_vocab(list(ALL_WORDS), [], {}, 4, seed=seed)
+    cfg = small_config(embed_size=4, hidden_size=5, encoder=encoder, bidirectional=bidirectional,
+                       num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
+    model = SentimentModel(cfg, vocab.embedding, np.random.default_rng(seed))
+    batches = make_batches(inst, vocab, spaces, budget, shuffle=False)
+
+    def run(cpus):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+            logits = trainer_mod._batch_logits(model, batches, vocab)
+            return logits, evaluate(model, inst, vocab, spaces, budget)
+
+    inline_logits, inline_scores = run(1)
+    with _short_switch_interval():
+        pooled_logits, pooled_scores = run(4)
+    assert pooled_scores == inline_scores
+    assert len(pooled_logits) == len(batches)
+    for got, want in zip(pooled_logits, inline_logits, strict=True):
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+
+
+def test_evaluate_on_one_cpu_starts_no_thread_and_runs_the_heaviest_batch_first(
+    emb_path, monkeypatch
+):
+    inst, spaces, vocab, model = build_setup(emb_path, n_pairs=12)
+    monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 1)
+    started, tokens = [], []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    real_eval_logits = trainer_mod._eval_logits
+
+    def recording(model, batch, vocab):
+        tokens.append(int(batch.mask.sum()))
+        return real_eval_logits(model, batch, vocab)
+
+    monkeypatch.setattr(trainer_mod, "_eval_logits", recording)
+    evaluate(model, inst, vocab, spaces, token_budget=40)
+    assert started == []
+    assert len(set(tokens)) >= 2 and tokens == sorted(tokens, reverse=True)
+
+
+def test_usable_cpus_is_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    assert trainer_mod._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert trainer_mod._usable_cpus() == os.cpu_count()
+
+
+@pytest.mark.parametrize("cpus", [None, 2, 100])
+def test_evaluate_starts_a_helper_per_further_cpu_and_joins_them(emb_path, monkeypatch, cpus):
+    """One helper per usable CPU past the first, at most one worker per batch.
+
+    ``None`` keeps the process's own CPU count, so under ``taskset -c 0``
+    this is the real one-CPU path.
+    """
+    inst, spaces, vocab, model = build_setup(emb_path)
+    n_batches = len(make_batches(inst, vocab, spaces, 40, shuffle=False))
+    assert n_batches >= 3
+    if cpus is not None:
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+    real_start = threading.Thread.start
+    started = []
+
+    def recording_start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    evaluate(model, inst, vocab, spaces, token_budget=40)
+    helpers = min(trainer_mod._usable_cpus(), n_batches) - 1
+    assert sorted(started) == sorted(f"aspectgate-eval-{n}" for n in range(1, helpers + 1))
+    assert _eval_threads() == []
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2, -1])
+def test_a_batch_error_propagates_unchanged_after_the_helpers_end(emb_path, monkeypatch, bad):
+    """The error of the ``bad``-th batch in queue order, whichever worker ran it."""
+    inst, spaces, vocab, model = build_setup(emb_path)
+    batches = make_batches(inst, vocab, spaces, 40, shuffle=False)
+    victim = sorted(batches, key=lambda b: -int(b.mask.sum()))[bad]
+    real_eval_logits = trainer_mod._eval_logits
+    error = RuntimeError("batch failed")
+
+    def failing(model, batch, vocab):
+        if batch.instances == victim.instances:
+            raise error
+        return real_eval_logits(model, batch, vocab)
+
+    monkeypatch.setattr(trainer_mod, "_eval_logits", failing)
+    monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 3)
+    with pytest.raises(RuntimeError) as raised:
+        evaluate(model, inst, vocab, spaces, token_budget=40)
+    assert raised.value is error
+    assert _eval_threads() == []
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_a_grad_free_forward_starts_no_backward_worker(emb_path, monkeypatch, encoder):
+    """Only a backward starts the block's worker: evaluate, pooled or inline, never does."""
+    inst, spaces, vocab, model = build_setup(emb_path, encoder=encoder)
+    started = []
+
+    class Recording(cells_mod.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("thread_name_prefix"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cells_mod, "ThreadPoolExecutor", Recording)
+    for cpus in (1, 3):
+        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+        evaluate(model, inst, vocab, spaces, token_budget=40)
+    assert started == []
+    train(model, inst[:2], vocab, spaces, TrainConfig(epochs=1), np.random.default_rng(0))
+    assert started and set(started) == {"aspectgate-bptt"}
 
 
 # -- metrics report -----------------------------------------------------------------------
