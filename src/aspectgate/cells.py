@@ -198,26 +198,24 @@ def gate_arrays(cell: CellParams, prefix: str = "") -> dict[str, np.ndarray]:
 
 
 def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
-              a_proj: np.ndarray | None = None, H: np.ndarray | None = None):
+              a_proj: np.ndarray | None = None):
     """One step of any cell kind in numpy; returns ``(h, g, saved)``.
 
     ``X`` is the step's (rows, B) slice of the token projection
-    ``stacks["x"] @ x``, which the block computes for every step in one
-    GEMM, over the batch's distinct token ids when it is given them
-    (None for a transition cell); the sigmoid gates are written over its
-    gate rows, so each cell's slice is its own copy even where cells
-    share an id. ``a_proj`` is w_a @ aspect, hoisted out of the time
-    loop too: the aspect is constant across a sequence. The state
-    projection ``stacks["h"] @ h_prev`` plus bias is written into ``H``
-    (a new array when None), the relu gate's pre-activation in its gate
-    rows. ``g`` is the relu aspect gate (None without an aspect) and
-    ``saved`` is what ``_step_backward`` needs besides X and H.
+    ``stacks["x"] @ x``, which the block computes in one GEMM before its
+    time loop, over the batch's distinct token ids when it is given them,
+    and gathers per step (None for a transition cell); the sigmoid gates
+    are written over its gate rows, so each cell's rows are its own even
+    where cells share an id. ``a_proj`` is w_a @ aspect, hoisted out of
+    the time loop too: the aspect is constant across a sequence. The
+    state projection ``stacks["h"] @ h_prev`` plus bias is a new (rows, B)
+    array ``H``, the relu gate's pre-activation in its gate rows. ``g`` is
+    the relu aspect gate (None without an aspect) and ``saved`` is all
+    that ``_step_backward`` reads, X and H among it.
     """
     Wh, d, ns, hd = p.stacks["h"].data, p.d_h, p.ns, h_prev
-    if H is None:
-        H = np.empty((hd.shape[1], Wh.shape[0]), hd.dtype).T
     # batch-major GEMM: H.T = hd.T @ Wh.T, with Wh.T the contiguous storage
-    np.matmul(hd.T, Wh.T, out=H.T)
+    H = np.matmul(hd.T, Wh.T).T
     if p.bias is not None:
         H[: p.bias.shape[0]] += p.bias.data
     if X is None:
@@ -248,7 +246,7 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
     # h = (1 - z) * h_prev + z * cand, as h_prev + z * (cand - h_prev)
     h = z * diff
     h += hd
-    return h, g, (hd, tn, diff, g)
+    return h, g, (X, H, hd, tn, diff, g)
 
 
 # One implementation under each cell kind's name. The block calls a kind's
@@ -257,7 +255,7 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
 aspect_gru_step = dt_gru_step = gru_step = transition_gru_step = cell_step
 
 
-def _step_backward(p: CellParams, X, H, saved, dh: np.ndarray):
+def _step_backward(p: CellParams, saved, dh: np.ndarray):
     """Backward of one ``cell_step`` along the recurrence: ``(dh_prev, dg, D)``.
 
     Every pre-activation gradient goes into one array ``D`` laid out as
@@ -266,7 +264,7 @@ def _step_backward(p: CellParams, X, H, saved, dh: np.ndarray):
     which ``_weight_grads`` forms; only ``dh_prev`` and the relu aspect
     gate's gradient ``dg`` (None without one) are read by the next step back.
     """
-    hd, tn, diff, g = saved
+    X, H, hd, tn, diff, g = saved
     d, ns, lead = p.d_h, p.ns, p.lead
     S = H[: ns * d] if X is None else X[lead * d :]
     r, z = S[:d], S[d : 2 * d]
@@ -387,22 +385,22 @@ def run_block_batch(
     order (any ``make_batches`` batch, B=1) is used as it is, any other is
     permuted once on the way in and once out.
 
-    The token projection of every real cell is one GEMM before the time
-    loop, and so is the aspect projection: the aspect is constant across
-    a sequence. ``ids``, when given, are the (T, B) token ids of ``x``'s
-    cells, passed only when equal ids mean equal input rows (undropped
-    embeddings): the GEMM then runs once per distinct id among the real
-    cells, and each cell gathers its id's row. A taped forward gathers
-    every real cell's row before the loop; a grad-free one keeps only
-    the distinct-id projection and gathers each step's rows from it
-    inside the loop, and its cells' steps share one state-projection
-    buffer. ``x`` stays the only source of values, and the backward is
-    the same either way. The loop runs each cell's step by its kind's
-    name. The node's parents are ``x``, the aspect when the input cell
-    is gated, and every cell's stacks; its backward runs backprop
-    through time over what the steps saved, with each step's
-    weight-gradient work on a worker thread that lives for that
-    backward, and the grad-free forward saves nothing.
+    The token projection is one GEMM before the time loop, and so is the
+    aspect projection: the aspect is constant across a sequence. ``ids``,
+    when given, are the (T, B) token ids of ``x``'s cells, passed only
+    when equal ids mean equal input rows (undropped embeddings): the GEMM
+    then runs once per distinct id among the real cells, not once per
+    real cell, and ``x`` stays the only source of values. The loop runs
+    each cell's step by its kind's name; a step gathers its rows of the
+    token projection and makes its own state projection. One rule sets
+    the memory: a taped step keeps what its cells saved, those rows and
+    projections among it, which is all that its backward reads; a
+    grad-free step keeps nothing, so a grad-free forward holds only the
+    two projections, its outputs and the step in hand. The node's
+    parents are ``x``, the aspect when the input cell is gated, and
+    every cell's stacks; its backward runs backprop through time over
+    the kept steps, with each step's weight-gradient work on a worker
+    thread that lives for that backward.
     """
     first = cells[0]
     Wx, d = first.stacks["x"].data, first.d_h
@@ -437,45 +435,31 @@ def run_block_batch(
     for c in cells:
         parents += c.tensors("").values()
     taped = _records(parents)
-    # the real cells' inputs batch-major, step after step, so they project in one GEMM
+    # the token projection: one GEMM over the real cells, (step, column) in loop
+    # order, or over each distinct id among them; a step takes its rows of it
     tt, bb = np.nonzero(np.arange(B) >= start[:, None])
-    real = (tt, np.arange(B)[order][bb])
-    xT = x.data.transpose(0, 2, 1)
+    real, each = (tt, np.arange(B)[order][bb]), None
     if ids is not None:
         if ids.shape != (T, B):
             raise ShapeError(f"run_block_batch: ids are {ids.shape}, expected ({T}, {B})")
         _, once, each = np.unique(ids[real], return_index=True, return_inverse=True)
-    if ids is None or taped:
-        xs = xT[real]
-        X = xs @ Wx.T if ids is None else (xs[once] @ Wx.T)[each]
-    else:  # only the distinct ids' projection, which each step gathers its rows from
-        xs = X = None
-        P = xT[real[0][once], real[1][once]] @ Wx.T
-    # the cells' state projections: every real cell's when taped, else one step's
-    # reused, in one buffer that every cell's step overwrites in turn
-    if taped:
-        Hs = [np.empty((len(xs), c.stacks["h"].shape[0]), x.dtype) for c in cells]
-    else:
-        buf = np.empty(B * max(c.stacks["h"].shape[0] for c in cells), x.dtype)
+    xT = x.data.transpose(0, 2, 1)
+    P = xT[real if each is None else (tt[once], real[1][once])] @ Wx.T
     steps = [{"aspect": aspect_gru_step, "dt": dt_gru_step, "gru": gru_step}[first.kind]]
     steps += [transition_gru_step] * (len(cells) - 1)
+    # per cell, what each step saved when taped: all that the backward reads
     saved: list[list] = [[] for _ in cells]
     states = np.zeros((T, B, d), x.dtype).transpose(0, 2, 1)
     gates = np.zeros((T, B, d), x.dtype).transpose(0, 2, 1) if first.gated else None
-    h0 = np.zeros((B, d), x.dtype).T
     for t in range(T):
         k, rows = start[t], slice(off[t], off[t + 1])
         if k == B:
             break
-        h = (states[t - 1] if t else h0)[:, k:]
+        h = (states[t - 1] if t else np.zeros((B, d), x.dtype).T)[:, k:]
         a = None if a_proj is None else a_proj[:, k:]
-        Xt = P[each[rows]] if X is None else X[rows]
         for j, (cell, step) in enumerate(zip(cells, steps)):
-            if taped:
-                H = Hs[j][rows]
-            else:
-                H = buf[: (B - k) * cell.stacks["h"].shape[0]].reshape(B - k, -1)
-            h, g, s = step(cell, None if j else Xt.T, h, a, H.T)
+            X = None if j else (P[rows] if each is None else P[each[rows]]).T
+            h, g, s = step(cell, X, h, a)
             if taped:
                 saved[j].append(s)
             if g is not None:
@@ -490,43 +474,39 @@ def run_block_batch(
         # the aspect stack's gradient is one GEMM after the loop
         acc = [{k: np.zeros_like(w.data) for k, w in c.tensors("").items() if k != "a"}
                for c in cells]
-        dxs = np.empty_like(xs) if x.requires_grad else None
+        dx = np.zeros((T, B, d_x), gs.dtype) if x.requires_grad else None
         da = np.zeros((d, B), gs.dtype) if a_proj is not None else None
         dnext = np.zeros((d, B), gs.dtype)  # reaching states[t] from step t + 1
 
-        def weight_grads(t, rows, Ds):  # on the worker; Ds in the loop's cell order
+        def weight_grads(t, cols, Ds):  # on the worker; Ds in the loop's cell order
             for j, D in zip(reversed(range(len(cells))), Ds):
-                DxT = _weight_grads(cells[j], D, None if j else xs[rows].T, saved[j][t][0], acc[j])
-            if dxs is not None:
-                np.matmul(DxT, Wx, out=dxs[rows])
+                xt = None if j else xT[t, cols].T
+                DxT = _weight_grads(cells[j], D, xt, saved[j][t][2], acc[j])
+            if dx is not None:
+                dx[t, cols] = DxT @ Wx
 
         # leaving the executor waits for every submitted job, also when the chain raises
         with ThreadPoolExecutor(1, thread_name_prefix="aspectgate-bptt") as worker:
             pending = deque()
             for t in reversed(range(T)):
-                k, rows = start[t], slice(off[t], off[t + 1])
+                k, cols = start[t], real[1][off[t] : off[t + 1]]
                 if k == B:
                     continue
                 dh = gs[t][:, k:] + dnext[:, k:]
                 Ds = []
                 for j in reversed(range(len(cells))):
-                    dh, dg, D = _step_backward(cells[j], None if j else X[rows].T,
-                                               Hs[j][rows].T, saved[j][t], dh)
+                    dh, dg, D = _step_backward(cells[j], saved[j][t], dh)
                     Ds.append(D)
                 if len(pending) == _IN_FLIGHT:
                     pending.popleft().result()
-                pending.append(worker.submit(weight_grads, t, rows, Ds))
+                pending.append(worker.submit(weight_grads, t, cols, Ds))
                 if da is not None:
                     da[:, k:] += dg
                 dnext[:, k:] = dh
             # a job's exception is raised here, before any accumulator is read
             while pending:
                 pending.popleft().result()
-        grads = [None]
-        if dxs is not None:
-            dx = np.zeros((T, B, d_x), gs.dtype)
-            dx[real] = dxs
-            grads = [dx.transpose(0, 2, 1)]
+        grads = [None if dx is None else dx.transpose(0, 2, 1)]
         if da is not None:
             grads.append((Wa.T @ da)[:, inverse] if aspect.requires_grad else None)
             acc[0]["a"] = da @ aspect.data[:, order].T
@@ -536,5 +516,6 @@ def run_block_batch(
 
     kinks = None
     if taped and first.gated:  # every real cell's relu gate pre-activation
-        kinks = Hs[0][:, first.ns * d : (first.ns + 1) * d]
+        g = slice(first.ns * d, (first.ns + 1) * d)
+        kinks = np.concatenate([np.empty((0, d), x.dtype), *(H[g].T for _, H, *_ in saved[0])])
     return _node(states[..., inverse], tuple(parents), bwd, "block", kinks=kinks), gates

@@ -13,6 +13,8 @@ the tape, so no gradient can touch it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
@@ -47,6 +49,34 @@ class CapabilityError(RuntimeError):
     """The requested operation needs a capability this model was built without."""
 
 
+# A config field's kind: how a problem names it, and its test. A bool is no
+# integer or real here, and a real must be finite.
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)),
+    float: ("a finite real", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v)),
+    bool: ("a bool", lambda v: isinstance(v, (bool, np.bool_))),
+}
+
+
+def field_problems(cfg, kind: type, names, test=None, rule: str = "") -> list[str]:
+    """The problems of ``cfg``'s fields ``names``: each must be of ``kind``
+    (int, float or bool) and then pass ``test``, which ``rule`` states. A
+    numpy integer or bool becomes an int or a bool, so the config stays JSON.
+    """
+    what, is_kind = _KINDS[kind]
+    problems = []
+    for name in names:
+        value = getattr(cfg, name)
+        if not is_kind(value):
+            problems.append(f"{name} must be {what}, got {value!r}")
+        elif test is not None and not test(value):
+            problems.append(f"{name} must be {rule}, got {value}")
+        elif kind is not float:
+            setattr(cfg, name, kind(value))
+    return problems
+
+
 @dataclass
 class ModelConfig:
     """Architecture and objective settings; serializable as a flat dict.
@@ -76,37 +106,22 @@ class ModelConfig:
     use_bias: bool = False
 
     def __post_init__(self):
-        problems = []
-        for name, least in (
-            ("hidden_size", 1),
-            ("embed_size", 1),
-            ("depth", 1),
-            ("num_labels", 2),
-            ("num_recon_targets", 1),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                problems.append(f"{name} must be an integer, got {value!r}")
-            elif value < least:
-                problems.append(f"{name} must be >= {least}, got {value}")
-            else:  # a numpy integer becomes an int, so the config stays JSON
-                setattr(self, name, int(value))
+        problems = [
+            *field_problems(self, int, ("hidden_size", "embed_size", "depth", "num_recon_targets"),
+                            lambda v: v >= 1, ">= 1"),
+            *field_problems(self, int, ("num_labels",), lambda v: v >= 2, ">= 2"),
+            *field_problems(self, float, ("lam",), lambda v: v >= 0, ">= 0"),
+            *field_problems(self, float, ("dropout_input", "dropout_hidden"),
+                            lambda v: 0 <= v < 1, "in [0, 1)"),
+            *field_problems(self, bool, ("aspect_concat", "reconstruct", "bidirectional",
+                                         "use_bias")),
+        ]
         if self.task not in TASKS:
             problems.append(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.lam < 0:
-            problems.append(f"lam must be >= 0, got {self.lam}")
         if self.encoder not in ENCODERS:
             problems.append(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
-        if not 0.0 <= self.dropout_input < 1.0:
-            problems.append(f"dropout_input must be in [0, 1), got {self.dropout_input}")
-        if not 0.0 <= self.dropout_hidden < 1.0:
-            problems.append(
-                f"dropout_hidden must be in [0, 1), got {self.dropout_hidden}"
-            )
         if self.pooling not in POOLING_MODES:
-            problems.append(
-                f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}"
-            )
+            problems.append(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
         if problems:
             raise ValueError("invalid model config: " + "; ".join(problems))
 

@@ -26,6 +26,7 @@ from .model import (
     aspect_matrix,
     batch_joint_loss,
     embed_aspect,
+    field_problems,
     predict,
     reconstruct_aspect,
 )
@@ -54,13 +55,11 @@ class TrainConfig:
     token_budget: int = 4096  # make_batches refuses a budget below 1
 
     def __post_init__(self):
-        problems = []
-        if self.epochs < 1:
-            problems.append(f"epochs must be >= 1, got {self.epochs}")
-        if not self.lr > 0:
-            problems.append(f"lr must be positive, got {self.lr}")
-        if not self.clip_norm > 0:
-            problems.append(f"clip_norm must be positive, got {self.clip_norm}")
+        problems = [
+            *field_problems(self, int, ("epochs",), lambda v: v >= 1, ">= 1"),
+            *field_problems(self, int, ("token_budget",)),
+            *field_problems(self, float, ("lr", "clip_norm"), lambda v: v > 0, "positive"),
+        ]
         if problems:
             raise ValueError("bad training config: " + "; ".join(problems))
 

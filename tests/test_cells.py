@@ -1,5 +1,7 @@
 """Recurrent cells: step math, block composition, padding, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,6 +308,37 @@ def test_block_over_distinct_ids_is_the_per_cell_block(rng, kind):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     with pytest.raises(ShapeError, match="ids"):
         run(ids[:, :2])
+
+
+@pytest.mark.parametrize("over_ids", [True, False])
+def test_a_grad_free_block_keeps_no_step(rng, over_ids):
+    """At the reference hidden 300 and depth 4, over a padded B=128, T=32
+    batch, a grad-free forward's traced peak is its outputs, its token
+    projection and a few steps' (B, rows) arrays: well under what keeping
+    one (n_real, rows) projection of every real cell would take."""
+    d, T, B = 300, 32, 128
+    block = init_block("aspect", d, d, d, 4, rng)
+    lengths = np.sort(rng.integers(T // 4, T + 1, B))
+    real = np.arange(T)[:, None] < lengths
+    ids = np.where(real, rng.integers(1, 500, (T, B)), 0)  # padded cells hold id 0
+    x = Tensor(np.ascontiguousarray((rng.random((500, d)) - 0.5)[ids].transpose(0, 2, 1)))
+    aspect = Tensor(rng.random((d, B)) - 0.5)
+    with no_grad():
+        run_block_batch(block, x, aspect, lengths, ids)  # BLAS's first-call buffers
+        tracemalloc.start()
+        try:
+            run_block_batch(block, x, aspect, lengths, ids if over_ids else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    rows = max(block[0].stacks["x"].shape[0], *(c.stacks["h"].shape[0] for c in block))
+    projected = len(np.unique(ids[real])) if over_ids else real.sum()
+    outputs = 2 * T * d * B  # the states and the relu gates
+    # a step's gathered token rows, the state projections of the cell it runs
+    # and of the one before, and the steps' (d, B) temporaries: six (B, rows) at most
+    steps = 6 * B * rows
+    assert 3 * steps < real.sum() * rows  # under a third of one per-cell projection
+    assert peak < 8 * (outputs + projected * block[0].stacks["x"].shape[0] + steps)
 
 
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))

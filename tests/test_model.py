@@ -1,6 +1,7 @@
 """Model assembly: config, pooling, forward invariances, joint objective."""
 
 import hashlib
+import json
 import math
 import os
 import select
@@ -100,6 +101,40 @@ def test_config_refuses_a_non_integer_size(field):
             ModelConfig(**{field: bad})
     value = getattr(ModelConfig(**{field: np.int64(3)}), field)
     assert value == 3 and type(value) is int  # so the config's JSON can be written
+
+
+@pytest.mark.parametrize(
+    "field, bad, problem",
+    [
+        ("lam", float("nan"), "lam must be a finite real, got nan"),
+        ("lam", float("inf"), "lam must be a finite real, got inf"),
+        ("lam", "0.4", "lam must be a finite real, got '0.4'"),
+        ("lam", True, "lam must be a finite real, got True"),
+        ("dropout_input", "0.1", "dropout_input must be a finite real, got '0.1'"),
+        ("dropout_input", 1.0, "dropout_input must be in [0, 1), got 1.0"),
+        ("dropout_hidden", False, "dropout_hidden must be a finite real, got False"),
+        ("dropout_hidden", float("nan"), "dropout_hidden must be a finite real, got nan"),
+        ("aspect_concat", "no", "aspect_concat must be a bool, got 'no'"),
+        ("reconstruct", 1, "reconstruct must be a bool, got 1"),
+        ("bidirectional", None, "bidirectional must be a bool, got None"),
+        ("use_bias", "False", "use_bias must be a bool, got 'False'"),
+    ],
+)
+def test_config_refuses_a_value_of_the_wrong_kind(field, bad, problem):
+    """Each bad value is one problem in the one ValueError, beside the others."""
+    with pytest.raises(ValueError) as e:
+        ModelConfig(depth=0, **{field: bad})
+    msg = str(e.value)
+    assert problem in msg and "depth must be >= 1" in msg and msg.count("; ") == 1
+
+
+def test_config_takes_numpy_reals_and_bools():
+    """A numpy real is a real, and a numpy bool becomes a bool, so the
+    config's JSON can be written."""
+    cfg = ModelConfig(lam=np.float64(0.2), dropout_input=np.float64(0.25),
+                      bidirectional=np.bool_(True))
+    assert type(cfg.bidirectional) is bool and cfg.lam == 0.2 and cfg.dropout_input == 0.25
+    json.dumps(cfg.to_dict())
 
 
 def test_config_roundtrip_and_rep_size():

@@ -96,6 +96,32 @@ def test_train_config_collects_problems():
         assert frag in msg
 
 
+@pytest.mark.parametrize(
+    "field, bad, problem",
+    [
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("epochs", True, "epochs must be an integer, got True"),
+        ("token_budget", 10.5, "token_budget must be an integer, got 10.5"),
+        ("token_budget", False, "token_budget must be an integer, got False"),
+        ("lr", float("inf"), "lr must be a finite real, got inf"),
+        ("lr", "0.01", "lr must be a finite real, got '0.01'"),
+        ("clip_norm", float("nan"), "clip_norm must be a finite real, got nan"),
+        ("clip_norm", True, "clip_norm must be a finite real, got True"),
+    ],
+)
+def test_train_config_refuses_a_value_of_the_wrong_kind(field, bad, problem):
+    """Each bad value is one problem in the one ValueError, beside the others."""
+    other = {"lr": 0.0} if field == "epochs" else {"epochs": 0}
+    with pytest.raises(ValueError) as e:
+        TrainConfig(**other, **{field: bad})
+    assert problem in str(e.value) and str(e.value).count("; ") == 1
+
+
+def test_train_config_takes_numpy_integers_as_ints():
+    tc = TrainConfig(epochs=np.int64(2), token_budget=np.int32(64))
+    assert type(tc.epochs) is int and type(tc.token_budget) is int  # so it can be written as JSON
+
+
 def test_adam_single_step_frozen():
     p = Tensor(np.array([1.0]), requires_grad=True)
     params = {"p": p}
