@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from dataclasses import asdict, dataclass, replace
@@ -10,6 +9,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import threads
 from .corpus import (
     Instance,
     TaskSpaces,
@@ -154,6 +154,7 @@ def train_batch(
     return loss.item(), ce, recon
 
 
+@threads.one_blas_thread()
 def train(
     model: SentimentModel,
     instances: Sequence[Instance],
@@ -189,6 +190,7 @@ def train(
 # -- evaluation ----------------------------------------------------------------------
 
 
+@threads.one_blas_thread()
 def evaluate(
     model: SentimentModel,
     instances: Sequence[Instance],
@@ -219,14 +221,6 @@ def evaluate(
     if model.config.reconstruct:
         scores["reconstruction"] = recon / len(instances)
     return scores
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
 
 
 def _batch_logits(model: SentimentModel, batches, vocab: Vocab) -> list[tuple]:
@@ -261,7 +255,7 @@ def _batch_logits(model: SentimentModel, batches, vocab: Vocab) -> list[tuple]:
 
     helpers = [
         threading.Thread(target=helper, name=f"aspectgate-eval-{n}")
-        for n in range(1, min(_usable_cpus(), len(batches)))
+        for n in range(1, min(threads.usable_cpus(), len(batches)))
     ]
     for t in helpers:
         t.start()
@@ -489,6 +483,7 @@ def sweep(
 # -- gate inspection ---------------------------------------------------------------------
 
 
+@threads.one_blas_thread()
 def inspect_gates(
     model: SentimentModel,
     vocab: Vocab,

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import aspectgate.cells as cells_mod
 import aspectgate.model as model_mod
+import aspectgate.threads as threads_mod
 from aspectgate.corpus import LABELS, Instance, TaskSpaces, assemble_vocab, make_batches
 from aspectgate.model import (
     ENCODERS,
@@ -352,9 +353,9 @@ def test_forward_shapes(rng):
 @pytest.mark.parametrize(
     "encoder, depth, expected",
     [
-        ("aspect-dt", 3, {"aspect_gru_step": 4, "transition_gru_step": 8, "gru_step": 0,
+        ("aspect-dt", 3, {"aspect_gru_step": 7, "transition_gru_step": 14, "gru_step": 0,
                           "run_block_batch": 1, "_pool_columns": 1, "affine": 2, "matmul": 2}),
-        ("gru", 2, {"aspect_gru_step": 0, "transition_gru_step": 0, "gru_step": 8,
+        ("gru", 2, {"aspect_gru_step": 0, "transition_gru_step": 0, "gru_step": 14,
                     "run_block_batch": 2, "_pool_columns": 1, "affine": 2, "matmul": 2}),
     ],
 )
@@ -362,6 +363,9 @@ def test_step_functions_are_looked_up_by_module_name(rng, monkeypatch, encoder, 
     """Profilers wrap these module attributes; every forward must call through them.
 
     ``matmul`` counts the two heads' GEMMs; the block projects the aspect itself.
+    Each column half steps on its own: the lengths 2, 3 and 4 split into the
+    columns of lengths 2 and 3, stepped 3 times, and the one of length 4,
+    stepped 4 times, so a block calls each of its cells' steps 7 times.
     """
     counts = dict.fromkeys(expected, 0)
 
@@ -1118,6 +1122,85 @@ def test_a_forked_child_starts_its_own_worker(rng):
         os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
     assert answer == b"1"
+
+
+def _fwd_threads() -> list[threading.Thread]:
+    return [th for th in threading.enumerate() if th.name.startswith("aspectgate-fwd")]
+
+
+def _outputs_and_gradients(model, cfg) -> list[np.ndarray]:
+    """A taped forward's outputs and every parameter gradient on _WORKER_BATCH,
+    in training (every cell projected) and in eval mode (once per token id)."""
+    ids, mask = _WORKER_BATCH
+    aspects = np.random.default_rng(0).standard_normal((4, cfg.embed_size))
+    recon = np.eye(cfg.num_recon_targets, dtype=bool)[[1, 0, 1, 1]]
+    got = []
+    for training in (True, False):
+        out = model.forward(ids, mask, aspects, training=training, rng=np.random.default_rng(0))
+        loss = batch_joint_loss(out, np.array([0, 2, 1, 2]), recon, cfg)[0]
+        grads = backward(loss, list(model.parameters().values()))
+        got += [out.sent_logits.data, out.recon_logits.data, out.pooled.data, *grads.values()]
+        got += [] if out.gates is None else [out.gates]
+    return got
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("pooling", POOLING_MODES)
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_the_halves_on_the_helper_are_the_halves_in_order_bitwise(
+    rng, monkeypatch, encoder, pooling, bidirectional
+):
+    """With two CPUs a taped forward steps one column half on its helper
+    thread; with one, both halves on the calling thread. Over a padded,
+    unsorted B=4 batch, the outputs and every gradient are the same bits."""
+    model, cfg = tiny_model(rng, encoder=encoder, pooling=pooling, bidirectional=bidirectional)
+    ran_on = set()
+    for name in ("aspect_gru_step", "dt_gru_step", "gru_step", "transition_gru_step"):
+        real = getattr(cells_mod, name)
+        monkeypatch.setattr(cells_mod, name, lambda *a, real=real: (
+            ran_on.add(threading.current_thread().name) or real(*a)))
+
+    def run(cpus):
+        monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
+        ran_on.clear()
+        return _outputs_and_gradients(model, cfg), set(ran_on)
+
+    threaded, names = run(2)
+    assert threading.current_thread().name in names
+    assert any(n.startswith("aspectgate-fwd") for n in names)
+    in_order, names = run(1)
+    assert names == {threading.current_thread().name}
+    _assert_bitwise(threaded, in_order)
+    assert not _fwd_threads()
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller", "both"])
+def test_the_forward_helper_does_not_outlive_its_block(rng, monkeypatch, failing):
+    """A step's error on either half leaves the block unchanged, after the
+    helper is joined, while the other half is still stepping (its steps are
+    slowed); when both halves fail, the calling thread's error is raised.
+    The next forward gets the bits of one that never failed."""
+    model, cfg = tiny_model(rng, encoder="aspect-dt")
+    monkeypatch.setattr(threads_mod, "usable_cpus", lambda: 2)
+    want = _outputs_and_gradients(model, cfg)
+    real = cells_mod.transition_gru_step
+    errors = {side: ArithmeticError(f"{side}'s step") for side in ("helper", "caller")}
+
+    def step(*args):
+        on_helper = threading.current_thread().name.startswith("aspectgate-fwd")
+        side = "helper" if on_helper else "caller"
+        if failing in (side, "both"):
+            raise errors[side]
+        time.sleep(0.01)
+        return real(*args)
+
+    monkeypatch.setattr(cells_mod, "transition_gru_step", step)
+    with pytest.raises(ArithmeticError) as raised:
+        _outputs_and_gradients(model, cfg)
+    assert raised.value is errors["caller" if failing == "both" else failing]
+    assert not _fwd_threads()
+    monkeypatch.setattr(cells_mod, "transition_gru_step", real)
+    _assert_bitwise(_outputs_and_gradients(model, cfg), want)
 
 
 # -- prediction --------------------------------------------------------------------

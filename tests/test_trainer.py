@@ -3,9 +3,11 @@
 import contextlib
 import gc
 import os
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aspectgate.cells as cells_mod
+import aspectgate.threads as threads_mod
 import aspectgate.trainer as trainer_mod
 from aspectgate.cells import CELL_KINDS
 from aspectgate.checkpoint import load_checkpoint, save_checkpoint
@@ -380,7 +383,7 @@ def test_evaluate_frees_each_forward_before_the_next(emb_path, monkeypatch, task
 
     monkeypatch.setattr(SentimentModel, "forward", tracking_forward)
     for cpus in (1, 3):
-        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
         gc.disable()
         try:
             evaluate(model, inst, vocab, spaces, token_budget=40)
@@ -473,7 +476,7 @@ def test_pooled_evaluate_is_the_inline_evaluate(encoder, bidirectional, seed, bu
 
     def run(cpus):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+            mp.setattr(threads_mod, "usable_cpus", lambda: cpus)
             logits = trainer_mod._batch_logits(model, batches, vocab)
             return logits, evaluate(model, inst, vocab, spaces, budget)
 
@@ -491,7 +494,7 @@ def test_evaluate_on_one_cpu_starts_no_thread_and_runs_the_heaviest_batch_first(
     emb_path, monkeypatch
 ):
     inst, spaces, vocab, model = build_setup(emb_path, n_pairs=12)
-    monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(threads_mod, "usable_cpus", lambda: 1)
     started, tokens = [], []
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
     real_eval_logits = trainer_mod._eval_logits
@@ -507,9 +510,91 @@ def test_evaluate_on_one_cpu_starts_no_thread_and_runs_the_heaviest_batch_first(
 
 
 def test_usable_cpus_is_the_affinity_mask_else_the_cpu_count(monkeypatch):
-    assert trainer_mod._usable_cpus() == len(os.sched_getaffinity(0))
+    assert threads_mod.usable_cpus() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert trainer_mod._usable_cpus() == os.cpu_count()
+    assert threads_mod.usable_cpus() == os.cpu_count()
+
+
+_needs_the_bundled_blas = pytest.mark.skipif(
+    threads_mod._blas_thread_count() is None, reason="numpy's BLAS is not its bundled OpenBLAS"
+)
+
+
+@_needs_the_bundled_blas
+def test_compute_entry_points_run_with_one_blas_thread_and_restore_the_count(
+    emb_path, monkeypatch
+):
+    inst, spaces, vocab, model = build_setup(emb_path)
+    get, set_ = threads_mod._blas_thread_count()
+    seen = []
+    real_forward = SentimentModel.forward
+    monkeypatch.setattr(SentimentModel, "forward",
+                        lambda *a, **k: seen.append(get()) or real_forward(*a, **k))
+    caller = get()
+    set_(2)
+    try:
+        train(model, inst, vocab, spaces, TrainConfig(epochs=1), np.random.default_rng(0))
+        assert get() == 2
+        evaluate(model, inst, vocab, spaces)
+        assert get() == 2
+        inspect_gates(model, vocab, list(inst[0].tokens), list(inst[0].aspect_tokens))
+        assert get() == 2
+    finally:
+        set_(caller)
+    assert len(seen) >= 3 and set(seen) == {1}
+
+
+def test_a_blas_it_cannot_set_is_named_in_one_warning(monkeypatch, tmp_path):
+    """Without the bundled OpenBLAS the body runs at the BLAS's own count,
+    after one warning per process that names the BLAS."""
+    monkeypatch.setattr(threads_mod, "_LIB_DIRS", (tmp_path,))
+    threads_mod._blas_thread_count.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="cannot set the thread count") as caught:
+            for _ in range(2):
+                with threads_mod.one_blas_thread():
+                    ran = True
+        assert ran and len(caught) == 1
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        assert blas in str(caught[0].message)
+    finally:
+        threads_mod._blas_thread_count.cache_clear()
+
+
+_TRAIN_AND_HASH = """
+import hashlib
+import numpy as np
+from aspectgate.corpus import TaskSpaces, assemble_vocab
+from aspectgate.model import ModelConfig, SentimentModel
+from aspectgate.synth import ALL_WORDS, synthetic_instances
+from aspectgate.trainer import TrainConfig, train
+inst = synthetic_instances(24, seed=1)  # 48 instances: one batch of B=48 per epoch
+spaces = TaskSpaces.build("category", inst)
+vocab = assemble_vocab(list(ALL_WORDS), [], {}, 50, seed=1)
+cfg = ModelConfig(hidden_size=100, embed_size=50, depth=2, num_labels=spaces.num_labels,
+                  num_recon_targets=spaces.num_recon_targets)
+model = SentimentModel(cfg, vocab.embedding, np.random.default_rng(1))
+train(model, inst, vocab, spaces, TrainConfig(epochs=2), np.random.default_rng(1))
+print(hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters().values())).hexdigest())
+"""
+
+
+@pytest.mark.skipif(threads_mod.usable_cpus() < 2,
+                    reason="OpenBLAS runs one thread on one usable CPU, whatever it is asked")
+def test_trained_bytes_do_not_depend_on_the_blas_thread_setting():
+    """At hidden 100 and B=48, one and two OpenBLAS threads give different
+    products; train sets one thread itself, so both settings train the same
+    parameter bytes."""
+    src = str(Path(threads_mod.__file__).resolve().parents[1])
+    digests = set()
+    for n in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": n,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("cpus", [None, 2, 100])
@@ -523,7 +608,7 @@ def test_evaluate_starts_a_helper_per_further_cpu_and_joins_them(emb_path, monke
     n_batches = len(make_batches(inst, vocab, spaces, 40, shuffle=False))
     assert n_batches >= 3
     if cpus is not None:
-        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
     real_start = threading.Thread.start
     started = []
 
@@ -533,7 +618,7 @@ def test_evaluate_starts_a_helper_per_further_cpu_and_joins_them(emb_path, monke
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     evaluate(model, inst, vocab, spaces, token_budget=40)
-    helpers = min(trainer_mod._usable_cpus(), n_batches) - 1
+    helpers = min(threads_mod.usable_cpus(), n_batches) - 1
     assert sorted(started) == sorted(f"aspectgate-eval-{n}" for n in range(1, helpers + 1))
     assert _eval_threads() == []
 
@@ -553,7 +638,7 @@ def test_a_batch_error_propagates_unchanged_after_the_helpers_end(emb_path, monk
         return real_eval_logits(model, batch, vocab)
 
     monkeypatch.setattr(trainer_mod, "_eval_logits", failing)
-    monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(threads_mod, "usable_cpus", lambda: 3)
     with pytest.raises(RuntimeError) as raised:
         evaluate(model, inst, vocab, spaces, token_budget=40)
     assert raised.value is error
@@ -562,7 +647,9 @@ def test_a_batch_error_propagates_unchanged_after_the_helpers_end(emb_path, monk
 
 @pytest.mark.parametrize("encoder", ENCODERS)
 def test_a_grad_free_forward_starts_no_backward_worker(emb_path, monkeypatch, encoder):
-    """Only a backward starts the block's worker: evaluate, pooled or inline, never does."""
+    """Only a backward starts the block's worker, and only a taped forward over
+    more than one column, with more than one CPU, its forward helper: evaluate,
+    pooled or inline, and a taped B=1 forward start neither."""
     inst, spaces, vocab, model = build_setup(emb_path, encoder=encoder)
     started = []
 
@@ -573,11 +660,17 @@ def test_a_grad_free_forward_starts_no_backward_worker(emb_path, monkeypatch, en
 
     monkeypatch.setattr(cells_mod, "ThreadPoolExecutor", Recording)
     for cpus in (1, 3):
-        monkeypatch.setattr(trainer_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
         evaluate(model, inst, vocab, spaces, token_budget=40)
+        one = model.forward_one(vocab.ids(inst[0].tokens), vocab.embedding[2])
+        assert one.sent_logits.requires_grad
     assert started == []
-    train(model, inst[:2], vocab, spaces, TrainConfig(epochs=1), np.random.default_rng(0))
-    assert started and set(started) == {"aspectgate-bptt"}
+    both = {"aspectgate-bptt", "aspectgate-fwd"}
+    for cpus, names in ((1, {"aspectgate-bptt"}), (3, both)):
+        monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
+        started.clear()
+        train(model, inst[:2], vocab, spaces, TrainConfig(epochs=1), np.random.default_rng(0))
+        assert set(started) == names
 
 
 # -- metrics report -----------------------------------------------------------------------
