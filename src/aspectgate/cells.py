@@ -14,15 +14,19 @@ runs through the same recurrence.
 A block over a whole batch of sequences is one tape op,
 ``run_block_batch``: its input and states are step-major (T, d, B)
 arrays, and it runs the numpy step functions once per cell per step
-on each of two column halves, over the columns still running. Steps
-take column-major batches, (d, B) with one column per sequence. A
-single sequence is a batch of one column, so the batched encoder is the
-only implementation of the math.
+on each of two column halves, over the columns still running. Its
+backward runs the same halves back through time, writing each step's
+gradients over what the forward saved, then forms each stack's weight
+gradient in one GEMM over every real cell. Steps take column-major
+batches, (d, B) with one column per sequence. A single sequence is a
+batch of one column, so the batched encoder is the only implementation
+of the math.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import functools
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -252,7 +256,7 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
     # h = (1 - z) * h_prev + z * cand, as h_prev + z * (cand - h_prev)
     h = np.multiply(z, diff, out=h_out)
     h += hd
-    return h, g, (X, H, hd, tn, diff, g)
+    return h, g, (X, H, tn, diff, g)
 
 
 # One implementation under each cell kind's name. The block calls a kind's
@@ -261,79 +265,86 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
 aspect_gru_step = dt_gru_step = gru_step = transition_gru_step = cell_step
 
 
-def _step_backward(p: CellParams, saved, dh: np.ndarray):
-    """Backward of one ``cell_step`` along the recurrence: ``(dh_prev, dg, D)``.
+def _sigmoid_grad(pre: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
+    """A sigmoid gate's pre-activation gradient ``pre * s * (1 - s)`` into
+    ``out``, and into ``s`` as well when that is other memory; ``pre`` and
+    ``s`` are overwritten."""
+    pre *= s
+    np.subtract(1.0, s, out=s)
+    np.multiply(pre, s, out=out)
+    if out is not s:
+        s[...] = out
 
-    Every pre-activation gradient goes into one array ``D`` laid out as
-    [token-only rows, sigmoid gates, (g), candidate state term], so the
-    token and state stacks' gradients are its two overlapping row slices,
-    which ``_weight_grads`` forms; only ``dh_prev`` and the relu aspect
-    gate's gradient ``dg`` (None without one) are read by the next step back.
+
+def _step_backward(p: CellParams, saved, dh: np.ndarray):
+    """Backward of one ``cell_step`` along the recurrence: ``(dh_prev, dg)``.
+
+    ``saved`` is what the step returned, and the step's pre-activation
+    gradients are written over it, each block once every read of what it
+    held is done. ``H`` gets the state rows' [sigmoid gates, (g),
+    candidate state term] and, for an input cell, ``X`` the token rows'
+    [token-only terms, sigmoid gates]: the sigmoid gates' rows go to both.
+    Each has the width of the input it multiplies, so after the last step
+    back the cell's block-wide ``H`` and ``X`` arrays are the operands of
+    its stacks' weight-gradient GEMMs. ``tn`` and ``diff`` end as scratch.
+    Only ``dh_prev`` and the relu aspect gate's gradient ``dg`` (a view of
+    ``H``, None without the gate) are read by the next step back.
     """
-    X, H, hd, tn, diff, g = saved
+    X, H, tn, diff, g = saved
     d, ns, lead = p.d_h, p.ns, p.lead
-    S = H[: ns * d] if X is None else X[lead * d :]
-    r, z = S[:d], S[d : 2 * d]
-    D = np.empty((dh.shape[1], (lead + ns + p.gated + 1) * d), dh.dtype).T
-    blk = _blocks(D, d)
-    dcand = dh * z
-    du = np.multiply(tn, tn, out=blk[0] if X is not None and g is None else None)
+    hb = _blocks(H, d)
+    xb = [] if X is None else _blocks(X, d)
+    S = hb[:ns] if X is None else xb[lead:]  # the sigmoid gates' values
+    dcand = dh * S[1]
+    # du, at tanh's input, is also the token term's gradient when no gate scales it
+    du = np.multiply(tn, tn, out=tn if X is None or g is not None else xb[0])
     np.subtract(1.0, du, out=du)
     du *= dcand
-    np.multiply(du, H[-d:], out=blk[lead])
-    np.multiply(diff, dh, out=blk[lead + 1])
-    np.multiply(du, r, out=blk[-1])
     dg = None
-    if g is not None:
-        dg = blk[lead + ns]
-        np.multiply(du, X[:d], out=dg)
-        np.multiply(dcand, X[2 * d : 3 * d], out=blk[0])
-        dg += blk[0]
+    if g is not None:  # the relu aspect gate scales the token term and lin2
+        dg = np.multiply(du, xb[0], out=hb[ns])
+        dg += np.multiply(dcand, xb[2], out=xb[2])
         np.putmask(dg, g == 0, 0)  # the relu subgradient is 0 at the kink
-        np.multiply(du, g, out=blk[0])
-        np.multiply(dcand, g, out=blk[2])
-    if ns == 3:
-        np.multiply(dcand, X[d : 2 * d], out=blk[lead + 2])
-        np.multiply(dcand, S[2 * d :], out=blk[1])
-    dS = D[lead * d : (lead + ns) * d]
-    dS *= S
-    dS *= 1.0 - S
-    dh_prev = (D.T[:, lead * d :] @ p.stacks["h"].data).T
+        np.multiply(du, g, out=xb[0])
+        np.multiply(dcand, g, out=xb[2])
+    # each sigmoid gate's gradient is formed in diff, once diff is read
+    _sigmoid_grad(np.multiply(diff, dh, out=diff), S[1], hb[1])
+    if ns == 3:  # the gated linear bypass l * lin1
+        np.multiply(dcand, xb[1], out=diff)
+        np.multiply(dcand, S[2], out=xb[1])
+        _sigmoid_grad(diff, S[2], hb[2])
+    np.multiply(du, hb[-1], out=diff)
+    np.multiply(du, S[0], out=hb[-1])
+    _sigmoid_grad(diff, S[0], hb[0])
+    dh_prev = (H.T @ p.stacks["h"].data).T
     dh_prev += dh
     dh_prev -= dcand
-    return dh_prev, dg, D
+    return dh_prev, dg
 
 
-def _weight_grads(p: CellParams, D: np.ndarray, x: np.ndarray | None, hd: np.ndarray,
-                  acc: dict) -> np.ndarray | None:
-    """Add one step's weight gradients into ``acc``; returns ``DxT``.
-
-    ``D`` is what ``_step_backward`` returned, ``x`` the step's (d_x, B)
-    input (None for a transition cell) and ``hd`` its previous state.
-    ``acc`` holds the cell's accumulators keyed like
-    ``CellParams.tensors("")``. ``DxT`` is the token rows' slice of
-    ``D``, batch-major (None without an input).
-    """
-    d, lead = p.d_h, p.lead
-    DhT = D.T[:, lead * d :]
-    DxT = None
-    if x is not None:
-        DxT = D.T[:, : (lead + p.ns) * d]
-        acc["x"] += (x @ DxT).T
-    acc["h"] += (hd @ DhT).T
-    if p.bias is not None:
-        acc["b"] += DhT[:, : p.bias.shape[0]].sum(axis=0)[:, None]
-    return DxT
+def _split(helper, fn, parts) -> None:
+    """``fn`` over each of ``parts``: the first on ``helper`` while the calling
+    thread runs the rest, or all in order on the calling thread without one."""
+    if helper is None:
+        for part in parts:
+            fn(part)
+        return
+    first = helper.submit(fn, parts[0])
+    for part in parts[1:]:
+        fn(part)
+    first.result()
 
 
-# The block backward's work that nothing later in its time loop reads (the
-# weight-gradient GEMMs, the bias sums, the input gradient) runs on a worker
-# thread that each backward starts and joins, off the recurrent chain. Jobs
-# run in the order they are submitted, the serial loop's order, so every
-# accumulator sums in the same order and gets the same bits. A backward keeps
-# at most _IN_FLIGHT steps of jobs queued or running, so their gradient
-# arrays do not pile up.
-_IN_FLIGHT = 4
+def _helper(name: str, threaded: bool):
+    """A one-thread executor for a ``with`` block, whose exit joins the thread
+    also when the calling thread raises; a null context when not ``threaded``."""
+    return ThreadPoolExecutor(1, thread_name_prefix=name) if threaded else nullcontext()
+
+
+# A block splits its work with a helper thread only from this many real cells
+# times hidden width: below it, starting and joining the thread costs more
+# than the second core saves, since Python, not numpy, runs most of the step.
+_HELPER_MIN_WORK = 1 << 16
 
 
 # -- deep-transition block ------------------------------------------------------
@@ -404,12 +415,13 @@ def run_block_batch(
     The token projection's rows split in two halves as well. A column's
     bits depend on its GEMM's row count, so the splits are part of the
     math and depend on the batch alone; which thread runs a half is only
-    scheduling. A taped forward, with more than one usable CPU, runs one
+    scheduling. A taped forward of at least ``_HELPER_MIN_WORK`` real
+    cells times hidden width, with more than one usable CPU, runs one
     half of each on a helper thread that lives for this call, and joins
-    it before it returns or raises; a grad-free forward (the eval pool
-    already fills the cores) and any forward on one CPU run the halves
-    one after the other, with the same bits. The loop runs each cell's
-    step by its kind's name.
+    it before it returns or raises. A smaller block, a grad-free forward
+    (the eval pool already fills the cores) and any forward on one CPU
+    run the halves one after the other, with the same bits. The loop
+    runs each cell's step by its kind's name.
 
     One rule sets the memory: a taped forward keeps all that its backward
     reads, and a grad-free one keeps nothing past the step in hand, so it
@@ -422,14 +434,27 @@ def run_block_batch(
     last cell; the relu gates are the gates output). Each half writes its
     contiguous row range of a step through ``out=``, so with no barrier
     between the halves, a step's record is one set of views over all its
-    columns, and the backward is the unsplit one. Two records per step,
-    each half with its own backward, would keep the halves apart through
-    the backward too, but that measured 1.19x on a train step, against
-    1.25x for split forwards over one record. The node's parents
-    are ``x``, the aspect when the input cell is gated, and every cell's
-    stacks; its backward runs backprop through time over the kept steps,
-    with each step's weight-gradient work on a worker thread that lives
-    for that backward.
+    columns.
+
+    The node's parents are ``x``, the aspect when the input cell is
+    gated, and every cell's stacks. Its backward mirrors the forward: the
+    same two halves run back through time, one on a helper thread when
+    the forward had one, and ``_step_backward`` writes each step's
+    pre-activation gradients over the rows that step saved, once it has
+    read them: the state rows over the state projection, and the input
+    cell's token rows over its token rows. Then each stack's weight
+    gradient is one GEMM over every real cell, those gradients times the
+    token rows or the previous states (the cell before's saved states,
+    or for the input cell one gather of the last cell's states a step
+    back), each bias gradient is one row sum, and the input gradient is
+    one GEMM. The two threads share these GEMMs by a rule of the shapes
+    alone, largest first to the thread with less work so far. The
+    backward allocates no block-wide gradient array, and so it consumes
+    what the forward saved: a second backward over the block raises, and
+    the node's relu kinks, a view of the state projection, go with the
+    first. On a 2-vCPU VM with one BLAS thread, 20 reference train steps
+    spent 5.9-6.4 s in this backward, against 7.6-8.3 s in a serial
+    chain whose weight gradients were per-step jobs on a worker thread.
     """
     first = cells[0]
     Wx, d = first.stacks["x"].data, first.d_h
@@ -500,94 +525,105 @@ def run_block_batch(
         g = gates[t][:, k:hi] if cells[j].gated else None
         return H, tn, diff, g, states[t][:, k:hi] if j == last else h
 
-    def run(half):  # every step of the columns [lo:hi]
+    def steps_of(half):  # (t, k, rows) of each step that runs the columns [lo:hi]
         lo, hi = half
         for t in range(T):
             k = max(start[t], lo)
             if k >= hi:
                 break
             r = off[t] + k - start[t]
-            rows = slice(r, r + hi - k)
+            yield t, k, slice(r, r + hi - k)
+
+    def run(half):  # every step of the columns [lo:hi]
+        hi = half[1]
+        for t, k, rows in steps_of(half):
             h = (states[t - 1] if t else h0)[:, k:hi]
             a = None if a_proj is None else a_proj[:, k:hi]
             for j, (cell, step) in enumerate(zip(cells, steps)):
                 X = None if j else (P[rows] if each is None else P[each[rows]]).T
                 h = step(cell, X, h, a, outs(j, t, k, hi, rows))[0]
 
-    def split(fn, parts):  # the first part on the helper, if there is one
-        if helper is None:
-            for part in parts:
-                fn(part)
-            return
-        first_part = helper.submit(fn, parts[0])
-        fn(parts[1])
-        first_part.result()
-
     # the token projection's rows, and the columns: [0:m] and [m:B] where half
     # the real cells have run, a function of the lengths alone
     n = len(P)
     cells_run = np.cumsum(lengths[order])
     m = min(int(np.searchsorted(cells_run, cells_run[-1] / 2)) + 1, B - 1) if B > 1 else 0
-    threaded = taped and m and threads.usable_cpus() > 1
-    # leaving the executor joins the helper, also when the calling thread raises
-    fwd = ThreadPoolExecutor(1, thread_name_prefix="aspectgate-fwd") if threaded else nullcontext()
-    with fwd as helper:
-        split(project, [slice(0, n // 2), slice(n // 2, n)] if m else [slice(0, n)])
+    halves = [(0, m), (m, B)] if m else [(0, B)]
+    n_real = off[-1]
+    threaded = taped and m and n_real * d >= _HELPER_MIN_WORK and threads.usable_cpus() > 1
+    with _helper("aspectgate-fwd", threaded) as helper:
+        _split(helper, project, [slice(0, n // 2), slice(n // 2, n)] if m else [slice(0, n)])
         if taped and each is not None:  # a taped block keeps every real cell's token rows
             P, each = P[each], None
-        split(run, [(0, m), (m, B)] if m else [(0, B)])
-    # per cell, each step's record over all its columns: views of what the halves wrote
-    saved: list[list] = [[] for _ in cells]
-    for t in range(T if taped else 0):
-        k, rows = start[t], slice(off[t], off[t + 1])
-        if k == B:
-            break
-        hd = (states[t - 1] if t else h0)[:, k:]
-        for j in range(len(cells)):
-            H, tn, diff, g, h = outs(j, t, k, B, rows)
-            saved[j].append((None if j else P[rows].T, H, hd, tn, diff, g))
-            hd = h
+        _split(helper, run, halves)
+    shown = None
     if gates is not None:
-        gates = gates[..., inverse]
-        gates.setflags(write=False)
+        shown = gates[..., inverse]
+        shown.setflags(write=False)
 
     def bwd(gs):
+        nonlocal P, wide
+        if wide is None:
+            raise RuntimeError("run_block_batch: this block's backward has run, and it "
+                               "wrote its gradients over what the forward saved")
+        Ps, ws, P, wide = P, wide, None, None  # the block keeps none of them past this call
+        node().kinks = None  # a view of what the gradients overwrite
         gs = gs[..., order]
-        # the aspect stack's gradient is one GEMM after the loop
-        acc = [{k: np.zeros_like(w.data) for k, w in c.tensors("").items() if k != "a"}
-               for c in cells]
-        dx = np.zeros((T, B, d_x), gs.dtype) if x.requires_grad else None
-        da = np.zeros((d, B), gs.dtype) if a_proj is not None else None
         dnext = np.zeros((d, B), gs.dtype)  # reaching states[t] from step t + 1
+        da = np.zeros((d, B), gs.dtype) if a_proj is not None else None
 
-        def weight_grads(t, cols, Ds):  # on the worker; Ds in the loop's cell order
-            for j, D in zip(reversed(range(len(cells))), Ds):
-                xt = None if j else xT[t, cols].T
-                DxT = _weight_grads(cells[j], D, xt, saved[j][t][2], acc[j])
-            if dx is not None:
-                dx[t, cols] = DxT @ Wx
-
-        # leaving the executor waits for every submitted job, also when the chain raises
-        with ThreadPoolExecutor(1, thread_name_prefix="aspectgate-bptt") as worker:
-            pending = deque()
-            for t in reversed(range(T)):
-                k, cols = start[t], real[1][off[t] : off[t + 1]]
-                if k == B:
-                    continue
-                dh = gs[t][:, k:] + dnext[:, k:]
-                Ds = []
+        def back(half):  # every step of the columns [lo:hi], last to first
+            hi = half[1]
+            for t, k, rows in reversed(list(steps_of(half))):
+                dh = gs[t][:, k:hi] + dnext[:, k:hi]
                 for j in reversed(range(len(cells))):
-                    dh, dg, D = _step_backward(cells[j], saved[j][t], dh)
-                    Ds.append(D)
-                if len(pending) == _IN_FLIGHT:
-                    pending.popleft().result()
-                pending.append(worker.submit(weight_grads, t, cols, Ds))
+                    H, tn, diff, _ = (None if a is None else a[rows].T for a in ws[j])
+                    X = None if j else Ps[rows].T
+                    g = gates[t][:, k:hi] if cells[j].gated else None
+                    dh, dg = _step_backward(cells[j], (X, H, tn, diff, g), dh)
                 if da is not None:
-                    da[:, k:] += dg
-                dnext[:, k:] = dh
-            # a job's exception is raised here, before any accumulator is read
-            while pending:
-                pending.popleft().result()
+                    da[:, k:hi] += dg
+                dnext[:, k:hi] = dh
+
+        # then each stack's gradient is one GEMM over every real cell: the
+        # gradients the steps wrote over P and H, times the token rows or the
+        # previous states; the aspect stack's is one GEMM over the summed da
+        acc = [{} for _ in cells]
+        dx = np.zeros((T, B, d_x), gs.dtype) if x.requires_grad else None
+
+        def token_side():  # over one gather of the input, reused for its gradient
+            xs = xT[real]
+            acc[0]["x"] = (xs.T @ Ps).T
+            if dx is not None:
+                dx[real] = np.matmul(Ps, Wx, out=xs)
+
+        def state_side(j):
+            D = ws[j][0]
+            if j:
+                hd = ws[j - 1][3]
+            else:  # the last cell's states a step back, 0 before the first
+                hd = states.transpose(0, 2, 1)[tt - 1, bb]
+                hd[tt == 0] = 0
+            acc[j]["h"] = (hd.T @ D).T
+            if cells[j].bias is not None:
+                acc[j]["b"] = D[:, : cells[j].bias.shape[0]].sum(axis=0)[:, None]
+
+        def run_jobs(side):
+            for job in side:
+                job()
+
+        # the largest job first, each to the side with less work so far
+        jobs = [(n_real * Wx.shape[0] * d_x * (1 + (dx is not None)), token_side)]
+        jobs += [(n_real * c.stacks["h"].shape[0] * d, functools.partial(state_side, j))
+                 for j, c in enumerate(cells)]
+        sides, work = ([], []), [0, 0]
+        for cost, job in sorted(jobs, key=lambda job: -job[0]):
+            i = work.index(min(work))
+            sides[i].append(job)
+            work[i] += cost
+        with _helper("aspectgate-bwd", threaded) as helper:
+            _split(helper, back, halves)
+            _split(helper, run_jobs, sides)
         grads = [None if dx is None else dx.transpose(0, 2, 1)]
         if da is not None:
             grads.append((Wa.T @ da)[:, inverse] if aspect.requires_grad else None)
@@ -599,4 +635,6 @@ def run_block_batch(
     kinks = None
     if taped and first.gated:  # every real cell's relu gate pre-activation, a view
         kinks = wide[0][0][:, first.ns * d : (first.ns + 1) * d]
-    return _node(states[..., inverse], tuple(parents), bwd, "block", kinks=kinks), gates
+    out = _node(states[..., inverse], tuple(parents), bwd, "block", kinks=kinks)
+    node = weakref.ref(out)
+    return out, shown

@@ -10,8 +10,10 @@ passing a wrong shape on.
 Every operation records its inputs and a backward closure on the output
 node, forming an implicit tape (a DAG, since nodes can be reused).
 ``backward`` replays the tape once in reverse topological order with
-deterministic accumulation, so repeated passes over the same tape are
-bit-identical. Inside ``no_grad()`` nothing is recorded: each output is
+deterministic accumulation, so the same tape gives the same bits. A
+block's node (``cells.run_block_batch``) writes its gradients over what
+its forward saved, so a tape that holds one runs its backward once, and
+a second pass raises. Inside ``no_grad()`` nothing is recorded: each output is
 a parentless constant, so intermediates are freed as soon as nothing
 else holds them, and the values are the same bits as on the tape.
 """
@@ -44,7 +46,7 @@ class Tensor:
     is None everywhere else.
     """
 
-    __slots__ = ("data", "requires_grad", "op", "kinks", "_parents", "_bwd")
+    __slots__ = ("data", "requires_grad", "op", "kinks", "_parents", "_bwd", "__weakref__")
 
     def __init__(
         self,
@@ -328,8 +330,8 @@ def dropout(t: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
     In eval mode, or at rate 0, the input tensor is returned unchanged,
-    an exact identity. The mask is drawn once at call time, so a given
-    node replays identically under repeated backward passes.
+    an exact identity. The mask is drawn once at call time and kept on
+    the node, so the backward scales by the mask the forward used.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")

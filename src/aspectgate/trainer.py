@@ -128,6 +128,7 @@ def adam_step(
 # -- training loop -----------------------------------------------------------------
 
 
+@threads.one_blas_thread()
 def train_batch(
     model: SentimentModel,
     batch,
@@ -154,7 +155,6 @@ def train_batch(
     return loss.item(), ce, recon
 
 
-@threads.one_blas_thread()
 def train(
     model: SentimentModel,
     instances: Sequence[Instance],

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aspectgate.cells as cells_mod
+import aspectgate.threads as threads_mod
 from aspectgate.cells import (
     CELL_KINDS,
     CellParams,
@@ -339,6 +341,68 @@ def test_a_grad_free_block_keeps_no_step(rng, over_ids):
     steps = 6 * B * rows
     assert 3 * steps < real.sum() * rows  # under a third of one per-cell projection
     assert peak < 8 * (outputs + projected * block[0].stacks["x"].shape[0] + steps)
+
+
+def test_a_taped_backward_writes_its_gradients_over_the_saved_arrays(rng):
+    """At the reference hidden 300 and depth 4, over a padded B=128, T=32
+    batch, a taped backward allocates less than one (n_real, 8 d) array
+    beyond what its forward left: each step's pre-activation gradients go
+    over the arrays the forward saved, and are not a block-wide copy of
+    the input cell's eight gate rows."""
+    d, T, B = 300, 32, 128
+    block = init_block("aspect", d, d, d, 4, rng)
+    lengths = np.sort(rng.integers(T // 4, T + 1, B))
+    x = Tensor(np.ascontiguousarray(rng.random((T, B, d)) - 0.5).transpose(0, 2, 1))
+    aspect = Tensor(rng.random((d, B)) - 0.5)
+    states, _ = run_block_batch(block, x, aspect, lengths)
+    loss = weighted_sum(states)
+    tracemalloc.start()
+    try:
+        backward(loss, _params(block))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the token rows and the state rows, which share the three sigmoid gates' rows
+    width = block[0].stacks["x"].shape[0] + block[0].stacks["h"].shape[0] - 3 * d
+    assert width == 8 * d
+    assert peak < 8 * lengths.sum() * width
+
+
+@pytest.mark.parametrize("d_h", [3, 300])
+def test_only_a_block_worth_it_starts_helpers(rng, monkeypatch, d_h):
+    """On two CPUs a taped block starts a helper for its forward and one for
+    its backward only from ``_HELPER_MIN_WORK`` real cells times hidden
+    width: a tiny block runs its halves in order, a block at the reference
+    width starts both. Outputs and every gradient are the bits of one CPU
+    either way."""
+    T, B = 16, 24
+    block = init_block("aspect", d_h, d_h, d_h, 4, rng, bias=True)
+    lengths = np.sort(rng.integers(T // 2, T + 1, B))
+    x = Tensor(rng.standard_normal((T, d_h, B)), requires_grad=True)
+    aspect = Tensor(rng.standard_normal((d_h, B)), requires_grad=True)
+    params = [x, aspect, *_params(block)]
+    started = []
+
+    class Recording(cells_mod.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("thread_name_prefix"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cells_mod, "ThreadPoolExecutor", Recording)
+
+    def run(cpus):
+        monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
+        states, gates = run_block_batch(block, x, aspect, lengths)
+        return [states.data, gates, *backward(weighted_sum(states, seed=1), params).values()]
+
+    want = run(1)
+    assert started == []
+    got = run(2)
+    worth = lengths.sum() * d_h >= cells_mod._HELPER_MIN_WORK
+    assert worth == (d_h == 300)
+    assert sorted(started) == (["aspectgate-bwd", "aspectgate-fwd"] if worth else [])
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("kind", sorted(CELL_KINDS))

@@ -11,7 +11,6 @@ import threading
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -915,35 +914,15 @@ def test_end_to_end_gradients_term(rng):
     assert grad_check(f, params, FD_EPS_CHECK) <= TOL_CHECK
 
 
-# -- the block backward's worker ----------------------------------------------------
+# -- the block backward's helper ----------------------------------------------------
 
 # (ids, mask) over T=7, out of length order, so each block permutes its columns
-# and its backward submits more steps of jobs than it keeps in flight
 _WORKER_BATCH = (
     np.array([[3, 5, 4, 0, 0, 0, 0], [2, 6, 3, 8, 5, 1, 4], [7, 1, 7, 2, 6, 0, 0],
               [5, 0, 0, 0, 0, 0, 0]]),
     np.array([[1, 1, 1, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0, 0],
               [1, 0, 0, 0, 0, 0, 0]]),
 )
-
-
-class _Inline:
-    """An executor that runs each job on the calling thread as it is submitted."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    @staticmethod
-    def submit(fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
 
 
 def _gradients(model, cfg, seed=0) -> list[np.ndarray]:
@@ -956,9 +935,16 @@ def _gradients(model, cfg, seed=0) -> list[np.ndarray]:
     return list(backward(loss, list(model.parameters().values())).values())
 
 
+def _threaded(m) -> None:
+    """Give every taped block helpers: two CPUs, and no block too small for them."""
+    m.setattr(threads_mod, "usable_cpus", lambda: 2)
+    m.setattr(cells_mod, "_HELPER_MIN_WORK", 0)
+
+
 def _serial_gradients(model, cfg, seed=0) -> list[np.ndarray]:
+    """``_gradients`` on one CPU: both halves in order on the calling thread."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cells_mod, "ThreadPoolExecutor", _Inline)
+        m.setattr(threads_mod, "usable_cpus", lambda: 1)
         return _gradients(model, cfg, seed)
 
 
@@ -968,105 +954,93 @@ def _assert_bitwise(got, want):
         assert np.array_equal(g, w)
 
 
+def _bwd_threads() -> list[threading.Thread]:
+    return [th for th in threading.enumerate() if th.name.startswith("aspectgate-bwd")]
+
+
 @pytest.mark.parametrize("bidirectional", [False, True])
 @pytest.mark.parametrize("use_bias", [False, True])
 @pytest.mark.parametrize("encoder", ENCODERS)
 def test_backward_on_the_worker_is_the_serial_backward_bitwise(
-    rng, encoder, use_bias, bidirectional
+    rng, monkeypatch, encoder, use_bias, bidirectional
 ):
-    """The weight-gradient jobs, on the worker thread, give the bits of the
-    same jobs run inline; a depth-2 gru's second layer adds the input-gradient job."""
+    """The backward's helper thread steps one column half and forms a share
+    of the weight-gradient GEMMs; the bits are those of one CPU, where the
+    calling thread runs it all. A depth-2 gru's second layer adds the input
+    gradient's GEMM."""
     model, cfg = tiny_model(rng, encoder=encoder, use_bias=use_bias, bidirectional=bidirectional)
     if use_bias:
         for t in model.parameters().values():
             t.data[...] += rng.uniform(-0.1, 0.1, t.shape)
     want = _serial_gradients(model, cfg)
     assert any(np.any(g) for g in want)
+    real, ran_on = cells_mod._step_backward, set()
+    monkeypatch.setattr(cells_mod, "_step_backward", lambda *a: (
+        ran_on.add(threading.current_thread().name) or real(*a)))
+    _threaded(monkeypatch)
     _assert_bitwise(_gradients(model, cfg), want)
+    assert threading.current_thread().name in ran_on
+    assert any(n.startswith("aspectgate-bwd") for n in ran_on)
+    assert not _bwd_threads()
 
 
-def test_a_failing_job_is_raised_and_leaks_nothing(rng, monkeypatch):
-    """A weight-gradient job's exception leaves backward; the next backward on
-    the same model gets the serial bits, so no job or in-flight slot outlived it."""
-    model, cfg = tiny_model(rng, encoder="gru")
-    want = _serial_gradients(model, cfg)
-    real, calls = cells_mod._weight_grads, []
+@pytest.mark.parametrize("failing", ["helper", "caller", "both"])
+def test_the_backward_helper_does_not_outlive_its_block(rng, monkeypatch, failing):
+    """A step back's error on either half leaves backward after the helper is
+    joined, while the other half is still stepping (its steps are slowed);
+    when both halves fail, the calling thread's error is raised. The next
+    training step gets the bits of one that never failed."""
+    model, cfg = tiny_model(rng, encoder="aspect-dt")
+    _threaded(monkeypatch)
+    want = _gradients(model, cfg)
+    real = cells_mod._step_backward
+    errors = {side: ArithmeticError(f"{side}'s step back") for side in ("helper", "caller")}
 
-    def failing(*args):
-        calls.append(1)
-        if len(calls) == 3:
-            raise ArithmeticError("planted job failure")
-        return real(*args)
-
-    monkeypatch.setattr(cells_mod, "_weight_grads", failing)
-    with pytest.raises(ArithmeticError, match="planted job failure"):
-        _gradients(model, cfg)
-    monkeypatch.setattr(cells_mod, "_weight_grads", real)
-    _assert_bitwise(_gradients(model, cfg), want)
-
-
-def _bptt_threads() -> list[threading.Thread]:
-    return [th for th in threading.enumerate() if th.name.startswith("aspectgate-bptt")]
-
-
-def test_the_worker_does_not_outlive_its_backward(rng, monkeypatch):
-    """A backward joins its worker before it returns, and before it raises the
-    exception of its last job, which only the drain after the time loop reads."""
-    model, cfg = tiny_model(rng, encoder="gru")
-    real, calls, last = cells_mod._weight_grads, [], 0
-
-    def failing_last(*args):
-        calls.append(1)
-        if len(calls) == last:
-            raise ArithmeticError("planted job failure")
-        return real(*args)
-
-    monkeypatch.setattr(cells_mod, "_weight_grads", failing_last)
-    _gradients(model, cfg)
-    assert not _bptt_threads()
-    last = len(calls)
-    calls.clear()
-    with pytest.raises(ArithmeticError, match="planted job failure"):
-        _gradients(model, cfg)
-    assert not _bptt_threads()
-
-
-def test_a_failing_step_waits_for_the_submitted_jobs(rng, monkeypatch):
-    """An exception on the recurrent chain leaves backward only after every job
-    submitted before it has run."""
-    model, cfg = tiny_model(rng, encoder="plain-dt")
-    real_jobs, real_step = cells_mod._weight_grads, cells_mod._step_backward
-    finished, steps = [], []
-
-    def slow(*args):
+    def step_back(*args):
+        on_helper = threading.current_thread().name.startswith("aspectgate-bwd")
+        side = "helper" if on_helper else "caller"
+        if failing in (side, "both"):
+            raise errors[side]
         time.sleep(0.01)
-        out = real_jobs(*args)
-        finished.append(1)
-        return out
+        return real(*args)
 
-    def failing(*args):
-        steps.append(1)
-        if len(steps) == 9:  # the fifth step back, after four steps of jobs
-            raise ArithmeticError("planted step failure")
-        return real_step(*args)
-
-    monkeypatch.setattr(cells_mod, "_weight_grads", slow)
-    monkeypatch.setattr(cells_mod, "_step_backward", failing)
-    with pytest.raises(ArithmeticError, match="planted step failure"):
+    monkeypatch.setattr(cells_mod, "_step_backward", step_back)
+    with pytest.raises(ArithmeticError) as raised:
         _gradients(model, cfg)
-    assert len(finished) == 4 * cfg.depth
+    assert raised.value is errors["caller" if failing == "both" else failing]
+    assert not _bwd_threads()
+    monkeypatch.setattr(cells_mod, "_step_backward", real)
+    _assert_bitwise(_gradients(model, cfg), want)
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_a_second_backward_over_one_block_raises(rng, encoder):
+    """A block's backward writes its gradients over what its forward saved,
+    so the tape's second backward is refused, not answered with wrong
+    gradients; the relu kinks, a view of those arrays, go with the first."""
+    model, cfg = tiny_model(rng, encoder=encoder)
+    ids, mask = _WORKER_BATCH
+    out = model.forward(ids, mask, rng.standard_normal((4, cfg.embed_size)),
+                        training=True, rng=np.random.default_rng(0))
+    recon = np.eye(cfg.num_recon_targets, dtype=bool)[[1, 0, 1, 1]]
+    loss = batch_joint_loss(out, np.array([0, 2, 1, 2]), recon, cfg)[0]
+    blocks = [n for n in iter_nodes(loss) if n.op == "block"]
+    assert blocks and all((n.kinks is not None) == (encoder == "aspect-dt") for n in blocks)
+    backward(loss, list(model.parameters().values()))
+    assert all(n.kinks is None for n in blocks)
+    with pytest.raises(RuntimeError, match="backward has run"):
+        backward(loss, list(model.parameters().values()))
 
 
 def test_concurrent_backwards_each_get_their_serial_gradients(rng, monkeypatch):
     """Backwards on four models from four Python threads each start their own
-    worker, and each gets its own serial bits, under a short switch interval and
-    with every third job delayed, which would reorder the sums of a worker that
-    ran jobs out of order."""
+    helpers, and each gets its own one-CPU bits, under a short switch interval
+    and with every third step back delayed."""
     models = [tiny_model(rng, encoder=e)[0] for e in (*ENCODERS, "aspect-dt")]
     cfgs = [m.config for m in models]
     want = [_serial_gradients(m, c, seed) for seed, (m, c) in enumerate(zip(models, cfgs))]
     got = [[] for _ in models]
-    real, calls = cells_mod._weight_grads, []
+    real, calls = cells_mod._step_backward, []
 
     def jittered(*args):
         calls.append(1)
@@ -1074,7 +1048,8 @@ def test_concurrent_backwards_each_get_their_serial_gradients(rng, monkeypatch):
             time.sleep(0.002)
         return real(*args)
 
-    monkeypatch.setattr(cells_mod, "_weight_grads", jittered)
+    monkeypatch.setattr(cells_mod, "_step_backward", jittered)
+    _threaded(monkeypatch)
 
     def run(i):
         for _ in range(3):
@@ -1098,11 +1073,12 @@ def test_concurrent_backwards_each_get_their_serial_gradients(rng, monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_starts_its_own_worker(rng):
-    """A child forked after a backward starts its own worker and gets the
-    serial bits."""
+def test_a_forked_child_starts_its_own_worker(rng, monkeypatch):
+    """A child forked after a threaded backward starts its own helpers and
+    gets the one-CPU bits."""
     model, cfg = tiny_model(rng)
     want = _serial_gradients(model, cfg)
+    _threaded(monkeypatch)
     _gradients(model, cfg)
     read, write = os.pipe()
     with warnings.catch_warnings():
@@ -1130,17 +1106,23 @@ def _fwd_threads() -> list[threading.Thread]:
 
 def _outputs_and_gradients(model, cfg) -> list[np.ndarray]:
     """A taped forward's outputs and every parameter gradient on _WORKER_BATCH,
-    in training (every cell projected) and in eval mode (once per token id)."""
+    in training (every cell projected) and in eval mode (once per token id).
+    Its blocks are far below ``_HELPER_MIN_WORK``, which is lowered here so
+    that with two usable CPUs they start their helpers."""
     ids, mask = _WORKER_BATCH
     aspects = np.random.default_rng(0).standard_normal((4, cfg.embed_size))
     recon = np.eye(cfg.num_recon_targets, dtype=bool)[[1, 0, 1, 1]]
     got = []
-    for training in (True, False):
-        out = model.forward(ids, mask, aspects, training=training, rng=np.random.default_rng(0))
-        loss = batch_joint_loss(out, np.array([0, 2, 1, 2]), recon, cfg)[0]
-        grads = backward(loss, list(model.parameters().values()))
-        got += [out.sent_logits.data, out.recon_logits.data, out.pooled.data, *grads.values()]
-        got += [] if out.gates is None else [out.gates]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cells_mod, "_HELPER_MIN_WORK", 0)
+        for training in (True, False):
+            out = model.forward(ids, mask, aspects, training=training,
+                                rng=np.random.default_rng(0))
+            loss = batch_joint_loss(out, np.array([0, 2, 1, 2]), recon, cfg)[0]
+            grads = backward(loss, list(model.parameters().values()))
+            got += [out.sent_logits.data, out.recon_logits.data, out.pooled.data,
+                    *grads.values()]
+            got += [] if out.gates is None else [out.gates]
     return got
 
 

@@ -51,6 +51,7 @@ from aspectgate.trainer import (
     split_dev,
     sweep,
     train,
+    train_batch,
 )
 
 
@@ -535,6 +536,10 @@ def test_compute_entry_points_run_with_one_blas_thread_and_restore_the_count(
     try:
         train(model, inst, vocab, spaces, TrainConfig(epochs=1), np.random.default_rng(0))
         assert get() == 2
+        batch = make_batches(inst, vocab, spaces, 4096, shuffle=False)[0]
+        state = AdamState.for_params(model.parameters())
+        train_batch(model, batch, vocab, state, TrainConfig(), np.random.default_rng(0))
+        assert get() == 2
         evaluate(model, inst, vocab, spaces)
         assert get() == 2
         inspect_gates(model, vocab, list(inst[0].tokens), list(inst[0].aspect_tokens))
@@ -563,18 +568,26 @@ def test_a_blas_it_cannot_set_is_named_in_one_warning(monkeypatch, tmp_path):
 
 _TRAIN_AND_HASH = """
 import hashlib
+import sys
 import numpy as np
-from aspectgate.corpus import TaskSpaces, assemble_vocab
+from aspectgate.corpus import TaskSpaces, assemble_vocab, make_batches
 from aspectgate.model import ModelConfig, SentimentModel
 from aspectgate.synth import ALL_WORDS, synthetic_instances
-from aspectgate.trainer import TrainConfig, train
+from aspectgate.trainer import AdamState, TrainConfig, train, train_batch
 inst = synthetic_instances(24, seed=1)  # 48 instances: one batch of B=48 per epoch
 spaces = TaskSpaces.build("category", inst)
 vocab = assemble_vocab(list(ALL_WORDS), [], {}, 50, seed=1)
 cfg = ModelConfig(hidden_size=100, embed_size=50, depth=2, num_labels=spaces.num_labels,
                   num_recon_targets=spaces.num_recon_targets)
 model = SentimentModel(cfg, vocab.embedding, np.random.default_rng(1))
-train(model, inst, vocab, spaces, TrainConfig(epochs=2), np.random.default_rng(1))
+tc, rng = TrainConfig(epochs=2), np.random.default_rng(1)
+if sys.argv[1] == "train":
+    train(model, inst, vocab, spaces, tc, rng)
+else:  # the same steps, each a direct call
+    state = AdamState.for_params(model.parameters())
+    for _ in range(tc.epochs):
+        for batch in make_batches(inst, vocab, spaces, tc.token_budget, rng, shuffle=True):
+            train_batch(model, batch, vocab, state, tc, rng)
 print(hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters().values())).hexdigest())
 """
 
@@ -583,18 +596,21 @@ print(hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters().value
                     reason="OpenBLAS runs one thread on one usable CPU, whatever it is asked")
 def test_trained_bytes_do_not_depend_on_the_blas_thread_setting():
     """At hidden 100 and B=48, one and two OpenBLAS threads give different
-    products; train sets one thread itself, so both settings train the same
-    parameter bytes."""
+    products; train_batch sets one thread itself, so both settings train
+    the same parameter bytes, through train and through direct train_batch
+    calls alike."""
     src = str(Path(threads_mod.__file__).resolve().parents[1])
-    digests = set()
-    for n in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": n,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        digests.add(done.stdout.strip())
-    assert len(digests) == 1
+    digests = {}
+    for entry in ("train", "train_batch"):
+        for n in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": n,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH, entry], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.setdefault(entry, set()).add(done.stdout.strip())
+    assert all(len(d) == 1 for d in digests.values())
+    assert digests["train"] == digests["train_batch"]
 
 
 @pytest.mark.parametrize("cpus", [None, 2, 100])
@@ -647,9 +663,12 @@ def test_a_batch_error_propagates_unchanged_after_the_helpers_end(emb_path, monk
 
 @pytest.mark.parametrize("encoder", ENCODERS)
 def test_a_grad_free_forward_starts_no_backward_worker(emb_path, monkeypatch, encoder):
-    """Only a backward starts the block's worker, and only a taped forward over
-    more than one column, with more than one CPU, its forward helper: evaluate,
-    pooled or inline, and a taped B=1 forward start neither."""
+    """Only a taped block over more than one column, with more than one CPU,
+    and of at least ``_HELPER_MIN_WORK`` real cells times hidden width starts
+    its helpers, one for its forward and one for its backward: evaluate,
+    pooled or inline, and a taped B=1 forward start neither, and a training
+    step starts none on 1 CPU, none for these small blocks on 3, and both
+    when no block is too small."""
     inst, spaces, vocab, model = build_setup(emb_path, encoder=encoder)
     started = []
 
@@ -659,15 +678,18 @@ def test_a_grad_free_forward_starts_no_backward_worker(emb_path, monkeypatch, en
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cells_mod, "ThreadPoolExecutor", Recording)
+    default = cells_mod._HELPER_MIN_WORK
+    monkeypatch.setattr(cells_mod, "_HELPER_MIN_WORK", 0)
     for cpus in (1, 3):
         monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
         evaluate(model, inst, vocab, spaces, token_budget=40)
         one = model.forward_one(vocab.ids(inst[0].tokens), vocab.embedding[2])
         assert one.sent_logits.requires_grad
     assert started == []
-    both = {"aspectgate-bptt", "aspectgate-fwd"}
-    for cpus, names in ((1, {"aspectgate-bptt"}), (3, both)):
+    both = {"aspectgate-bwd", "aspectgate-fwd"}
+    for cpus, least, names in ((1, 0, set()), (3, default, set()), (3, 0, both)):
         monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cells_mod, "_HELPER_MIN_WORK", least)
         started.clear()
         train(model, inst[:2], vocab, spaces, TrainConfig(epochs=1), np.random.default_rng(0))
         assert set(started) == names
