@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import functools
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -322,25 +320,6 @@ def _step_backward(p: CellParams, saved, dh: np.ndarray):
     return dh_prev, dg
 
 
-def _split(helper, fn, parts) -> None:
-    """``fn`` over each of ``parts``: the first on ``helper`` while the calling
-    thread runs the rest, or all in order on the calling thread without one."""
-    if helper is None:
-        for part in parts:
-            fn(part)
-        return
-    first = helper.submit(fn, parts[0])
-    for part in parts[1:]:
-        fn(part)
-    first.result()
-
-
-def _helper(name: str, threaded: bool):
-    """A one-thread executor for a ``with`` block, whose exit joins the thread
-    also when the calling thread raises; a null context when not ``threaded``."""
-    return ThreadPoolExecutor(1, thread_name_prefix=name) if threaded else nullcontext()
-
-
 # A block splits its work with a helper thread only from this many real cells
 # times hidden width: below it, starting and joining the thread costs more
 # than the second core saves, since Python, not numpy, runs most of the step.
@@ -416,12 +395,11 @@ def run_block_batch(
     bits depend on its GEMM's row count, so the splits are part of the
     math and depend on the batch alone; which thread runs a half is only
     scheduling. A taped forward of at least ``_HELPER_MIN_WORK`` real
-    cells times hidden width, with more than one usable CPU, runs one
-    half of each on a helper thread that lives for this call, and joins
-    it before it returns or raises. A smaller block, a grad-free forward
-    (the eval pool already fills the cores) and any forward on one CPU
-    run the halves one after the other, with the same bits. The loop
-    runs each cell's step by its kind's name.
+    cells times hidden width shares the halves of each with
+    ``threads.share``, a helper thread taking the first: a smaller
+    block, a grad-free forward (the eval pool already fills the cores)
+    and any forward on one CPU run the halves one after the other, with
+    the same bits. The loop runs each cell's step by its kind's name.
 
     One rule sets the memory: a taped forward keeps all that its backward
     reads, and a grad-free one keeps nothing past the step in hand, so it
@@ -438,23 +416,21 @@ def run_block_batch(
 
     The node's parents are ``x``, the aspect when the input cell is
     gated, and every cell's stacks. Its backward mirrors the forward: the
-    same two halves run back through time, one on a helper thread when
-    the forward had one, and ``_step_backward`` writes each step's
-    pre-activation gradients over the rows that step saved, once it has
-    read them: the state rows over the state projection, and the input
-    cell's token rows over its token rows. Then each stack's weight
+    same two halves run back through time, shared as the forward's were,
+    and ``_step_backward`` writes each step's pre-activation gradients
+    over the rows that step saved, once it has read them: the state rows
+    over the state projection, and the input cell's token rows over its
+    token rows. Then each stack's weight
     gradient is one GEMM over every real cell, those gradients times the
     token rows or the previous states (the cell before's saved states,
     or for the input cell one gather of the last cell's states a step
     back), each bias gradient is one row sum, and the input gradient is
-    one GEMM. The two threads share these GEMMs by a rule of the shapes
-    alone, largest first to the thread with less work so far. The
-    backward allocates no block-wide gradient array, and so it consumes
-    what the forward saved: a second backward over the block raises, and
-    the node's relu kinks, a view of the state projection, go with the
-    first. On a 2-vCPU VM with one BLAS thread, 20 reference train steps
-    spent 5.9-6.4 s in this backward, against 7.6-8.3 s in a serial
-    chain whose weight gradients were per-step jobs on a worker thread.
+    one GEMM. These GEMMs are shared the same way, largest first, each to
+    whichever thread is free; no GEMM's bits depend on the thread that
+    runs it. The backward allocates no block-wide gradient array, and so
+    it consumes what the forward saved: a second backward over the block
+    raises, and the node's relu kinks, a view of the state projection,
+    go with the first.
     """
     first = cells[0]
     Wx, d = first.stacks["x"].data, first.d_h
@@ -550,12 +526,12 @@ def run_block_batch(
     m = min(int(np.searchsorted(cells_run, cells_run[-1] / 2)) + 1, B - 1) if B > 1 else 0
     halves = [(0, m), (m, B)] if m else [(0, B)]
     n_real = off[-1]
-    threaded = taped and m and n_real * d >= _HELPER_MIN_WORK and threads.usable_cpus() > 1
-    with _helper("aspectgate-fwd", threaded) as helper:
-        _split(helper, project, [slice(0, n // 2), slice(n // 2, n)] if m else [slice(0, n)])
-        if taped and each is not None:  # a taped block keeps every real cell's token rows
-            P, each = P[each], None
-        _split(helper, run, halves)
+    threaded = taped and n_real * d >= _HELPER_MIN_WORK
+    threads.share("aspectgate-fwd", project,
+                  [slice(0, n // 2), slice(n // 2, n)] if m else [slice(0, n)], threaded)
+    if taped and each is not None:  # a taped block keeps every real cell's token rows
+        P, each = P[each], None
+    threads.share("aspectgate-fwd", run, halves, threaded)
     shown = None
     if gates is not None:
         shown = gates[..., inverse]
@@ -608,22 +584,13 @@ def run_block_batch(
             if cells[j].bias is not None:
                 acc[j]["b"] = D[:, : cells[j].bias.shape[0]].sum(axis=0)[:, None]
 
-        def run_jobs(side):
-            for job in side:
-                job()
-
-        # the largest job first, each to the side with less work so far
+        # the largest job first, each to whichever thread is free
         jobs = [(n_real * Wx.shape[0] * d_x * (1 + (dx is not None)), token_side)]
         jobs += [(n_real * c.stacks["h"].shape[0] * d, functools.partial(state_side, j))
                  for j, c in enumerate(cells)]
-        sides, work = ([], []), [0, 0]
-        for cost, job in sorted(jobs, key=lambda job: -job[0]):
-            i = work.index(min(work))
-            sides[i].append(job)
-            work[i] += cost
-        with _helper("aspectgate-bwd", threaded) as helper:
-            _split(helper, back, halves)
-            _split(helper, run_jobs, sides)
+        jobs.sort(key=lambda job: -job[0])
+        threads.share("aspectgate-bwd", back, halves, threaded)
+        threads.share("aspectgate-bwd", lambda job: job[1](), jobs, threaded)
         grads = [None if dx is None else dx.transpose(0, 2, 1)]
         if da is not None:
             grads.append((Wa.T @ da)[:, inverse] if aspect.requires_grad else None)

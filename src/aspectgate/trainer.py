@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -205,9 +203,9 @@ def evaluate(
     model is trained to reconstruct; each is a fraction of instances.
     An aspect is reconstructed when its decoding (``reconstruct_aspect``)
     covers every target word or category; an aspect with words outside
-    the term vocabulary counts as wrong outright. The forwards run on
-    every usable CPU (``_batch_logits``); the scores do not depend on
-    how many there are.
+    the term vocabulary counts as wrong outright. The batches' forwards
+    are shared across every usable CPU (``_batch_logits``); the scores do
+    not depend on how many there are.
     """
     if not instances:
         raise ValueError("evaluate: no instances")
@@ -224,49 +222,17 @@ def evaluate(
 
 
 def _batch_logits(model: SentimentModel, batches, vocab: Vocab) -> list[tuple]:
-    """Every batch's ``_eval_logits``, in batch order, computed on the
-    calling thread plus one helper thread per further usable CPU.
-
-    The workers, at most one per batch, pull batch indices from one
-    queue, heaviest (most real tokens) first: a forward's time follows
+    """Every batch's ``_eval_logits``, in batch order, shared across every
+    usable CPU heaviest (most real tokens) first: a forward's time follows
     its real tokens, not its width. Each batch's logits are those of its
-    own forward, so the worker that ran it does not change a bit. The
-    helpers are joined before this returns or raises; a worker's error
-    stops the others taking new batches and is raised here unchanged.
-    """
-    todo = deque(sorted(range(len(batches)), key=lambda i: -int(batches[i].mask.sum())))
+    own forward, whichever thread ran it."""
     logits: list = [None] * len(batches)
-    failed: list[BaseException] = []
 
-    def work():
-        while True:
-            try:
-                i = todo.popleft()
-            except IndexError:
-                return
-            logits[i] = _eval_logits(model, batches[i], vocab)
+    def score(i):
+        logits[i] = _eval_logits(model, batches[i], vocab)
 
-    def helper():
-        try:
-            work()
-        except BaseException as e:  # raised again on the calling thread
-            failed.append(e)
-            todo.clear()
-
-    helpers = [
-        threading.Thread(target=helper, name=f"aspectgate-eval-{n}")
-        for n in range(1, min(threads.usable_cpus(), len(batches)))
-    ]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        todo.clear()
-        for t in helpers:
-            t.join()
-    if failed:
-        raise failed[0]
+    threads.share("aspectgate-eval", score,
+                  sorted(range(len(batches)), key=lambda i: -int(batches[i].mask.sum())))
     return logits
 
 

@@ -1,5 +1,7 @@
 """Shared fixtures and small helpers for the test suite."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,16 @@ def weighted_sum(*tensors: Tensor, seed: int | None = None) -> Tensor:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch) -> list[str]:
+    """The name of every thread started during the test, in start order."""
+    real_start, started = threading.Thread.start, []
+
+    def recording_start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started

@@ -369,7 +369,7 @@ def test_a_taped_backward_writes_its_gradients_over_the_saved_arrays(rng):
 
 
 @pytest.mark.parametrize("d_h", [3, 300])
-def test_only_a_block_worth_it_starts_helpers(rng, monkeypatch, d_h):
+def test_only_a_block_worth_it_starts_helpers(rng, monkeypatch, thread_starts, d_h):
     """On two CPUs a taped block starts a helper for its forward and one for
     its backward only from ``_HELPER_MIN_WORK`` real cells times hidden
     width: a tiny block runs its halves in order, a block at the reference
@@ -381,14 +381,6 @@ def test_only_a_block_worth_it_starts_helpers(rng, monkeypatch, d_h):
     x = Tensor(rng.standard_normal((T, d_h, B)), requires_grad=True)
     aspect = Tensor(rng.standard_normal((d_h, B)), requires_grad=True)
     params = [x, aspect, *_params(block)]
-    started = []
-
-    class Recording(cells_mod.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("thread_name_prefix"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(cells_mod, "ThreadPoolExecutor", Recording)
 
     def run(cpus):
         monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
@@ -396,11 +388,12 @@ def test_only_a_block_worth_it_starts_helpers(rng, monkeypatch, d_h):
         return [states.data, gates, *backward(weighted_sum(states, seed=1), params).values()]
 
     want = run(1)
-    assert started == []
+    assert thread_starts == []
     got = run(2)
     worth = lengths.sum() * d_h >= cells_mod._HELPER_MIN_WORK
     assert worth == (d_h == 300)
-    assert sorted(started) == (["aspectgate-bwd", "aspectgate-fwd"] if worth else [])
+    assert sorted(set(thread_starts)) == (
+        ["aspectgate-bwd-1", "aspectgate-fwd-1"] if worth else [])
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
 

@@ -1073,7 +1073,7 @@ def test_concurrent_backwards_each_get_their_serial_gradients(rng, monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_starts_its_own_worker(rng, monkeypatch):
+def test_a_forked_child_starts_its_own_helpers(rng, monkeypatch):
     """A child forked after a threaded backward starts its own helpers and
     gets the one-CPU bits."""
     model, cfg = tiny_model(rng)

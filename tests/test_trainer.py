@@ -614,8 +614,10 @@ def test_trained_bytes_do_not_depend_on_the_blas_thread_setting():
 
 
 @pytest.mark.parametrize("cpus", [None, 2, 100])
-def test_evaluate_starts_a_helper_per_further_cpu_and_joins_them(emb_path, monkeypatch, cpus):
-    """One helper per usable CPU past the first, at most one worker per batch.
+def test_evaluate_starts_a_helper_per_further_cpu_and_joins_them(
+    emb_path, monkeypatch, thread_starts, cpus
+):
+    """One helper per usable CPU past the first, at most one thread per batch.
 
     ``None`` keeps the process's own CPU count, so under ``taskset -c 0``
     this is the real one-CPU path.
@@ -625,17 +627,9 @@ def test_evaluate_starts_a_helper_per_further_cpu_and_joins_them(emb_path, monke
     assert n_batches >= 3
     if cpus is not None:
         monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
-    real_start = threading.Thread.start
-    started = []
-
-    def recording_start(self):
-        started.append(self.name)
-        real_start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
     evaluate(model, inst, vocab, spaces, token_budget=40)
     helpers = min(threads_mod.usable_cpus(), n_batches) - 1
-    assert sorted(started) == sorted(f"aspectgate-eval-{n}" for n in range(1, helpers + 1))
+    assert sorted(thread_starts) == sorted(f"aspectgate-eval-{n}" for n in range(1, helpers + 1))
     assert _eval_threads() == []
 
 
@@ -662,22 +656,19 @@ def test_a_batch_error_propagates_unchanged_after_the_helpers_end(emb_path, monk
 
 
 @pytest.mark.parametrize("encoder", ENCODERS)
-def test_a_grad_free_forward_starts_no_backward_worker(emb_path, monkeypatch, encoder):
-    """Only a taped block over more than one column, with more than one CPU,
-    and of at least ``_HELPER_MIN_WORK`` real cells times hidden width starts
-    its helpers, one for its forward and one for its backward: evaluate,
-    pooled or inline, and a taped B=1 forward start neither, and a training
-    step starts none on 1 CPU, none for these small blocks on 3, and both
-    when no block is too small."""
+def test_a_grad_free_forward_starts_no_block_helper(
+    emb_path, monkeypatch, thread_starts, encoder
+):
+    """Only a taped block of at least ``_HELPER_MIN_WORK`` real cells times
+    hidden width, with more than one CPU, starts helpers, for its forward
+    and for its backward: evaluate, pooled or inline, and a taped B=1
+    forward start none, and a training step starts none on 1 CPU, none for
+    these small blocks on 3, and both kinds when no block is too small."""
     inst, spaces, vocab, model = build_setup(emb_path, encoder=encoder)
-    started = []
 
-    class Recording(cells_mod.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("thread_name_prefix"))
-            super().__init__(*args, **kwargs)
+    def started():  # the block helpers' names, without their numbers
+        return {n.rsplit("-", 1)[0] for n in thread_starts if not n.startswith("aspectgate-eval")}
 
-    monkeypatch.setattr(cells_mod, "ThreadPoolExecutor", Recording)
     default = cells_mod._HELPER_MIN_WORK
     monkeypatch.setattr(cells_mod, "_HELPER_MIN_WORK", 0)
     for cpus in (1, 3):
@@ -685,14 +676,14 @@ def test_a_grad_free_forward_starts_no_backward_worker(emb_path, monkeypatch, en
         evaluate(model, inst, vocab, spaces, token_budget=40)
         one = model.forward_one(vocab.ids(inst[0].tokens), vocab.embedding[2])
         assert one.sent_logits.requires_grad
-    assert started == []
+    assert started() == set()
     both = {"aspectgate-bwd", "aspectgate-fwd"}
     for cpus, least, names in ((1, 0, set()), (3, default, set()), (3, 0, both)):
         monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(cells_mod, "_HELPER_MIN_WORK", least)
-        started.clear()
+        thread_starts.clear()
         train(model, inst[:2], vocab, spaces, TrainConfig(epochs=1), np.random.default_rng(0))
-        assert set(started) == names
+        assert started() == names
 
 
 # -- metrics report -----------------------------------------------------------------------
