@@ -108,7 +108,7 @@ class AspectAnnotation:
         if self.kind not in ("term", "category"):
             raise CorpusError(f"unknown aspect kind {self.kind!r}")
         if self.label not in LABELS:
-            raise CorpusError(f"unknown label {self.label!r}")
+            raise CorpusError(f"unknown polarity {self.label!r}")
         if self.kind == "term" and self.span is None:
             raise CorpusError(f"term aspect {self.name!r} is missing a token span")
 
@@ -142,10 +142,28 @@ def aspect_tokens_of(sentence: RawSentence, ann: AspectAnnotation) -> tuple[str,
     return tuple(tokenize_category(ann.name))
 
 
+def _annotation(where: str, kind, name, label, span, n: int) -> AspectAnnotation:
+    """The aspect one annotation gives, with a term span checked against
+    the sentence's ``n`` tokens; any ``CorpusError`` names ``where`` the
+    annotation sits ("sentence 'id'" or "line N")."""
+    try:
+        ann = AspectAnnotation(kind, name, label, span)
+        if kind == "term" and not (
+            len(span) == 2 and all(type(x) is int for x in span) and 0 <= span[0] < span[1] <= n
+        ):
+            raise CorpusError(
+                f"term span {list(span)} must be two integers "
+                f"0 <= start < end <= {n}, the sentence's token count"
+            )
+    except CorpusError as e:
+        raise CorpusError(f"{where}: {e}") from None
+    return ann
+
+
 # -- XML parsing ---------------------------------------------------------------------
 
 
-def _align_term(spans, term: str, lo, hi, sid: str) -> tuple[int, int]:
+def _align_term(spans, term: str, lo, hi, where: str) -> tuple[int, int]:
     """Token span of a term given its character offsets (or by search)."""
     if lo is not None and hi is not None:
         hit = [i for i, (_, s, e) in enumerate(spans) if s < hi and e > lo]
@@ -157,19 +175,16 @@ def _align_term(spans, term: str, lo, hi, sid: str) -> tuple[int, int]:
     for i in range(len(toks) - len(want) + 1):
         if toks[i : i + len(want)] == want:
             return i, i + len(want)
-    raise CorpusError(f"sentence {sid!r}: cannot align term {term!r} to tokens")
+    raise CorpusError(f"{where}: cannot align term {term!r} to tokens")
 
 
-def parse_semeval_xml(data: str | bytes, task: str) -> list[RawSentence]:
-    """Parse the flat review-sentence XML schema for one task.
+def _read_reviews(data: str | bytes, aspects_of) -> list[RawSentence]:
+    """The sentences of review XML that have aspects.
 
-    ``task`` selects which annotation layer becomes the aspects: "term"
-    reads the term spans, "category" the category names. Sentences with
-    no aspect for the chosen task are dropped. Malformed XML, unknown
-    polarities, and unalignable terms raise ``CorpusError``.
+    ``aspects_of(node, where, spans)`` gives a sentence node's aspects,
+    where "sentence 'id'" names it and ``spans`` are its text's tokens
+    with their character offsets. Malformed XML raises ``CorpusError``.
     """
-    if task not in ("term", "category"):
-        raise CorpusError(f"task must be 'term' or 'category', got {task!r}")
     try:
         root = ET.fromstring(data)
     except ET.ParseError as e:
@@ -179,40 +194,42 @@ def parse_semeval_xml(data: str | bytes, task: str) -> list[RawSentence]:
         sid = node.get("id", f"sentence-{len(out)}")
         text = node.findtext("text") or ""
         spans = tokenize_with_spans(text)
-        tokens = tuple(t for t, _, _ in spans)
-        aspects: list[AspectAnnotation] = []
-        if task == "term":
-            for t in node.iter("aspectTerm"):
-                term = t.get("term")
-                label = t.get("polarity")
-                if term is None or label is None:
-                    raise CorpusError(f"sentence {sid!r}: aspectTerm missing term/polarity")
-                if label not in LABELS:
-                    raise CorpusError(f"sentence {sid!r}: unknown polarity {label!r}")
-                lo = t.get("from")
-                hi = t.get("to")
-                span = _align_term(
-                    spans,
-                    term,
-                    int(lo) if lo is not None else None,
-                    int(hi) if hi is not None else None,
-                    sid,
-                )
-                aspects.append(AspectAnnotation("term", term, label, span))
-        else:
-            for c in node.iter("aspectCategory"):
-                name = c.get("category")
-                label = c.get("polarity")
-                if name is None or label is None:
-                    raise CorpusError(
-                        f"sentence {sid!r}: aspectCategory missing category/polarity"
-                    )
-                if label not in LABELS:
-                    raise CorpusError(f"sentence {sid!r}: unknown polarity {label!r}")
-                aspects.append(AspectAnnotation("category", name, label))
+        aspects = aspects_of(node, f"sentence {sid!r}", spans)
         if aspects:
-            out.append(RawSentence(sid, text, tokens, tuple(aspects)))
+            out.append(RawSentence(sid, text, tuple(t for t, _, _ in spans), tuple(aspects)))
     return out
+
+
+def parse_semeval_xml(data: str | bytes, task: str) -> list[RawSentence]:
+    """Parse the flat review-sentence XML schema for one task.
+
+    ``task`` selects which annotation layer becomes the aspects: "term"
+    reads the ``aspectTerm`` spans, "category" the ``aspectCategory``
+    names. Sentences with no aspect for the chosen task are dropped.
+    Malformed XML, and an annotation with a missing attribute, an
+    unknown polarity or a term that cannot be aligned to the tokens,
+    raise ``CorpusError``; an annotation's error names its sentence.
+    """
+    if task not in ("term", "category"):
+        raise CorpusError(f"task must be 'term' or 'category', got {task!r}")
+    # <aspectTerm term=.. polarity=..> or <aspectCategory category=.. polarity=..>
+    tag = "aspectTerm" if task == "term" else "aspectCategory"
+
+    def aspects_of(node, where, spans):
+        aspects = []
+        for a in node.iter(tag):
+            name, label = a.get(task), a.get("polarity")
+            if name is None or label is None:
+                raise CorpusError(f"{where}: {tag} missing {task}/polarity")
+            span = None
+            if task == "term":
+                lo, hi = a.get("from"), a.get("to")
+                span = _align_term(spans, name, None if lo is None else int(lo),
+                                   None if hi is None else int(hi), where)
+            aspects.append(_annotation(where, task, name, label, span, len(spans)))
+        return aspects
+
+    return _read_reviews(data, aspects_of)
 
 
 def parse_semeval_opinions_xml(data: str | bytes) -> list[RawSentence]:
@@ -221,44 +238,28 @@ def parse_semeval_opinions_xml(data: str | bytes) -> list[RawSentence]:
     Each opinion category is folded to a coarse name: the price attribute
     wins first, then the entity is looked up in ``CATEGORY_MAP``, anything
     else becomes "misc". Within a sentence, duplicate (category, label)
-    pairs collapse to one; a category seen with conflicting labels in one
-    sentence is dropped as ambiguous.
+    pairs collapse to one, kept in first-mention order; a category seen
+    with conflicting labels in one sentence is dropped as ambiguous. An
+    opinion without a category or polarity is skipped; one with an
+    unknown polarity raises ``CorpusError`` naming its sentence.
     """
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as e:
-        raise CorpusError(f"malformed XML at line {e.position[0]}: {e}") from e
-    out: list[RawSentence] = []
-    for node in root.iter("sentence"):
-        sid = node.get("id", f"sentence-{len(out)}")
-        text = node.findtext("text") or ""
-        tokens = tuple(tokenize(text))
-        seen: dict[str, list[str]] = {}
-        order: list[str] = []
+
+    def aspects_of(node, where, spans):
+        seen: dict[str, list[AspectAnnotation]] = {}
         for op in node.iter("Opinion"):
-            raw = op.get("category")
-            label = op.get("polarity")
+            raw, label = op.get("category"), op.get("polarity")
             if raw is None or label is None:
                 continue
-            if label not in LABELS:
-                raise CorpusError(f"sentence {sid!r}: unknown polarity {label!r}")
             entity, _, attribute = raw.partition("#")
             if attribute.strip().upper() == PRICE_ATTRIBUTE:
                 name = "price"
             else:
                 name = CATEGORY_MAP.get(entity.strip().upper(), "misc")
-            if name not in seen:
-                seen[name] = []
-                order.append(name)
-            seen[name].append(label)
-        aspects = []
-        for name in order:
-            labels = set(seen[name])
-            if len(labels) == 1:
-                aspects.append(AspectAnnotation("category", name, labels.pop()))
-        if aspects:
-            out.append(RawSentence(sid, text, tokens, tuple(aspects)))
-    return out
+            seen.setdefault(name, []).append(
+                _annotation(where, "category", name, label, None, len(spans)))
+        return [anns[0] for anns in seen.values() if len({a.label for a in anns}) == 1]
+
+    return _read_reviews(data, aspects_of)
 
 
 # -- JSONL interchange -----------------------------------------------------------------
@@ -285,7 +286,11 @@ def to_jsonl(sentences: Iterable[RawSentence]) -> str:
 
 
 def load_jsonl(text: str) -> list[RawSentence]:
-    """Inverse of ``to_jsonl``; tokens are recomputed from the text."""
+    """Inverse of ``to_jsonl``; tokens are recomputed from the text.
+
+    Every error, invalid JSON, a missing field or a bad annotation,
+    raises ``CorpusError`` naming its line.
+    """
     out = []
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -296,34 +301,15 @@ def load_jsonl(text: str) -> list[RawSentence]:
         except json.JSONDecodeError as e:
             raise CorpusError(f"line {ln}: invalid JSON: {e}") from e
         try:
+            tokens = tuple(tokenize(obj["text"]))
             aspects = tuple(
-                AspectAnnotation(
-                    kind=a["kind"],
-                    name=a["name"],
-                    label=a["label"],
-                    span=tuple(a["span"]) if "span" in a else None,
-                )
+                _annotation(f"line {ln}", a["kind"], a["name"], a["label"],
+                            tuple(a["span"]) if "span" in a else None, len(tokens))
                 for a in obj["aspects"]
             )
-            sent = RawSentence(
-                sid=str(obj["id"]),
-                text=obj["text"],
-                tokens=tuple(tokenize(obj["text"])),
-                aspects=aspects,
-            )
+            out.append(RawSentence(str(obj["id"]), obj["text"], tokens, aspects))
         except (KeyError, TypeError) as e:
             raise CorpusError(f"line {ln}: missing field: {e}") from e
-        n = len(sent.tokens)
-        for a in sent.aspects:
-            if a.kind != "term":
-                continue
-            ints = len(a.span) == 2 and all(type(x) is int for x in a.span)
-            if not (ints and 0 <= a.span[0] < a.span[1] <= n):
-                raise CorpusError(
-                    f"line {ln}: term span {list(a.span)} must be two integers "
-                    f"0 <= start < end <= {n}, the sentence's token count"
-                )
-        out.append(sent)
     return out
 
 

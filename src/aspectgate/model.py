@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import threads
 from .cells import (
     CellParams,
     affine,
@@ -293,6 +294,7 @@ class SentimentModel:
             return dropout(_pool_columns(states, lengths, "last"), c.dropout_hidden, training, rng)
         return _pool_columns(dropout(states, c.dropout_hidden, training, rng), lengths, c.pooling)
 
+    @threads.one_blas_thread()
     def forward(
         self,
         token_ids: np.ndarray,
@@ -405,15 +407,16 @@ def reconstruct_aspect(recon_logits, config: ModelConfig, threshold: float = 0.5
     """Decode (B, C) reconstruction logits into a (B, C) bool prediction.
 
     Category task: the argmax of each row, ties to the lowest index.
-    Term task: every word whose probability reaches ``threshold``.
+    Term task: every word whose probability reaches ``threshold``, which
+    must lie in (0, 1) for either task.
     """
     arr = recon_logits.data if isinstance(recon_logits, Tensor) else np.asarray(recon_logits)
     if arr.ndim != 2:
         raise ShapeError(f"reconstruct_aspect: expected (B, C), got {arr.shape}")
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if config.task == "category":
         decoded = np.zeros(arr.shape, dtype=bool)
         decoded[np.arange(arr.shape[0]), predict(arr)] = True
         return decoded
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     return arr >= np.log(threshold / (1.0 - threshold))

@@ -26,6 +26,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import threads
+
 TRAIN_DTYPE = np.dtype(np.float64)
 CHECK_DTYPE = np.dtype(np.longdouble)
 _ALLOWED_DTYPES = (TRAIN_DTYPE, CHECK_DTYPE)
@@ -375,6 +377,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+@threads.one_blas_thread()
 def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMap:
     """Gradients of a scalar loss with respect to tape leaves.
 

@@ -4,8 +4,9 @@ them, and one BLAS thread.
 Every GEMM the package runs uses one BLAS thread, because the bits of a
 BLAS product can depend on how many threads computed it; all the
 parallelism is the package's own threads, which only ``share`` starts.
-``one_blas_thread`` sets the count around the compute entry points and
-restores the caller's.
+``one_blas_thread`` sets the count around every forward and backward
+(``SentimentModel.forward``, ``tensor.backward``), whoever calls them,
+and restores the caller's.
 """
 
 from __future__ import annotations

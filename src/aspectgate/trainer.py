@@ -126,7 +126,6 @@ def adam_step(
 # -- training loop -----------------------------------------------------------------
 
 
-@threads.one_blas_thread()
 def train_batch(
     model: SentimentModel,
     batch,
@@ -188,7 +187,6 @@ def train(
 # -- evaluation ----------------------------------------------------------------------
 
 
-@threads.one_blas_thread()
 def evaluate(
     model: SentimentModel,
     instances: Sequence[Instance],
@@ -449,7 +447,6 @@ def sweep(
 # -- gate inspection ---------------------------------------------------------------------
 
 
-@threads.one_blas_thread()
 def inspect_gates(
     model: SentimentModel,
     vocab: Vocab,

@@ -229,6 +229,64 @@ def test_jsonl_refuses_bad_term_spans(span):
         load_jsonl("\n".join(json.dumps(obj) for obj in lines))
 
 
+@pytest.mark.parametrize("aspect, error", [
+    ({"kind": "category", "name": "food", "label": "happy"}, "unknown polarity 'happy'"),
+    ({"kind": "span", "name": "food", "label": "positive"}, "unknown aspect kind 'span'"),
+    ({"kind": "term", "name": "food", "label": "positive"}, "term aspect 'food' is missing"),
+], ids=["polarity", "kind", "span"])
+def test_jsonl_annotation_errors_name_their_line(aspect, error):
+    lines = [
+        {"id": "a", "text": "good food", "aspects": []},
+        {"id": "b", "text": "", "aspects": []},
+        {"id": "c", "text": "the food was good", "aspects": [aspect]},
+    ]
+    text = "\n".join(json.dumps(obj) for obj in lines[:2]) + "\n\n" + json.dumps(lines[2])
+    with pytest.raises(CorpusError, match=f"^line 4: {error}"):
+        load_jsonl(text)
+
+
+def test_category_without_polarity_names_its_sentence_and_tag():
+    xml = """<sentences><sentence id="c9"><text>ok food</text>
+      <aspectCategories><aspectCategory category="food"/></aspectCategories>
+      </sentence></sentences>"""
+    with pytest.raises(CorpusError, match="^sentence 'c9': aspectCategory missing"):
+        parse_semeval_xml(xml, task="category")
+
+
+def test_an_empty_xml_term_is_refused_like_its_jsonl_span():
+    """A term with no word tokens aligns to the empty span (0, 0), which
+    the XML reader refuses as the JSONL reader does."""
+    xml = """<sentences><sentence id="e1"><text>ok food</text>
+      <aspectTerms><aspectTerm term=" " polarity="positive"/></aspectTerms>
+      </sentence></sentences>"""
+    with pytest.raises(CorpusError, match=r"^sentence 'e1': term span \[0, 0\]"):
+        parse_semeval_xml(xml, task="term")
+
+
+def test_opinion_with_unknown_polarity_names_its_sentence():
+    xml = """<Reviews><Review><sentences><sentence id="o9"><text>ok food</text><Opinions>
+      <Opinion category="FOOD#QUALITY" polarity="positive"/>
+      <Opinion category="FOOD#QUALITY" polarity="happy"/>
+      </Opinions></sentence></sentences></Review></Reviews>"""
+    with pytest.raises(CorpusError, match="^sentence 'o9': unknown polarity 'happy'"):
+        parse_semeval_opinions_xml(xml)
+
+
+def test_opinions_keep_first_mention_order_when_categories_repeat():
+    xml = """<Reviews><Review><sentences><sentence id="o3"><text>Nice staff, cheap food.</text>
+      <Opinions>
+        <Opinion category="SERVICE#GENERAL" polarity="positive"/>
+        <Opinion category="FOOD#PRICES" polarity="positive"/>
+        <Opinion category="FOOD#QUALITY" polarity="negative"/>
+        <Opinion category="SERVICE#GENERAL" polarity="positive"/>
+        <Opinion category="DRINKS#PRICES" polarity="positive"/>
+      </Opinions></sentence></sentences></Review></Reviews>"""
+    (sent,) = parse_semeval_opinions_xml(xml)
+    assert [(a.name, a.label) for a in sent.aspects] == [
+        ("service", "positive"), ("price", "positive"), ("food", "negative"),
+    ]
+
+
 # -- views ---------------------------------------------------------------------------
 
 

@@ -1203,8 +1203,9 @@ def test_reconstruct_aspect_decoding():
     assert np.array_equal(got, [[False, True, False]])
     got = reconstruct_aspect(Tensor([[0.2, -0.1, 0.0]]), term, threshold=0.5)
     assert np.array_equal(got, [[True, False, True]])  # logit >= 0 means probability >= one half
-    with pytest.raises(ValueError):
-        reconstruct_aspect(Tensor([[0.0]]), term, threshold=1.5)
+    for config in (category, term):
+        with pytest.raises(ValueError, match="threshold"):
+            reconstruct_aspect(Tensor([[0.0]]), config, threshold=1.5)
     with pytest.raises(ValueError):
         reconstruct_aspect(Tensor([[0.0]]), tiny_config(task="span"))
     with pytest.raises(ShapeError):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aspectgate.cells as cells_mod
+import aspectgate.model as model_mod
 import aspectgate.threads as threads_mod
 import aspectgate.trainer as trainer_mod
 from aspectgate.cells import CELL_KINDS
@@ -527,10 +528,10 @@ def test_compute_entry_points_run_with_one_blas_thread_and_restore_the_count(
 ):
     inst, spaces, vocab, model = build_setup(emb_path)
     get, set_ = threads_mod._blas_thread_count()
-    seen = []
-    real_forward = SentimentModel.forward
-    monkeypatch.setattr(SentimentModel, "forward",
-                        lambda *a, **k: seen.append(get()) or real_forward(*a, **k))
+    seen = []  # the count inside the forward, where its blocks run
+    real_block = model_mod.run_block_batch
+    monkeypatch.setattr(model_mod, "run_block_batch",
+                        lambda *a, **k: seen.append(get()) or real_block(*a, **k))
     caller = get()
     set_(2)
     try:
@@ -596,21 +597,61 @@ print(hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters().value
                     reason="OpenBLAS runs one thread on one usable CPU, whatever it is asked")
 def test_trained_bytes_do_not_depend_on_the_blas_thread_setting():
     """At hidden 100 and B=48, one and two OpenBLAS threads give different
-    products; train_batch sets one thread itself, so both settings train
-    the same parameter bytes, through train and through direct train_batch
-    calls alike."""
-    src = str(Path(threads_mod.__file__).resolve().parents[1])
-    digests = {}
-    for entry in ("train", "train_batch"):
-        for n in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": n,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-            done = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH, entry], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, done.stderr
-            digests.setdefault(entry, set()).add(done.stdout.strip())
+    products; the forward and the backward set one thread themselves, so
+    both settings train the same parameter bytes, through train and through
+    direct train_batch calls alike."""
+    digests = {entry: {_hash_in_subprocess(_TRAIN_AND_HASH, entry, blas) for blas in ("1", "2")}
+               for entry in ("train", "train_batch")}
     assert all(len(d) == 1 for d in digests.values())
     assert digests["train"] == digests["train_batch"]
+
+
+_FORWARD_BACKWARD_AND_HASH = """
+import hashlib
+import sys
+import numpy as np
+from aspectgate.corpus import TaskSpaces, assemble_vocab, make_batches
+from aspectgate.model import ModelConfig, SentimentModel, aspect_matrix, batch_joint_loss
+from aspectgate.synth import ALL_WORDS, synthetic_instances
+from aspectgate.tensor import backward
+inst = synthetic_instances(24, seed=1)  # 48 instances: one batch of B=48
+spaces = TaskSpaces.build("category", inst)
+vocab = assemble_vocab(list(ALL_WORDS), [], {}, 50, seed=1)
+cfg = ModelConfig(hidden_size=int(sys.argv[1]), embed_size=50, depth=2,
+                  num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
+model = SentimentModel(cfg, vocab.embedding, np.random.default_rng(1))
+(batch,) = make_batches(inst, vocab, spaces, 4096, shuffle=False)
+result = model.forward(batch.token_ids, batch.mask, aspect_matrix(batch.aspect_tokens, vocab),
+                       training=True, rng=np.random.default_rng(1))
+loss, _, _ = batch_joint_loss(result, batch.label_ids, batch.recon_target, cfg)
+grads = backward(loss, list(model.parameters().values()))
+h = hashlib.sha256(result.sent_logits.data.tobytes() + result.recon_logits.data.tobytes())
+for g in grads.values():
+    h.update(g.tobytes())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(threads_mod.usable_cpus() < 2,
+                    reason="OpenBLAS runs one thread on one usable CPU, whatever it is asked")
+@pytest.mark.parametrize("hidden", ["100", "300"])
+def test_a_direct_forward_and_backward_do_not_depend_on_the_blas_thread_setting(hidden):
+    """The forward and the backward set one BLAS thread themselves, so a
+    caller outside the trainer gets the same logits and gradients at one
+    and two OpenBLAS threads."""
+    assert len({_hash_in_subprocess(_FORWARD_BACKWARD_AND_HASH, hidden, blas)
+                for blas in ("1", "2")}) == 1
+
+
+def _hash_in_subprocess(script: str, arg: str, blas: str) -> str:
+    """What ``script`` prints, run with ``arg`` at ``OPENBLAS_NUM_THREADS=blas``."""
+    src = str(Path(threads_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, arg], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 @pytest.mark.parametrize("cpus", [None, 2, 100])
