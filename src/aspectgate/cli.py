@@ -46,6 +46,7 @@ from .trainer import (
     TrainConfig,
     TrainingDiverged,
     evaluate,
+    experiment_problems,
     inspect_gates,
     run_experiment,
 )
@@ -116,6 +117,17 @@ class RunConfig:
             return "gru"
         return self.encoder or "aspect-dt"
 
+
+# the values a setting may take, whether a flag or the config file gives it
+CHOICES = {
+    "dataset": sorted(DATASETS),
+    "view": VIEWS,
+    "hds_rule": HDS_RULES,
+    "encoder": ENCODERS,
+    "ablate": ABLATIONS,
+    "pool": POOLING_MODES,
+    "axis": sorted(SWEEP_AXIS_FLAGS),
+}
 
 # paths are machine-local; everything else defines the experiment
 _PATH_FIELDS = ("data_dir", "embeddings", "out", "checkpoint")
@@ -225,6 +237,9 @@ def resolve_config(args: argparse.Namespace, problems: list[str]) -> RunConfig:
                 continue
             try:
                 value = parse_value(key, text)
+                allowed = CHOICES.get(key)
+                if allowed and not set(value if key == "ablate" else [value]) <= set(allowed):
+                    raise ValueError(f"{text!r} is not one of {list(allowed)}")
             except ValueError as e:
                 problems.append(f"{path}: bad value for {key}: {e}")
                 continue
@@ -235,62 +250,46 @@ def resolve_config(args: argparse.Namespace, problems: list[str]) -> RunConfig:
 
 
 def validate_common(rc: RunConfig, problems: list[str]) -> None:
-    if rc.dataset not in DATASETS:
-        problems.append(f"unknown dataset {rc.dataset!r}; choose from {sorted(DATASETS)}")
-    if rc.view not in VIEWS:
-        problems.append(f"view must be one of {VIEWS}, got {rc.view!r}")
-    if rc.hds_rule not in HDS_RULES:
-        problems.append(f"hds-rule must be one of {HDS_RULES}, got {rc.hds_rule!r}")
-    for a in rc.ablate:
-        if a not in ABLATIONS:
-            problems.append(f"unknown ablation {a!r}; choose from {ABLATIONS}")
+    """Settings checks beyond ``CHOICES``, which ``resolve_config`` and argparse apply."""
     if "ag" in rc.ablate and rc.encoder == "aspect-dt":
         problems.append("--ablate ag contradicts --encoder aspect-dt")
-    if not rc.seeds:
-        problems.append("need at least one seed")
-    elif len(set(rc.seeds)) != len(rc.seeds):
-        problems.append(f"duplicate seeds in {list(rc.seeds)}")
-    if min(rc.seeds, default=0) < 0:
-        problems.append(f"seeds must be >= 0, got seed {min(rc.seeds)}")
-    if not 0.0 < rc.threshold < 1.0:
-        problems.append(f"threshold must be in (0, 1), got {rc.threshold}")
+    problems += experiment_problems(rc.seeds, rc.threshold)
     if rc.token_budget < 1:
         problems.append(f"token-budget must be >= 1, got {rc.token_budget}")
 
 
-def _model_config(rc: RunConfig, problems: list[str]) -> ModelConfig | None:
-    """The run's model settings; ``_training_inputs`` fills in the task and counts."""
+def _checked(problems: list[str], prefix: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or None with ``prefix`` and its ValueError in ``problems``."""
     try:
-        return ModelConfig(
-            hidden_size=rc.hidden,
-            embed_size=rc.embed_dim,
-            depth=rc.depth,
-            lam=rc.resolved_lam(),
-            encoder=rc.effective_encoder(),
-            aspect_concat="ac" not in rc.ablate,
-            reconstruct="ar" not in rc.ablate,
-            dropout_input=rc.dropout_input,
-            dropout_hidden=rc.dropout_hidden,
-            pooling=rc.pool,
-            bidirectional=rc.bidirectional,
-            use_bias=rc.use_bias,
-        )
+        return build(*args, **kwargs)
     except ValueError as e:
-        problems.append(str(e))
+        problems.append(prefix + str(e))
         return None
 
 
-def _train_config(rc: RunConfig, problems: list[str]) -> TrainConfig | None:
-    try:
-        return TrainConfig(
-            epochs=rc.epochs,
-            lr=rc.lr,
-            clip_norm=rc.clip,
-            token_budget=rc.token_budget,
-        )
-    except ValueError as e:
-        problems.append(str(e))
-        return None
+def _configs(rc: RunConfig, problems: list[str]) -> tuple[TrainConfig | None, ModelConfig | None]:
+    """The run's training and model settings; ``_training_inputs`` fills in
+    the model's task and counts."""
+    tc = _checked(
+        problems, "", TrainConfig,
+        epochs=rc.epochs, lr=rc.lr, clip_norm=rc.clip, token_budget=rc.token_budget,
+    )
+    cfg = _checked(
+        problems, "", ModelConfig,
+        hidden_size=rc.hidden,
+        embed_size=rc.embed_dim,
+        depth=rc.depth,
+        lam=rc.resolved_lam(),
+        encoder=rc.effective_encoder(),
+        aspect_concat="ac" not in rc.ablate,
+        reconstruct="ar" not in rc.ablate,
+        dropout_input=rc.dropout_input,
+        dropout_hidden=rc.dropout_hidden,
+        pooling=rc.pool,
+        bidirectional=rc.bidirectional,
+        use_bias=rc.use_bias,
+    )
+    return tc, cfg
 
 
 # -- prepared-data access -----------------------------------------------------------
@@ -399,10 +398,9 @@ def _training_inputs(rc: RunConfig, cfg: ModelConfig | None, test_views, problem
     task = DATASETS[rc.dataset].task
     spaces = TaskSpaces.build(task, train_inst, rc.view != "nc")
     counts = {"num_labels": spaces.num_labels, "num_recon_targets": spaces.num_recon_targets}
-    try:
-        cfg = replace(cfg, task=task, **counts)
-    except ValueError as e:  # such as a train view with no reconstruction target
-        problems.append(f"{train_file}: {e}")
+    # refused, for one, when the train view has no reconstruction target
+    cfg = _checked(problems, f"{train_file}: ", replace, cfg, task=task, **counts)
+    if cfg is None:
         return None
     return train_file, test_files, train_inst, spaces, cfg
 
@@ -410,8 +408,7 @@ def _training_inputs(rc: RunConfig, cfg: ModelConfig | None, test_views, problem
 def cmd_train(rc: RunConfig, args) -> int:
     problems: list[str] = []
     validate_common(rc, problems)
-    tc = _train_config(rc, problems)
-    cfg = _model_config(rc, problems)
+    tc, cfg = _configs(rc, problems)
     eval_views = ("ds", "hds") if rc.view == "ds" else (rc.view,)
     inputs = _training_inputs(rc, cfg, eval_views, problems)
     if problems:
@@ -420,9 +417,14 @@ def cmd_train(rc: RunConfig, args) -> int:
     eval_sets = {
         v: expand(_read_raw(f)) for v, f in zip(eval_views, test_files)
     }
-    digest = config_digest(rc)
     files = [train_file, *test_files]
-    ddigest = data_digest(files)
+    # what names the run, in each checkpoint's meta and in metrics.json
+    run_entries = {
+        "dataset": rc.dataset,
+        "view": rc.view,
+        "config_digest": config_digest(rc),
+        "data_digest": data_digest(files),
+    }
     report, runs = run_experiment(
         train_inst, eval_sets, rc.embeddings, cfg, tc, spaces, rc.seeds, rc.threshold, log=_log
     )
@@ -431,11 +433,8 @@ def cmd_train(rc: RunConfig, args) -> int:
     for run in runs:
         name = f"model-seed{run.seed}.ckpt"
         meta = {
-            "dataset": rc.dataset,
-            "view": rc.view,
+            **run_entries,
             "seed": run.seed,
-            "config_digest": digest,
-            "data_digest": ddigest,
             "data_files": [f.name for f in files],
             "spaces": spaces.to_dict(),
             "train": tc.to_dict(),
@@ -443,11 +442,8 @@ def cmd_train(rc: RunConfig, args) -> int:
         save_checkpoint(out / name, run.model, run.vocab, meta)
         ckpt_names.append(name)
     metrics = {
-        "dataset": rc.dataset,
-        "view": rc.view,
+        **run_entries,
         "task": DATASETS[rc.dataset].task,
-        "config_digest": digest,
-        "data_digest": ddigest,
         "model_config": cfg.to_dict(),
         "train_config": tc.to_dict(),
         "seeds": list(rc.seeds),
@@ -457,11 +453,15 @@ def cmd_train(rc: RunConfig, args) -> int:
     }
     write_atomic_json(out / "metrics.json", metrics)
     for name in report.metric_names():
-        std = report.std(name)
-        spread = "" if std is None else f" ± {std:.4f}"
-        print(f"{name}: {report.mean(name):.4f}{spread}")
+        print(f"{name}: {_mean_std(report, name)}")
     print(f"wrote {out}/metrics.json and {len(ckpt_names)} checkpoint(s)")
     return 0
+
+
+def _mean_std(report, name: str) -> str:
+    """A metric's mean over seeds, with its spread when there is one."""
+    std = report.std(name)
+    return f"{report.mean(name):.4f}" + ("" if std is None else f" ± {std:.4f}")
 
 
 # -- eval --------------------------------------------------------------------------
@@ -539,11 +539,7 @@ def cmd_eval(rc: RunConfig, args) -> int:
 def cmd_sweep(rc: RunConfig, args) -> int:
     problems: list[str] = []
     validate_common(rc, problems)
-    tc = _train_config(rc, problems)
-    cfg = _model_config(rc, problems)
-    if rc.axis not in SWEEP_AXIS_FLAGS:
-        problems.append(f"axis must be one of {sorted(SWEEP_AXIS_FLAGS)}, got {rc.axis!r}")
-        return _report(problems)
+    tc, cfg = _configs(rc, problems)
     if not 0.0 < rc.dev_fraction < 1.0:
         problems.append(f"dev-fraction must be in (0, 1), got {rc.dev_fraction}")
     values = rc.values or (
@@ -551,17 +547,15 @@ def cmd_sweep(rc: RunConfig, args) -> int:
     )
     if len(set(values)) != len(values):
         problems.append(f"duplicate values in {list(values)}")
+    field = SWEEP_AXIS_FLAGS[rc.axis]  # the ModelConfig field the sweep sets
     for value in values if cfg is not None else ():
-        try:
-            replace(cfg, **{SWEEP_AXIS_FLAGS[rc.axis]: value})
-        except ValueError as e:
-            problems.append(f"{rc.axis}={value}: {e}")
+        _checked(problems, f"{rc.axis}={value}: ", replace, cfg, **{field: value})
     inputs = _training_inputs(rc, cfg, (), problems)
     if problems:
         return _report(problems)
     _, _, train_inst, spaces, cfg = inputs
     out = run_sweep(
-        SWEEP_AXIS_FLAGS[rc.axis],
+        field,
         values,
         train_inst,
         rc.embeddings,
@@ -575,17 +569,15 @@ def cmd_sweep(rc: RunConfig, args) -> int:
     )
     rows = []
     for value, report in out["values"].items():
-        std = report.std("acc_dev")
         rows.append(
             {
                 "value": value,
                 "acc_dev_mean": report.mean("acc_dev"),
-                "acc_dev_std": std,
+                "acc_dev_std": report.std("acc_dev"),
                 "seeds": report.to_dict()["seeds"],
             }
         )
-        spread = "" if std is None else f" ± {std:.4f}"
-        print(f"{rc.axis}={value}: dev accuracy {report.mean('acc_dev'):.4f}{spread}")
+        print(f"{rc.axis}={value}: dev accuracy {_mean_std(report, 'acc_dev')}")
     table = {
         "axis": rc.axis,
         "view": rc.view,
@@ -648,13 +640,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _FLAG_OPTIONS = {
-    "dataset": dict(choices=sorted(DATASETS)),
-    "view": dict(choices=VIEWS),
-    "hds_rule": dict(choices=HDS_RULES),
-    "encoder": dict(choices=ENCODERS),
-    "ablate": dict(action="append", choices=ABLATIONS, type=str),  # one name per flag
-    "pool": dict(choices=POOLING_MODES),
-    "axis": dict(choices=sorted(SWEEP_AXIS_FLAGS)),
+    "ablate": dict(action="append", type=str),  # one name per flag
     "lam": dict(metavar="LAMBDA"),
 }
 
@@ -676,33 +662,16 @@ def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
         if isinstance(_DEFAULTS[name], bool):
             kw = dict(action="store_true")
         else:
-            kw = {"type": _flag_type(name), **_FLAG_OPTIONS.get(name, {})}
+            kw = {"type": _flag_type(name), "choices": CHOICES.get(name)}
+            kw.update(_FLAG_OPTIONS.get(name, {}))
         p.add_argument(*aliases, dest=name, default=argparse.SUPPRESS, **kw)
 
 
-_MODEL_TRAIN_FLAGS = (
-    "dataset",
-    "data_dir",
-    "embeddings",
-    "out",
-    "view",
-    "seeds",
-    "hidden",
-    "embed_dim",
-    "depth",
-    "lam",
-    "encoder",
-    "ablate",
-    "pool",
-    "bidirectional",
-    "use_bias",
-    "epochs",
-    "lr",
-    "clip",
-    "token_budget",
-    "dropout_input",
-    "dropout_hidden",
-    "threshold",
+# train and sweep take every setting but those only the other commands read
+_MODEL_TRAIN_FLAGS = tuple(
+    f.name
+    for f in fields(RunConfig)
+    if f.name not in ("checkpoint", "hds_rule", "nc", "axis", "values", "dev_fraction")
 )
 
 

@@ -164,7 +164,11 @@ def _annotation(where: str, kind, name, label, span, n: int) -> AspectAnnotation
 
 
 def _align_term(spans, term: str, lo, hi, where: str) -> tuple[int, int]:
-    """Token span of a term given its character offsets (or by search)."""
+    """Token span of a term given the text of its character offsets (or by search)."""
+    try:
+        lo, hi = (None if x is None else int(x) for x in (lo, hi))
+    except ValueError:
+        raise CorpusError(f"{where}: term offsets must be integers, got {lo!r}, {hi!r}") from None
     if lo is not None and hi is not None:
         hit = [i for i, (_, s, e) in enumerate(spans) if s < hi and e > lo]
         if hit:
@@ -223,9 +227,7 @@ def parse_semeval_xml(data: str | bytes, task: str) -> list[RawSentence]:
                 raise CorpusError(f"{where}: {tag} missing {task}/polarity")
             span = None
             if task == "term":
-                lo, hi = a.get("from"), a.get("to")
-                span = _align_term(spans, name, None if lo is None else int(lo),
-                                   None if hi is None else int(hi), where)
+                span = _align_term(spans, name, a.get("from"), a.get("to"), where)
             aspects.append(_annotation(where, task, name, label, span, len(spans)))
         return aspects
 
@@ -400,10 +402,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def dim(self) -> int:
-        return self.embedding.shape[1]
 
     def lookup(self, token: str) -> int:
         return self._index.get(token, UNK)

@@ -354,8 +354,6 @@ def dropout(t: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 
 # -- backward ---------------------------------------------------------------
 
-GradientMap = dict  # Tensor -> np.ndarray, keyed by node identity
-
 
 def _toposort(root: Tensor) -> list[Tensor]:
     """Iterative post-order over grad-requiring nodes; parents first."""
@@ -378,7 +376,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 @threads.one_blas_thread()
-def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMap:
+def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tensor, np.ndarray]:
     """Gradients of a scalar loss with respect to tape leaves.
 
     Returns a map from tensor to gradient array. With ``params`` given,
@@ -392,7 +390,7 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> GradientMa
         raise RuntimeError("backward called inside no_grad(): no tape was recorded")
     if loss.ndim != 0:
         raise ShapeError(f"backward: root must be scalar, got shape {loss.shape}")
-    grads: GradientMap = {}
+    grads: dict[Tensor, np.ndarray] = {}
     if loss.requires_grad:
         order = _toposort(loss)
         grads[loss] = np.ones((), dtype=loss.data.dtype)

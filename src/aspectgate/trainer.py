@@ -311,6 +311,20 @@ class SeedRun:
 _ROW_PREFIX = {"accuracy": "acc", "reconstruction": "recon"}
 
 
+def experiment_problems(seeds: Sequence[int], threshold: float) -> list[str]:
+    """What is wrong with an experiment's seeds and reconstruction threshold."""
+    problems = []
+    if not seeds:
+        problems.append("need at least one seed")
+    elif len(set(seeds)) != len(seeds):
+        problems.append(f"duplicate seeds in {list(seeds)}")
+    if min(seeds, default=0) < 0:
+        problems.append(f"seeds must be >= 0, got seed {min(seeds)}")
+    if not 0.0 < threshold < 1.0:
+        problems.append(f"threshold must be in (0, 1), got {threshold}")
+    return problems
+
+
 def run_experiment(
     train_instances: Sequence[Instance],
     eval_sets: Mapping[str, Sequence[Instance]],
@@ -327,14 +341,12 @@ def run_experiment(
     The embedding file is scanned once; each seed assembles its own
     vocabulary (fresh rows for uncovered tokens), model init, and batch
     order from that seed alone, so runs are reproducible one by one.
-    ``threshold`` scores term reconstruction (see ``evaluate``).
+    ``threshold`` scores term reconstruction (see ``evaluate``). Bad
+    seeds or a bad threshold raise ValueError before any seed trains.
     """
-    if not seeds:
-        raise ValueError("run_experiment: need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"run_experiment: duplicate seeds in {list(seeds)}")
-    if min(seeds) < 0:
-        raise ValueError(f"run_experiment: seeds must be >= 0, got seed {min(seeds)}")
+    problems = experiment_problems(seeds, threshold)
+    if problems:
+        raise ValueError("run_experiment: " + "; ".join(problems))
     all_eval = [i for insts in eval_sets.values() for i in insts]
     train_tokens, test_tokens = vocab_token_lists(train_instances, all_eval)
     found, dim = scan_embedding_file(embedding_path, set(train_tokens) | set(test_tokens))

@@ -242,6 +242,20 @@ def test_non_finite_numbers_are_refused(workspace, capsys, command, flags, file_
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", sorted(cli_mod.CHOICES))
+def test_a_value_outside_its_choices_is_refused_from_the_file_and_the_flag(
+    tmp_path, capsys, name
+):
+    command = "prepare" if name == "hds_rule" else "sweep"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = bogus\n")
+    assert run([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: bad value for {name}: 'bogus'"), err
+    assert run([command, *_as_flags(name, "bogus")]) == 1
+    assert "invalid choice: 'bogus' (choose from " in capsys.readouterr().err
+
+
 def test_config_file_errors_are_validation_problems(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\ndepth = x\n")
@@ -423,6 +437,19 @@ def test_prepare_surfaces_parse_errors(workspace, capsys):
     )
     assert code == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_prepare_names_the_file_and_sentence_of_a_non_integer_term_offset(tmp_path, capsys):
+    bad = tmp_path / "bad.xml"
+    bad.write_text(
+        '<sentences><sentence id="x1"><text>ok food</text><aspectTerms>'
+        '<aspectTerm term="food" polarity="positive" from="x" to="7"/>'
+        "</aspectTerms></sentence></sentences>"
+    )
+    code = run(["prepare", "--dataset", "restaurant-term", "--train", str(bad),
+                "--test", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: sentence 'x1': term offsets")
 
 
 def test_prepare_names_the_bad_jsonl_file(workspace, capsys):

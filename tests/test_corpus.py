@@ -263,6 +263,14 @@ def test_an_empty_xml_term_is_refused_like_its_jsonl_span():
         parse_semeval_xml(xml, task="term")
 
 
+def test_a_non_integer_xml_term_offset_names_its_sentence():
+    xml = """<sentences><sentence id="x1"><text>ok food</text>
+      <aspectTerms><aspectTerm term="food" polarity="positive" from="x" to="7"/></aspectTerms>
+      </sentence></sentences>"""
+    with pytest.raises(CorpusError, match="^sentence 'x1': term offsets must be integers"):
+        parse_semeval_xml(xml, task="term")
+
+
 def test_opinion_with_unknown_polarity_names_its_sentence():
     xml = """<Reviews><Review><sentences><sentence id="o9"><text>ok food</text><Opinions>
       <Opinion category="FOOD#QUALITY" polarity="positive"/>

@@ -776,6 +776,24 @@ def test_run_experiment_refuses_a_negative_seed_before_training(emb_path, monkey
     assert trained == []
 
 
+@pytest.mark.parametrize("entry", ["run_experiment", "sweep"])
+@pytest.mark.parametrize("threshold", [1.5, 0.0])
+def test_a_bad_threshold_is_refused_before_training(emb_path, monkeypatch, entry, threshold):
+    inst = synthetic_instances(4, seed=9)
+    spaces = TaskSpaces.build("category", inst)
+    cfg = small_config(num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
+    trained = []
+    monkeypatch.setattr(trainer_mod, "train", lambda *a, **kw: trained.append(1) or [0.0])
+    with pytest.raises(ValueError, match=rf"threshold must be in \(0, 1\), got {threshold}"):
+        if entry == "sweep":
+            sweep("depth", (1,), inst, emb_path, cfg, TrainConfig(epochs=1), spaces, seeds=(1,),
+                  dev_fraction=0.25, threshold=threshold)
+        else:
+            run_experiment(inst, {"train": inst}, emb_path, cfg, TrainConfig(epochs=1), spaces,
+                           seeds=(1,), threshold=threshold)
+    assert trained == []
+
+
 def test_run_experiment_is_reproducible(emb_path):
     inst = synthetic_instances(4, seed=9)
     spaces = TaskSpaces.build("category", inst)
