@@ -15,9 +15,10 @@ A block over a whole batch of sequences is one tape op,
 ``run_block_batch``: its input and states are step-major (T, d, B)
 arrays, and it runs the numpy step functions once per cell per step
 on each of two column halves, over the columns still running. Its
-backward runs the same halves back through time, writing each step's
-gradients over what the forward saved, then forms each stack's weight
-gradient in one GEMM over every real cell. Steps take column-major
+backward runs the same halves back through time, forming each step's
+elementwise states again from what the forward saved and writing the
+step's gradients over it, then forms each stack's weight gradient in
+one GEMM over every real cell. Steps take column-major
 batches, (d, B) with one column per sequence. A single sequence is a
 batch of one column, so the batched encoder is the only implementation
 of the math.
@@ -202,7 +203,7 @@ def gate_arrays(cell: CellParams, prefix: str = "") -> dict[str, np.ndarray]:
 
 
 def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
-              a_proj: np.ndarray | None = None, out=(None,) * 5):
+              a_proj: np.ndarray | None = None, out=(None,) * 4):
     """One step of any cell kind in numpy; returns ``(h, g, saved)``.
 
     ``X`` is the step's (rows, B) slice of the token projection
@@ -214,14 +215,14 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
     the time loop too: the aspect is constant across a sequence. The
     state projection ``stacks["h"] @ h_prev`` plus bias is a (rows, B)
     array ``H``, the relu gate's pre-activation in its gate rows. ``g`` is
-    the relu aspect gate (None without an aspect) and ``saved`` is all
-    that ``_step_backward`` reads, X and H among it. ``out`` holds the
-    (·, B) views that ``H``, the candidate ``tanh``, ``cand - h_prev``,
-    ``g`` and ``h`` are written into, each None for a new array; the
-    values are the same bits either way.
+    the relu aspect gate (None without an aspect) and ``saved`` is the
+    record ``_step_backward`` takes: X, H, the candidate ``tanh``,
+    ``cand - h_prev``, g and h. ``out`` holds the (·, B) views that ``H``,
+    ``tanh``, ``g`` and ``h`` are written into, each None for a new array;
+    the values are the same bits either way.
     """
     Wh, d, ns, hd = p.stacks["h"].data, p.d_h, p.ns, h_prev
-    H_out, tn_out, diff_out, g_out, h_out = out
+    H_out, tn_out, g_out, h_out = out
     # batch-major GEMM: H.T = hd.T @ Wh.T, with Wh.T the contiguous storage
     H = np.matmul(hd.T, Wh.T, out=None if H_out is None else H_out.T).T
     if p.bias is not None:
@@ -232,8 +233,7 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
         S = X[p.lead * d :]
         S += H[: ns * d]
         _sigmoid(S, out=S)
-    r, z = S[:d], S[d : 2 * d]
-    u = np.multiply(r, H[-d:], out=tn_out)
+    u = np.multiply(S[:d], H[-d:], out=tn_out)  # r * the candidate's state term
     g = None
     if p.gated:  # relu aspect gate g: scales the token term and lin2
         pre_g = H[ns * d : (ns + 1) * d]
@@ -243,18 +243,36 @@ def cell_step(p: CellParams, X: np.ndarray | None, h_prev: np.ndarray,
     elif X is not None:
         u += X[:d]
     tn = np.tanh(u, out=u)
+    diff, h = blend(p, X, H, tn, g, hd, h_out)
+    return h, g, (X, H, tn, diff, g, h)
+
+
+def blend(p: CellParams, X: np.ndarray | None, H: np.ndarray, tn: np.ndarray,
+          g: np.ndarray | None, hd: np.ndarray, h_out: np.ndarray | None = None):
+    """A step's ``cand - h_prev`` and new state ``h``: ``(diff, h)``.
+
+    The step's token rows ``X``, state projection ``H``, candidate tanh
+    ``tn`` and relu gate ``g`` are as ``cell_step`` leaves them, with the
+    sigmoid gates in place, and ``hd`` is the cell's input state; ``h``
+    is written into ``h_out``, a new array when None. ``cell_step`` forms
+    both here, and a taped block's backward forms them again here from the
+    same operands, so what the backward recomputes is the forward's bits.
+    The block calls it by this module-level name.
+    """
+    d, ns = p.d_h, p.ns
+    S = H[: ns * d] if X is None else X[p.lead * d :]  # the sigmoid gates' values
     if ns == 3:  # gated linear bypass l * lin1
-        diff = np.multiply(S[2 * d :], X[d : 2 * d], out=diff_out)
+        diff = np.multiply(S[2 * d :], X[d : 2 * d])
         diff += tn
         if g is not None:
             diff += g * X[2 * d : 3 * d]
         diff -= hd
     else:
-        diff = np.subtract(tn, hd, out=diff_out)
+        diff = np.subtract(tn, hd)
     # h = (1 - z) * h_prev + z * cand, as h_prev + z * (cand - h_prev)
-    h = np.multiply(z, diff, out=h_out)
+    h = np.multiply(S[d : 2 * d], diff, out=h_out)
     h += hd
-    return h, g, (X, H, tn, diff, g)
+    return diff, h
 
 
 # One implementation under each cell kind's name. The block calls a kind's
@@ -277,18 +295,23 @@ def _sigmoid_grad(pre: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
 def _step_backward(p: CellParams, saved, dh: np.ndarray):
     """Backward of one ``cell_step`` along the recurrence: ``(dh_prev, dg)``.
 
-    ``saved`` is what the step returned, and the step's pre-activation
-    gradients are written over it, each block once every read of what it
-    held is done. ``H`` gets the state rows' [sigmoid gates, (g),
-    candidate state term] and, for an input cell, ``X`` the token rows'
-    [token-only terms, sigmoid gates]: the sigmoid gates' rows go to both.
-    Each has the width of the input it multiplies, so after the last step
-    back the cell's block-wide ``H`` and ``X`` arrays are the operands of
-    its stacks' weight-gradient GEMMs. ``tn`` and ``diff`` end as scratch.
-    Only ``dh_prev`` and the relu aspect gate's gradient ``dg`` (a view of
+    ``saved`` is the record ``cell_step`` returns, ``(X, H, tn, diff, g,
+    h)``: a taped block keeps X, H, tn and g from its forward, and its
+    backward forms ``diff`` (``cand - h_prev``) and the new state ``h``
+    again with ``blend``. The step's pre-activation gradients are written
+    over the record, each block once every read of what it held is done.
+    ``H`` gets the state rows' [sigmoid gates, (g), candidate state term]
+    and, for an input cell, ``X`` the token rows' [token-only terms,
+    sigmoid gates]: the sigmoid gates' rows go to both. Each has the width
+    of the input it multiplies, so after the last step back the cell's
+    block-wide ``H`` and ``X`` arrays are the operands of its stacks'
+    weight-gradient GEMMs. ``diff`` ends as scratch, and ``tn``, once
+    read, holds ``h``: the block-wide tanh array of a cell ends as its new
+    states, the operand the next cell's state stack needs. Only
+    ``dh_prev`` and the relu aspect gate's gradient ``dg`` (a view of
     ``H``, None without the gate) are read by the next step back.
     """
-    X, H, tn, diff, g = saved
+    X, H, tn, diff, g, h = saved
     d, ns, lead = p.d_h, p.ns, p.lead
     hb = _blocks(H, d)
     xb = [] if X is None else _blocks(X, d)
@@ -314,6 +337,7 @@ def _step_backward(p: CellParams, saved, dh: np.ndarray):
     np.multiply(du, hb[-1], out=diff)
     np.multiply(du, S[0], out=hb[-1])
     _sigmoid_grad(diff, S[0], hb[0])
+    tn[...] = h
     dh_prev = (H.T @ p.stacks["h"].data).T
     dh_prev += dh
     dh_prev -= dcand
@@ -401,29 +425,36 @@ def run_block_batch(
     and any forward on one CPU run the halves one after the other, with
     the same bits. The loop runs each cell's step by its kind's name.
 
-    One rule sets the memory: a taped forward keeps all that its backward
-    reads, and a grad-free one keeps nothing past the step in hand, so it
-    holds only the two projections and its outputs. A taped block
-    allocates, before its loop, one (n_real, width) array per saved
-    quantity per cell, laid out like the token projection, with step t's
-    real cells at rows ``off[t]:off[t + 1]``: the token rows (gathered
-    once over ids), the state projection, the candidate's tanh,
-    ``cand - h_prev``, and the new state (the states themselves for the
-    last cell; the relu gates are the gates output). Each half writes its
+    One rule sets the memory: a taped forward keeps only what its
+    backward cannot form again exactly, the GEMM outputs and the tanh, and
+    a grad-free one keeps nothing past the step in hand, so it holds only
+    the two projections and its outputs. A taped block allocates, before
+    its loop, one (n_real, width) array per saved quantity, laid out like
+    the token projection, with step t's real cells at rows
+    ``off[t]:off[t + 1]``: the token rows (gathered once over ids), and
+    per cell its state projection and its candidate's tanh; the states
+    and the relu gates are the outputs. Per real cell that is the token
+    stack's rows plus each cell's state-stack rows and d: (8 + 4 depth) d
+    floats for an aspect block, (6 + 4 depth) d for dt and (3 + 4 depth) d
+    for gru, 24 d, 22 d and 19 d at depth 4. Each half writes its
     contiguous row range of a step through ``out=``, so with no barrier
     between the halves, a step's record is one set of views over all its
     columns.
 
     The node's parents are ``x``, the aspect when the input cell is
     gated, and every cell's stacks. Its backward mirrors the forward: the
-    same two halves run back through time, shared as the forward's were,
-    and ``_step_backward`` writes each step's pre-activation gradients
-    over the rows that step saved, once it has read them: the state rows
-    over the state projection, and the input cell's token rows over its
-    token rows. Then each stack's weight
-    gradient is one GEMM over every real cell, those gradients times the
-    token rows or the previous states (the cell before's saved states,
-    or for the input cell one gather of the last cell's states a step
+    same two halves run back through time, shared as the forward's were.
+    Each step first walks its cells forward again from the state before
+    it, forming each cell's ``cand - h_prev`` and new state with
+    ``blend``, the function the forward formed them with, so they are the
+    forward's bits. Then ``_step_backward`` writes the step's
+    pre-activation gradients over the rows that step saved, once it has
+    read them: the state rows over the state projection, the input
+    cell's token rows over its token rows, and the cell's new state over
+    its tanh. Then each stack's weight gradient is one GEMM over every
+    real cell, those gradients times the token rows or the previous
+    states (the cell before's tanh array, now its states, or for the
+    input cell one gather of the last cell's states a step
     back), each bias gradient is one row sum, and the input gradient is
     one GEMM. These GEMMs are shared the same way, largest first, each to
     whichever thread is free; no GEMM's bits depend on the thread that
@@ -460,7 +491,7 @@ def run_block_batch(
                 f"run_block_batch: aspect is {aspect.shape} {aspect.dtype}, "
                 f"expected ({Wa.shape[1]}, {B}) {Wa.dtype}"
             )
-        a_proj = Wa @ aspect.data[:, order]
+        a_proj = np.asfortranarray(Wa @ aspect.data[:, order])  # column-major like the states
         parents.append(aspect)
     for c in cells:
         parents += c.tensors("").values()
@@ -482,13 +513,11 @@ def run_block_batch(
     gates = np.zeros((T, B, d), x.dtype).transpose(0, 2, 1) if first.gated else None
     h0 = np.zeros((B, d), x.dtype).T
     # when taped, what each cell's steps save beyond their token rows, as one
-    # (n_real, width) array each laid out like P: the state projection H, the
-    # candidate tanh, cand - h_prev, and the new state, which for the last cell
-    # is the states themselves
+    # (n_real, width) array each laid out like P: the state projection H and
+    # the candidate tanh
     last = len(cells) - 1
-    wide = [[np.empty((off[-1], w), x.dtype) if taped and w else None
-             for w in (c.stacks["h"].shape[0], d, d, d if j < last else None)]
-            for j, c in enumerate(cells)]
+    wide = [[np.empty((off[-1], w), x.dtype) if taped else None
+             for w in (c.stacks["h"].shape[0], d)] for c in cells]
 
     def project(rows):  # rows of the token projection
         np.matmul(xT[at[0][rows], at[1][rows]], Wx.T, out=P[rows])
@@ -497,9 +526,9 @@ def run_block_batch(
         """Where cell j's step t writes its columns [k:hi], rows ``rows`` of the
         block-wide arrays: views of them when taped, else None for new arrays,
         with the relu gates and the last cell's states in the outputs."""
-        H, tn, diff, h = (None if a is None else a[rows].T for a in wide[j])
+        H, tn = (None if a is None else a[rows].T for a in wide[j])
         g = gates[t][:, k:hi] if cells[j].gated else None
-        return H, tn, diff, g, states[t][:, k:hi] if j == last else h
+        return H, tn, g, states[t][:, k:hi] if j == last else None
 
     def steps_of(half):  # (t, k, rows) of each step that runs the columns [lo:hi]
         lo, hi = half
@@ -545,18 +574,26 @@ def run_block_batch(
         Ps, ws, P, wide = P, wide, None, None  # the block keeps none of them past this call
         node().kinks = None  # a view of what the gradients overwrite
         gs = gs[..., order]
-        dnext = np.zeros((d, B), gs.dtype)  # reaching states[t] from step t + 1
-        da = np.zeros((d, B), gs.dtype) if a_proj is not None else None
+        # reaching states[t] from step t + 1, and the aspect projection's
+        # gradient, column-major like the states
+        dnext = np.zeros((B, d), gs.dtype).T
+        da = np.zeros((B, d), gs.dtype).T if a_proj is not None else None
 
         def back(half):  # every step of the columns [lo:hi], last to first
             hi = half[1]
             for t, k, rows in reversed(list(steps_of(half))):
+                # the step's cells walked forward again from the state before
+                # it, for each cell's cand - h_prev and new state
+                h, saved = (states[t - 1] if t else h0)[:, k:hi], []
+                for j, cell in enumerate(cells):
+                    H, tn = (a[rows].T for a in ws[j])
+                    X = None if j else Ps[rows].T
+                    g = gates[t][:, k:hi] if cell.gated else None
+                    diff, h = blend(cell, X, H, tn, g, h)
+                    saved.append((X, H, tn, diff, g, h))
                 dh = gs[t][:, k:hi] + dnext[:, k:hi]
                 for j in reversed(range(len(cells))):
-                    H, tn, diff, _ = (None if a is None else a[rows].T for a in ws[j])
-                    X = None if j else Ps[rows].T
-                    g = gates[t][:, k:hi] if cells[j].gated else None
-                    dh, dg = _step_backward(cells[j], (X, H, tn, diff, g), dh)
+                    dh, dg = _step_backward(cells[j], saved[j], dh)
                 if da is not None:
                     da[:, k:hi] += dg
                 dnext[:, k:hi] = dh
@@ -576,7 +613,7 @@ def run_block_batch(
         def state_side(j):
             D = ws[j][0]
             if j:
-                hd = ws[j - 1][3]
+                hd = ws[j - 1][1]  # the cell before's tanh rows, now its new states
             else:  # the last cell's states a step back, 0 before the first
                 hd = states.transpose(0, 2, 1)[tt - 1, bb]
                 hd[tt == 0] = 0

@@ -406,7 +406,7 @@ def backward(loss: Tensor, params: Sequence[Tensor] | None = None) -> dict[Tenso
                 acc = grads.get(parent)
                 grads[parent] = pg if acc is None else acc + pg
     if params is not None:
-        return {p: grads.get(p, np.zeros_like(p.data)) for p in params}
+        return {p: grads[p] if p in grads else np.zeros_like(p.data) for p in params}
     return grads
 
 

@@ -368,6 +368,82 @@ def test_a_taped_backward_writes_its_gradients_over_the_saved_arrays(rng):
     assert peak < 8 * lengths.sum() * width
 
 
+@pytest.mark.parametrize("kind", ["aspect", "dt", "gru"])
+def test_a_taped_block_keeps_its_token_rows_and_each_cells_state_rows_and_tanh(rng, kind):
+    """At hidden 300 and depth 4, over a padded batch in length order, a
+    taped forward holds, beyond its outputs, at most the token-stack rows plus
+    each cell's state-stack rows and d for its tanh per real cell (24 d
+    for aspect, 22 d for dt, 19 d for gru), and a few (d, B) and index
+    arrays: no ``cand - h_prev`` and no inner cell's states."""
+    d, T, B, depth = 300, 16, 32, 4
+    block = init_block(kind, d, d, d, depth, rng)
+    lengths = np.sort(rng.integers(T // 4, T + 1, B))
+    x = Tensor(np.ascontiguousarray(rng.random((T, B, d)) - 0.5).transpose(0, 2, 1),
+               requires_grad=True)
+    aspect = Tensor(rng.random((d, B)) - 0.5) if kind == "aspect" else None
+    run_block_batch(block, x, aspect, lengths)  # BLAS's first-call buffers
+    tracemalloc.start()
+    try:
+        states, gates = run_block_batch(block, x, aspect, lengths)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    rows = block[0].stacks["x"].shape[0] + sum(c.stacks["h"].shape[0] + d for c in block)
+    assert rows == {"aspect": 24, "dt": 22, "gru": 19}[kind] * d
+    outputs = states.data.nbytes + (0 if gates is None else gates.nbytes)
+    n_real = lengths.sum()
+    itemsize = x.dtype.itemsize
+    assert held - outputs >= itemsize * rows * n_real
+    assert held - outputs <= itemsize * (rows * n_real + 4 * d * B) + 64 * n_real
+
+
+def _recording(real, log: list):
+    """``real``, a ``cells.blend``, appending each call's ``(key, diff, h)``
+    to ``log``; the key, the cell and its tanh rows' address and shape,
+    names one cell's step over one column range."""
+
+    def blend(p, X, H, tn, g, hd, h_out=None):
+        diff, h = real(p, X, H, tn, g, hd, h_out)
+        log.append(((id(p), tn.__array_interface__["data"][0], tn.shape), diff.copy(), h.copy()))
+        return diff, h
+
+    return blend
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["aspect", "dt", "gru"]),
+       st.integers(1, 4), st.booleans(), st.integers(1, 6), st.integers(1, 5))
+def test_the_backward_recomputes_the_forwards_bits(cpus, seed, kind, depth, bias, B, T):
+    """Each cell's ``cand - h_prev`` and new state that a taped backward
+    recomputes, for every step and column range, are bitwise what its
+    forward computed, with the column halves on two threads or one."""
+    rng = np.random.default_rng(seed)
+    d = 4
+    block = init_block(kind, d, 3, 2, depth, rng, bias=bias)
+    for t in _params(block):
+        t.data[...] += rng.uniform(-0.5, 0.5, t.shape)
+    lengths = rng.integers(1, T + 1, B)
+    x = Tensor(rng.standard_normal((T, 3, B)), requires_grad=True)
+    aspect = Tensor(rng.standard_normal((2, B))) if kind == "aspect" else None
+    fwd, bwd = [], []
+    real = cells_mod.blend, cells_mod._HELPER_MIN_WORK, threads_mod.usable_cpus
+    cells_mod._HELPER_MIN_WORK, threads_mod.usable_cpus = 0, lambda: cpus
+    try:
+        cells_mod.blend = _recording(real[0], fwd)
+        states, _ = run_block_batch(block, x, aspect, lengths)
+        cells_mod.blend = _recording(real[0], bwd)
+        backward(weighted_sum(states, seed=1), [x, *_params(block)])
+    finally:
+        cells_mod.blend, cells_mod._HELPER_MIN_WORK, threads_mod.usable_cpus = real
+    assert len(fwd) == len(bwd)
+    want = {key: (diff, h) for key, diff, h in fwd}
+    assert len(want) == len(fwd)
+    assert {key for key, _, _ in bwd} == set(want)
+    for key, diff, h in bwd:
+        assert np.array_equal(diff, want[key][0]) and np.array_equal(h, want[key][1])
+
+
 @pytest.mark.parametrize("d_h", [3, 300])
 def test_only_a_block_worth_it_starts_helpers(rng, monkeypatch, thread_starts, d_h):
     """On two CPUs a taped block starts a helper for its forward and one for

@@ -7,6 +7,7 @@ built with the test-side ``weighted_sum`` node.
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,24 @@ def test_unreachable_param_gets_zeros(rng):
     unused = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     g = backward(weighted_sum(used), params=[used, unused])
     assert np.array_equal(g[unused], np.zeros((2, 2)))
+
+
+def test_backward_makes_zeros_only_for_an_unreached_param(rng):
+    """When the loss reaches every parameter, backward's traced peak is the
+    gradients it returns and little more: no zero array is made and thrown
+    away for each of them, which for the largest alone would double the peak."""
+    shapes = [(300, 300), (300, 1), (2, 300)]
+    params = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+    loss = weighted_sum(*params)
+    tracemalloc.start()
+    try:
+        grads = backward(loss, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(g.nbytes for g in grads.values())
+    assert held == sum(p.data.nbytes for p in params)
+    assert peak < 1.5 * held
 
 
 def test_backward_requires_scalar_root(rng):
