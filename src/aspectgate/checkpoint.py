@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocab, vocab_digest
+from .corpus import CorpusError, Vocab, vocab_digest
 from .ioutil import canonical_json, write_atomic_bytes
 from .model import ModelConfig, SentimentModel
 
@@ -138,7 +138,10 @@ def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
         raise CheckpointError(
             f"{path}: vocabulary digest mismatch: stored {stored}, recomputed {digest}"
         )
-    vocab = Vocab(tokens, embedding, digest)
+    try:
+        vocab = Vocab(tokens, embedding, digest)
+    except CorpusError as e:  # repeated tokens, say
+        raise CheckpointError(f"{path}: malformed header: {e}") from e
     try:
         model = SentimentModel(config, vocab.embedding, _Undrawn())
     except (TypeError, ValueError) as e:

@@ -299,6 +299,15 @@ def _view_file(data_dir, split: str, view: str) -> Path:
     return Path(data_dir) / f"{split}.{view}.jsonl"
 
 
+def _run_files(data_dir, view: str) -> dict[str, Path]:
+    """The prepared files a training run on ``view`` reads, in digest order:
+    the train view under "train", then each test view it is scored on (ds
+    and hds for ds, otherwise its own view) under its view's name."""
+    tests = ("ds", "hds") if view == "ds" else (view,)
+    return {"train": _view_file(data_dir, "train", view),
+            **{v: _view_file(data_dir, "test", v) for v in tests}}
+
+
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -375,55 +384,50 @@ def cmd_prepare(rc: RunConfig, args) -> int:
 # -- train -------------------------------------------------------------------------
 
 
-def _training_inputs(rc: RunConfig, cfg: ModelConfig | None, test_views, problems: list[str]):
-    """Check every file a training run reads, then load the train view.
+def _training_inputs(rc: RunConfig, cfg: ModelConfig | None, files, problems: list[str]):
+    """Check that each of ``files`` exists, then load the first, the train view.
 
-    Returns (train file, test files, train instances, spaces, model
-    config), the config's task and counts filled in. It stops at the
-    first stage that adds to ``problems``, or at once if the caller's
-    checks did, so read it only when ``problems`` is empty.
+    Returns (train instances, spaces, model config), the config's task
+    and counts filled in. It stops at the first stage that adds to
+    ``problems``, or at once if the caller's checks did, so read it only
+    when ``problems`` is empty.
     """
-    train_file = _view_file(rc.data_dir, "train", rc.view)
-    test_files = [_view_file(rc.data_dir, "test", v) for v in test_views]
-    for p in [train_file, *test_files]:
+    for p in files:
         if not p.is_file():
             problems.append(f"prepared file not found: {p} (run prepare first)")
     _require_file(rc.embeddings, "embeddings", problems)
     if problems:
         return None
-    train_inst = expand(_read_raw(train_file))
+    train_inst = expand(_read_raw(files[0]))
     if not train_inst:
-        problems.append(f"{train_file}: no instances")
+        problems.append(f"{files[0]}: no instances")
         return None
     task = DATASETS[rc.dataset].task
     spaces = TaskSpaces.build(task, train_inst, rc.view != "nc")
     counts = {"num_labels": spaces.num_labels, "num_recon_targets": spaces.num_recon_targets}
     # refused, for one, when the train view has no reconstruction target
-    cfg = _checked(problems, f"{train_file}: ", replace, cfg, task=task, **counts)
+    cfg = _checked(problems, f"{files[0]}: ", replace, cfg, task=task, **counts)
     if cfg is None:
         return None
-    return train_file, test_files, train_inst, spaces, cfg
+    return train_inst, spaces, cfg
 
 
 def cmd_train(rc: RunConfig, args) -> int:
     problems: list[str] = []
     validate_common(rc, problems)
     tc, cfg = _configs(rc, problems)
-    eval_views = ("ds", "hds") if rc.view == "ds" else (rc.view,)
-    inputs = _training_inputs(rc, cfg, eval_views, problems)
+    files = _run_files(rc.data_dir, rc.view)
+    inputs = _training_inputs(rc, cfg, list(files.values()), problems)
     if problems:
         return _report(problems)
-    train_file, test_files, train_inst, spaces, cfg = inputs
-    eval_sets = {
-        v: expand(_read_raw(f)) for v, f in zip(eval_views, test_files)
-    }
-    files = [train_file, *test_files]
+    train_inst, spaces, cfg = inputs
+    eval_sets = {v: expand(_read_raw(f)) for v, f in files.items() if v != "train"}
     # what names the run, in each checkpoint's meta and in metrics.json
     run_entries = {
         "dataset": rc.dataset,
         "view": rc.view,
         "config_digest": config_digest(rc),
-        "data_digest": data_digest(files),
+        "data_digest": data_digest(files.values()),
     }
     report, runs = run_experiment(
         train_inst, eval_sets, rc.embeddings, cfg, tc, spaces, rc.seeds, rc.threshold, log=_log
@@ -435,7 +439,7 @@ def cmd_train(rc: RunConfig, args) -> int:
         meta = {
             **run_entries,
             "seed": run.seed,
-            "data_files": [f.name for f in files],
+            "data_files": [f.name for f in files.values()],
             "spaces": spaces.to_dict(),
             "train": tc.to_dict(),
         }
@@ -479,34 +483,18 @@ def cmd_eval(rc: RunConfig, args) -> int:
         return _report(
             [f"{rc.checkpoint}: no training-run record, meta lacks {', '.join(lacking)}"]
         )
-    view = rc.view if "view" in vars(args) else meta.get("view", "ds")
-    if view not in VIEWS:
-        return _report([f"checkpoint view must be one of {VIEWS}, got {view!r}"])
-    names = meta["data_files"]
-    if not isinstance(names, list):
-        raise CheckpointError(f"{rc.checkpoint}: meta data_files is not a list of file names")
-    for n in names:  # a bare name, so the digest reads only files inside --data-dir
-        if not isinstance(n, str) or Path(n).name != n or n in (".", ".."):
-            raise CheckpointError(
-                f"{rc.checkpoint}: meta data_files entry {n!r} is not a bare file name"
-            )
-    try:
-        spaces = TaskSpaces.from_dict(meta["spaces"])
-    except (TypeError, KeyError, ValueError) as e:
-        raise CheckpointError(f"{rc.checkpoint}: meta spaces is malformed ({e!r})") from None
-    cfg = model.config
-    if (spaces.num_labels, spaces.num_recon_targets) != (cfg.num_labels, cfg.num_recon_targets):
-        raise CheckpointError(
-            f"{rc.checkpoint}: meta spaces has {spaces.num_labels} labels and "
-            f"{spaces.num_recon_targets} reconstruction targets, the model "
-            f"{cfg.num_labels} and {cfg.num_recon_targets}"
-        )
-    stored = meta["data_digest"]
-    paths = [Path(rc.data_dir) / n for n in names]
-    missing = [str(p) for p in paths if not p.is_file()]
+    # the record must be what a run on its view recomputes: eval opens no path it spells
+    run_view = meta.get("view", "ds")
+    if run_view not in VIEWS:
+        return _report([f"checkpoint view must be one of {VIEWS}, got {run_view!r}"])
+    files = _run_files(rc.data_dir, run_view)
+    if meta["data_files"] != [p.name for p in files.values()]:
+        raise CheckpointError(f"{rc.checkpoint}: meta data_files are not those of a "
+                              f"{run_view} run: {meta['data_files']!r}")
+    missing = [str(p) for p in files.values() if not p.is_file()]
     if missing:
         return _report([f"cannot verify data digest, missing: {m}" for m in missing])
-    recomputed = data_digest(paths)
+    stored, recomputed = meta["data_digest"], data_digest(files.values())
     if recomputed != stored:
         return _report(
             [
@@ -514,10 +502,20 @@ def cmd_eval(rc: RunConfig, args) -> int:
                 f"stored digest {stored}, recomputed {recomputed}"
             ]
         )
+    cfg = model.config
+    spaces = TaskSpaces.build(cfg.task, expand(_read_raw(files["train"])), run_view != "nc")
+    counts = (spaces.num_labels, spaces.num_recon_targets)
+    if meta["spaces"] != spaces.to_dict() or counts != (cfg.num_labels, cfg.num_recon_targets):
+        raise CheckpointError(
+            f"{rc.checkpoint}: meta spaces is not what {files['train']} gives, {counts[0]} labels "
+            f"and {counts[1]} targets; the model has {cfg.num_labels} and {cfg.num_recon_targets}")
+    view = rc.view if "view" in vars(args) else run_view
     test_file = _view_file(rc.data_dir, "test", view)
     if not test_file.is_file():
         return _report([f"prepared file not found: {test_file}"])
     instances = expand(_read_raw(test_file))
+    if not instances:
+        return _report([f"{test_file}: no instances"])
     result = {
         "checkpoint": Path(rc.checkpoint).name,
         "dataset": meta.get("dataset"),
@@ -550,10 +548,10 @@ def cmd_sweep(rc: RunConfig, args) -> int:
     field = SWEEP_AXIS_FLAGS[rc.axis]  # the ModelConfig field the sweep sets
     for value in values if cfg is not None else ():
         _checked(problems, f"{rc.axis}={value}: ", replace, cfg, **{field: value})
-    inputs = _training_inputs(rc, cfg, (), problems)
+    inputs = _training_inputs(rc, cfg, [_run_files(rc.data_dir, rc.view)["train"]], problems)
     if problems:
         return _report(problems)
-    _, _, train_inst, spaces, cfg = inputs
+    train_inst, spaces, cfg = inputs
     out = run_sweep(
         field,
         values,

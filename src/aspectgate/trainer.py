@@ -347,20 +347,34 @@ def run_experiment(
     problems = experiment_problems(seeds, threshold)
     if problems:
         raise ValueError("run_experiment: " + "; ".join(problems))
+    vocab_for = _vocab_source(train_instances, eval_sets, embedding_path, config.embed_size)
+    return _run_seeds(
+        train_instances, eval_sets, vocab_for, config, tc, spaces, seeds, threshold, log
+    )
+
+
+def _vocab_source(
+    train_instances, eval_sets, embedding_path, embed_size: int
+) -> Callable[[int], Vocab]:
+    """One scan of the embedding file for these instances, as a function
+    from a seed to that seed's ``assemble_vocab`` vocabulary."""
     all_eval = [i for insts in eval_sets.values() for i in insts]
     train_tokens, test_tokens = vocab_token_lists(train_instances, all_eval)
     found, dim = scan_embedding_file(embedding_path, set(train_tokens) | set(test_tokens))
-    if dim != config.embed_size:
-        raise ValueError(
-            f"embedding file has {dim}-dim vectors, config expects {config.embed_size}"
-        )
+    if dim != embed_size:
+        raise ValueError(f"embedding file has {dim}-dim vectors, config expects {embed_size}")
+    return lambda seed: assemble_vocab(train_tokens, test_tokens, found, dim, seed=seed)
+
+
+def _run_seeds(train_instances, eval_sets, vocab_for, config, tc, spaces, seeds, threshold, log):
+    """``run_experiment`` after its scan: each seed's vocabulary is ``vocab_for(seed)``."""
     per_seed: dict[int, dict[str, float]] = {}
     runs: list[SeedRun] = []
     for seed in seeds:
         init_rng, train_rng = [
             np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
         ]
-        vocab = assemble_vocab(train_tokens, test_tokens, found, dim, seed=seed)
+        vocab = vocab_for(seed)
         model = SentimentModel(config, vocab.embedding, init_rng)
         if log is not None:
             log(f"seed {seed}: {len(train_instances)} train instances, vocab {len(vocab)}")
@@ -417,8 +431,10 @@ def sweep(
 ) -> dict:
     """Grid search one config axis against a held-out dev split.
 
-    The split is carved once (from seed 0) and shared by every
-    value, so the comparison is apples to apples. Returns the per-value
+    The split is carved once (from seed 0) and the embedding file scanned
+    once, both shared by every value, so the comparison is apples to
+    apples and each value's seeds get the vocabularies ``run_experiment``
+    would give them. Returns the per-value
     reports plus the value with the best mean dev accuracy; ties go to
     the earlier value in the list.
     """
@@ -430,22 +446,18 @@ def sweep(
         raise ValueError(f"sweep: duplicate values in {list(values)}")
     # every value's config is built, and so checked, before any seed trains
     configs = [replace(config, **{axis: value}) for value in values]
+    problems = experiment_problems(seeds, threshold)
+    if problems:
+        raise ValueError("sweep: " + "; ".join(problems))
     sub_train, dev = split_dev(train_instances, dev_fraction, np.random.default_rng(0))
+    vocab_for = _vocab_source(sub_train, {"dev": dev}, embedding_path, config.embed_size)
     results: dict = {"axis": axis, "dev_size": len(dev), "values": {}}
     best_value, best_acc = None, -1.0
     for value, cfg in zip(values, configs):
         if log is not None:
             log(f"sweep {axis}={value}")
-        report, _ = run_experiment(
-            sub_train,
-            {"dev": dev},
-            embedding_path,
-            cfg,
-            tc,
-            spaces,
-            seeds,
-            threshold,
-            log=log,
+        report, _ = _run_seeds(
+            sub_train, {"dev": dev}, vocab_for, cfg, tc, spaces, seeds, threshold, log
         )
         acc = report.mean("acc_dev")
         results["values"][value] = report

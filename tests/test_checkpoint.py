@@ -256,6 +256,23 @@ def test_rejects_a_tensor_listed_twice(tmp_path):
     assert str(bad) in str(e.value)
 
 
+def test_a_repeated_vocab_token_is_a_checkpoint_error_naming_the_file(tmp_path, capsys):
+    """A header whose tokens repeat one, its digest recomputed to match, is
+    refused by name, both by the load and by ``eval``."""
+    path = _DATA / "format1_aspect_dt.ckpt"
+    _, vocab, _ = load_checkpoint(path)
+    tokens = [*vocab.tokens[:-1], vocab.tokens[2]]
+    digest = vocab_digest(tokens, vocab.embedding)
+    bad = _with_header(path, tmp_path / "repeated.ckpt",
+                       lambda h: {**h, "vocab_tokens": tokens, "vocab_digest": digest})
+    with pytest.raises(CheckpointError, match="vocab tokens are not unique") as e:
+        load_checkpoint(bad)
+    assert str(bad) in str(e.value)
+    assert main(["eval", "--checkpoint", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 def _drop(key):
     return lambda h: {k: v for k, v in h.items() if k != key}
 

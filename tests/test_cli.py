@@ -640,6 +640,60 @@ def test_eval_refuses_a_malformed_run_record(workspace, capsys, entry, bad):
     assert err.count("error:") == 1 and f"{ckpt}: meta {entry} " in err
 
 
+def _record_refusal(workspace, capsys, edit):
+    """``eval``'s exit code and stderr on a trained checkpoint whose meta is ``edit(meta, data)``."""
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    model, vocab, meta = load_checkpoint(train(tmp_path, data, emb) / "model-seed1.ckpt")
+    ckpt = save_checkpoint(tmp_path / "crafted.ckpt", model, vocab, edit(meta, data))
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data)])
+    return code, capsys.readouterr().err, ckpt
+
+
+@pytest.mark.parametrize("entry", ["labels", "categories"])
+def test_eval_refuses_spaces_in_another_order(workspace, capsys, entry):
+    """The same labels or categories in another order fit the model's counts,
+    but would score its outputs against the wrong names."""
+
+    def permute(meta, data):
+        assert len(meta["spaces"][entry]) >= 3
+        return {**meta, "spaces": {**meta["spaces"], entry: meta["spaces"][entry][::-1]}}
+
+    code, err, ckpt = _record_refusal(workspace, capsys, permute)
+    assert code == 2
+    assert err.count("error:") == 1 and f"{ckpt}: meta spaces " in err
+
+
+def test_eval_refuses_data_files_of_another_view(workspace, capsys):
+    """A ds run's record naming the hds files, its digest recomputed over
+    them, is refused: a ds run reads train.ds and is scored on ds and hds."""
+
+    def hds_files(meta, data):
+        assert meta["view"] == "ds"
+        names = ["train.hds.jsonl", "test.hds.jsonl"]
+        digest = cli_mod.data_digest([data / n for n in names])
+        return {**meta, "data_files": names, "data_digest": digest}
+
+    code, err, ckpt = _record_refusal(workspace, capsys, hds_files)
+    assert code == 2
+    assert err.count("error:") == 1 and f"{ckpt}: meta data_files " in err
+
+
+def test_eval_refuses_an_empty_test_view_by_name(workspace, capsys, monkeypatch):
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    ckpt = train(tmp_path, data, emb) / "model-seed1.ckpt"
+    (data / "test.nc.jsonl").write_text("")
+    forwards = []
+    monkeypatch.setattr(SentimentModel, "forward", lambda *a, **k: forwards.append(1))
+    capsys.readouterr()
+    argv = ["eval", "--checkpoint", str(ckpt), "--data-dir", str(data), "--view", "nc"]
+    assert run(argv) == 1
+    assert f"error: {data / 'test.nc.jsonl'}: no instances" in capsys.readouterr().err
+    assert forwards == []
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     assert run(["eval", "--checkpoint", str(tmp_path / "no.ckpt")]) == 1
     assert "not found" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -908,6 +909,32 @@ def test_library_sweep_checks_every_value_before_training(emb_path):
         sweep("depth", (1, 0), inst, emb_path, cfg, TrainConfig(epochs=1), spaces,
               seeds=(1, 2), log=lines.append)
     assert lines == []  # no value started, so no seed trained
+
+
+def test_a_sweep_scans_its_embedding_file_once(emb_path, monkeypatch):
+    """Every value's seeds build their vocabularies from one scan, and each
+    value's report and log lines are those of ``run_experiment`` run for
+    that value's config on the sweep's split."""
+    inst = synthetic_instances(8, seed=2)
+    spaces = TaskSpaces.build("category", inst)
+    cfg = small_config(num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
+    tc = TrainConfig(epochs=1)
+    real_scan, scans = trainer_mod.scan_embedding_file, []
+    monkeypatch.setattr(trainer_mod, "scan_embedding_file",
+                        lambda *a: scans.append(a) or real_scan(*a))
+    lines: list[str] = []
+    out = sweep("depth", (1, 2, 3), inst, emb_path, cfg, tc, spaces, seeds=(1, 2),
+                dev_fraction=0.25, log=lines.append)
+    assert len(scans) == 1
+    sub_train, dev = split_dev(inst, 0.25, np.random.default_rng(0))
+    for value, report in out["values"].items():
+        want_lines: list[str] = [f"sweep depth={value}"]
+        want, _ = run_experiment(sub_train, {"dev": dev}, emb_path, replace(cfg, depth=value),
+                                 tc, spaces, seeds=(1, 2), log=want_lines.append)
+        assert report.per_seed == want.per_seed
+        assert lines[: len(want_lines)] == want_lines
+        del lines[: len(want_lines)]
+    assert lines == [] and len(scans) == 4
 
 
 # -- gate inspection ------------------------------------------------------------------------
