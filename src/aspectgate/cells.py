@@ -38,7 +38,7 @@ from .tensor import TRAIN_DTYPE, ShapeError, Tensor, _node, _records, _sigmoid
 def glorot(rng: np.random.Generator, rows: int, cols: int, dtype=TRAIN_DTYPE) -> Tensor:
     """Glorot-uniform weight matrix, a trainable leaf."""
     limit = np.sqrt(6.0 / (rows + cols))
-    data = rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype)
+    data = rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype, copy=False)
     return Tensor(data, requires_grad=True)
 
 

@@ -4,10 +4,21 @@ Layout: 4-byte magic, little-endian u64 header length, a canonical JSON
 header (config, metadata, vocabulary tokens and digest, tensor table),
 then the raw float64 buffers in header order. Everything that goes in is
 deterministic, so saving a loaded checkpoint reproduces the bytes.
+
+Neither direction holds the whole file in memory. A save streams the
+header and then each tensor straight from its array; only a tensor that
+is not contiguous (a gate's row block of its stack) is copied, one at a
+time. A load checks the whole tensor table against the file size before
+it reads any tensor. It then reads the embedding, builds the model on it
+and reads each weight into a short-lived array that is checked and then
+copied into the model. So beyond the model a load holds the file's
+embedding table only while the model is built, and later one weight at
+a time. The loaded vocab shares the model's frozen embedding table.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -41,23 +52,18 @@ class _Undrawn:
 def save_checkpoint(path, model: SentimentModel, vocab: Vocab, meta: dict | None = None) -> Path:
     """Serialize model weights, the embedding table, and metadata."""
     arrays = model.checkpoint_arrays()
-    names = sorted(arrays)
-    tensors = [{"name": n, "shape": list(arrays[n].shape)} for n in names]
-    tensors.append({"name": "embedding", "shape": list(vocab.embedding.shape)})
+    arrays = {n: arrays[n] for n in sorted(arrays)} | {"embedding": vocab.embedding}
     header = {
         "format": FORMAT_VERSION,
         "config": model.config.to_dict(),
         "meta": dict(meta or {}),
         "vocab_tokens": list(vocab.tokens),
         "vocab_digest": vocab.digest,
-        "tensors": tensors,
+        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()],
     }
     head = canonical_json(header).encode("utf-8")
-    parts = [MAGIC, _HEAD.pack(len(head)), head]
-    for n in names:
-        parts.append(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(vocab.embedding, dtype="<f8").tobytes())
-    return write_atomic_bytes(path, b"".join(parts))
+    blobs = (np.ascontiguousarray(a, dtype="<f8") for a in arrays.values())
+    return write_atomic_bytes(path, itertools.chain((MAGIC, _HEAD.pack(len(head)), head), blobs))
 
 
 def _read_header(fh, path) -> dict:
@@ -87,6 +93,17 @@ def read_checkpoint_meta(path) -> dict:
         return _read_header(fh, path)
 
 
+def _read_tensor(fh, path, name: str, offset: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The tensor at ``offset`` of the open file, read into a new array."""
+    out = np.empty(shape, dtype="<f8")
+    fh.seek(offset)
+    if fh.readinto(out) != out.nbytes:  # the file shrank since its size was checked
+        raise CheckpointError(f"{path}: truncated tensor {name!r}")
+    if not np.isfinite(out).all():
+        raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
+    return out
+
+
 def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
     """Rebuild (model, vocab, meta) and verify the embedding digest.
 
@@ -96,66 +113,59 @@ def load_checkpoint(path) -> tuple[SentimentModel, Vocab, dict]:
     """
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
-        raw = fh.read()  # the tensor blobs
-    offset = 0
-    try:
-        table = [(str(e["name"]), tuple(int(s) for s in e["shape"])) for e in header["tensors"]]
-        tokens = tuple(header["vocab_tokens"])
-        stored = header["vocab_digest"]
-        meta = dict(header["meta"])
-        config = ModelConfig.from_dict(header["config"])
-    except KeyError as e:
-        raise CheckpointError(f"{path}: malformed header: missing entry {e}") from e
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: malformed header: {e}") from e
-    if not all(isinstance(t, str) for t in tokens):
-        raise CheckpointError(f"{path}: malformed header: vocab_tokens are not all strings")
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in table:
-        if name in arrays:
-            raise CheckpointError(f"{path}: tensor {name!r} is listed twice")
-        if any(s < 0 for s in shape):
-            raise CheckpointError(f"{path}: tensor {name!r} has negative shape {shape}")
-        count = math.prod(shape)
-        need = count * 8
-        if offset + need > len(raw):
-            raise CheckpointError(f"{path}: truncated tensor {name!r}")
-        arrays[name] = (
-            np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        if not np.isfinite(arrays[name]).all():
-            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
-        offset += need
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    if "embedding" not in arrays:
-        raise CheckpointError(f"{path}: no embedding tensor")
-    embedding = arrays.pop("embedding")
-    digest = vocab_digest(tokens, embedding)
-    if digest != stored:
-        raise CheckpointError(
-            f"{path}: vocabulary digest mismatch: stored {stored}, recomputed {digest}"
-        )
-    try:
-        vocab = Vocab(tokens, embedding, digest)
-    except CorpusError as e:  # repeated tokens, say
-        raise CheckpointError(f"{path}: malformed header: {e}") from e
-    try:
-        model = SentimentModel(config, vocab.embedding, _Undrawn())
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: config does not build a model: {e}") from e
-    views = model.checkpoint_arrays()
-    if set(views) != set(arrays):
-        missing = sorted(set(views) - set(arrays))
-        extra = sorted(set(arrays) - set(views))
-        raise CheckpointError(f"{path}: tensor set mismatch: missing {missing}, extra {extra}")
-    for name, view in views.items():
-        if view.shape != arrays[name].shape:
+        try:
+            table = [(str(e["name"]), tuple(int(s) for s in e["shape"])) for e in header["tensors"]]
+            tokens = tuple(header["vocab_tokens"])
+            stored = header["vocab_digest"]
+            meta = dict(header["meta"])
+            config = ModelConfig.from_dict(header["config"])
+        except KeyError as e:
+            raise CheckpointError(f"{path}: malformed header: missing entry {e}") from e
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: malformed header: {e}") from e
+        if not all(isinstance(t, str) for t in tokens):
+            raise CheckpointError(f"{path}: malformed header: vocab_tokens are not all strings")
+        # each tensor's (offset, shape), the whole table checked against the size before any read
+        offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        where: dict[str, tuple[int, tuple[int, ...]]] = {}
+        for name, shape in table:
+            if name in where:
+                raise CheckpointError(f"{path}: tensor {name!r} is listed twice")
+            if any(s < 0 for s in shape):
+                raise CheckpointError(f"{path}: tensor {name!r} has negative shape {shape}")
+            where[name] = (offset, shape)
+            offset += 8 * math.prod(shape)
+            if offset > size:
+                raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        if offset != size:
+            raise CheckpointError(f"{path}: {size - offset} trailing bytes")
+        if "embedding" not in where:
+            raise CheckpointError(f"{path}: no embedding tensor")
+        embedding = _read_tensor(fh, path, "embedding", *where.pop("embedding"))
+        digest = vocab_digest(tokens, embedding)
+        if digest != stored:
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
-                f"model expects {view.shape}"
+                f"{path}: vocabulary digest mismatch: stored {stored}, recomputed {digest}"
             )
-        view[...] = arrays[name]
+        try:
+            model = SentimentModel(config, embedding, _Undrawn())
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: config does not build a model: {e}") from e
+        del embedding  # the model holds its own copy, which the vocab shares
+        try:
+            vocab = Vocab(tokens, model.embedding, digest)
+        except CorpusError as e:  # repeated tokens, say
+            raise CheckpointError(f"{path}: malformed header: {e}") from e
+        views = model.checkpoint_arrays()
+        if set(views) != set(where):
+            missing = sorted(set(views) - set(where))
+            extra = sorted(set(where) - set(views))
+            raise CheckpointError(f"{path}: tensor set mismatch: missing {missing}, extra {extra}")
+        for name, view in views.items():
+            offset, shape = where[name]
+            if view.shape != shape:
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} has shape {shape}, model expects {view.shape}"
+                )
+            view[...] = _read_tensor(fh, path, name, offset, shape)
     return model, vocab, meta

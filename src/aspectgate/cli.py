@@ -516,6 +516,13 @@ def cmd_eval(rc: RunConfig, args) -> int:
     instances = expand(_read_raw(test_file))
     if not instances:
         return _report([f"{test_file}: no instances"])
+    outside = [f"label {x!r}" for x in sorted({i.label for i in instances} - set(spaces.labels))]
+    if spaces.categories:
+        outside += [f"category {x!r}"
+                    for x in sorted({i.aspect_name for i in instances} - set(spaces.categories))]
+    if outside:
+        raise CorpusError(f"{test_file}: the {view} test view holds {', '.join(outside)}, outside "
+                          f"the spaces of {rc.checkpoint}, trained on the {run_view} view")
     result = {
         "checkpoint": Path(rc.checkpoint).name,
         "dataset": meta.get("dataset"),

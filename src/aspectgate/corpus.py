@@ -414,7 +414,7 @@ def vocab_digest(tokens: Sequence[str], embedding: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(str(embedding.shape).encode())
     h.update("\x00".join(tokens).encode())
-    h.update(np.ascontiguousarray(embedding, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(embedding, dtype="<f8"))  # the buffer itself, no bytes copy
     return h.hexdigest()
 
 

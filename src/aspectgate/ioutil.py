@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 
@@ -15,15 +16,17 @@ def canonical_json(obj, indent: int | None = None) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=indent)
 
 
-def write_atomic_bytes(path, data: bytes) -> Path:
-    """Write via a sibling temp file and rename, so readers never see a
-    half-written file and a crash leaves the old content intact."""
+def write_atomic_bytes(path, chunks: Iterable) -> Path:
+    """Write ``chunks``, buffers (bytes, contiguous arrays) taken one at a
+    time, via a sibling temp file and rename, so readers never see a
+    half-written file and a crash, or a chunk that raises, leaves the old
+    content intact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)  # drops each chunk once written
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -37,7 +40,7 @@ def write_atomic_bytes(path, data: bytes) -> Path:
 
 
 def write_atomic_text(path, text: str) -> Path:
-    return write_atomic_bytes(path, text.encode("utf-8"))
+    return write_atomic_bytes(path, (text.encode("utf-8"),))
 
 
 def write_atomic_json(path, obj, indent: int | None = 2) -> Path:

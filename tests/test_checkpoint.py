@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,3 +316,95 @@ def test_malformed_header_is_a_checkpoint_error_naming_the_file(tmp_path, capsys
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
+
+
+# -- memory and crash safety ------------------------------------------------------------
+
+# What a save or a load may allocate beyond the bounds below: the header's JSON
+# text, its parse, and the Python objects of the model and vocab. The fixtures'
+# headers are under 4 KB, and their files 1.2-1.5 MB.
+_SLACK = 128 * 1024
+# (tokens, hidden) at embedding width 600: weights in many tensors around a
+# small table, or a table that is most of the file
+_SHAPES = [(8, 16), (200, 8)]
+
+
+def _wide_fixture(n_tokens, hidden):
+    """A bidirectional aspect-dt model with biases over a 600-wide embedding,
+    so every stack kind and its Fortran-ordered row blocks are in its file."""
+    rng = np.random.default_rng(5)
+    tokens = ("<pad>", "<unk>", *(f"w{i}" for i in range(n_tokens - 2)))
+    emb = np.vstack([np.zeros(600), rng.normal(size=(n_tokens - 1, 600))])
+    vocab = Vocab(tokens, emb, vocab_digest(tokens, emb))
+    cfg = ModelConfig(hidden_size=hidden, embed_size=600, depth=3, num_labels=3,
+                      num_recon_targets=5, use_bias=True, bidirectional=True)
+    return SentimentModel(cfg, vocab.embedding, rng), vocab
+
+
+def _peak(fn):
+    """``fn()``'s result, and the most it held allocated at once beyond what
+    was allocated before the call, as tracemalloc counts it (numpy's arrays
+    included)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=["many-weights", "big-table"])
+def test_a_save_holds_at_most_one_tensor_beyond_the_header(tmp_path, shape):
+    model, vocab = _wide_fixture(*shape)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model, vocab)
+    largest = max(a.nbytes for a in [*model.checkpoint_arrays().values(), vocab.embedding])
+    (hlen,) = struct.unpack_from("<Q", p.read_bytes(), 4)
+    _, peak = _peak(lambda: save_checkpoint(p, model, vocab))
+    assert peak <= largest + hlen + _SLACK < p.stat().st_size
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=["many-weights", "big-table"])
+def test_a_load_holds_the_model_two_tables_and_one_tensor(tmp_path, shape):
+    model, vocab = _wide_fixture(*shape)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model, vocab)
+    arrays = model.checkpoint_arrays()
+    params = sum(a.nbytes for a in arrays.values())
+    largest = max(a.nbytes for a in arrays.values())
+    (loaded, v2, _), peak = _peak(lambda: load_checkpoint(p))
+    assert peak <= params + 2 * vocab.embedding.nbytes + largest + _SLACK
+    assert p.stat().st_size < peak  # tracemalloc sees numpy's arrays, so the bound bites
+    assert v2.embedding is loaded.embedding and not loaded.embedding.flags.writeable
+    assert np.array_equal(v2.embedding, vocab.embedding)
+
+
+def test_a_save_that_raises_midway_leaves_the_old_file(tmp_path, monkeypatch):
+    model, vocab = _fixture()
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model, vocab, {"k": 1})
+    before = p.read_bytes()
+    arrays = model.checkpoint_arrays()
+    partial = []
+
+    class Unreadable:
+        """A tensor sorted between the others whose values cannot be read."""
+
+        shape = (2, 2)
+
+        def __array__(self, dtype=None, copy=None):
+            partial.extend(tmp_path.glob("m.ckpt.*.tmp"))
+            raise OSError("device lost")
+
+    assert min(arrays) < "head/boom" < max(arrays)
+    monkeypatch.setattr(model, "checkpoint_arrays", lambda: {**arrays, "head/boom": Unreadable()})
+    with pytest.raises(OSError, match="device lost"):
+        save_checkpoint(p, model, vocab, {"k": 2})
+    assert len(partial) == 1  # the save was streaming into its temp file when it raised
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]

@@ -694,6 +694,25 @@ def test_eval_refuses_an_empty_test_view_by_name(workspace, capsys, monkeypatch)
     assert forwards == []
 
 
+def test_eval_refuses_a_test_view_outside_the_checkpoints_spaces(workspace, capsys, monkeypatch):
+    """An nc run never saw the conflict label, nor the ambience category that
+    only a conflict aspect has; its checkpoint scored on the ds view is
+    refused before any forward, naming the file and both views."""
+    tmp_path, raw, emb = workspace
+    data = prepare(tmp_path, raw)
+    ckpt = train(tmp_path, data, emb, extra=("--view", "nc")) / "model-seed1.ckpt"
+    forwards = []
+    monkeypatch.setattr(SentimentModel, "forward", lambda *a, **k: forwards.append(1))
+    capsys.readouterr()
+    argv = ["eval", "--checkpoint", str(ckpt), "--data-dir", str(data), "--view", "ds"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert (f"error: {data / 'test.ds.jsonl'}: the ds test view holds label 'conflict', "
+            f"category 'ambience', outside the spaces of {ckpt}, trained on the nc view") in err
+    assert forwards == []
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     assert run(["eval", "--checkpoint", str(tmp_path / "no.ckpt")]) == 1
     assert "not found" in capsys.readouterr().err
