@@ -418,12 +418,11 @@ def run_block_batch(
     The token projection's rows split in two halves as well. A column's
     bits depend on its GEMM's row count, so the splits are part of the
     math and depend on the batch alone; which thread runs a half is only
-    scheduling. A taped forward of at least ``_HELPER_MIN_WORK`` real
-    cells times hidden width shares the halves of each with
-    ``threads.share``, a helper thread taking the first: a smaller
-    block, a grad-free forward (the eval pool already fills the cores)
-    and any forward on one CPU run the halves one after the other, with
-    the same bits. The loop runs each cell's step by its kind's name.
+    scheduling. A block of at least ``_HELPER_MIN_WORK`` real cells times
+    hidden width, taped or grad-free, shares the halves of each with
+    ``threads.share``, a helper thread taking the first: a smaller block
+    and any block on one CPU run the halves one after the other, with the
+    same bits. The loop runs each cell's step by its kind's name.
 
     One rule sets the memory: a taped forward keeps only what its
     backward cannot form again exactly, the GEMM outputs and the tanh, and
@@ -555,7 +554,7 @@ def run_block_batch(
     m = min(int(np.searchsorted(cells_run, cells_run[-1] / 2)) + 1, B - 1) if B > 1 else 0
     halves = [(0, m), (m, B)] if m else [(0, B)]
     n_real = off[-1]
-    threaded = taped and n_real * d >= _HELPER_MIN_WORK
+    threaded = n_real * d >= _HELPER_MIN_WORK
     threads.share("aspectgate-fwd", project,
                   [slice(0, n // 2), slice(n // 2, n)] if m else [slice(0, n)], threaded)
     if taped and each is not None:  # a taped block keeps every real cell's token rows

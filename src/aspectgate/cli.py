@@ -157,15 +157,25 @@ def data_digest(paths) -> str:
 # -- config resolution -----------------------------------------------------------
 
 
+def _utf8(data: bytes) -> str:
+    """``data`` as UTF-8 text; an undecodable byte raises ``CorpusError`` naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise CorpusError(f"line {line}: not UTF-8 ({e.reason})") from None
+
+
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments ignored."""
+    """Flat key=value lines of UTF-8 text; blank lines and # comments ignored.
+    A line that is neither, or not UTF-8, raises ``CorpusError`` naming it."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_utf8(Path(path).read_bytes()).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            raise CorpusError(f"{path}: line {lineno}: expected key=value, got {line!r}")
+            raise CorpusError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = body.partition("=")
         out[key.strip()] = value.strip()
     return out
@@ -231,7 +241,12 @@ def resolve_config(args: argparse.Namespace, problems: list[str]) -> RunConfig:
         if not path.is_file():
             problems.append(f"config file not found: {path}")
             return RunConfig()
-        for key, text in parse_config_file(path).items():
+        try:
+            settings = parse_config_file(path)
+        except CorpusError as e:
+            problems.append(f"{path}: {e}")
+            return RunConfig()
+        for key, text in settings.items():
             if key not in _DEFAULTS:
                 problems.append(f"{path}: unknown config key {key!r}")
                 continue
@@ -329,15 +344,16 @@ def _require_file(path, flag: str, problems: list[str]) -> bool:
 def _read_raw(path: Path, info: DatasetInfo | None = None) -> list[RawSentence]:
     """Parse one corpus file: JSONL, or SemEval XML in ``info``'s schema.
 
-    A ``CorpusError`` from the parser is re-raised naming the file.
+    XML reaches its parser as bytes, so its encoding declaration holds. A
+    ``CorpusError`` from the parser or the decoding is re-raised naming the file.
     """
-    text = path.read_text()
+    data = path.read_bytes()
     try:
         if path.suffix == ".jsonl":
-            return load_jsonl(text)
+            return load_jsonl(_utf8(data))
         if info.schema == "opinions":
-            return parse_semeval_opinions_xml(text)
-        return parse_semeval_xml(text, info.task)
+            return parse_semeval_opinions_xml(data)
+        return parse_semeval_xml(data, info.task)
     except CorpusError as e:
         raise CorpusError(f"{path}: {e}") from e
 

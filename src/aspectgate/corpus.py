@@ -451,13 +451,20 @@ def scan_embedding_file(path, wanted: set[str]) -> tuple[dict[str, np.ndarray], 
     Trailing whitespace is skipped. A row's last ``dim`` fields are its
     vector and the rest its token; a token holding a space, which
     ``tokenize`` never produces, is skipped unparsed. Too few values, or
-    a wanted row's unparsable or non-finite numbers, raise ``CorpusError``
-    with the line number.
+    a wanted row's unparsable or non-finite numbers, and a line that is not
+    UTF-8, raise ``CorpusError`` with the line number.
     """
+
+    def lines(fh):
+        for ln, raw in enumerate(fh, start=1):
+            try:
+                yield ln, raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"embedding file line {ln}: not UTF-8 ({e.reason})") from None
+
     found: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = ((ln, line.rstrip().split(" ")) for ln, line in enumerate(fh, start=1)
-                if line.strip())
+    with open(path, "rb") as fh:
+        rows = ((ln, line.rstrip().split(" ")) for ln, line in lines(fh) if line.strip())
         head = list(itertools.islice(rows, 100))
         first = head[0] if head else (0, [])
         if first[0] == 1 and len(first[1]) == 2 and all(map(str.isdecimal, first[1])):

@@ -7,7 +7,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import threads
 from .corpus import (
     Instance,
     TaskSpaces,
@@ -201,15 +200,17 @@ def evaluate(
     model is trained to reconstruct; each is a fraction of instances.
     An aspect is reconstructed when its decoding (``reconstruct_aspect``)
     covers every target word or category; an aspect with words outside
-    the term vocabulary counts as wrong outright. The batches' forwards
-    are shared across every usable CPU (``_batch_logits``); the scores do
-    not depend on how many there are.
+    the term vocabulary counts as wrong outright. The batches run in
+    order on the calling thread; each forward shares its blocks' column
+    halves (``run_block_batch``), so the scores do not depend on how many
+    CPUs there are.
     """
     if not instances:
         raise ValueError("evaluate: no instances")
     batches = make_batches(instances, vocab, spaces, token_budget, shuffle=False)
     correct = recon = 0
-    for batch, (sent_logits, recon_logits) in zip(batches, _batch_logits(model, batches, vocab)):
+    for batch in batches:
+        sent_logits, recon_logits = _eval_logits(model, batch, vocab)
         correct += int(np.sum(predict(sent_logits) == batch.label_ids))
         decoded = reconstruct_aspect(recon_logits, model.config, threshold)
         recon += int(np.sum(batch.recon_known & np.all(decoded >= batch.recon_target, axis=1)))
@@ -217,21 +218,6 @@ def evaluate(
     if model.config.reconstruct:
         scores["reconstruction"] = recon / len(instances)
     return scores
-
-
-def _batch_logits(model: SentimentModel, batches, vocab: Vocab) -> list[tuple]:
-    """Every batch's ``_eval_logits``, in batch order, shared across every
-    usable CPU heaviest (most real tokens) first: a forward's time follows
-    its real tokens, not its width. Each batch's logits are those of its
-    own forward, whichever thread ran it."""
-    logits: list = [None] * len(batches)
-
-    def score(i):
-        logits[i] = _eval_logits(model, batches[i], vocab)
-
-    threads.share("aspectgate-eval", score,
-                  sorted(range(len(batches)), key=lambda i: -int(batches[i].mask.sum())))
-    return logits
 
 
 def _eval_logits(model: SentimentModel, batch, vocab: Vocab) -> tuple[np.ndarray, np.ndarray]:

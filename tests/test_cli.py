@@ -266,6 +266,18 @@ def test_config_file_errors_are_validation_problems(tmp_path):
     assert any("depth" in p for p in problems)
 
 
+@pytest.mark.parametrize("body, named", [
+    (b"depth = 2\nhidden 300\n", "line 2: expected key=value, got 'hidden 300'"),
+    (b"depth = 2\n# caf\xe9\n", "line 2: not UTF-8"),
+], ids=["no-equals-sign", "not-utf8"])
+def test_a_malformed_config_file_is_an_error_naming_its_line(tmp_path, capsys, body, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(body)
+    assert run(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: {named}") and err.count("\n") == 1
+
+
 def test_config_digest_ignores_paths_and_is_stable():
     a = RunConfig(data_dir="/x", out="/y", embeddings="/z", checkpoint="/w")
     b = RunConfig()
@@ -450,6 +462,32 @@ def test_prepare_names_the_file_and_sentence_of_a_non_integer_term_offset(tmp_pa
                 "--test", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: sentence 'x1': term offsets")
+
+
+@pytest.mark.parametrize("suffix, named", [(".xml", "malformed XML at line"), (".jsonl", "line")],
+                         ids=["xml", "jsonl"])
+def test_prepare_names_the_file_of_a_byte_that_is_not_utf8(workspace, capsys, suffix, named):
+    tmp_path, raw, emb = workspace
+    good = prepare(tmp_path, raw) / "train.ds.jsonl"
+    text = (raw / "train.xml" if suffix == ".xml" else good).read_bytes()
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_bytes(text.replace(b"lovely", b"caf\xe9"))
+    line = text.count(b"\n", 0, text.index(b"lovely")) + 1
+    assert line > 1
+    capsys.readouterr()
+    code = run(["prepare", "--train", str(bad), "--test", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {named} {line}")
+
+
+def test_prepare_reads_xml_in_its_declared_encoding(workspace):
+    tmp_path, raw, emb = workspace
+    latin = b'<?xml version="1.0" encoding="ISO-8859-1"?>' + XML.replace(
+        "The food was great", "The caf\u00e9 food was great").encode("latin-1")
+    (raw / "train.xml").write_bytes(latin)
+    out = prepare(tmp_path, raw)
+    first = json.loads((out / "train.ds.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert first["text"].startswith("The caf\u00e9 food")
 
 
 def test_prepare_names_the_bad_jsonl_file(workspace, capsys):

@@ -381,6 +381,10 @@ def test_scan_embedding_file(emb_path, tmp_path):
     bad.write_text("food 1 2 3\nservice 4 5\n")
     with pytest.raises(CorpusError, match="line 2"):
         scan_embedding_file(bad, {"food"})
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"food 1 2 3\ncaf\xe9 4 5 6\n")
+    with pytest.raises(CorpusError, match="^embedding file line 2: not UTF-8"):
+        scan_embedding_file(latin1, {"food"})
     notnum = tmp_path / "nan.txt"
     notnum.write_text("food one 2 3\n")
     with pytest.raises(CorpusError, match="bad number"):

@@ -1106,9 +1106,10 @@ def _fwd_threads() -> list[threading.Thread]:
 
 def _outputs_and_gradients(model, cfg) -> list[np.ndarray]:
     """A taped forward's outputs and every parameter gradient on _WORKER_BATCH,
-    in training (every cell projected) and in eval mode (once per token id).
-    Its blocks are far below ``_HELPER_MIN_WORK``, which is lowered here so
-    that with two usable CPUs they start their helpers."""
+    in training (every cell projected) and in eval mode (once per token id),
+    then a grad-free forward's outputs. Its blocks are far below
+    ``_HELPER_MIN_WORK``, which is lowered here so that with two usable CPUs
+    they start their helpers."""
     ids, mask = _WORKER_BATCH
     aspects = np.random.default_rng(0).standard_normal((4, cfg.embed_size))
     recon = np.eye(cfg.num_recon_targets, dtype=bool)[[1, 0, 1, 1]]
@@ -1123,6 +1124,10 @@ def _outputs_and_gradients(model, cfg) -> list[np.ndarray]:
             got += [out.sent_logits.data, out.recon_logits.data, out.pooled.data,
                     *grads.values()]
             got += [] if out.gates is None else [out.gates]
+        with no_grad():
+            out = model.forward(ids, mask, aspects)
+        got += [out.sent_logits.data, out.recon_logits.data, out.pooled.data]
+        got += [] if out.gates is None else [out.gates]
     return got
 
 
@@ -1132,9 +1137,10 @@ def _outputs_and_gradients(model, cfg) -> list[np.ndarray]:
 def test_the_halves_on_the_helper_are_the_halves_in_order_bitwise(
     rng, monkeypatch, encoder, pooling, bidirectional
 ):
-    """With two CPUs a taped forward steps one column half on its helper
-    thread; with one, both halves on the calling thread. Over a padded,
-    unsorted B=4 batch, the outputs and every gradient are the same bits."""
+    """With two CPUs a forward, taped or grad-free, steps one column half on
+    its helper thread; with one, both halves on the calling thread. Over a
+    padded, unsorted B=4 batch, the outputs and every gradient are the same
+    bits."""
     model, cfg = tiny_model(rng, encoder=encoder, pooling=pooling, bidirectional=bidirectional)
     ran_on = set()
     for name in ("aspect_gru_step", "dt_gru_step", "gru_step", "transition_gru_step"):

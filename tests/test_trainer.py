@@ -12,8 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import aspectgate.cells as cells_mod
 import aspectgate.model as model_mod
@@ -32,12 +30,11 @@ from aspectgate.corpus import (
 from aspectgate.model import ENCODERS, CapabilityError, ModelConfig, SentimentModel
 from aspectgate.synth import (
     ALL_WORDS,
-    ASPECTS,
     EMBED_DIM,
     synthetic_instances,
     write_embedding_file,
 )
-from aspectgate.tensor import Tensor, iter_nodes
+from aspectgate.tensor import Tensor, iter_nodes, no_grad
 from aspectgate.trainer import (
     AdamState,
     MetricsReport,
@@ -438,80 +435,6 @@ def test_grad_free_scores_and_gate_records_equal_the_taped_ones(emb_path, monkey
     assert outputs() == free
 
 
-def _eval_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("aspectgate-eval")]
-
-
-@contextlib.contextmanager
-def _short_switch_interval():
-    """Switch threads as often as the interpreter allows, so a lost update shows."""
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(old)
-
-
-@pytest.mark.parametrize("bidirectional", [False, True])
-@pytest.mark.parametrize("encoder", ENCODERS)
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    budget=st.sampled_from((1, 7, 40, 4096)) | st.integers(1, 120),
-    lengths=st.lists(st.integers(1, 15), min_size=1, max_size=16),
-)
-def test_pooled_evaluate_is_the_inline_evaluate(encoder, bidirectional, seed, budget, lengths):
-    """Each batch's logits, and the scores, from more workers than cores are
-    the one-CPU path's bit for bit, over random padded instance sets."""
-    r = np.random.default_rng(seed)
-    inst = []
-    for i, n in enumerate(lengths):
-        tokens = tuple(ALL_WORDS[k] for k in r.integers(0, len(ALL_WORDS), size=n))
-        aspect = ASPECTS[r.integers(0, len(ASPECTS))]
-        inst.append(Instance(f"s{i}", tokens, "category", aspect, (aspect,), LABELS[i % 3]))
-    spaces = TaskSpaces.build("category", inst)
-    vocab = assemble_vocab(list(ALL_WORDS), [], {}, 4, seed=seed)
-    cfg = small_config(embed_size=4, hidden_size=5, encoder=encoder, bidirectional=bidirectional,
-                       num_labels=spaces.num_labels, num_recon_targets=spaces.num_recon_targets)
-    model = SentimentModel(cfg, vocab.embedding, np.random.default_rng(seed))
-    batches = make_batches(inst, vocab, spaces, budget, shuffle=False)
-
-    def run(cpus):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(threads_mod, "usable_cpus", lambda: cpus)
-            logits = trainer_mod._batch_logits(model, batches, vocab)
-            return logits, evaluate(model, inst, vocab, spaces, budget)
-
-    inline_logits, inline_scores = run(1)
-    with _short_switch_interval():
-        pooled_logits, pooled_scores = run(4)
-    assert pooled_scores == inline_scores
-    assert len(pooled_logits) == len(batches)
-    for got, want in zip(pooled_logits, inline_logits, strict=True):
-        for g, w in zip(got, want, strict=True):
-            assert g.tobytes() == w.tobytes()
-
-
-def test_evaluate_on_one_cpu_starts_no_thread_and_runs_the_heaviest_batch_first(
-    emb_path, monkeypatch
-):
-    inst, spaces, vocab, model = build_setup(emb_path, n_pairs=12)
-    monkeypatch.setattr(threads_mod, "usable_cpus", lambda: 1)
-    started, tokens = [], []
-    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
-    real_eval_logits = trainer_mod._eval_logits
-
-    def recording(model, batch, vocab):
-        tokens.append(int(batch.mask.sum()))
-        return real_eval_logits(model, batch, vocab)
-
-    monkeypatch.setattr(trainer_mod, "_eval_logits", recording)
-    evaluate(model, inst, vocab, spaces, token_budget=40)
-    assert started == []
-    assert len(set(tokens)) >= 2 and tokens == sorted(tokens, reverse=True)
-
-
 def test_usable_cpus_is_the_affinity_mask_else_the_cpu_count(monkeypatch):
     assert threads_mod.usable_cpus() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity")
@@ -655,70 +578,34 @@ def _hash_in_subprocess(script: str, arg: str, blas: str) -> str:
     return done.stdout.strip()
 
 
-@pytest.mark.parametrize("cpus", [None, 2, 100])
-def test_evaluate_starts_a_helper_per_further_cpu_and_joins_them(
-    emb_path, monkeypatch, thread_starts, cpus
-):
-    """One helper per usable CPU past the first, at most one thread per batch.
-
-    ``None`` keeps the process's own CPU count, so under ``taskset -c 0``
-    this is the real one-CPU path.
-    """
-    inst, spaces, vocab, model = build_setup(emb_path)
-    n_batches = len(make_batches(inst, vocab, spaces, 40, shuffle=False))
-    assert n_batches >= 3
-    if cpus is not None:
-        monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
-    evaluate(model, inst, vocab, spaces, token_budget=40)
-    helpers = min(threads_mod.usable_cpus(), n_batches) - 1
-    assert sorted(thread_starts) == sorted(f"aspectgate-eval-{n}" for n in range(1, helpers + 1))
-    assert _eval_threads() == []
-
-
-@pytest.mark.parametrize("bad", [0, 1, 2, -1])
-def test_a_batch_error_propagates_unchanged_after_the_helpers_end(emb_path, monkeypatch, bad):
-    """The error of the ``bad``-th batch in queue order, whichever worker ran it."""
-    inst, spaces, vocab, model = build_setup(emb_path)
-    batches = make_batches(inst, vocab, spaces, 40, shuffle=False)
-    victim = sorted(batches, key=lambda b: -int(b.mask.sum()))[bad]
-    real_eval_logits = trainer_mod._eval_logits
-    error = RuntimeError("batch failed")
-
-    def failing(model, batch, vocab):
-        if batch.instances == victim.instances:
-            raise error
-        return real_eval_logits(model, batch, vocab)
-
-    monkeypatch.setattr(trainer_mod, "_eval_logits", failing)
-    monkeypatch.setattr(threads_mod, "usable_cpus", lambda: 3)
-    with pytest.raises(RuntimeError) as raised:
-        evaluate(model, inst, vocab, spaces, token_budget=40)
-    assert raised.value is error
-    assert _eval_threads() == []
-
-
 @pytest.mark.parametrize("encoder", ENCODERS)
 def test_a_grad_free_forward_starts_no_block_helper(
     emb_path, monkeypatch, thread_starts, encoder
 ):
-    """Only a taped block of at least ``_HELPER_MIN_WORK`` real cells times
-    hidden width, with more than one CPU, starts helpers, for its forward
-    and for its backward: evaluate, pooled or inline, and a taped B=1
-    forward start none, and a training step starts none on 1 CPU, none for
-    these small blocks on 3, and both kinds when no block is too small."""
+    """A grad-free forward starts no backward helper. Only a block of at
+    least ``_HELPER_MIN_WORK`` real cells times hidden width, with more
+    than one CPU, starts helpers: evaluate's grad-free blocks start forward
+    helpers and never a backward one, while evaluate on 1 CPU and a B=1
+    forward, taped or not, start none; a training step starts none on 1
+    CPU, none for these small blocks on 3, and both kinds when no block is
+    too small."""
     inst, spaces, vocab, model = build_setup(emb_path, encoder=encoder)
 
     def started():  # the block helpers' names, without their numbers
-        return {n.rsplit("-", 1)[0] for n in thread_starts if not n.startswith("aspectgate-eval")}
+        return {n.rsplit("-", 1)[0] for n in thread_starts}
 
     default = cells_mod._HELPER_MIN_WORK
     monkeypatch.setattr(cells_mod, "_HELPER_MIN_WORK", 0)
-    for cpus in (1, 3):
+    for cpus, names in ((1, set()), (3, {"aspectgate-fwd"})):
         monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
+        thread_starts.clear()
         evaluate(model, inst, vocab, spaces, token_budget=40)
-        one = model.forward_one(vocab.ids(inst[0].tokens), vocab.embedding[2])
-        assert one.sent_logits.requires_grad
-    assert started() == set()
+        assert started() == names
+    thread_starts.clear()
+    for grad in (contextlib.nullcontext, no_grad):
+        with grad():
+            model.forward_one(vocab.ids(inst[0].tokens), vocab.embedding[2])
+    assert thread_starts == []
     both = {"aspectgate-bwd", "aspectgate-fwd"}
     for cpus, least, names in ((1, 0, set()), (3, default, set()), (3, 0, both)):
         monkeypatch.setattr(threads_mod, "usable_cpus", lambda: cpus)
